@@ -12,7 +12,7 @@ from .wavegroup import (WavegroupSpec, ComplexQuadraticForm, gaussian_integral,
                         spectral_amplitude, amplitude_closed, amplitude_parts,
                         amplitude_quadrature, joint_pdf, currents)
 from .measurement import (MeasurementEvent, ConditionalMirrorState, collapse,
-                          mirror_pdf, sequential_probability, classify_regime,
+                          sequential_probability, classify_regime,
                           split_centroid_velocities, UnresolvedSplittingError)
 from .observables import (FringeReport, DecoherenceEstimate, marginal_over_mirror,
                           marginal_over_particle, extract_fringes, doppler_beat,

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import gridio, scenario as sc
 from .observables import marginal_over_mirror, marginal_over_particle
-from .wavegroup import joint_pdf  # noqa: F401  (re-exported for scripting)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -205,8 +204,6 @@ def _add_target_args(p, require=True):
                    help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)")
     p.add_argument("--threads", type=int, default=1,
                    help="concurrent analyses per scenario")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized utilities (core math is deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,8 +263,7 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    import sys as _sys
-    argv = _join_value_flags(argv if argv is not None else _sys.argv[1:])
+    argv = _join_value_flags(argv if argv is not None else sys.argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -43,7 +43,8 @@ class ContinuityResidual:
 
     @property
     def max_over_scale(self) -> float:
-        return self.max_residual / self.scale
+        # a box that sees no probability (scale 0) cannot pass the check
+        return self.max_residual / self.scale if self.scale else math.inf
 
 
 def _harmonic_pdf(mode: HarmonicMode, x1, t1, x2, t2):
@@ -178,10 +179,6 @@ class SegmentBalance:
     ddt: float
     flux_in: float
     flux_out: float
-
-    @property
-    def error_over_scale(self) -> float:
-        return self.error / self.scale
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import SpacetimePoint
-from .wavegroup import WavegroupSpec, _fields, amplitude_parts
-
-_TWO_PI = 2.0 * math.pi
+from .harmonic import _TWO_PI, SpacetimePoint
+from .wavegroup import (WavegroupSpec, _branch, _fields, _log_gauss2,
+                        amplitude_parts)
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -56,15 +55,6 @@ class ConditionalMirrorState:
         if np.any(np.asarray(t2) < self.event.t10):
             raise ValueError("conditional state is defined for t2 >= t10 only")
 
-    def amplitude(self, x2, t2, apply_step: bool = True):
-        """Conditional amplitude at (x2, t2); the step keeps x2 >= x10."""
-        self._check_time(t2)
-        f = _fields(self.spec, self.event.x10, self.event.t10, x2, t2)
-        amp = np.exp(1j * f.phase0) * (f.F_in - f.F_ref)
-        if apply_step:
-            amp = np.where(f.physical, amp, 0.0 + 0.0j)
-        return amp
-
     def pdf(self, x2, t2, apply_step: bool = True):
         self._check_time(t2)
         f = _fields(self.spec, self.event.x10, self.event.t10, x2, t2)
@@ -77,46 +67,24 @@ class ConditionalMirrorState:
         """Per-branch (centre, intensity sigma, weight) of the conditional PDF.
 
         The incident branch is the mirror substate that has not reflected the
-        particle, the reflected branch the one that has. Weights are the
+        particle, the reflected branch the one that has. With x1 frozen at
+        x10, each branch's b is affine in x2 along w = E^T e2, so completing
+        the square in x2 gives its centre and sigma. Weights are the
         |amplitude| values at the branch centres.
         """
         self._check_time(t2)
         spec, ev = self.spec, self.event
-        p = spec.params
-        hb, m, M = p.hbar, p.m, p.M
-        a11, a12, a21, a22 = spec._a
-        tau1 = ev.t10 - spec.t0
-        tau2 = t2 - spec.t0
-
         out = []
-        # incident branch: diagonal form, x2 profile independent of x10
-        ai22 = 1.0 / spec.dK**2 + 1j * hb * tau2 / M
-        centre = spec.x2c + p.V * tau2
-        sigma = 1.0 / math.sqrt(2.0 * (1.0 / ai22).real)
-        f = _fields(spec, ev.x10, ev.t10, centre, t2)
-        out.append((centre, sigma, float(np.abs(f.F_in))))
-
-        # reflected branch: quadratic in x2 after freezing x1 = x10
-        c1, c2 = hb * tau1 / m, hb * tau2 / M
-        A = np.array([
-            [1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
-             1j * (c1 * a11 * a12 + c2 * a21 * a22)],
-            [1j * (c1 * a11 * a12 + c2 * a21 * a22),
-             1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22)],
-        ])
-        Mi = np.linalg.inv(A)
-        vr0 = hb * spec.k_ref0 / m
-        Vr0 = hb * spec.K_ref0 / M
-        y1 = ev.x10 - vr0 * tau1
-        beta0 = np.array([a11 * y1 - a21 * Vr0 * tau2 - spec.x1c,
-                          a12 * y1 - a22 * Vr0 * tau2 - spec.x2c])
-        u = np.array([a21, a22])
-        quad = float((u @ Mi @ u).real)
-        lin = float((u @ Mi @ beta0).real)
-        centre_r = -lin / quad
-        sigma_r = 1.0 / math.sqrt(2.0 * quad)
-        f = _fields(spec, ev.x10, ev.t10, centre_r, t2)
-        out.append((centre_r, sigma_r, float(np.abs(f.F_ref))))
+        for reflected in (False, True):
+            br = _branch(spec, reflected, ev.t10 - spec.t0, t2 - spec.t0)
+            w1, w2 = br.E[1]
+            b1, b2 = br.b(ev.x10, 0.0)
+            _, q1, q2 = _log_gauss2(*br.A, w1, w2)  # q = A^{-1} w
+            quad = float((w1 * q1 + w2 * q2).real)
+            centre = -float((b1 * q1 + b2 * q2).real) / quad
+            log_g, _, _ = _log_gauss2(*br.A, *br.b(ev.x10, centre))
+            weight = spec.norm_const / _TWO_PI * math.exp(log_g.real)
+            out.append((centre, 1.0 / math.sqrt(2.0 * quad), weight))
         return out
 
     def support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
@@ -130,6 +98,12 @@ class ConditionalMirrorState:
             lo = min(lo, c - pad * s)
             hi = max(hi, c + pad * s)
         return lo, hi
+
+    def _sampled(self, t2: float, n: int):
+        """(x2, pdf) at n points of [max(lo, x10), hi], the physical support at t2."""
+        lo, hi = self.support(t2)
+        x2 = np.linspace(max(lo, self.event.x10), hi, n)
+        return x2, self.pdf(x2, t2)
 
     def norm(self, t2: float, n: int = 4001) -> float:
         """Total conditional probability integrated over the whole mirror axis.
@@ -148,11 +122,6 @@ def collapse(spec: WavegroupSpec, event: MeasurementEvent) -> ConditionalMirrorS
     if event.t10 < spec.t0:
         raise ValueError("detection precedes the wavegroup reference time")
     return ConditionalMirrorState(spec=spec, event=event)
-
-
-def mirror_pdf(state: ConditionalMirrorState, x2, t2):
-    """Conditional mirror PDF |Psi(x10, t10, x2, t2)|^2 for t2 >= t10."""
-    return state.pdf(x2, t2)
 
 
 @dataclass(frozen=True)
@@ -177,10 +146,8 @@ def sequential_probability(spec: WavegroupSpec, event: MeasurementEvent,
     state = collapse(spec, event)
     state._check_time(t2)
 
-    lo1, hi1 = state.support(event.t10)
-    lo1 = max(lo1, event.x10)
-    x2a = np.linspace(lo1, hi1, n)
-    pr_one = event.dx1 * float(np.trapezoid(state.pdf(x2a, event.t10), x2a))
+    x2a, pdf = state._sampled(event.t10, n)
+    pr_one = event.dx1 * float(np.trapezoid(pdf, x2a))
 
     lo2, hi2 = state.support(t2)
     lo2 = max(lo2, event.x10)
@@ -204,10 +171,7 @@ def classify_regime(spec: WavegroupSpec, event: MeasurementEvent,
     amplitudes there are within three decades of each other.
     """
     state = collapse(spec, event)
-    lo, hi = state.support(event.t10)
-    lo = max(lo, event.x10)
-    x2 = np.linspace(lo, hi, n)
-    pdf = state.pdf(x2, event.t10)
+    x2, pdf = state._sampled(event.t10, n)
     x2_star = float(x2[int(np.argmax(pdf))])
     i_in, i_ref = amplitude_parts(
         spec, SpacetimePoint(event.x10, event.t10, x2_star, event.t10))
@@ -254,10 +218,7 @@ def split_centroid_velocities(state: ConditionalMirrorState,
     fringe = math.pi / abs(spec.K_rel0)
     slow_track, fast_track, times = [], [], []
     for t2 in np.atleast_1d(np.asarray(t2_samples, dtype=float)):
-        lo, hi = state.support(t2)
-        lo = max(lo, state.event.x10)
-        x2 = np.linspace(lo, hi, n)
-        pdf = state.pdf(x2, t2)
+        x2, pdf = state._sampled(t2, n)
         dx = x2[1] - x2[0]
         window = max(1, int(round(fringe / dx)))
         sigma_min = min(s for _, s, _ in state.branch_profiles(t2))

@@ -18,7 +18,8 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState
-from .wavegroup import WavegroupSpec, incident_frame, joint_pdf, reflected_frame
+from .wavegroup import (WavegroupSpec, _fields, incident_frame, joint_pdf,
+                        reflected_frame)
 
 
 class TruncatedRangeWarning(UserWarning):
@@ -242,8 +243,6 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     intensity angular frequency, i.e. the phase-advance rate of the
     interference term, matching the closed-form plane-wave expression.
     """
-    from .wavegroup import _fields
-
     t2 = np.asarray(t2_axis, dtype=float)
     state._check_time(t2)
     ev = state.event
@@ -294,10 +293,7 @@ def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
     t2 = np.asarray(t2_axis, dtype=float)
     centroids = []
     for t in t2:
-        lo, hi = state.support(float(t))
-        lo = max(lo, state.event.x10)
-        x2 = np.linspace(lo, hi, n)
-        pdf = state.pdf(x2, float(t))
+        x2, pdf = state._sampled(float(t), n)
         centroids.append(float((pdf @ x2) / pdf.sum()))
     v_pattern = float(np.polyfit(t2, centroids, 1)[0])
     return math.pi * abs(v_pattern) / fringe_spacing_measured

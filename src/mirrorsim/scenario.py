@@ -28,7 +28,8 @@ from .measurement import (MeasurementEvent, UnresolvedSplittingError, collapse,
                           classify_regime, split_centroid_velocities)
 from .observables import (coherence_transfer_metrics, doppler_beat,
                           extract_fringes, marginal_over_mirror,
-                          marginal_over_particle, _support_hull)
+                          marginal_over_particle, pattern_drift_beat,
+                          transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
 from .wavegroup import WavegroupSpec, joint_pdf
 
@@ -299,29 +300,35 @@ def _fig8_scenario() -> Scenario:
     )
 
 
+# the fig2 system; fig3 widens its spectrum and fig4/fig5 lighten its mirror
+_FIG2_SYSTEM = dict(M=100.0, v=50.0, V=30.0, dk=1.0, dK=2.0, x1c=-10.0)
+_FIG45_SYSTEM = dict(_FIG2_SYSTEM, M=3.0)
+
+
 def _build_presets() -> dict[str, Scenario]:
     presets: dict[str, Scenario] = {}
 
     presets["fig2"] = _natural_scenario(
-        "fig2", M=100.0, v=50.0, V=30.0, dk=1.0, dK=2.0, x1c=-10.0,
+        "fig2", **_FIG2_SYSTEM,
         snapshot_offsets=(-1.0, 0.0, 1.0),
         analyses=("fringes",),
         description="mass ratio 100 joint-PDF snapshots before, during, after reflection",
     )
     for label, scale in (("a", 1.0), ("b", 2.0), ("c", 4.0)):
+        system = dict(_FIG2_SYSTEM, dk=scale * _FIG2_SYSTEM["dk"],
+                      dK=scale * _FIG2_SYSTEM["dK"])
         presets[f"fig3-{label}"] = _natural_scenario(
-            f"fig3-{label}", M=100.0, v=50.0, V=30.0, dk=scale, dK=2.0 * scale,
-            x1c=-10.0, snapshot_offsets=(0.0,), analyses=("fringes",),
+            f"fig3-{label}", **system, snapshot_offsets=(0.0,), analyses=("fringes",),
             description="overlap slices at increasing spectral width",
         )
     presets["fig4"] = _natural_scenario(
-        "fig4", M=3.0, v=50.0, V=30.0, dk=1.0, dK=2.0, x1c=-10.0,
+        "fig4", **_FIG45_SYSTEM,
         snapshot_offsets=(1.0, 2.0, 3.0), event_offsets=(1.0,),
         analyses=("regime",),
         description="particle measured after reflection; mirror drifts and disperses",
     )
     presets["fig5"] = _natural_scenario(
-        "fig5", M=3.0, v=50.0, V=30.0, dk=1.0, dK=2.0, x1c=-10.0,
+        "fig5", **_FIG45_SYSTEM,
         snapshot_offsets=(0.0, 1.0, 2.0), event_offsets=(0.0,),
         analyses=("regime", "split-velocities", "beat"),
         description="particle measured in the overlap; mirror splits into two states",
@@ -445,8 +452,6 @@ def analysis_fringes(scenario: Scenario) -> dict:
 
 
 def analysis_beat(scenario: Scenario) -> dict:
-    from mirrorsim.observables import pattern_drift_beat, transit_beat_periods
-
     spec = scenario.wavegroup
     event = resolve_event(scenario, scenario.events[0])
     state = collapse(spec, event)
@@ -556,10 +561,8 @@ def analysis_node_depth(scenario: Scenario) -> dict:
     out = {}
     for label, idx in (("peak", i_peak), ("node", i_node)):
         event = MeasurementEvent(x10=float(x1[idx]), t10=t_c)
-        state = collapse(spec, event)
-        lo, hi = state.support(t_c)
-        xs = np.linspace(max(lo, event.x10), hi, 4097)
-        out[label] = float(state.pdf(xs, t_c).max())
+        _, pdf = collapse(spec, event)._sampled(t_c, 4097)
+        out[label] = float(pdf.max())
     out["ratio"] = out["node"] / out["peak"]
     return out
 
@@ -569,11 +572,13 @@ def analysis_continuity(scenario: Scenario) -> dict:
     t_c = scenario.collision_time
     x_c = spec.collision_point
     fringe = fringe_period(scenario.params)
-    h = fringe / 40.0
+    # the box and its steps resolve the narrower packet as well as the fringe
+    width = min(1.0 / spec.dk, 1.0 / spec.dK)
+    h = min(fringe, width) / 40.0
     v_mean = 0.5 * (scenario.params.v + scenario.params.V)
     steps = (h, h, h / v_mean, h / v_mean)
-    x1 = x_c - 0.2 / spec.dk + np.linspace(0, 6, 7) * h
-    x2 = x_c + 0.2 / spec.dk + np.linspace(0, 6, 7) * h
+    x1 = x_c - 0.2 * width + np.linspace(0, 6, 7) * h
+    x2 = x_c + 0.2 * width + np.linspace(0, 6, 7) * h
     healthy = continuity_residual(spec, x1, x2, t_c, t_c, steps)
     broken = continuity_residual(spec, x1, x2, t_c, t_c, steps, detune=1.1)
     order = convergence_order(spec, x1, x2, t_c, t_c, steps)
@@ -627,15 +632,23 @@ def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
     """Conditional mirror PDF sampled along x2, one 1D grid per listed t2.
 
     All snapshots share one x2 range (the hull of the conditional supports)
-    so the files can be overlaid directly.
+    so the files can be overlaid directly. Raises ValueError for a
+    detection at or past the upper end of the conditional support at t10,
+    where the detection probability is zero, or past the whole range.
     """
     spec = scenario.wavegroup
     event = resolve_event(scenario, raw)
     state = collapse(spec, event)
+    pad = 6.0
+    hi10 = state.support(event.t10, pad=pad)[1]
     lo, hi = math.inf, -math.inf
     for t2 in t2_list:
-        a, b = state.support(t2, pad=6.0)
+        a, b = state.support(t2, pad=pad)
         lo, hi = min(lo, a), max(hi, b)
+    if event.x10 >= min(hi10, hi):
+        raise ValueError(f"detection at x10={event.x10:g}, t10={event.t10:g} lies past "
+                         f"the conditional support (up to {hi10:g} at t10, "
+                         f"[{lo:g}, {hi:g}] over the times asked for): probability 0")
     lo = max(lo, event.x10)
     x2 = np.linspace(lo, hi, n)
     out = []
@@ -646,24 +659,3 @@ def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
             provenance={"operation": "conditional_pdf", "x10": event.x10,
                         "t10": event.t10, "t2": t2, "flags": []}))
     return out
-
-
-def conditional_evolution_grid(scenario: Scenario, raw: RawEvent,
-                               t2_lo: float, t2_hi: float, nt: int = 64,
-                               nx: int = 256) -> FieldGrid:
-    """Conditional mirror PDF over a dense (t2, x2) grid for one event."""
-    spec = scenario.wavegroup
-    event = resolve_event(scenario, raw)
-    state = collapse(spec, event)
-    a0, b0 = state.support(t2_lo, pad=6.0)
-    a1, b1 = state.support(t2_hi, pad=6.0)
-    lo, hi = max(min(a0, a1), event.x10), max(b0, b1)
-    t2 = np.linspace(t2_lo, t2_hi, nt)
-    x2 = np.linspace(lo, hi, nx)
-    values = state.pdf(x2[None, :], t2[:, None])
-    grid = GridSpec(axes=(AxisSpec("t2", t2_lo, t2_hi, nt),
-                          AxisSpec("x2", lo, hi, nx)))
-    return FieldGrid(grid=grid, values=np.asarray(values), kind="pdf",
-                     provenance={"operation": "conditional_pdf_evolution",
-                                 "x10": event.x10, "t10": event.t10,
-                                 "flags": []})

@@ -1,28 +1,29 @@
 """Gaussian-spectrum two-body wavegroups evaluated in closed form.
 
 A wavegroup superposes the two-time plane-wave pairs of :mod:`.harmonic`
-with a Gaussian spectral weight in (k, K). Because the reflected
-wavevectors are linear in (k, K), both the incident and the reflected
-spectral integrals are two-dimensional Gaussian integrals with complex
-symmetric quadratic forms, evaluated exactly here. An independent
-Gauss-Hermite quadrature of the same integrals serves as the oracle.
+with a Gaussian spectral weight in (k, K). The state is the incident
+branch minus the reflected branch, and each branch is one complex
+Gaussian integral over the spectral offsets s = (k - k0, K - K0):
 
-Numerical layout
-----------------
-The integration variables are shifted to the spectral centre, so the
-closed form splits into
+    F(x, t) = C exp(i Phi(x, t)) * integral exp(-s^T A s / 2 + i b^T s) ds
+    A = diag(1/dk^2, 1/dK^2) + i E^T diag(hbar tau1/m, hbar tau2/M) E
+    b = E^T (x - u tau) - (x1c, x2c),    tau = t - t0
 
-    I = C * exp(i*Phi0) * G(A, b)
+The branches differ only in the collision matrix E, which maps (k, K) to
+the branch's own wavevectors (the identity for the incident branch, the
+elastic collision for the reflected one), and in the carrier velocities u.
+:func:`_branch` states that form once; amplitudes, log-amplitudes,
+gradients, packet frames and conditional profiles all derive from it.
+:func:`_log_gauss2` evaluates it, and the incident branch, separable since
+E = I, as a product of two 1-D integrals. A Gauss-Hermite quadrature of the
+same integrals, written independently, serves as the oracle.
 
-where Phi0 is the (possibly astronomically large) carrier phase at the
-central wavevectors and G is a well-conditioned Gaussian integral. Only
-the *difference* of the incident and reflected carrier phases is
-physical for densities and currents; it is computed in closed form
-(never as a difference of large floats), so PDFs, marginals, conditional
-densities and currents remain accurate even when the absolute carrier
-phase exceeds float precision. The absolute phase of a single amplitude
-is reduced modulo 2*pi and is meaningful only while |Phi0| stays well
-below 1/eps.
+Phi is the (possibly astronomically large) carrier phase at the central
+wavevectors. Only the incident-reflected *difference* of carrier phases is
+physical for densities and currents; it is computed in closed form, never
+as a difference of large floats, so they stay accurate even where Phi
+exceeds float precision. The absolute phase of one amplitude is reduced
+modulo 2*pi and means something only while |Phi| << 1/eps.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import SpacetimePoint
+from .harmonic import _TWO_PI, SpacetimePoint
 from .kinematics import PhysicalParams
 
-_TWO_PI = 2.0 * math.pi
+_LOG_TWO_PI = math.log(_TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -56,32 +58,35 @@ class ComplexQuadraticForm:
     c: complex = 0.0
 
 
-def _sqrt_det2(a11, a12, a22):
-    """Branch-continuous sqrt(det A) for 2x2 complex symmetric A, Re(A) > 0.
+def _lin(c1, y1, c2, y2):
+    """c1*y1 + c2*y2 for scalar c1, c2, without the second term where c2 is 0,
+    so that the diagonal incident branch keeps its separable array shapes."""
+    if c2 == 0:
+        return c1 * y1
+    return c1 * y1 + c2 * y2
 
-    Writing A = D + iS with D positive definite, det A factors as
-    det(D) * det(I + iT) with T = D^{-1/2} S D^{-1/2}; the principal square
-    root of det(I + iT) equals the product of the principal roots of its
-    eigenvalue factors (their arguments each lie in (-pi/2, pi/2)), which is
-    the branch that connects continuously to the real-A case.
+
+def _log_gauss1(a, b):
+    """Log of the integral of exp(-a s^2 / 2 + i b s) over R, and b / a."""
+    q = b / a
+    return 0.5 * (_LOG_TWO_PI - np.log(a)) - 0.5 * (b * q), q
+
+
+def _log_gauss2(a11, a12, a22, b1, b2, c=0.0):
+    """Log of the integral of exp(-s^T A s / 2 + i b^T s + c) over R^2, and A^{-1} b.
+
+    Returns (log(2 pi / sqrt(det A)) + c - b^T q / 2, q1, q2) with q = A^{-1} b,
+    for broadcastable component arrays and Re(A) positive definite. Then a11
+    and the Schur complement det A / a11 both lie in the right half plane, so
+    the product of their principal roots is the branch of sqrt(det A) that
+    connects continuously to the real-A case.
     """
-    d11, d12, d22 = a11.real, a12.real, a22.real
-    s11, s12, s22 = a11.imag, a12.imag, a22.imag
-    det_d = d11 * d22 - d12 * d12
-    det_s = s11 * s22 - s12 * s12
-    # tr(D^{-1} S) for 2x2
-    tr_t = (d22 * s11 - 2.0 * d12 * s12 + d11 * s22) / det_d
-    det_factor = (1.0 - det_s / det_d) + 1j * tr_t
-    return np.sqrt(det_d) * np.sqrt(det_factor)
-
-
-def _gauss2(a11, a12, a22, b1, b2, c=0.0):
-    """Closed form of the 2D integral for broadcastable component arrays."""
     det_a = a11 * a22 - a12 * a12
     q1 = (a22 * b1 - a12 * b2) / det_a
     q2 = (a11 * b2 - a12 * b1) / det_a
-    expo = 0.5 * (b1 * q1 + b2 * q2) + c
-    return _TWO_PI / _sqrt_det2(a11, a12, a22) * np.exp(expo)
+    log_val = (_LOG_TWO_PI + c - 0.5 * (np.log(a11) + np.log(det_a / a11))
+               - 0.5 * (b1 * q1 + b2 * q2))
+    return log_val, q1, q2
 
 
 def gaussian_integral(q: ComplexQuadraticForm) -> complex:
@@ -100,7 +105,9 @@ def gaussian_integral(q: ComplexQuadraticForm) -> complex:
     D = A.real
     if not (D[0, 0] > 0 and np.linalg.det(D) > 0):
         raise ValueError("Re(A) must be positive definite")
-    return complex(_gauss2(A[0, 0], A[0, 1], A[1, 1], b[0], b[1], q.c))
+    # exp(b^T s) = exp(i beta^T s) with beta = -i b
+    log_val, _, _ = _log_gauss2(A[0, 0], A[0, 1], A[1, 1], -1j * b[0], -1j * b[1], q.c)
+    return complex(np.exp(log_val))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,46 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 # closed-form evaluation
 # ---------------------------------------------------------------------------
 
+class _Branch(NamedTuple):
+    """One branch's Gaussian form at the times tau (see the module docstring)."""
+
+    A: tuple   # (a11, a12, a22) of the complex symmetric A
+    E: tuple   # collision matrix ((e11, e12), (e21, e22)): (k, K) -> branch
+    ut: tuple  # carrier displacements (u1 tau1, u2 tau2)
+    k: tuple   # carrier wavevectors (k, K)
+    xc: tuple  # packet centres (x1c, x2c) at t0
+
+    def b(self, x1, x2):
+        """The linear coefficient b = E^T (x - u tau) - (x1c, x2c)."""
+        (a11, a12), (a21, a22) = self.E
+        y1, y2 = x1 - self.ut[0], x2 - self.ut[1]
+        return _lin(a11, y1, a21, y2) - self.xc[0], _lin(a22, y2, a12, y1) - self.xc[1]
+
+    def log_gradient(self, q1, q2, detune: float = 1.0):
+        """Log-derivatives i k - E q of the amplitude (carrier included)."""
+        (a11, a12), (a21, a22) = self.E
+        return (1j * detune * self.k[0] - _lin(a11, q1, a12, q2),
+                1j * detune * self.k[1] - _lin(a22, q2, a21, q1))
+
+
+def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
+    """The incident or the reflected branch's Gaussian form at (tau1, tau2)."""
+    p = spec.params
+    if reflected:
+        a11, a12, a21, a22 = spec._a
+        k = (spec.k_ref0, spec.K_ref0)
+        u = (p.hbar * k[0] / p.m, p.hbar * k[1] / p.M)
+    else:
+        a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
+        k, u = (spec.k0, spec.K0), (p.v, p.V)
+    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
+    A = (1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
+         1j * (c1 * a11 * a12 + c2 * a21 * a22),
+         1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22))
+    return _Branch(A=A, E=((a11, a12), (a21, a22)), ut=(u[0] * tau1, u[1] * tau2),
+                   k=k, xc=(spec.x1c, spec.x2c))
+
+
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
             logs: bool = False) -> SimpleNamespace:
@@ -225,51 +272,16 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     (F_in - F_ref) * theta(x2 - x1). ``detune`` scales the reflected
     carrier wavevectors without touching the energies (a deliberately
     broken field for negative-control tests); ``reflected_weight``
-    linearly rescales the reflected branch. ``logs`` adds complex
-    log-amplitudes assembled before exponentiation, usable where the
-    envelope factors themselves underflow.
+    linearly rescales the reflected branch. ``logs`` adds the complex
+    log-amplitudes log_in and log_ref, usable where the envelope factors
+    themselves underflow; ``gradients`` adds the log-derivatives Lin1..Lref2.
     """
     p = spec.params
-    m, M, hb = p.m, p.M, p.hbar
-    a11, a12, a21, a22 = spec._a
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     tau1 = np.asarray(t1, dtype=float) - spec.t0
     tau2 = np.asarray(t2, dtype=float) - spec.t0
-
     k0, K0 = spec.k0, spec.K0
-    kr0, Kr0 = spec.k_ref0, spec.K_ref0
-    v0, V0 = hb * k0 / m, hb * K0 / M
-    vr0, Vr0 = hb * kr0 / m, hb * Kr0 / M
-    w1, w2 = hb * k0**2 / (2 * m), hb * K0**2 / (2 * M)
-
-    c1, c2 = hb * tau1 / m, hb * tau2 / M  # chirp coefficients
-
-    # incident quadratic form (diagonal)
-    ai11 = 1.0 / spec.dk**2 + 1j * c1
-    ai22 = 1.0 / spec.dK**2 + 1j * c2
-    bi1 = x1 - spec.x1c - v0 * tau1
-    bi2 = x2 - spec.x2c - V0 * tau2
-    qi1 = bi1 / ai11
-    qi2 = bi2 / ai22
-    sqrt_det_in = np.sqrt(ai11) * np.sqrt(ai22)
-    expo_in = -0.5 * (bi1 * qi1 + bi2 * qi2)
-    g_in = _TWO_PI / sqrt_det_in * np.exp(expo_in)
-
-    # reflected quadratic form (coupled)
-    ar11 = 1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21)
-    ar12 = 1j * (c1 * a11 * a12 + c2 * a21 * a22)
-    ar22 = 1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22)
-    y1 = x1 - vr0 * tau1
-    y2 = x2 - Vr0 * tau2
-    br1 = a11 * y1 + a21 * y2 - spec.x1c
-    br2 = a12 * y1 + a22 * y2 - spec.x2c
-    det_r = ar11 * ar22 - ar12 * ar12
-    qr1 = (ar22 * br1 - ar12 * br2) / det_r
-    qr2 = (ar11 * br2 - ar12 * br1) / det_r
-    sqrt_det_ref = _sqrt_det2(ar11, ar12, ar22)
-    expo_ref = -0.5 * (br1 * qr1 + br2 * qr2)
-    g_ref = _TWO_PI / sqrt_det_ref * np.exp(expo_ref)
+    w1, w2 = p.hbar * k0**2 / (2 * p.m), p.hbar * K0**2 / (2 * p.M)
 
     # carrier phases: absolute one reduced mod 2*pi, difference kept exact
     phase0 = np.remainder(
@@ -277,29 +289,23 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     )
     dphase = -2.0 * spec.K_rel0 * (x1 - x2) + 2.0 * spec.beat0 * (tau1 - tau2)
     if detune != 1.0:
-        dphase = dphase + (detune - 1.0) * (kr0 * x1 + Kr0 * x2)
+        dphase = dphase + (detune - 1.0) * (spec.k_ref0 * x1 + spec.K_ref0 * x2)
 
-    pref = spec.norm_const / _TWO_PI
-    f_in = pref * g_in
-    f_ref = reflected_weight * pref * np.exp(1j * np.remainder(dphase, _TWO_PI)) * g_ref
-
-    out = SimpleNamespace(
-        F_in=f_in,
-        F_ref=f_ref,
-        phase0=phase0,
-        physical=x1 <= x2,
-    )
+    incident, reflected = (_branch(spec, r, tau1, tau2) for r in (False, True))
+    log_pref = math.log(spec.norm_const / _TWO_PI)
+    # E = I makes the incident branch separable, a product of two 1-D packets:
+    # on separable coordinate arrays it costs O(n1 + n2) exponentials
+    (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
+    log_ref, qr1, qr2 = _log_gauss2(*reflected.A, *reflected.b(x1, x2),
+                                    log_pref + 1j * np.remainder(dphase, _TWO_PI))
+    out = SimpleNamespace(F_in=np.exp(log_pref + log_in1) * np.exp(log_in2),
+                          F_ref=reflected_weight * np.exp(log_ref),
+                          phase0=phase0, physical=x1 <= x2)
     if logs:
-        log_pref = math.log(pref) + math.log(_TWO_PI)
-        out.log_in = log_pref - np.log(sqrt_det_in) + expo_in
-        out.log_ref = (log_pref - np.log(sqrt_det_ref) + expo_ref
-                       + 1j * np.remainder(dphase, _TWO_PI))
+        out.log_in, out.log_ref = log_pref + log_in1 + log_in2, log_ref
     if gradients:
-        # log-derivatives of the full amplitudes (carrier included)
-        out.Lin1 = 1j * k0 - qi1
-        out.Lin2 = 1j * K0 - qi2
-        out.Lref1 = 1j * detune * kr0 - (a11 * qr1 + a12 * qr2)
-        out.Lref2 = 1j * detune * Kr0 - (a21 * qr1 + a22 * qr2)
+        out.Lin1, out.Lin2 = incident.log_gradient(qi1, qi2)
+        out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2, detune)
     return out
 
 
@@ -354,41 +360,27 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 # packet tracking (framing helpers)
 # ---------------------------------------------------------------------------
 
+def _frame(br: _Branch):
+    """Centre and intensity covariance of one branch's packet.
+
+    |F|^2 is a Gaussian exp(-Re(b^T A^{-1} b)) in x, centred where b = 0 at
+    u tau + E^{-T} (x1c, x2c) with covariance (2 E Re(A^{-1}) E^T)^{-1}.
+    """
+    a11, a12, a22 = br.A
+    E = np.array(br.E)
+    centre = np.array(br.ut) + np.linalg.solve(E.T, np.array(br.xc))
+    re_ainv = np.linalg.inv(np.array([[a11, a12], [a12, a22]])).real
+    return centre, np.linalg.inv(2.0 * E @ re_ainv @ E.T)
+
+
 def incident_frame(spec: WavegroupSpec, t1: float, t2: float):
     """Centre and intensity covariance of the incident packet at (t1, t2)."""
-    p = spec.params
-    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    centre = np.array([
-        spec.x1c + p.v * tau1,
-        spec.x2c + p.V * tau2,
-    ])
-    a11 = 1.0 / spec.dk**2 + 1j * p.hbar * tau1 / p.m
-    a22 = 1.0 / spec.dK**2 + 1j * p.hbar * tau2 / p.M
-    cov = np.diag([abs(a11) ** 2 / (2.0 * a11.real), abs(a22) ** 2 / (2.0 * a22.real)])
-    return centre, cov
+    return _frame(_branch(spec, False, t1 - spec.t0, t2 - spec.t0))
 
 
 def reflected_frame(spec: WavegroupSpec, t1: float, t2: float):
     """Centre and intensity covariance of the reflected packet at (t1, t2)."""
-    p = spec.params
-    m, M, hb = p.m, p.M, p.hbar
-    a11, a12, a21, a22 = spec._a
-    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    vr0, Vr0 = hb * spec.k_ref0 / m, hb * spec.K_ref0 / M
-    E = np.array([[a11, a21], [a12, a22]])
-    shift = np.linalg.solve(E, np.array([spec.x1c, spec.x2c]))
-    centre = np.array([vr0 * tau1 + shift[0], Vr0 * tau2 + shift[1]])
-    c1, c2 = hb * tau1 / m, hb * tau2 / M
-    A = np.array([
-        [1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
-         1j * (c1 * a11 * a12 + c2 * a21 * a22)],
-        [1j * (c1 * a11 * a12 + c2 * a21 * a22),
-         1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22)],
-    ])
-    re_ainv = np.linalg.inv(A).real
-    q_form = E.T @ re_ainv @ E
-    cov = np.linalg.inv(2.0 * q_form)
-    return centre, cov
+    return _frame(_branch(spec, True, t1 - spec.t0, t2 - spec.t0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from mirrorsim import (HarmonicMode, PhysicalParams, SpacetimePoint,
                        WavegroupSpec, beat_frequency, collapse, continuity_residual,
                        convergence_order, currents, current_j1, current_j2,
                        fringe_period, joint_pdf, segment_balance)
-from mirrorsim.conservation import UnderResolvedStepWarning, _harmonic_currents
+from mirrorsim.conservation import (ContinuityResidual, UnderResolvedStepWarning,
+                                    _harmonic_currents)
 from mirrorsim.measurement import MeasurementEvent
 from mirrorsim.scenario import PRESETS
 
@@ -133,6 +134,11 @@ class TestContinuityResidual:
         scaled = continuity_residual(s, x1, x2, t_c, t_c, steps,
                                      reflected_weight=1.1)
         assert scaled.max_over_scale < 2.0 * healthy.max_over_scale + 1e-9
+
+    def test_zero_scale_never_passes(self):
+        r = ContinuityResidual(max_residual=0.0, rms_residual=0.0, scale=0.0,
+                               step_sizes=(1.0, 1.0, 1.0, 1.0), n_points=1)
+        assert r.max_over_scale == math.inf
 
     def test_warns_on_coarse_steps(self, spec_fig5):
         s = spec_fig5

@@ -5,7 +5,7 @@ import pytest
 
 from mirrorsim import (MeasurementEvent, PhysicalParams, UnresolvedSplittingError,
                        WavegroupSpec, classify_regime, collapse,
-                       elastic_final_velocities, joint_pdf, mirror_pdf,
+                       elastic_final_velocities, joint_pdf,
                        sequential_probability, split_centroid_velocities)
 from mirrorsim.measurement import _smoothed_modes
 from mirrorsim.scenario import PRESETS, resolve_event
@@ -40,8 +40,6 @@ class TestCollapse:
         state = collapse(spec_fig5, ev)
         with pytest.raises(ValueError):
             state.pdf(1.0, ev.t10 - 0.1)
-        with pytest.raises(ValueError):
-            mirror_pdf(state, 1.0, ev.t10 - 1.0)
 
     def test_rejects_pre_launch_event(self, spec_fig5):
         with pytest.raises(ValueError):

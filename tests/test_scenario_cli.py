@@ -6,6 +6,7 @@ import pytest
 
 from mirrorsim import AxisSpec, GridSpec, FieldGrid
 from mirrorsim.cli import main
+from mirrorsim.measurement import MeasurementEvent, collapse
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, ScenarioValidationError,
                                 from_config, joint_pdf_grid, load_scenario,
                                 resolve_preset, scenario_hash, serialize,
@@ -46,6 +47,10 @@ class TestPresets:
         assert s.params.M / s.params.m == pytest.approx(100.0)
         assert s.wavegroup.dK / s.wavegroup.dk == pytest.approx(2.0)
         assert s.wavegroup.K0 / s.wavegroup.k0 == pytest.approx(60.0)
+
+    def test_presets_share_their_systems(self):
+        assert PRESETS["fig3-a"].wavegroup == PRESETS["fig2"].wavegroup
+        assert PRESETS["fig4"].wavegroup == PRESETS["fig5"].wavegroup
 
     def test_fig8_parameters(self):
         s = PRESETS["fig8"]
@@ -176,6 +181,41 @@ class TestCli:
         report = json.loads((out / "cont_check.json").read_text())
         assert report["pass"] is True
         assert report["max_over_scale"] < 1e-6
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig9"])
+    def test_check_narrow_mirror_presets(self, tmp_path, preset):
+        # the box and steps must resolve a mirror packet narrower than a fringe
+        assert main(["check", "--preset", preset, "--out", str(tmp_path)]) == 0
+
+    def test_check_reports_instead_of_raising(self, tmp_path, capsys):
+        # fig8 is the open SI-scale continuity failure: reported, not raised
+        rc = main(["check", "--preset", "fig8", "--out", str(tmp_path)])
+        assert rc == 4
+        out = capsys.readouterr().out
+        assert out.startswith("fig8: continuity") and "FAIL" in out
+        assert (tmp_path / "fig8_check.json").exists()
+
+    def test_collapse_rejects_detection_past_support(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["collapse", "--preset", "fig9", "--event", "t10=0,x10=1.8",
+                   "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "x10=1.8" in err and "support" in err
+        assert not out.exists()
+
+    def test_collapse_single_time_rejects_detection_past_support(self, tmp_path, capsys):
+        # with t2 = t10 only, the grid range is the support at t10 itself;
+        # x10 lies 8 sigma above the mirror, inside the default 10-sigma support
+        s = PRESETS["fig9"]
+        t10 = s.collision_time
+        state = collapse(s.wavegroup, MeasurementEvent(x10=s.wavegroup.collision_point, t10=t10))
+        x10 = state.support(t10, pad=8.0)[1]
+        rc = main(["collapse", "--preset", "fig9", "--event", f"t10=0,x10={x10!r}",
+                   "--times", "0", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "lies past the conditional support" in err and "degenerate" not in err
 
     def test_observables_fig4(self, tmp_path):
         out = tmp_path / "o"

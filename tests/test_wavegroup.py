@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsim import (ComplexQuadraticForm, PhysicalParams, SpacetimePoint,
-                       WavegroupSpec, amplitude_closed, amplitude_parts,
-                       amplitude_quadrature, gaussian_integral, joint_pdf,
-                       spectral_amplitude)
+from mirrorsim import (ComplexQuadraticForm, MeasurementEvent, PhysicalParams,
+                       SpacetimePoint, WavegroupSpec, amplitude_closed,
+                       amplitude_parts, amplitude_quadrature, collapse,
+                       gaussian_integral, joint_pdf, spectral_amplitude)
 from mirrorsim.scenario import PRESETS
 from mirrorsim.wavegroup import (_MAX_NODES, _fields, incident_frame,
                                  reflected_frame)
@@ -276,3 +276,59 @@ class TestQuadratureOracle:
             brute = np.trapezoid(np.trapezoid(integrand, K[0], axis=1), k[:, 0], axis=0)
             closed = amplitude_closed(s, pt)
             assert abs(closed - brute) < 1e-7 * abs(closed)
+
+
+def _moments(w, x1, x2):
+    """Mass, mean and covariance of a non-negative weight on a uniform grid."""
+    total = w.sum()
+    m1 = (w.sum(axis=1) @ x1) / total
+    m2 = (w.sum(axis=0) @ x2) / total
+    d1, d2 = x1[:, None] - m1, x2[None, :] - m2
+    cov = np.array([[(w * d1 * d1).sum(), (w * d1 * d2).sum()],
+                    [(w * d1 * d2).sum(), (w * d2 * d2).sum()]]) / total
+    return total * (x1[1] - x1[0]) * (x2[1] - x2[0]), np.array([m1, m2]), cov
+
+
+class TestBranchFrames:
+    """Frames and conditional profiles come from the branch form alone; the
+    moments of each branch's own |F|^2 on a grid must reproduce them."""
+
+    @staticmethod
+    def _times(s):
+        t_c, tau = s.collision_time, s.tau
+        return ((s.t0, s.t0), (t_c, t_c + 0.5 * tau), (t_c + 2 * tau, t_c + 2 * tau))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5", "fig6-m1"])
+    def test_frames_match_branch_moments(self, name):
+        s = PRESETS[name].wavegroup
+        for t1, t2 in self._times(s):
+            for frame, part in ((incident_frame, "F_in"), (reflected_frame, "F_ref")):
+                centre, cov = frame(s, t1, t2)
+                half = 10.0 * np.sqrt(np.diag(cov))
+                x1 = np.linspace(centre[0] - half[0], centre[0] + half[0], 801)
+                x2 = np.linspace(centre[1] - half[1], centre[1] + half[1], 801)
+                f = _fields(s, x1[:, None], t1, x2[None, :], t2)
+                mass, mean, var = _moments(np.abs(getattr(f, part)) ** 2, x1, x2)
+                sig = np.sqrt(np.diag(cov))
+                assert mass == pytest.approx(1.0, abs=1e-9)  # |det E| = 1
+                np.testing.assert_allclose(mean, centre, rtol=0, atol=1e-9 * sig.max())
+                np.testing.assert_allclose(var, cov, rtol=0,
+                                           atol=1e-8 * np.outer(sig, sig).max())
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5", "fig6-m1"])
+    def test_conditional_profiles_match_branch_moments(self, name):
+        s = PRESETS[name].wavegroup
+        ev = MeasurementEvent(x10=s.collision_point, t10=s.collision_time)
+        state = collapse(s, ev)
+        for t2 in ev.t10 + s.tau * np.array([0.0, 1.0, 2.0]):
+            profiles = state.branch_profiles(t2)
+            for (centre, sigma, weight), part in zip(profiles, ("F_in", "F_ref")):
+                x2 = np.linspace(centre - 10 * sigma, centre + 10 * sigma, 4001)
+                amp = getattr(_fields(s, ev.x10, ev.t10, x2, t2), part)
+                w = np.abs(amp) ** 2
+                mean = (w @ x2) / w.sum()
+                std = math.sqrt((w @ (x2 - mean) ** 2) / w.sum())
+                assert abs(mean - centre) < 1e-9 * sigma
+                assert std == pytest.approx(sigma, rel=1e-9)
+                at_centre = getattr(_fields(s, ev.x10, ev.t10, centre, t2), part)
+                assert weight == pytest.approx(abs(at_centre), rel=1e-12)
