@@ -2,8 +2,7 @@
 gnuplot companion scripts.
 
 Files are written atomically (temp file + rename) and contain no wall-clock
-content, so identical configs produce byte-identical artifacts. Complex
-grids store paired re/im columns.
+content, so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from .grids import Curve, FieldGrid
 
@@ -58,22 +55,16 @@ def _header(scenario_name: str, config_hash: str, provenance: dict,
 
 def write_field_grid(fg: FieldGrid, path, scenario_name: str,
                      config_hash: str) -> Path:
-    """One row per leading-axis sample; complex data as re,im pairs."""
+    """One row per leading-axis sample."""
     path = Path(path)
     axes_lines = [
         f"# axis-{i}: {a.role} {_fmt(a.lo)} {_fmt(a.hi)} {a.n}"
         for i, a in enumerate(fg.grid.axes)
     ]
-    complex_data = np.iscomplexobj(fg.values)
-    dtype = "complex" if complex_data else "real"
-    lines = _header(scenario_name, config_hash, fg.provenance, axes_lines, dtype)
+    lines = _header(scenario_name, config_hash, fg.provenance, axes_lines, "real")
     rows = fg.values if fg.values.ndim == 2 else fg.values[None, :]
     for row in rows:
-        if complex_data:
-            cells = [f"{_fmt(c.real)},{_fmt(c.imag)}" for c in row]
-        else:
-            cells = [_fmt(c) for c in row]
-        lines.append(",".join(cells))
+        lines.append(",".join([_fmt(c) for c in row]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

@@ -47,23 +47,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Row-major samples of a real PDF or complex amplitude plus provenance."""
+    """Row-major samples of a real, non-negative PDF plus provenance."""
 
     grid: GridSpec
     values: np.ndarray
-    kind: str  # "pdf" or "amplitude"
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if tuple(self.values.shape) != self.grid.shape:
             raise ValueError("sample count does not match the grid axes")
-        if self.kind == "pdf":
-            if np.iscomplexobj(self.values):
-                raise ValueError("pdf grids are real")
-            if np.any(self.values < 0):
-                raise ValueError("pdf grids are non-negative")
-        elif self.kind != "amplitude":
-            raise ValueError("kind must be 'pdf' or 'amplitude'")
+        if np.iscomplexobj(self.values):
+            raise ValueError("pdf grids are real")
+        if np.any(self.values < 0):
+            raise ValueError("pdf grids are non-negative")
 
 
 @dataclass(frozen=True)

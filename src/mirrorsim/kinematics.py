@@ -62,25 +62,6 @@ class PhysicalParams:
         return self.M * self.V / self.hbar
 
 
-@dataclass(frozen=True)
-class CmRelParams:
-    """Centre-of-mass / relative-coordinate view of a wavevector pair."""
-
-    M_tot: float
-    mu: float
-    K_cm: float
-    K_rel: float
-    hbar: float = SI_HBAR
-
-    @property
-    def E_cm(self) -> float:
-        return (self.hbar * self.K_cm) ** 2 / (2.0 * self.M_tot)
-
-    @property
-    def E_rel(self) -> float:
-        return (self.hbar * self.K_rel) ** 2 / (2.0 * self.mu)
-
-
 def elastic_final_velocities(p: PhysicalParams) -> tuple[float, float]:
     """Post-collision velocities of a 1D elastic reflection.
 
@@ -94,25 +75,6 @@ def elastic_final_velocities(p: PhysicalParams) -> tuple[float, float]:
     v_f = ((p.m - p.M) * p.v + 2.0 * p.M * p.V) / s
     V_f = ((p.M - p.m) * p.V + 2.0 * p.m * p.v) / s
     return v_f, V_f
-
-
-def to_cm_rel(p: PhysicalParams, k: float, K: float) -> CmRelParams:
-    """Transform a particle-mirror wavevector pair to cm/rel coordinates."""
-    M_tot = p.m + p.M
-    return CmRelParams(
-        M_tot=M_tot,
-        mu=p.m * p.M / M_tot,
-        K_cm=k + K,
-        K_rel=(p.M * k - p.m * K) / M_tot,
-        hbar=p.hbar,
-    )
-
-
-def from_cm_rel(p: PhysicalParams, cm: CmRelParams) -> tuple[float, float]:
-    """Inverse of :func:`to_cm_rel`; returns the (k, K) pair."""
-    k = p.m * cm.K_cm / cm.M_tot + cm.K_rel
-    K = p.M * cm.K_cm / cm.M_tot - cm.K_rel
-    return k, K
 
 
 def thermal_spread(M: float, T: float, *, kB: float = SI_KB, h: float = SI_H) -> tuple[float, float]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import _TWO_PI, SpacetimePoint
-from .wavegroup import (WavegroupSpec, _branch, _fields, _log_gauss2,
-                        amplitude_parts)
+from .wavegroup import (WavegroupSpec, _branch, _log_gauss2, amplitude_parts,
+                        joint_pdf)
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -57,11 +57,8 @@ class ConditionalMirrorState:
 
     def pdf(self, x2, t2, apply_step: bool = True):
         self._check_time(t2)
-        f = _fields(self.spec, self.event.x10, self.event.t10, x2, t2)
-        val = np.abs(f.F_in - f.F_ref) ** 2
-        if apply_step:
-            val = np.where(f.physical, val, 0.0)
-        return val
+        return joint_pdf(self.spec, self.event.x10, self.event.t10, x2, t2,
+                         apply_step=apply_step)
 
     def branch_profiles(self, t2: float):
         """Per-branch (centre, intensity sigma, weight) of the conditional PDF.
@@ -105,7 +102,7 @@ class ConditionalMirrorState:
         x2 = np.linspace(max(lo, self.event.x10), hi, n)
         return x2, self.pdf(x2, t2)
 
-    def norm(self, t2: float, n: int = 4001) -> float:
+    def norm(self, t2: float) -> float:
         """Total conditional probability integrated over the whole mirror axis.
 
         Uses the smooth (untruncated) branch of the closed form, for which the
@@ -113,7 +110,7 @@ class ConditionalMirrorState:
         whose t2-invariance the conservation checks assert.
         """
         lo, hi = self.support(t2)
-        x2 = np.linspace(lo, hi, n)
+        x2 = np.linspace(lo, hi, 4001)
         return float(np.trapezoid(self.pdf(x2, t2, apply_step=False), x2))
 
 
@@ -162,8 +159,7 @@ def sequential_probability(spec: WavegroupSpec, event: MeasurementEvent,
     return SequentialProbability(value=pr_one * pr_two, pr_one=pr_one, pr_two=pr_two)
 
 
-def classify_regime(spec: WavegroupSpec, event: MeasurementEvent,
-                    n: int = 4097) -> str:
+def classify_regime(spec: WavegroupSpec, event: MeasurementEvent) -> str:
     """"A" or "B": was the particle measured outside or inside the overlap.
 
     The decision point is the mode x2* of the conditional mirror PDF at the
@@ -171,7 +167,7 @@ def classify_regime(spec: WavegroupSpec, event: MeasurementEvent,
     amplitudes there are within three decades of each other.
     """
     state = collapse(spec, event)
-    x2, pdf = state._sampled(event.t10, n)
+    x2, pdf = state._sampled(event.t10, 4097)
     x2_star = float(x2[int(np.argmax(pdf))])
     i_in, i_ref = amplitude_parts(
         spec, SpacetimePoint(event.x10, event.t10, x2_star, event.t10))
@@ -206,7 +202,7 @@ def _smoothed_modes(x: np.ndarray, y: np.ndarray, window: int,
 
 
 def split_centroid_velocities(state: ConditionalMirrorState,
-                              t2_samples, n: int = 8193) -> tuple[float, float]:
+                              t2_samples) -> tuple[float, float]:
     """Velocities of the two conditional mirror modes from linear mode tracking.
 
     The PDF at each sample time is low-pass filtered over one fringe period,
@@ -218,7 +214,7 @@ def split_centroid_velocities(state: ConditionalMirrorState,
     fringe = math.pi / abs(spec.K_rel0)
     slow_track, fast_track, times = [], [], []
     for t2 in np.atleast_1d(np.asarray(t2_samples, dtype=float)):
-        x2, pdf = state._sampled(t2, n)
+        x2, pdf = state._sampled(t2, 8193)
         dx = x2[1] - x2[0]
         window = max(1, int(round(fringe / dx)))
         sigma_min = min(s for _, s, _ in state.branch_profiles(t2))

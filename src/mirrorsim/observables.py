@@ -280,7 +280,7 @@ def transit_beat_periods(state: ConditionalMirrorState, t2: float) -> float:
 
 
 def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
-                       fringe_spacing_measured: float, n: int = 2001) -> float:
+                       fringe_spacing_measured: float) -> float:
     """Beat frequency as fringe-crossing rate: pattern speed times the
     measured fringe wavevector.
 
@@ -293,7 +293,7 @@ def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
     t2 = np.asarray(t2_axis, dtype=float)
     centroids = []
     for t in t2:
-        x2, pdf = state._sampled(float(t), n)
+        x2, pdf = state._sampled(float(t), 2001)
         centroids.append(float((pdf @ x2) / pdf.sum()))
     v_pattern = float(np.polyfit(t2, centroids, 1)[0])
     return math.pi * abs(v_pattern) / fringe_spacing_measured

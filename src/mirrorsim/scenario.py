@@ -14,6 +14,7 @@ reconstructions, not quoted values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -134,8 +135,15 @@ def validate_config(cfg: dict) -> list[str]:
         return ["config: not a JSON object"]
     if cfg.get("units") not in ("natural", "SI"):
         out.append("units: must be 'natural' or 'SI'")
-    if not isinstance(cfg.get("name"), str) or not cfg.get("name"):
+    name = cfg.get("name")
+    if not isinstance(name, str) or not name:
         out.append("name: must be a non-empty string")
+    elif "/" in name or "\\" in name:
+        # the name prefixes every output file, so a separator would escape --out
+        out.append("name: must not contain '/' or '\\'")
+    # scenarios are hashed (events are resolved once per scenario)
+    if not isinstance(cfg.get("description", ""), str):
+        out.append("description: must be a string")
 
     p = cfg.get("params")
     m = M = v = V = None
@@ -184,6 +192,10 @@ def validate_config(cfg: dict) -> list[str]:
             out.append(f"events[{i}].dx1: must be positive")
         if t10 is not None and t0 is not None and t10 < t0:
             out.append(f"events[{i}].t10: precedes wavegroup.t0")
+
+    for i, t in enumerate(cfg.get("snapshot_times", [])):
+        if not isinstance(t, (int, float)) or isinstance(t, bool):
+            out.append(f"snapshot_times[{i}]: not a number")
 
     for i, g in enumerate(cfg.get("grids", [])):
         axes = g.get("axes") if isinstance(g, dict) else None
@@ -255,7 +267,7 @@ def load_scenario(path) -> Scenario:
 # preset library
 # ---------------------------------------------------------------------------
 
-def _joint_grid(spec: WavegroupSpec, times, n: int = 256) -> GridSpec:
+def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
     """Joint-PDF grid framing both packets at every listed synchronous time."""
     lo1 = lo2 = math.inf
     hi1 = hi2 = -math.inf
@@ -264,14 +276,15 @@ def _joint_grid(spec: WavegroupSpec, times, n: int = 256) -> GridSpec:
         lo1, hi1 = min(lo1, a), max(hi1, b)
         a, b = _support_hull(spec, t, t, axis=1, pad=6.0)
         lo2, hi2 = min(lo2, a), max(hi2, b)
-    return GridSpec(axes=(AxisSpec("x1", lo1, hi1, n), AxisSpec("x2", lo2, hi2, n)))
+    return GridSpec(axes=(AxisSpec("x1", lo1, hi1, 256),
+                          AxisSpec("x2", lo2, hi2, 256)))
 
 
 def _natural_scenario(name, *, M, v, V, dk, dK, x1c, description, analyses,
-                      snapshot_offsets=(), event_offsets=(), m=1.0,
-                      x2c=0.0) -> Scenario:
-    params = PhysicalParams.natural(M=M, v=v, V=V, m=m)
-    spec = WavegroupSpec.from_params(params, dk=dk, dK=dK, x1c=x1c, x2c=x2c)
+                      snapshot_offsets=(), event_offsets=()) -> Scenario:
+    """A natural-units preset (m = 1) with its mirror centred at x2 = 0."""
+    params = PhysicalParams.natural(M=M, v=v, V=V)
+    spec = WavegroupSpec.from_params(params, dk=dk, dK=dK, x1c=x1c, x2c=0.0)
     t_c, tau = spec.collision_time, spec.tau
     times = tuple(t_c + o * tau for o in snapshot_offsets)
     events = tuple(RawEvent(t10=t_c + o * tau) for o in event_offsets)
@@ -387,8 +400,13 @@ def resolve_preset(name: str) -> tuple[Scenario, ...]:
 # event resolution and analyses
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def resolve_event(scenario: Scenario, raw: RawEvent) -> MeasurementEvent:
-    """Fill in a concrete detection position: the particle-marginal mode."""
+    """Fill in a concrete detection position: the particle-marginal mode.
+
+    Cached per (scenario, event): the analyses of one preset share its
+    events, and each unresolved one costs a 4097 x 4097 trace.
+    """
     if raw.x10 is not None:
         return MeasurementEvent(x10=raw.x10, t10=raw.t10, dx1=raw.dx1)
     spec = scenario.wavegroup
@@ -399,9 +417,9 @@ def resolve_event(scenario: Scenario, raw: RawEvent) -> MeasurementEvent:
     return MeasurementEvent(x10=x10, t10=raw.t10, dx1=raw.dx1)
 
 
-def overlap_slice(scenario: Scenario, axis: str = "x2", t: float | None = None,
-                  n: int = 8193) -> Curve:
-    """Synchronous joint-PDF slice through the overlap centre along one axis.
+def overlap_slice(scenario: Scenario, axis: str = "x2") -> Curve:
+    """Synchronous joint-PDF slice at the collision time through the overlap
+    centre, along the x1 or the x2 axis.
 
     Along x2 the reflected branch carries the particle's dispersion chirp
     hbar (t - t0) / m, mixed in through 2M/(m+M), so the local fringe
@@ -411,24 +429,23 @@ def overlap_slice(scenario: Scenario, axis: str = "x2", t: float | None = None,
     the slice does not remove the drift.
     """
     spec = scenario.wavegroup
-    t = scenario.collision_time if t is None else t
+    t = scenario.collision_time
     x_c = spec.collision_point
     fringe = fringe_period(scenario.params)
     half = 12.0 * max(fringe, 0.5 / spec.dk)
     if axis == "x2":
-        x2 = np.linspace(x_c - half, x_c + half, n)
+        x2 = np.linspace(x_c - half, x_c + half, 8193)
         y = joint_pdf(spec, x_c - 2.0 * fringe, t, x2, t)
         return Curve(x=x2, y=np.asarray(y), meta={"axis": "x2", "t": t})
-    x1 = np.linspace(x_c - half, x_c + half, n)
+    x1 = np.linspace(x_c - half, x_c + half, 8193)
     y = joint_pdf(spec, x1, t, x_c + 2.0 * fringe, t)
     return Curve(x=x1, y=np.asarray(y), meta={"axis": "x1", "t": t})
 
 
-def _beat_window(scenario: Scenario, event: MeasurementEvent,
-                 periods: float = 6.0, samples: int = 900):
-    spec = scenario.wavegroup
-    span = periods * math.pi / spec.beat0
-    return np.linspace(event.t10, event.t10 + span, samples)
+def _beat_window(scenario: Scenario, event: MeasurementEvent):
+    """900 mirror times over six beat periods from the detection on."""
+    span = 6.0 * math.pi / scenario.wavegroup.beat0
+    return np.linspace(event.t10, event.t10 + span, 900)
 
 
 def analysis_fringes(scenario: Scenario) -> dict:
@@ -513,12 +530,13 @@ def analysis_coherence_transfer(scenario: Scenario) -> dict:
             "exchange_mirror": rep.exchange_mirror}
 
 
-def _fringe_axis(scenario: Scenario, margin_sigmas=(2.5, 0.3), n=3001):
+def _fringe_axis(scenario: Scenario):
+    """3001 particle positions from 2.5 to 0.3 particle widths before the
+    contact point."""
     spec = scenario.wavegroup
     x_c = spec.collision_point
     sigma1 = 1.0 / spec.dk
-    return np.linspace(x_c - margin_sigmas[0] * sigma1,
-                       x_c - margin_sigmas[1] * sigma1, n)
+    return np.linspace(x_c - 2.5 * sigma1, x_c - 0.3 * sigma1, 3001)
 
 
 def analysis_marginal_visibility(scenario: Scenario) -> dict:
@@ -622,7 +640,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     if step > 0.5 * fringe:
         flags.append("coarse-sampling")
     values = joint_pdf(spec, x1[:, None], t1, x2[None, :], t2)
-    return FieldGrid(grid=grid, values=np.asarray(values), kind="pdf",
+    return FieldGrid(grid=grid, values=np.asarray(values),
                      provenance={"operation": "joint_pdf", "t1": t1, "t2": t2,
                                  "flags": flags})
 
@@ -655,7 +673,7 @@ def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
     for t2 in sorted(float(t) for t in t2_list):
         grid = GridSpec(axes=(AxisSpec("x2", lo, hi, n),))
         out.append(FieldGrid(
-            grid=grid, values=np.asarray(state.pdf(x2, t2)), kind="pdf",
+            grid=grid, values=np.asarray(state.pdf(x2, t2)),
             provenance={"operation": "conditional_pdf", "x10": event.x10,
                         "t10": event.t10, "t2": t2, "flags": []}))
     return out

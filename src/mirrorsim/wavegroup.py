@@ -45,19 +45,6 @@ _LOG_TWO_PI = math.log(_TWO_PI)
 # complex Gaussian integrals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexQuadraticForm:
-    """Quadratic data of a 2D Gaussian integrand exp(-u^T A u / 2 + b^T u + c).
-
-    ``A`` is a 2x2 complex symmetric matrix whose real part must be positive
-    definite for the integral to converge.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: complex = 0.0
-
-
 def _lin(c1, y1, c2, y2):
     """c1*y1 + c2*y2 for scalar c1, c2, without the second term where c2 is 0,
     so that the diagonal incident branch keeps its separable array shapes."""
@@ -87,27 +74,6 @@ def _log_gauss2(a11, a12, a22, b1, b2, c=0.0):
     log_val = (_LOG_TWO_PI + c - 0.5 * (np.log(a11) + np.log(det_a / a11))
                - 0.5 * (b1 * q1 + b2 * q2))
     return log_val, q1, q2
-
-
-def gaussian_integral(q: ComplexQuadraticForm) -> complex:
-    """Exact value of the 2D Gaussian integral of a ComplexQuadraticForm.
-
-    Returns (2*pi / sqrt(det A)) * exp(b^T A^{-1} b / 2 + c) with the
-    determinant branch chosen continuously from the real-A case. Raises if
-    Re(A) is not positive definite or A is not symmetric.
-    """
-    A = np.asarray(q.A, dtype=complex)
-    b = np.asarray(q.b, dtype=complex)
-    if A.shape != (2, 2) or b.shape != (2,):
-        raise ValueError("expected a 2x2 matrix and a 2-vector")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-13 * max(1.0, np.abs(A).max())):
-        raise ValueError("A must be symmetric")
-    D = A.real
-    if not (D[0, 0] > 0 and np.linalg.det(D) > 0):
-        raise ValueError("Re(A) must be positive definite")
-    # exp(b^T s) = exp(i beta^T s) with beta = -i b
-    log_val, _, _ = _log_gauss2(A[0, 0], A[0, 1], A[1, 1], -1j * b[0], -1j * b[1], q.c)
-    return complex(np.exp(log_val))
 
 
 # ---------------------------------------------------------------------------

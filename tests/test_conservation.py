@@ -5,8 +5,7 @@ import pytest
 
 from mirrorsim import (HarmonicMode, PhysicalParams, SpacetimePoint,
                        WavegroupSpec, beat_frequency, collapse, continuity_residual,
-                       convergence_order, currents, current_j1, current_j2,
-                       fringe_period, joint_pdf, segment_balance)
+                       convergence_order, currents, fringe_period, joint_pdf)
 from mirrorsim.conservation import (ContinuityResidual, UnderResolvedStepWarning,
                                     _harmonic_currents)
 from mirrorsim.measurement import MeasurementEvent
@@ -29,13 +28,6 @@ def cont_setup():
 
 
 class TestCurrents:
-    def test_plane_wave_current(self, spec_fig5):
-        mode = HarmonicMode.from_params(spec_fig5.params)
-        j1, j2 = _harmonic_currents(mode, 0.3, 0.1, 0.9, 0.2, part="incident")
-        p = spec_fig5.params
-        assert j1 == pytest.approx(p.hbar * mode.k / p.m, rel=1e-14)
-        assert j2 == pytest.approx(p.hbar * mode.K / p.M, rel=1e-14)
-
     def test_standing_wave_has_no_current(self):
         # opposite momenta (mv = -MV): the superposition is a standing wave
         p = PhysicalParams.natural(M=4.0, v=1.0, V=-0.25)
@@ -76,15 +68,14 @@ class TestCurrents:
         x_c = s.collision_point
         pt = SpacetimePoint(x_c, t_c, x_c, t_c)
         assert joint_pdf(s, pt.x1, pt.t1, pt.x2, pt.t2) < 1e-10
-        j1 = current_j1(s, pt)
-        j2 = current_j2(s, pt)
+        j1, j2 = currents(s, pt.x1, pt.t1, pt.x2, pt.t2)
         assert np.isfinite(j1) and np.isfinite(j2)
         assert abs(j1) > 0  # currents need not vanish at density nodes
 
     def test_public_dispatch_harmonic(self, spec_fig5):
         mode = HarmonicMode.from_params(spec_fig5.params)
         pt = SpacetimePoint(0.2, 0.05, 0.9, 0.1)
-        j1 = current_j1(mode, pt)
+        j1 = _harmonic_currents(mode, pt.x1, pt.t1, pt.x2, pt.t2)[0]
         p = spec_fig5.params
         expected = (p.hbar * (mode.k + mode.k_ref) / (2 * p.m)
                     * float(np.asarray(
@@ -136,8 +127,7 @@ class TestContinuityResidual:
         assert scaled.max_over_scale < 2.0 * healthy.max_over_scale + 1e-9
 
     def test_zero_scale_never_passes(self):
-        r = ContinuityResidual(max_residual=0.0, rms_residual=0.0, scale=0.0,
-                               step_sizes=(1.0, 1.0, 1.0, 1.0), n_points=1)
+        r = ContinuityResidual(max_residual=0.0, rms_residual=0.0, scale=0.0)
         assert r.max_over_scale == math.inf
 
     def test_warns_on_coarse_steps(self, spec_fig5):
@@ -168,60 +158,6 @@ class TestContinuityResidual:
                     np.abs(t2_term).max(), np.abs(x2_term).max())
         assert np.abs(t1_term + x1_term).max() < 1e-5 * scale
         assert np.abs(t2_term + x2_term).max() < 1e-5 * scale
-
-
-class TestSegmentBalance:
-    def test_whole_support_is_static(self, spec_fig5):
-        # pre-collision, with the mirror support far from the contact line:
-        # global probability in the segment is stationary and both boundary
-        # currents vanish
-        s = spec_fig5
-        p = s.params
-        t = s.t0 + 0.3 * (s.collision_time - s.t0)
-        frozen = s.x1c + p.v * (t - s.t0)
-        centre = s.x2c + p.V * (t - s.t0)
-        rep = segment_balance(s, centre - 15.0, centre + 15.0, "x2", t, t,
-                              frozen=frozen, dt=1e-5)
-        j_ref = abs(currents(s, frozen, t, centre, t)[1])
-        assert abs(rep.flux_in) < 1e-10 * j_ref
-        assert abs(rep.flux_out) < 1e-10 * j_ref
-        assert abs(rep.ddt) <= 1e-6 * j_ref
-
-    def test_half_support_during_transit(self, spec_fig5):
-        s = spec_fig5
-        p = s.params
-        t = s.t0 + 0.6 * (s.collision_time - s.t0)
-        centre = s.x2c + p.V * (t - s.t0)
-        rep = segment_balance(s, centre - 12.0, centre, "x2", t, t,
-                              frozen=s.x1c + p.v * (t - s.t0), dt=2e-6, n=8193)
-        assert rep.error < 1e-6 * rep.scale
-
-    def test_particle_axis_balance(self, spec_fig5):
-        s = spec_fig5
-        p = s.params
-        t = s.t0 + 0.6 * (s.collision_time - s.t0)
-        centre = s.x1c + p.v * (t - s.t0)
-        rep = segment_balance(s, centre - 12.0, centre, "x1", t, t,
-                              frozen=s.x2c + p.V * (t - s.t0), dt=2e-6, n=8193)
-        assert rep.error < 1e-6 * rep.scale
-
-    def test_conditional_mirror_balance(self, spec_fig5):
-        # x2-balance with the particle coordinates frozen at the detection
-        s = spec_fig5
-        t10 = s.collision_time
-        x_c = s.collision_point
-        x10 = x_c - 0.1
-        t2 = t10 + 0.5 * s.tau
-        centre = x_c + s.params.V * (t2 - t10)
-        rep = segment_balance(s, centre - 1.0, centre + 0.6, "x2", t10, t2,
-                              frozen=x10, dt=2e-6, n=8193)
-        assert rep.error < 1e-5 * rep.scale
-
-    def test_rejects_bad_segment(self, spec_fig5):
-        with pytest.raises(ValueError):
-            segment_balance(spec_fig5, 1.0, 1.0, "x2", 0.0, 0.0, frozen=0.0, dt=1e-5)
-        with pytest.raises(ValueError):
-            segment_balance(spec_fig5, 0.0, 1.0, "x3", 0.0, 0.0, frozen=0.0, dt=1e-5)
 
 
 class TestConditionalNorm:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsim import (CmRelParams, PhysicalParams, coherence_length,
-                       elastic_final_velocities, from_cm_rel, thermal_spread,
-                       to_cm_rel)
+from mirrorsim import (HarmonicMode, PhysicalParams, WavegroupSpec, beat_frequency,
+                       coherence_length, elastic_final_velocities, fringe_period,
+                       thermal_spread)
 from conftest import random_valid_params
 
 
@@ -64,43 +64,23 @@ class TestElastic:
             assert V_b == pytest.approx(-p.V, rel=1e-12, abs=1e-12)
 
 
-class TestCmRel:
-    def test_symmetric_pair(self):
-        p = PhysicalParams.natural(M=1.0, v=2.0, V=-2.0)
-        cm = to_cm_rel(p, 1.0, -1.0)
-        assert cm.K_cm == 0.0
-        assert cm.K_rel == 1.0
-
-    def test_direct_formula(self):
-        p = PhysicalParams.natural(M=100.0, v=1.0, V=0.0)
-        cm = to_cm_rel(p, 10.0, 5.0)
-        assert cm.K_cm == 15.0
-        assert cm.K_rel == pytest.approx(995.0 / 101.0, rel=1e-15)
-        assert cm.M_tot == 101.0
-        assert cm.mu == pytest.approx(100.0 / 101.0, rel=1e-15)
-
-    def test_roundtrip_property(self, rng):
-        for _ in range(10_000):
-            p = random_valid_params(rng)
-            k, K = rng.uniform(-100, 100, 2)
-            cm = to_cm_rel(p, k, K)
-            k2, K2 = from_cm_rel(p, cm)
-            scale = max(abs(k), abs(K))
-            assert abs(k2 - k) <= 1e-14 * scale
-            assert abs(K2 - K) <= 1e-14 * scale
-
-    def test_energy_partition(self):
-        p = PhysicalParams.natural(M=3.0, v=50.0, V=30.0)
-        cm = to_cm_rel(p, p.k, p.K)
-        e_total = (p.hbar * p.k) ** 2 / (2 * p.m) + (p.hbar * p.K) ** 2 / (2 * p.M)
-        assert cm.E_cm + cm.E_rel == pytest.approx(e_total, rel=1e-12)
-
-    def test_cmrel_invariants(self):
-        p = PhysicalParams.natural(M=4.0, v=3.0, V=1.0)
-        cm = to_cm_rel(p, p.k, p.K)
-        assert isinstance(cm, CmRelParams)
-        assert cm.M_tot == p.m + p.M
-        assert cm.mu == pytest.approx(p.m * p.M / (p.m + p.M), rel=1e-15)
+class TestCollisionStatedTwice:
+    def test_wavevector_and_velocity_forms_agree(self, rng):
+        # WavegroupSpec states the collision on wavevectors (its matrix _a),
+        # HarmonicMode on velocities (elastic_final_velocities); the central
+        # reflected wavevectors, fringe period and beat must agree
+        for natural in (True, False):
+            for _ in range(2000):
+                p = random_valid_params(rng, natural=natural)
+                spec = WavegroupSpec.from_params(p, dk=1.0, dK=1.0, x1c=-20.0, x2c=0.0)
+                mode = HarmonicMode.from_params(p)
+                k_scale = abs(spec.k0) + abs(spec.K0)
+                assert abs(spec.k_ref0 - mode.k_ref) <= 1e-12 * k_scale
+                assert abs(spec.K_ref0 - mode.K_ref) <= 1e-12 * k_scale
+                period = math.pi / abs(spec.K_rel0)
+                assert abs(period - fringe_period(p)) <= 1e-12 * period
+                beat_scale = (p.hbar * abs(spec.K_rel0) * k_scale) / (p.m + p.M)
+                assert abs(spec.beat0 - beat_frequency(p)) <= 1e-12 * beat_scale
 
 
 class TestThermal:

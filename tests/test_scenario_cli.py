@@ -9,8 +9,8 @@ from mirrorsim.cli import main
 from mirrorsim.measurement import MeasurementEvent, collapse
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, ScenarioValidationError,
                                 from_config, joint_pdf_grid, load_scenario,
-                                resolve_preset, scenario_hash, serialize,
-                                to_config, validate_config)
+                                resolve_event, resolve_preset, scenario_hash,
+                                serialize, to_config, validate_config)
 
 
 class TestGridTypes:
@@ -25,9 +25,9 @@ class TestGridTypes:
     def test_field_grid_shape_check(self):
         grid = GridSpec(axes=(AxisSpec("x1", 0, 1, 16), AxisSpec("x2", 0, 1, 16)))
         with pytest.raises(ValueError):
-            FieldGrid(grid=grid, values=np.zeros((8, 16)), kind="pdf")
+            FieldGrid(grid=grid, values=np.zeros((8, 16)))
         with pytest.raises(ValueError):
-            FieldGrid(grid=grid, values=-np.ones((16, 16)), kind="pdf")
+            FieldGrid(grid=grid, values=-np.ones((16, 16)))
 
 
 class TestPresets:
@@ -86,6 +86,23 @@ class TestConfigValidation:
         with pytest.raises(ScenarioValidationError):
             from_config(cfg)
 
+    def test_rejects_name_with_path_separator(self):
+        for name in ("../escaped", "a/b", "a\\b"):
+            cfg = json.loads(serialize(PRESETS["fig2"]))
+            cfg["name"] = name
+            assert validate_config(cfg) == ["name: must not contain '/' or '\\'"]
+
+    def test_rejects_non_numeric_snapshot_time(self):
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["snapshot_times"] = [cfg["snapshot_times"][0], "soon", True]
+        assert validate_config(cfg) == ["snapshot_times[1]: not a number",
+                                        "snapshot_times[2]: not a number"]
+
+    def test_rejects_non_string_description(self):
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["description"] = ["not", "text"]
+        assert validate_config(cfg) == ["description: must be a string"]
+
     def test_load_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -98,6 +115,14 @@ class TestConfigValidation:
         path.write_text(serialize(PRESETS["fig2"]))
         s = load_scenario(path)
         assert s.name == "fig2"
+
+
+class TestResolveEvent:
+    def test_each_event_resolved_once(self):
+        # fig5's regime, split-velocities and beat analyses share one event
+        s = PRESETS["fig5"]
+        first = resolve_event(s, s.events[0])
+        assert resolve_event(s, s.events[0]) is first
 
 
 class TestJointGrid:
@@ -135,6 +160,31 @@ class TestCli:
         cfg["params"]["v"] = cfg["params"]["V"] - 1.0
         invalid.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(invalid)]) == 3
+
+    def test_validate_rejects_escaping_name_and_bad_time(self, tmp_path, capsys):
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["name"] = "../escaped"
+        escaping = tmp_path / "escaping.json"
+        escaping.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(escaping)]) == 3
+        assert "name: must not contain" in capsys.readouterr().err
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["snapshot_times"] = ["soon"]
+        late = tmp_path / "late.json"
+        late.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(late)]) == 3
+        assert "snapshot_times[0]: not a number" in capsys.readouterr().err
+
+    def test_simulate_writes_nothing_outside_out(self, tmp_path):
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["name"] = "../escaped"
+        path = tmp_path / "escaping.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run" / "o"
+        rc = main(["simulate", "--config", str(path), "--resolution", "16",
+                   "--out", str(out)])
+        assert rc == 3
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["escaping.json"]
 
     def test_simulate_fig2_three_times(self, tmp_path):
         out = tmp_path / "o"
