@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -132,13 +131,7 @@ def cmd_observables(args) -> int:
     out = Path(args.out)
     failures = 0
     for s in _load_targets(args):
-        names = list(s.analyses) or ["fringes"]
-        workers = max(1, args.threads)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda n: _run_one_analysis(s, n), names))
-        else:
-            results = [_run_one_analysis(s, n) for n in names]
+        results = [_run_one_analysis(s, n) for n in list(s.analyses) or ["fringes"]]
         report = {"scenario": s.name, "hash": sc.scenario_hash(s), "analyses": {}}
         for name, payload, err in results:
             if err is None:
@@ -202,8 +195,6 @@ def _add_target_args(p, require=True):
                    help="comma list of times, units of tau relative to collision")
     p.add_argument("--event", default=None,
                    help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent analyses per scenario")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import _TWO_PI, SpacetimePoint
-from .wavegroup import (WavegroupSpec, _branch, _log_gauss2, amplitude_parts,
-                        joint_pdf)
+from .wavegroup import (WavegroupSpec, _axis_square, _branch, _log_gauss2,
+                        amplitude_parts, joint_pdf)
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -66,22 +66,19 @@ class ConditionalMirrorState:
         The incident branch is the mirror substate that has not reflected the
         particle, the reflected branch the one that has. With x1 frozen at
         x10, each branch's b is affine in x2 along w = E^T e2, so completing
-        the square in x2 gives its centre and sigma. Weights are the
-        |amplitude| values at the branch centres.
+        the square in x2 (:func:`~.wavegroup._axis_square`) gives its centre
+        and sigma. Weights are the |amplitude| values at the branch centres.
         """
         self._check_time(t2)
         spec, ev = self.spec, self.event
         out = []
         for reflected in (False, True):
             br = _branch(spec, reflected, ev.t10 - spec.t0, t2 - spec.t0)
-            w1, w2 = br.E[1]
-            b1, b2 = br.b(ev.x10, 0.0)
-            _, q1, q2 = _log_gauss2(*br.A, w1, w2)  # q = A^{-1} w
-            quad = float((w1 * q1 + w2 * q2).real)
-            centre = -float((b1 * q1 + b2 * q2).real) / quad
+            centre, kappa = _axis_square(br, 1, ev.x10)
+            centre = float(centre)
             log_g, _, _ = _log_gauss2(*br.A, *br.b(ev.x10, centre))
             weight = spec.norm_const / _TWO_PI * math.exp(log_g.real)
-            out.append((centre, 1.0 / math.sqrt(2.0 * quad), weight))
+            out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), weight))
         return out
 
     def support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:

@@ -2,9 +2,12 @@
 
 Everything here consumes the closed-form fields; beats are extracted by
 least-squares sinusoid fitting (scenario time axes are short and
-non-power-of-two, where bare FFT bins would leak), and marginal traces are
-composite trapezoid integrals over automatically framed mirror or particle
-supports.
+non-power-of-two, where bare FFT bins would leak). Marginal traces are
+closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2 is the
+exponential of a quadratic in the traced coordinate, so its integral over
+the physical half line is a Gaussian times a complex erfc, evaluated
+through the Faddeeva function. A composite trapezoid over the framed
+support (``n_quad`` nodes) remains as the numerical oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState
-from .wavegroup import (WavegroupSpec, _fields, incident_frame, joint_pdf,
-                        reflected_frame)
+from .wavegroup import (WavegroupSpec, _axis_square, _branch, _fields,
+                        incident_frame, joint_pdf, reflected_frame)
 
 
 class TruncatedRangeWarning(UserWarning):
@@ -75,8 +78,8 @@ _CHUNK_POINTS = 2_000_000
 
 
 def _traced_pdf(spec, outer, t1, x_quad, t2, outer_is_x1: bool):
-    """Integrate the joint PDF over x_quad for each outer sample, in blocks
-    small enough to keep the closed-form temporaries in cache."""
+    """Trapezoid of the joint PDF over the nodes x_quad for each outer sample,
+    in blocks small enough to keep the closed-form temporaries in cache."""
     y = np.empty_like(outer)
     edge = 0.0
     peak = 0.0
@@ -96,23 +99,98 @@ def _traced_pdf(spec, outer, t1, x_quad, t2, outer_is_x1: bool):
     return y
 
 
+def _half_line(log_c, slope, alpha, d, wofz):
+    """Integral of exp(log_c + slope s - alpha s^2) over s >= d, Re(alpha) > 0.
+
+    The closed form (1/2) sqrt(pi/alpha) exp(log_c + slope^2/(4 alpha)) erfc(z),
+    z = sqrt(alpha) d - slope / (2 sqrt(alpha)), is evaluated through the
+    Faddeeva function: erfc(z) exp(z^2) = w(iz) for Re z >= 0, and
+    erfc(z) = 2 - erfc(-z) otherwise, so w is only called in the upper half
+    plane and exp(z^2) is never formed. The exponent left over is the
+    integrand's own log at the wall, log_c + slope d - alpha d^2.
+    """
+    root = np.sqrt(alpha)
+    z = root * d - slope / (2.0 * root)
+    half = 0.5 * math.sqrt(math.pi) / root
+    upper = z.real >= 0.0
+    tail = (half * np.exp(log_c + slope * d - alpha * d * d)
+            * wofz(np.where(upper, 1j * z, -1j * z)))
+    full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
+    return np.where(upper, tail, full - tail)
+
+
+def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int):
+    """Exact integral of the joint PDF over the physical half line of one axis.
+
+    ``axis`` is the traced coordinate (1: x2 >= x1 at each x1 in ``outer``;
+    0: x1 <= x2 at each x2 in ``outer``). Along it each term of
+    |F_in|^2 + |F_ref|^2 - 2 Re(F_in conj F_ref) is exp(quadratic), with
+    curvature Re(kappa_in), Re(kappa_ref) and (kappa_in + conj kappa_ref)/2
+    (:func:`~.wavegroup._axis_square`). Each term is expanded about its own
+    real centre, the cross term about the curvature-weighted mean of the two
+    branch centres, where its real slope vanishes: log-amplitudes are then
+    evaluated where they are largest, never as a difference of huge
+    exponents.
+    """
+    from scipy.special import wofz  # deferred: only traces need scipy
+
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+    (c_in, k_in), (c_ref, k_ref) = (_axis_square(_branch(spec, r, tau1, tau2), axis, outer)
+                                    for r in (False, True))
+
+    def fields(u, gradients=False):
+        x1, x2 = (outer, u) if axis == 1 else (u, outer)
+        return _fields(spec, x1, t1, x2, t2, logs=True, gradients=gradients)
+
+    sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
+    a_in, a_ref = k_in.real, k_ref.real
+    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
+    f = fields(mid, gradients=True)
+    slope = ((f.Lin2 + np.conj(f.Lref2)) if axis == 1
+             else (f.Lin1 + np.conj(f.Lref1)))
+    cross = _half_line(f.log_in + np.conj(f.log_ref), sign * slope,
+                       0.5 * (k_in + np.conj(k_ref)), sign * (outer - mid), wofz)
+    y = -2.0 * cross.real
+    y += _half_line(2.0 * fields(c_in).log_in.real, 0.0, a_in,
+                    sign * (outer - c_in), wofz).real
+    y += _half_line(2.0 * fields(c_ref).log_ref.real, 0.0, a_ref,
+                    sign * (outer - c_ref), wofz).real
+    return np.maximum(y, 0.0)
+
+
 def marginal_over_mirror(spec: WavegroupSpec, x1_axis, t1: float, t2: float,
-                         n_quad: int = 4097) -> Curve:
-    """Trace of the joint PDF over the mirror coordinate, sampled on x1_axis."""
+                         n_quad: int | None = None) -> Curve:
+    """Trace of the joint PDF over the mirror coordinate, sampled on x1_axis.
+
+    By default the trace is the exact integral over the physical half line
+    x2 >= x1 (:func:`_closed_trace`). An integer ``n_quad`` instead takes
+    the composite trapezoid on that many nodes over both packets' 8-sigma
+    x2 hull, the numerical oracle of the closed form.
+    """
     x1 = np.asarray(x1_axis, dtype=float)
-    lo, hi = _support_hull(spec, t1, t2, axis=1)
-    x2 = np.linspace(lo, hi, n_quad)
-    y = _traced_pdf(spec, x1, t1, x2, t2, outer_is_x1=True)
+    if n_quad is None:
+        y = _closed_trace(spec, x1, t1, t2, axis=1)
+    else:
+        x2 = np.linspace(*_support_hull(spec, t1, t2, axis=1), n_quad)
+        y = _traced_pdf(spec, x1, t1, x2, t2, outer_is_x1=True)
     return Curve(x=x1, y=y, meta={"axis": "x1", "t1": t1, "t2": t2})
 
 
 def marginal_over_particle(spec: WavegroupSpec, x2_axis, t1: float, t2: float,
-                           n_quad: int = 4097) -> Curve:
-    """Trace of the joint PDF over the particle coordinate, sampled on x2_axis."""
+                           n_quad: int | None = None) -> Curve:
+    """Trace of the joint PDF over the particle coordinate, sampled on x2_axis.
+
+    By default the trace is the exact integral over the physical half line
+    x1 <= x2 (:func:`_closed_trace`). An integer ``n_quad`` instead takes
+    the composite trapezoid on that many nodes over both packets' 8-sigma
+    x1 hull, the numerical oracle of the closed form.
+    """
     x2 = np.asarray(x2_axis, dtype=float)
-    lo, hi = _support_hull(spec, t1, t2, axis=0)
-    x1 = np.linspace(lo, hi, n_quad)
-    y = _traced_pdf(spec, x2, t1, x1, t2, outer_is_x1=False)
+    if n_quad is None:
+        y = _closed_trace(spec, x2, t1, t2, axis=0)
+    else:
+        x1 = np.linspace(*_support_hull(spec, t1, t2, axis=0), n_quad)
+        y = _traced_pdf(spec, x2, t1, x1, t2, outer_is_x1=False)
     return Curve(x=x2, y=y, meta={"axis": "x2", "t1": t1, "t2": t2})
 
 
@@ -332,8 +410,8 @@ def _curve_std(curve: Curve) -> float:
 def _measured_widths(spec: WavegroupSpec, t: float, n: int = 4097):
     lo1, hi1 = _support_hull(spec, t, t, axis=0)
     lo2, hi2 = _support_hull(spec, t, t, axis=1)
-    part = marginal_over_mirror(spec, np.linspace(lo1, hi1, n), t, t, n_quad=2049)
-    mirr = marginal_over_particle(spec, np.linspace(lo2, hi2, n), t, t, n_quad=2049)
+    part = marginal_over_mirror(spec, np.linspace(lo1, hi1, n), t, t)
+    mirr = marginal_over_particle(spec, np.linspace(lo2, hi2, n), t, t)
     return _curve_std(part), _curve_std(mirr)
 
 

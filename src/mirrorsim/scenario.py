@@ -181,7 +181,15 @@ def validate_config(cfg: dict) -> list[str]:
             if not (x2c - x1c) > 5.0 * (1.0 / dk + 1.0 / dK):
                 out.append("wavegroup: centre separation below five combined widths")
 
-    for i, e in enumerate(cfg.get("events", [])):
+    def listed(key: str) -> list:
+        # a string or number here would be iterated by character or raise
+        val = cfg.get(key, [])
+        if isinstance(val, list):
+            return val
+        out.append(f"{key}: must be a list")
+        return []
+
+    for i, e in enumerate(listed("events")):
         if not isinstance(e, dict):
             out.append(f"events[{i}]: not an object")
             continue
@@ -193,11 +201,11 @@ def validate_config(cfg: dict) -> list[str]:
         if t10 is not None and t0 is not None and t10 < t0:
             out.append(f"events[{i}].t10: precedes wavegroup.t0")
 
-    for i, t in enumerate(cfg.get("snapshot_times", [])):
+    for i, t in enumerate(listed("snapshot_times")):
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             out.append(f"snapshot_times[{i}]: not a number")
 
-    for i, g in enumerate(cfg.get("grids", [])):
+    for i, g in enumerate(listed("grids")):
         axes = g.get("axes") if isinstance(g, dict) else None
         if not isinstance(axes, list) or not axes:
             out.append(f"grids[{i}]: missing axes")
@@ -217,7 +225,7 @@ def validate_config(cfg: dict) -> list[str]:
             if None not in (lo, hi) and not hi > lo:
                 out.append(f"{path}: degenerate range")
 
-    for i, a in enumerate(cfg.get("analyses", [])):
+    for i, a in enumerate(listed("analyses")):
         if a not in _KNOWN_ANALYSES:
             out.append(f"analyses[{i}]: unknown analysis '{a}'")
     return out
@@ -405,7 +413,7 @@ def resolve_event(scenario: Scenario, raw: RawEvent) -> MeasurementEvent:
     """Fill in a concrete detection position: the particle-marginal mode.
 
     Cached per (scenario, event): the analyses of one preset share its
-    events, and each unresolved one costs a 4097 x 4097 trace.
+    events, and each unresolved one costs a 4097-point particle marginal.
     """
     if raw.x10 is not None:
         return MeasurementEvent(x10=raw.x10, t10=raw.t10, dx1=raw.dx1)
@@ -485,8 +493,7 @@ def analysis_beat(scenario: Scenario) -> dict:
         # beat is the measured fringe-crossing rate of the drifting pattern
         x1 = _fringe_axis(scenario)
         spacing = extract_fringes(
-            marginal_over_mirror(spec, x1, event.t10, event.t10,
-                                 n_quad=2049)).spacing
+            marginal_over_mirror(spec, x1, event.t10, event.t10)).spacing
         fitted = pattern_drift_beat(state, t_axis[::40], spacing)
         method = "pattern-drift"
     return {"fitted": fitted, "expected": expected, "method": method,
@@ -543,10 +550,10 @@ def analysis_marginal_visibility(scenario: Scenario) -> dict:
     spec = scenario.wavegroup
     t = scenario.collision_time
     x1 = _fringe_axis(scenario)
-    particle_side = extract_fringes(marginal_over_mirror(spec, x1, t, t, n_quad=2049))
+    particle_side = extract_fringes(marginal_over_mirror(spec, x1, t, t))
     lo, hi = _support_hull(spec, t, t, axis=1)
     mirror_side = extract_fringes(
-        marginal_over_particle(spec, np.linspace(lo, hi, 4001), t, t, n_quad=2049))
+        marginal_over_particle(spec, np.linspace(lo, hi, 4001), t, t))
     return {"particle_visibility": particle_side.visibility,
             "particle_spacing": particle_side.spacing,
             "mirror_visibility": mirror_side.visibility}
@@ -557,8 +564,7 @@ def analysis_marginal_t2_independence(scenario: Scenario) -> dict:
     t_c = scenario.collision_time
     x1 = _fringe_axis(scenario)
     offsets = np.linspace(0.0, 3.0 * math.pi / spec.beat0, 4)
-    curves = [marginal_over_mirror(spec, x1, t_c, t_c + dt, n_quad=2049).y
-              for dt in offsets]
+    curves = [marginal_over_mirror(spec, x1, t_c, t_c + dt).y for dt in offsets]
     peak = max(c.max() for c in curves)
     linf = max(float(np.abs(c - curves[0]).max()) for c in curves[1:])
     return {"linf_over_peak": linf / peak, "t2_offsets": list(offsets)}
@@ -569,7 +575,7 @@ def analysis_node_depth(scenario: Scenario) -> dict:
     spec = scenario.wavegroup
     t_c = scenario.collision_time
     x1 = _fringe_axis(scenario)
-    curve = marginal_over_mirror(spec, x1, t_c, t_c, n_quad=2049)
+    curve = marginal_over_mirror(spec, x1, t_c, t_c)
     i_peak = int(np.argmax(curve.y))
     fringe = fringe_period(scenario.params)
     dx = x1[1] - x1[0]

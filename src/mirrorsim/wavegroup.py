@@ -228,6 +228,22 @@ def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
                    k=k, xc=(spec.x1c, spec.x2c))
 
 
+def _axis_square(br: _Branch, axis: int, other):
+    """Real centre and curvature kappa of one branch along a coordinate axis.
+
+    With the other coordinate held at ``other``, b = b0 + w u is affine in
+    the axis coordinate u, with w = E^T e_axis, so the branch's log-amplitude
+    is quadratic in u with curvature kappa = w^T A^{-1} w. Completing the
+    square, |F|^2 peaks at the real centre -Re(w^T A^{-1} b0) / Re(kappa),
+    with intensity curvature Re(kappa).
+    """
+    w1, w2 = br.E[axis]
+    _, q1, q2 = _log_gauss2(*br.A, w1, w2)  # q = A^{-1} w
+    kappa = w1 * q1 + w2 * q2
+    b1, b2 = br.b(other, 0.0) if axis == 1 else br.b(0.0, other)
+    return -(b1 * q1 + b2 * q2).real / kappa.real, kappa
+
+
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
             logs: bool = False) -> SimpleNamespace:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
 from mirrorsim.observables import (_support_hull, coherence_transfer_metrics,
                                    fit_sinusoid)
 from mirrorsim.scenario import PRESETS, analysis_marginal_visibility, resolve_event
-from mirrorsim.wavegroup import joint_pdf
+from mirrorsim.wavegroup import incident_frame, joint_pdf, reflected_frame
 
 
 class TestExtractFringes:
@@ -153,6 +157,62 @@ class TestMarginals:
         from mirrorsim.scenario import analysis_marginal_t2_independence
         rep = analysis_marginal_t2_independence(presets["fig9"])
         assert rep["linf_over_peak"] < 1e-6
+
+
+def _wall_trapezoid(spec, outer, t1, t2, axis, n=80001, pad=14.0):
+    """Trapezoid oracle of the half-line trace along ``axis`` (1: x2 >= x1,
+    0: x1 <= x2) at each outer point. Its nodes start at the wall (or end
+    there), so the integrand is smooth between nodes and the error is
+    O(h^2). They span both branches' conditional +-pad sigma, read from
+    the packet frames' covariances."""
+    frames = (incident_frame(spec, t1, t2), reflected_frame(spec, t1, t2))
+    other = 1 - axis
+    y = []
+    for o in outer:
+        lo, hi = math.inf, -math.inf
+        for centre, cov in frames:
+            prec = np.linalg.inv(cov)
+            sigma = 1.0 / math.sqrt(prec[axis, axis])
+            c = centre[axis] - prec[axis, other] / prec[axis, axis] * (o - centre[other])
+            lo, hi = min(lo, c - pad * sigma), max(hi, c + pad * sigma)
+        if axis == 1:
+            u = np.linspace(max(o, lo), max(o, hi), n)
+            y.append(np.trapezoid(joint_pdf(spec, o, t1, u, t2), u))
+        else:
+            u = np.linspace(min(o, lo), min(o, hi), n)
+            y.append(np.trapezoid(joint_pdf(spec, u, t1, o, t2), u))
+    return np.array(y)
+
+
+class TestClosedTrace:
+    """The closed-form half-line trace against a wall-aligned trapezoid."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_wall_aligned_trapezoid(self, name):
+        spec = PRESETS[name].wavegroup
+        t_c, tau = spec.collision_time, spec.tau
+        for t1 in (t_c - tau, t_c, t_c + 2.0 * tau):
+            for t2 in (t1, t1 + 0.37 * tau):
+                for axis, trace in ((1, marginal_over_mirror), (0, marginal_over_particle)):
+                    outer = np.linspace(*_support_hull(spec, t1, t2, axis=1 - axis), 4001)
+                    y = trace(spec, outer, t1, t2).y
+                    assert np.all(np.isfinite(y)) and y.min() >= 0.0
+                    # the mode and the two quartiles of the traced curve
+                    cdf = np.cumsum(y) / y.sum()
+                    idx = [int(np.argmax(y)), *np.searchsorted(cdf, [0.25, 0.75])]
+                    oracle = _wall_trapezoid(spec, outer[idx], t1, t2, axis)
+                    assert np.abs(y[idx] - oracle).max() <= 1e-6 * y.max(), (t1, t2, axis)
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs about 0.2 s to import and is needed only by the traces
+        import mirrorsim
+        src = str(Path(mirrorsim.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, mirrorsim; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestCoherenceTransfer:

@@ -175,6 +175,17 @@ class TestCli:
         assert main(["validate", "--config", str(late)]) == 3
         assert "snapshot_times[0]: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("events", "t10=0"), ("grids", 7),
+                                             ("snapshot_times", 5),
+                                             ("analyses", "fringes")])
+    def test_validate_rejects_non_list_field(self, tmp_path, capsys, field, value):
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"{field}: must be a list\n"
+
     def test_simulate_writes_nothing_outside_out(self, tmp_path):
         cfg = json.loads(serialize(PRESETS["fig2"]))
         cfg["name"] = "../escaped"
@@ -272,13 +283,6 @@ class TestCli:
         assert main(["observables", "--preset", "fig4", "--out", str(out)]) == 0
         rep = json.loads((out / "fig4_observables.json").read_text())
         assert rep["analyses"]["regime"]["event0"]["regime"] == "A"
-
-    def test_observables_threads(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["observables", "--preset", "fig2", "--threads", "2",
-                     "--out", str(out)]) == 0
-        rep = json.loads((out / "fig2_observables.json").read_text())
-        assert "fringes" in rep["analyses"]
 
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3
