@@ -412,8 +412,9 @@ def resolve_preset(name: str) -> tuple[Scenario, ...]:
 def resolve_event(scenario: Scenario, raw: RawEvent) -> MeasurementEvent:
     """Fill in a concrete detection position: the particle-marginal mode.
 
-    Cached per (scenario, event): the analyses of one preset share its
-    events, and each unresolved one costs a 4097-point particle marginal.
+    Cached per (scenario, event): fig5's regime, split-velocities and beat
+    analyses share one event, and each resolution, a 4097-point particle
+    marginal, costs about 5 ms, a third of fig5's analysis time.
     """
     if raw.x10 is not None:
         return MeasurementEvent(x10=raw.x10, t10=raw.t10, dx1=raw.dx1)
