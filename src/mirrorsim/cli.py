@@ -104,18 +104,12 @@ def cmd_marginal(args) -> int:
         times = _times(s, args, (s.collision_time,))
         n = args.resolution or 2048
         for i, t in enumerate(times):
-            ax1 = s.grids[0].axes[0]
-            curve = marginal_over_mirror(
-                s.wavegroup, np.linspace(ax1.lo, ax1.hi, n), t, t)
-            path = out / f"{s.name}_marginal_x1_{i}.csv"
-            gridio.write_curve(curve, path, s.name, h)
-            gridio.slice_script(path)
-            ax2 = s.grids[0].axes[1]
-            curve = marginal_over_particle(
-                s.wavegroup, np.linspace(ax2.lo, ax2.hi, n), t, t)
-            path = out / f"{s.name}_marginal_x2_{i}.csv"
-            gridio.write_curve(curve, path, s.name, h)
-            gridio.slice_script(path)
+            for ax, trace in zip(s.grids[0].axes,
+                                 (marginal_over_mirror, marginal_over_particle)):
+                curve = trace(s.wavegroup, np.linspace(ax.lo, ax.hi, n), t, t)
+                path = out / f"{s.name}_marginal_{curve.meta['axis']}_{i}.csv"
+                gridio.write_curve(curve, path, s.name, h)
+                gridio.slice_script(path)
             print(f"wrote {s.name} marginals [{i}]")
     return EXIT_OK
 

@@ -5,7 +5,9 @@ coordinates of the two-body wavegroup; the mirror coordinate pair
 (x2, t2) keeps evolving in the same closed form. The conditional state is
 deliberately left unnormalised: it is a slice of the two-body amplitude,
 and the sequential-measurement probability is the product of the two
-one-body probabilities built from it.
+one-body probabilities built from it. Norms and probabilities are exact
+integrals of the slice over half lines of x2
+(:func:`~.wavegroup._closed_trace`), never sums over a grid.
 
 The detection resolution dx1 enters only as a multiplicative factor; all
 shape information comes from the slice itself.
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import _TWO_PI, SpacetimePoint
-from .wavegroup import (WavegroupSpec, _axis_square, _branch, _log_gauss2,
-                        amplitude_parts, joint_pdf)
+from .wavegroup import (WavegroupSpec, _axis_square, _branch, _closed_trace,
+                        _log_gauss2, amplitude_parts, joint_pdf)
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -99,16 +101,22 @@ class ConditionalMirrorState:
         x2 = np.linspace(max(lo, self.event.x10), hi, n)
         return x2, self.pdf(x2, t2)
 
+    def _trace(self, t2: float, start=None) -> np.ndarray:
+        """Integrals of the conditional PDF at t2 over x2 >= start (default: the
+        wall), by the same array call as the particle marginal at x10."""
+        self._check_time(t2)
+        ev = self.event
+        return _closed_trace(self.spec, np.array([ev.x10]), ev.t10, t2, axis=1,
+                             start=start)
+
     def norm(self, t2: float) -> float:
         """Total conditional probability integrated over the whole mirror axis.
 
-        Uses the smooth (untruncated) branch of the closed form, for which the
-        mirror-coordinate evolution is exactly unitary; this is the quantity
-        whose t2-invariance the conservation checks assert.
+        The exact integral of the smooth (untruncated) closed form, for which
+        the mirror-coordinate evolution is exactly unitary; this is the
+        quantity whose t2-invariance the conservation checks assert.
         """
-        lo, hi = self.support(t2)
-        x2 = np.linspace(lo, hi, 4001)
-        return float(np.trapezoid(self.pdf(x2, t2, apply_step=False), x2))
+        return float(self._trace(t2, -math.inf)[0])
 
 
 def collapse(spec: WavegroupSpec, event: MeasurementEvent) -> ConditionalMirrorState:
@@ -128,31 +136,26 @@ class SequentialProbability:
 
 
 def sequential_probability(spec: WavegroupSpec, event: MeasurementEvent,
-                           x2_window: tuple[float, float], t2: float,
-                           n: int = 4097) -> SequentialProbability:
+                           x2_window: tuple[float, float],
+                           t2: float) -> SequentialProbability:
     """Product of the two one-body probabilities of the sequential measurement.
 
-    Pr_I = dx1 * integral of the conditional PDF at t2 = t10 over all x2;
-    Pr_II = dx1 * integral over ``x2_window`` at the later time t2. Window
-    endpoints snap to the master integration grid so that disjoint windows
-    add exactly.
+    Pr_I = dx1 * the particle marginal at x10, a first-order probability:
+    a dx1 that makes it exceed 1 raises ValueError. Pr_II = dx1 * H(a') -
+    dx1 * H(b') at the later time t2, with H(s) the exact integral over
+    x2 >= s and a', b' the ``x2_window`` ends raised to the wall x10. The
+    ends are used as given, so adjacent windows add to their union.
     """
-    state = collapse(spec, event)
-    state._check_time(t2)
-
-    x2a, pdf = state._sampled(event.t10, n)
-    pr_one = event.dx1 * float(np.trapezoid(pdf, x2a))
-
-    lo2, hi2 = state.support(t2)
-    lo2 = max(lo2, event.x10)
-    grid = np.linspace(lo2, hi2, n)
     wlo, whi = x2_window
-    ilo = int(np.argmin(np.abs(grid - wlo)))
-    ihi = int(np.argmin(np.abs(grid - whi)))
-    if ihi <= ilo:
-        raise ValueError("empty mirror window after snapping to the grid")
-    sub = grid[ilo:ihi + 1]
-    pr_two = event.dx1 * float(np.trapezoid(state.pdf(sub, t2), sub))
+    if not whi > wlo:
+        raise ValueError("empty mirror window")
+    state = collapse(spec, event)
+    pr_one = event.dx1 * float(state._trace(event.t10)[0])
+    if pr_one > 1.0:
+        raise ValueError(f"Pr_I = {pr_one:.3g} > 1: detector resolution "
+                         f"dx1 = {event.dx1:g} is too coarse for first order")
+    h = state._trace(t2, np.maximum([wlo, whi], event.x10))
+    pr_two = event.dx1 * float(h[0] - h[1])
     return SequentialProbability(value=pr_one * pr_two, pr_one=pr_one, pr_two=pr_two)
 
 

@@ -2,11 +2,7 @@
 
 Everything here consumes the closed-form fields; beats are extracted by
 least-squares sinusoid fitting (scenario time axes are short and
-non-power-of-two, where bare FFT bins would leak). Marginal traces are
-closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2 is the
-exponential of a quadratic in the traced coordinate, so its integral over
-the physical half line is a Gaussian times a complex erfc, evaluated
-through the Faddeeva function.
+non-power-of-two, where bare FFT bins would leak).
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState
-from .wavegroup import (WavegroupSpec, _axis_square, _branch, _fields,
-                        incident_frame, joint_pdf, reflected_frame)
+from .wavegroup import (WavegroupSpec, _closed_trace, _fields, incident_frame,
+                        joint_pdf, reflected_frame)
 
 
 class TruncatedRangeWarning(UserWarning):
@@ -96,71 +92,12 @@ def _hull_trapezoid(spec, x1, t1, t2, n_quad: int):
     return y
 
 
-def _half_line(log_c, slope, alpha, d):
-    """Integral of exp(log_c + slope s - alpha s^2) over s >= d, Re(alpha) > 0.
-
-    The closed form (1/2) sqrt(pi/alpha) exp(log_c + slope^2/(4 alpha)) erfc(z),
-    z = sqrt(alpha) d - slope / (2 sqrt(alpha)), is evaluated through the
-    Faddeeva function: erfc(z) exp(z^2) = w(iz) for Re z >= 0, and
-    erfc(z) = 2 - erfc(-z) otherwise, so w is only called in the upper half
-    plane and exp(z^2) is never formed. The exponent left over is the
-    integrand's own log at the wall, log_c + slope d - alpha d^2.
-    """
-    from scipy.special import wofz  # deferred: only traces need scipy
-
-    root = np.sqrt(alpha)
-    z = root * d - slope / (2.0 * root)
-    half = 0.5 * math.sqrt(math.pi) / root
-    upper = z.real >= 0.0
-    tail = (half * np.exp(log_c + slope * d - alpha * d * d)
-            * wofz(np.where(upper, 1j * z, -1j * z)))
-    full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
-    return np.where(upper, tail, full - tail)
-
-
-def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int):
-    """Exact integral of the joint PDF over the physical half line of one axis.
-
-    ``axis`` is the traced coordinate (1: x2 >= x1 at each x1 in ``outer``;
-    0: x1 <= x2 at each x2 in ``outer``). Along it each term of
-    |F_in|^2 + |F_ref|^2 - 2 Re(F_in conj F_ref) is exp(quadratic), with
-    curvature Re(kappa_in), Re(kappa_ref) and (kappa_in + conj kappa_ref)/2
-    (:func:`~.wavegroup._axis_square`). Each term is expanded about its own
-    real centre, the cross term about the curvature-weighted mean of the two
-    branch centres, where its real slope vanishes: log-amplitudes are then
-    evaluated where they are largest, never as a difference of huge
-    exponents.
-    """
-    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    (c_in, k_in), (c_ref, k_ref) = (_axis_square(_branch(spec, r, tau1, tau2), axis, outer)
-                                    for r in (False, True))
-
-    def fields(u, gradients=False):
-        x1, x2 = (outer, u) if axis == 1 else (u, outer)
-        return _fields(spec, x1, t1, x2, t2, logs=True, gradients=gradients)
-
-    sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
-    a_in, a_ref = k_in.real, k_ref.real
-    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
-    f = fields(mid, gradients=True)
-    slope = ((f.Lin2 + np.conj(f.Lref2)) if axis == 1
-             else (f.Lin1 + np.conj(f.Lref1)))
-    cross = _half_line(f.log_in + np.conj(f.log_ref), sign * slope,
-                       0.5 * (k_in + np.conj(k_ref)), sign * (outer - mid))
-    y = -2.0 * cross.real
-    y += _half_line(2.0 * fields(c_in).log_in.real, 0.0, a_in,
-                    sign * (outer - c_in)).real
-    y += _half_line(2.0 * fields(c_ref).log_ref.real, 0.0, a_ref,
-                    sign * (outer - c_ref)).real
-    return np.maximum(y, 0.0)
-
-
 def marginal_over_mirror(spec: WavegroupSpec, x1_axis, t1: float, t2: float,
                          n_quad: int | None = None) -> Curve:
     """Trace of the joint PDF over the mirror coordinate, sampled on x1_axis.
 
     The trace is the exact integral over the physical half line x2 >= x1
-    (:func:`_closed_trace`). An integer ``n_quad`` selects the older
+    (:func:`~.wavegroup._closed_trace`). An integer ``n_quad`` selects the older
     composite trapezoid on that many nodes over both packets' 8-sigma x2
     hull instead; it is kept only because ``benchmark/selftest.py`` passes
     ``n_quad=2049``. Its nodes do not start at the wall, so it is no
@@ -178,7 +115,7 @@ def marginal_over_particle(spec: WavegroupSpec, x2_axis, t1: float,
                            t2: float) -> Curve:
     """Trace of the joint PDF over the particle coordinate, sampled on x2_axis:
     the exact integral over the physical half line x1 <= x2
-    (:func:`_closed_trace`)."""
+    (:func:`~.wavegroup._closed_trace`)."""
     x2 = np.asarray(x2_axis, dtype=float)
     return Curve(x=x2, y=_closed_trace(spec, x2, t1, t2, axis=0),
                  meta={"axis": "x2", "t1": t1, "t2": t2})
@@ -397,12 +334,10 @@ def _curve_std(curve: Curve) -> float:
     return math.sqrt(float(w @ (curve.x - mean) ** 2))
 
 
-def _measured_widths(spec: WavegroupSpec, t: float, n: int = 4097):
-    lo1, hi1 = _support_hull(spec, t, t, axis=0)
-    lo2, hi2 = _support_hull(spec, t, t, axis=1)
-    part = marginal_over_mirror(spec, np.linspace(lo1, hi1, n), t, t)
-    mirr = marginal_over_particle(spec, np.linspace(lo2, hi2, n), t, t)
-    return _curve_std(part), _curve_std(mirr)
+def _measured_widths(spec: WavegroupSpec, t: float):
+    x1, x2 = (np.linspace(*_support_hull(spec, t, t, axis), 4097) for axis in (0, 1))
+    return (_curve_std(marginal_over_mirror(spec, x1, t, t)),
+            _curve_std(marginal_over_particle(spec, x2, t, t)))
 
 
 def _waist_from_pair(sig_a: float, sig_b: float, t_a: float, t_b: float,

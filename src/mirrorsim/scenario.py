@@ -18,7 +18,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -516,25 +516,20 @@ def analysis_split_velocities(scenario: Scenario) -> dict:
     event = resolve_event(scenario, scenario.events[0])
     state = collapse(spec, event)
     samples = event.t10 + spec.tau * np.linspace(1.5, 5.0, 8)
-    v_f, V_f = elastic_final_velocities(scenario.params)
+    expected = {"expected_slow": scenario.params.V,
+                "expected_fast": elastic_final_velocities(scenario.params)[1]}
     try:
         slow, fast = split_centroid_velocities(state, samples)
     except UnresolvedSplittingError as err:
-        return {"resolved": False, "reason": str(err),
-                "expected_slow": scenario.params.V, "expected_fast": V_f}
-    return {"resolved": True, "v_slow": slow, "v_fast": fast,
-            "expected_slow": scenario.params.V, "expected_fast": V_f}
+        return {"resolved": False, "reason": str(err), **expected}
+    return {"resolved": True, "v_slow": slow, "v_fast": fast, **expected}
 
 
 def analysis_coherence_transfer(scenario: Scenario) -> dict:
     spec = scenario.wavegroup
     rep = coherence_transfer_metrics(spec, pre_t=spec.t0,
                                      post_t=scenario.collision_time + 2.0 * spec.tau)
-    return {"width_particle_in": rep.width_particle_in,
-            "width_mirror_in": rep.width_mirror_in,
-            "width_particle_out": rep.width_particle_out,
-            "width_mirror_out": rep.width_mirror_out,
-            "exchange_particle": rep.exchange_particle,
+    return {**asdict(rep), "exchange_particle": rep.exchange_particle,
             "exchange_mirror": rep.exchange_mirror}
 
 

@@ -18,6 +18,12 @@ gradients, packet frames and conditional profiles all derive from it.
 E = I, as a product of two 1-D integrals. A Gauss-Hermite quadrature of the
 same integrals, written independently, serves as the oracle.
 
+Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
+is the exponential of a quadratic in the traced coordinate, so its integral
+over a half line is a Gaussian times a complex erfc, evaluated through the
+Faddeeva function (:func:`_closed_trace`); marginals and conditional
+probabilities all come from it.
+
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors. Only the incident-reflected *difference* of carrier phases is
 physical for densities and currents; it is computed in closed form, never
@@ -242,6 +248,72 @@ def _axis_square(br: _Branch, axis: int, other):
     kappa = w1 * q1 + w2 * q2
     b1, b2 = br.b(other, 0.0) if axis == 1 else br.b(0.0, other)
     return -(b1 * q1 + b2 * q2).real / kappa.real, kappa
+
+
+def _half_line(log_c, slope, alpha, d):
+    """Integral of exp(log_c + slope s - alpha s^2) over s >= d, Re(alpha) > 0.
+
+    The closed form (1/2) sqrt(pi/alpha) exp(log_c + slope^2/(4 alpha)) erfc(z),
+    z = sqrt(alpha) d - slope / (2 sqrt(alpha)), is evaluated through the
+    Faddeeva function: erfc(z) exp(z^2) = w(iz) for Re z >= 0, and
+    erfc(z) = 2 - erfc(-z) otherwise, so w is only called in the upper half
+    plane and exp(z^2) is never formed. The exponent left over is the
+    integrand's own log at the start, log_c + slope d - alpha d^2. d = -inf
+    gives the whole line, the ``full`` term; d = +inf gives 0.
+    """
+    from scipy.special import wofz  # deferred: only traces need scipy
+
+    finite = np.isfinite(d)
+    whole = np.where(d < 0.0, 1.0, 0.0)  # an infinite start: all or nothing
+    d = np.where(finite, d, 0.0)
+    root = np.sqrt(alpha)
+    z = root * d - slope / (2.0 * root)
+    half = 0.5 * math.sqrt(math.pi) / root
+    upper = z.real >= 0.0
+    tail = (half * np.exp(log_c + slope * d - alpha * d * d)
+            * wofz(np.where(upper, 1j * z, -1j * z)))
+    full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
+    return np.where(finite, np.where(upper, tail, full - tail), whole * full)
+
+
+def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
+                  start=None):
+    """Exact integral of the smooth PDF over a half line of one axis.
+
+    ``axis`` is the traced coordinate (1: x2 >= start at each x1 in
+    ``outer``; 0: x1 <= start at each x2 in ``outer``). The default start
+    is the wall, giving the physical half line; start = -inf on axis 1
+    gives the whole line. Along the axis each term of |F_in|^2 + |F_ref|^2
+    - 2 Re(F_in conj F_ref) is exp(quadratic), with curvature Re(kappa_in),
+    Re(kappa_ref) and (kappa_in + conj kappa_ref)/2 (:func:`_axis_square`).
+    Each term is expanded about its own real centre, the cross term about
+    the curvature-weighted mean of the two branch centres, where its real
+    slope vanishes: log-amplitudes are then evaluated where they are
+    largest, never as a difference of huge exponents.
+    """
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+    (c_in, k_in), (c_ref, k_ref) = (_axis_square(_branch(spec, r, tau1, tau2), axis, outer)
+                                    for r in (False, True))
+    start = outer if start is None else start
+
+    def fields(u, gradients=False):
+        x1, x2 = (outer, u) if axis == 1 else (u, outer)
+        return _fields(spec, x1, t1, x2, t2, logs=True, gradients=gradients)
+
+    sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
+    a_in, a_ref = k_in.real, k_ref.real
+    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
+    f = fields(mid, gradients=True)
+    slope = ((f.Lin2 + np.conj(f.Lref2)) if axis == 1
+             else (f.Lin1 + np.conj(f.Lref1)))
+    cross = _half_line(f.log_in + np.conj(f.log_ref), sign * slope,
+                       0.5 * (k_in + np.conj(k_ref)), sign * (start - mid))
+    y = -2.0 * cross.real
+    y += _half_line(2.0 * fields(c_in).log_in.real, 0.0, a_in,
+                    sign * (start - c_in)).real
+    y += _half_line(2.0 * fields(c_ref).log_ref.real, 0.0, a_ref,
+                    sign * (start - c_ref)).real
+    return np.maximum(y, 0.0)
 
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,

@@ -8,6 +8,7 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, UnresolvedSplittingErro
                        elastic_final_velocities, joint_pdf,
                        sequential_probability, split_centroid_velocities)
 from mirrorsim.measurement import _smoothed_modes
+from mirrorsim.observables import marginal_over_mirror
 from mirrorsim.scenario import PRESETS, resolve_event
 
 
@@ -16,14 +17,11 @@ import functools
 
 @functools.lru_cache(maxsize=32)
 def overlap_event(spec, t10=None):
-    """Event at the conditional-PDF mode in the overlap era."""
+    """Event at the particle-marginal mode in the overlap era."""
     t10 = spec.collision_time if t10 is None else t10
     x_c = spec.collision_point
-    lo, hi = x_c - 2.0 / spec.dk, x_c + 2.0 / spec.dk
-    x1 = np.linspace(lo, hi, 4001)
-    x2 = np.linspace(x_c - 6.0 / spec.dK, x_c + 6.0 / spec.dK, 801)
-    marg = np.trapezoid(joint_pdf(spec, x1[:, None], t10, x2[None, :], t10),
-                        x2, axis=1)
+    x1 = np.linspace(x_c - 2.0 / spec.dk, x_c + 2.0 / spec.dk, 4001)
+    marg = marginal_over_mirror(spec, x1, t10, t10).y
     return MeasurementEvent(x10=float(x1[np.argmax(marg)]), t10=t10)
 
 
@@ -145,6 +143,8 @@ class TestSequentialProbability:
         assert res.pr_two == pytest.approx(res.pr_one, rel=1e-10)
         assert res.value == pytest.approx(res.pr_one * res.pr_two, rel=1e-14)
         assert 0.0 <= res.value <= 1.0
+        marginal = marginal_over_mirror(spec_fig5, [ev.x10], ev.t10, ev.t10).y[0]
+        assert res.pr_one / ev.dx1 == pytest.approx(marginal, rel=1e-12)
 
     def test_partition_additivity(self, spec_fig5):
         ev = overlap_event(spec_fig5)
@@ -158,10 +158,35 @@ class TestSequentialProbability:
         full = sequential_probability(spec_fig5, ev, (lo, hi), t2).pr_two
         assert sum(parts) == pytest.approx(full, rel=1e-10)
 
+    def test_window_below_wall_adds_nothing(self, spec_fig5):
+        # at t10 a sixth of the smooth slice's norm lies past the wall x2 < x10
+        ev = overlap_event(spec_fig5)
+        lo, hi = collapse(spec_fig5, ev).support(ev.t10)
+        at_wall = sequential_probability(spec_fig5, ev, (ev.x10, hi), ev.t10).pr_two
+        across = sequential_probability(spec_fig5, ev, (lo, hi), ev.t10).pr_two
+        assert lo < ev.x10 and across == at_wall > 0.0
+        to_inf = sequential_probability(spec_fig5, ev, (lo, math.inf), ev.t10)
+        assert to_inf.pr_two == pytest.approx(to_inf.pr_one, rel=1e-14)
+
     def test_rejects_empty_window(self, spec_fig5):
         ev = overlap_event(spec_fig5)
         with pytest.raises(ValueError):
             sequential_probability(spec_fig5, ev, (5.0, 5.0), ev.t10)
+
+    @pytest.mark.parametrize("name, raises", [("fig8", True), ("fig5", False)])
+    def test_pr_one_above_one_names_dx1(self, presets, name, raises):
+        # fig8 is in SI units, where the default dx1 = 1e-3 is a millimetre:
+        # the first-order detection probability there comes out near 7.7e3
+        s = presets[name]
+        ev = resolve_event(s, s.events[0])
+        lo, hi = collapse(s.wavegroup, ev).support(ev.t10)
+        window = (max(lo, ev.x10), hi)
+        if raises:
+            with pytest.raises(ValueError, match="dx1"):
+                sequential_probability(s.wavegroup, ev, window, ev.t10)
+        else:
+            res = sequential_probability(s.wavegroup, ev, window, ev.t10)
+            assert 0.0 < res.pr_one <= 1.0
 
 
 class TestConditionalNorm:
@@ -179,6 +204,24 @@ class TestConditionalNorm:
         state = collapse(spec_fig5, ev)
         norms = [state.norm(t2) for t2 in t10 + spec_fig5.tau * np.array([0, 1, 3])]
         assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_kernel_matches_closed_norm(self, spec_fig5):
+        # the closed norm never samples the PDF, so the kernel's own
+        # unitarity is checked point by point here, at the t2 of both
+        # regimes' invariance tests
+        tau = spec_fig5.tau
+        t10_a = spec_fig5.collision_time + tau
+        cases = [(overlap_event(spec_fig5), tau * np.array([0.0, 0.5, 1.0, 2.0, 4.0])),
+                 (resolve_event_like(spec_fig5, t10_a), tau * np.array([0.0, 1.0, 3.0]))]
+        for ev, offsets in cases:
+            state = collapse(spec_fig5, ev)
+            sampled = []
+            for t2 in ev.t10 + offsets:
+                x2 = np.linspace(*state.support(t2), 4001)
+                sampled.append(np.trapezoid(state.pdf(x2, t2, apply_step=False), x2))
+                assert sampled[-1] == pytest.approx(state.norm(t2), rel=1e-10)
+            assert all(abs(n - sampled[0]) <= 1e-6 * sampled[0] for n in sampled)
 
 
 class TestReversedOrder:
@@ -216,7 +259,7 @@ class TestReversedOrder:
 @functools.lru_cache(maxsize=32)
 def resolve_event_like(spec, t10):
     """Detection at the particle-marginal mode at time t10."""
-    from mirrorsim.observables import marginal_over_mirror, _support_hull
+    from mirrorsim.observables import _support_hull
     lo, hi = _support_hull(spec, t10, t10, axis=0)
     axis = np.linspace(lo, hi, 4001)
     curve = marginal_over_mirror(spec, axis, t10, t10)

@@ -292,7 +292,5 @@ def resolve_event_overlap(spec):
     t10 = spec.collision_time
     x_c = spec.collision_point
     x1 = np.linspace(x_c - 2.0 / spec.dk, x_c + 2.0 / spec.dk, 2001)
-    x2 = np.linspace(x_c - 6.0 / spec.dK, x_c + 6.0 / spec.dK, 601)
-    marg = np.trapezoid(joint_pdf(spec, x1[:, None], t10, x2[None, :], t10),
-                        x2, axis=1)
+    marg = marginal_over_mirror(spec, x1, t10, t10).y
     return MeasurementEvent(x10=float(x1[np.argmax(marg)]), t10=t10)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +290,17 @@ class TestCli:
 
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3
+
+
+class TestBenchmarkSelftest:
+    def test_selftest_passes(self):
+        # the benchmark's output checks, and the conditional-state and
+        # hull-trapezoid surface they drive, each pass good output and
+        # reject corrupted output
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "benchmark/selftest.py"], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
