@@ -1,13 +1,15 @@
 """Two-time plane-wave (energy eigenstate) solutions and their interference.
 
 The incident state is an uncorrelated product of particle and mirror plane
-waves. The reflected state is the same pair Doppler-shifted by the elastic
-collision: its wavevectors are (k_ref, K_ref) from the collision kinematics,
-and each subsystem's kinetic energy multiplies its own time label, so that
-the pair (x1, t1) carries only particle parameters and (x2, t2) only mirror
-parameters. Total energy and momentum are unchanged by reflection, which is
-what makes the superposition vanish on the contact line x1 = x2 at equal
-times.
+waves. The reflected state is the same pair after the elastic collision:
+the particle wavevector loses the recoil 2 k_rel and the mirror's gains it,
+(k_ref, K_ref) = (k - 2 k_rel, K + 2 k_rel) with k_rel from
+:class:`~.kinematics.PhysicalParams`. Each subsystem's kinetic energy
+multiplies its own time label, so that the pair (x1, t1) carries only
+particle parameters and (x2, t2) only mirror parameters. Total energy and
+momentum are unchanged by reflection, which is what makes the
+superposition vanish on the contact line x1 = x2 at equal times; the
+interference phase is k_rel (x2 - x1) + beat (t1 - t2).
 
 Phases are reduced modulo 2*pi before exponentiation; SI-scale wavevectors
 times metre-scale positions would otherwise exhaust double-precision trig
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ApproximationWarning, PhysicalParams, elastic_final_velocities
+from .kinematics import ApproximationWarning, PhysicalParams
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,14 +54,8 @@ class HarmonicMode:
 
     @classmethod
     def from_params(cls, p: PhysicalParams) -> "HarmonicMode":
-        v_f, V_f = elastic_final_velocities(p)
-        return cls(
-            params=p,
-            k=p.m * p.v / p.hbar,
-            K=p.M * p.V / p.hbar,
-            k_ref=p.m * v_f / p.hbar,
-            K_ref=p.M * V_f / p.hbar,
-        )
+        recoil = 2.0 * p.k_rel
+        return cls(params=p, k=p.k, K=p.K, k_ref=p.k - recoil, K_ref=p.K + recoil)
 
     @property
     def omega1(self) -> float:
@@ -110,15 +106,12 @@ def eigenstate_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
 def interference_pdf(mode: HarmonicMode, pt: SpacetimePoint):
     """Closed-form |incident - reflected|^2 on x1 <= x2.
 
-    Equals 4 sin^2[(mK - Mk){(m+M)(x1-x2) - hbar(k+K)(t1-t2)}/(m+M)^2]; the
-    argument is reduced modulo pi (the period of sin^2) before evaluation.
+    Equals 4 sin^2[k_rel (x2 - x1) + beat (t1 - t2)]; the argument is
+    reduced modulo pi (the period of sin^2) before evaluation.
     """
     p = mode.params
-    s = p.m + p.M
-    arg = (p.m * mode.K - p.M * mode.k) * (
-        s * (np.asarray(pt.x1) - np.asarray(pt.x2))
-        - p.hbar * (mode.k + mode.K) * (np.asarray(pt.t1) - np.asarray(pt.t2))
-    ) / s**2
+    arg = (p.k_rel * (np.asarray(pt.x2) - np.asarray(pt.x1))
+           + beat_frequency(p) * (np.asarray(pt.t1) - np.asarray(pt.t2)))
     val = 4.0 * np.sin(np.remainder(arg, math.pi)) ** 2
     return np.where(np.asarray(pt.x1) <= np.asarray(pt.x2), val, 0.0)
 
@@ -128,10 +121,8 @@ def fringe_spacing(p: PhysicalParams) -> float:
 
     At V = 0 this is half the particle de Broglie wavelength. Outside the
     m/M < 0.05 regime the formula value is still returned but an
-    ApproximationWarning is emitted; the exact spacing is pi/|K_rel|.
+    ApproximationWarning is emitted; the exact spacing is pi/k_rel.
     """
-    if not p.v > p.V:
-        raise ValueError("no reflection: particle velocity must exceed mirror velocity")
     if p.m / p.M >= 0.05:
         warnings.warn(
             "fringe spacing approximation degrades for m/M >= 0.05",
@@ -142,18 +133,16 @@ def fringe_spacing(p: PhysicalParams) -> float:
 
 
 def fringe_period(p: PhysicalParams) -> float:
-    """Exact fringe period pi/|K_rel| of the standing interference structure."""
-    k_rel = (p.M * p.k - p.m * p.K) / (p.m + p.M)
-    return math.pi / abs(k_rel)
+    """Exact fringe period pi/k_rel of the standing interference structure."""
+    return math.pi / p.k_rel
 
 
 def beat_frequency(p: PhysicalParams) -> float:
-    """Beat frequency mM(v-V)(mv+MV)/(hbar (m+M)^2) of the two-time PDF.
+    """Beat frequency k_rel (mv + MV)/(m + M) of the two-time PDF: the
+    relative wavevector times the centre-of-mass velocity.
 
     This is the advance rate of the interference phase (the sin^2 argument)
     per unit measurement-time offset; the PDF intensity completes one full
     oscillation when that phase advances by pi.
     """
-    if not p.v > p.V:
-        raise ValueError("no reflection: particle velocity must exceed mirror velocity")
-    return p.m * p.M * (p.v - p.V) * (p.m * p.v + p.M * p.V) / (p.hbar * (p.m + p.M) ** 2)
+    return p.k_rel * (p.m * p.v + p.M * p.V) / (p.m + p.M)

@@ -4,6 +4,11 @@ Two unit systems are supported: SI (CODATA constants) and "natural" units
 with hbar = m = 1, which is what the dimensionless scenario presets use.
 All functions are unit-system agnostic given consistent inputs.
 
+The elastic collision is stated once, on :class:`PhysicalParams`, as a
+recoil of 2 hbar k_rel from particle to mirror. Every reflected wavevector,
+velocity, fringe and beat derives from k_rel, never from a difference of the
+large incident momenta, so the exchange survives below one ulp of them.
+
 The mirror is treated as a perfectly reflecting hard wall (the infinite
 reflectivity limit of a delta-function barrier); finite reflectivity is
 out of scope and never appears as a runtime parameter.
@@ -61,20 +66,25 @@ class PhysicalParams:
         """Incident mirror wavevector M*V/hbar."""
         return self.M * self.V / self.hbar
 
+    @property
+    def k_rel(self) -> float:
+        """Relative wavevector mM(v - V) / (hbar (m + M)); the collision moves
+        2 hbar k_rel of momentum from the particle to the mirror."""
+        return self.m * self.M * (self.v - self.V) / (self.hbar * (self.m + self.M))
+
+    @property
+    def collision_matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((a11, a12), (a21, a22)), mapping (k, K) to (k, K) + 2 k_rel(k, K) (-1, 1),
+        in recoil form: a12 = 2m/(m + M), a11 = a12 - 1, a21 = 2 - a12, a22 = 1 - a12."""
+        a12 = 2.0 * self.m / (self.m + self.M)
+        return (a12 - 1.0, a12), (2.0 - a12, 1.0 - a12)
+
 
 def elastic_final_velocities(p: PhysicalParams) -> tuple[float, float]:
-    """Post-collision velocities of a 1D elastic reflection.
-
-    Returns (v_f, V_f) satisfying conservation of momentum and kinetic
-    energy. Raises for v <= V, where no collision occurs (enforced by
-    PhysicalParams, kept here for direct callers).
-    """
-    if not p.v > p.V:
-        raise ValueError("no reflection: particle velocity must exceed mirror velocity")
-    s = p.m + p.M
-    v_f = ((p.m - p.M) * p.v + 2.0 * p.M * p.V) / s
-    V_f = ((p.M - p.m) * p.V + 2.0 * p.m * p.v) / s
-    return v_f, V_f
+    """Post-collision velocities (v - 2 hbar k_rel/m, V + 2 hbar k_rel/M) of a
+    1D elastic reflection, conserving momentum and kinetic energy."""
+    recoil = 2.0 * p.hbar * p.k_rel
+    return p.v - recoil / p.m, p.V + recoil / p.M
 
 
 def thermal_spread(M: float, T: float, *, kB: float = SI_KB, h: float = SI_H) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import _TWO_PI, SpacetimePoint
+from .harmonic import _TWO_PI, SpacetimePoint, fringe_period
 from .wavegroup import (WavegroupSpec, _axis_square, _branch, _closed_trace,
                         _log_gauss2, amplitude_parts, joint_pdf)
 
@@ -210,8 +210,7 @@ def split_centroid_velocities(state: ConditionalMirrorState,
     tracks. Raises :class:`UnresolvedSplittingError` when fewer than two
     modes are resolvable at three or more of the sampled times.
     """
-    spec = state.spec
-    fringe = math.pi / abs(spec.K_rel0)
+    fringe = fringe_period(state.spec.params)
     slow_track, fast_track, times = [], [], []
     for t2 in np.atleast_1d(np.asarray(t2_samples, dtype=float)):
         x2, pdf = state._sampled(t2, 8193)

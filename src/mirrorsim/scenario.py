@@ -32,7 +32,7 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import WavegroupSpec, joint_pdf
+from .wavegroup import WavegroupSpec, incident_frame, joint_pdf, reflected_frame
 
 _KNOWN_ANALYSES = (
     "fringes", "beat", "regime", "split-velocities", "coherence-transfer",
@@ -242,9 +242,8 @@ def from_config(cfg: dict) -> Scenario:
         params = PhysicalParams(m=cfg["params"]["m"], M=cfg["params"]["M"],
                                 v=cfg["params"]["v"], V=cfg["params"]["V"])
     w = cfg["wavegroup"]
-    spec = WavegroupSpec.from_params(params, dk=w["dk"], dK=w["dK"],
-                                     x1c=w["x1c"], x2c=w["x2c"],
-                                     t0=w.get("t0", 0.0))
+    spec = WavegroupSpec(params, dk=w["dk"], dK=w["dK"], x1c=w["x1c"],
+                         x2c=w["x2c"], t0=w.get("t0", 0.0))
     events = tuple(RawEvent(t10=e["t10"], x10=e.get("x10"), dx1=e.get("dx1", 1e-3))
                    for e in cfg.get("events", []))
     grids = tuple(
@@ -276,7 +275,9 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
-    """Joint-PDF grid framing both packets at every listed synchronous time."""
+    """Joint-PDF grid framing both packets at every listed synchronous time,
+    its bounds rounded to 12 significant digits so that a last-bit change in
+    the packet frames leaves the grid and the scenario hash as they are."""
     lo1 = lo2 = math.inf
     hi1 = hi2 = -math.inf
     for t in times:
@@ -284,6 +285,7 @@ def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
         lo1, hi1 = min(lo1, a), max(hi1, b)
         a, b = _support_hull(spec, t, t, axis=1, pad=6.0)
         lo2, hi2 = min(lo2, a), max(hi2, b)
+    lo1, hi1, lo2, hi2 = (float(f"{x:.12g}") for x in (lo1, hi1, lo2, hi2))
     return GridSpec(axes=(AxisSpec("x1", lo1, hi1, 256),
                           AxisSpec("x2", lo2, hi2, 256)))
 
@@ -292,7 +294,7 @@ def _natural_scenario(name, *, M, v, V, dk, dK, x1c, description, analyses,
                       snapshot_offsets=(), event_offsets=()) -> Scenario:
     """A natural-units preset (m = 1) with its mirror centred at x2 = 0."""
     params = PhysicalParams.natural(M=M, v=v, V=V)
-    spec = WavegroupSpec.from_params(params, dk=dk, dK=dK, x1c=x1c, x2c=0.0)
+    spec = WavegroupSpec(params, dk=dk, dK=dK, x1c=x1c, x2c=0.0)
     t_c, tau = spec.collision_time, spec.tau
     times = tuple(t_c + o * tau for o in snapshot_offsets)
     events = tuple(RawEvent(t10=t_c + o * tau) for o in event_offsets)
@@ -309,7 +311,7 @@ def _fig8_scenario() -> Scenario:
     params = PhysicalParams(m=m, M=M, v=0.03, V=0.01)
     dk = m * dv_atom / params.hbar
     dK = M * dV_mirror / params.hbar
-    spec = WavegroupSpec.from_params(params, dk=dk, dK=dK, x1c=-1.0e-6, x2c=0.0)
+    spec = WavegroupSpec(params, dk=dk, dK=dK, x1c=-1.0e-6, x2c=0.0)
     t_c = spec.collision_time
     return Scenario(
         name="fig8", units="SI", params=params, wavegroup=spec,
@@ -592,8 +594,10 @@ def analysis_continuity(scenario: Scenario) -> dict:
     t_c = scenario.collision_time
     x_c = spec.collision_point
     fringe = fringe_period(scenario.params)
-    # the box and its steps resolve the narrower packet as well as the fringe
-    width = min(1.0 / spec.dk, 1.0 / spec.dK)
+    # the box and its steps resolve the narrowest packet at t_c, as it has
+    # spread by then, as well as the fringe
+    width = min(math.sqrt(s) for frame in (incident_frame, reflected_frame)
+                for s in np.diag(frame(spec, t_c, t_c)[1]))
     h = min(fringe, width) / 40.0
     v_mean = 0.5 * (scenario.params.v + scenario.params.V)
     steps = (h, h, h / v_mean, h / v_mean)
@@ -637,7 +641,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     x1 = ax1.values()
     x2 = ax2.values()
     flags = []
-    fringe = math.pi / abs(spec.K_rel0)
+    fringe = fringe_period(spec.params)
     step = max(x1[1] - x1[0], x2[1] - x2[0])
     if step > 0.5 * fringe:
         flags.append("coarse-sampling")

@@ -9,14 +9,18 @@ Gaussian integral over the spectral offsets s = (k - k0, K - K0):
     A = diag(1/dk^2, 1/dK^2) + i E^T diag(hbar tau1/m, hbar tau2/M) E
     b = E^T (x - u tau) - (x1c, x2c),    tau = t - t0
 
-The branches differ only in the collision matrix E, which maps (k, K) to
-the branch's own wavevectors (the identity for the incident branch, the
-elastic collision for the reflected one), and in the carrier velocities u.
-:func:`_branch` states that form once; amplitudes, log-amplitudes,
-gradients, packet frames and conditional profiles all derive from it.
-:func:`_log_gauss2` evaluates it, and the incident branch, separable since
-E = I, as a product of two 1-D integrals. A Gauss-Hermite quadrature of the
-same integrals, written independently, serves as the oracle.
+E acts on the spectral offsets: the identity for the incident branch, the
+recoil-form collision matrix of :class:`~.kinematics.PhysicalParams` for the
+reflected one. The reflected branch is the incident carrier plus a recoil:
+carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
+Both branches take the shared (v tau1, V tau2) off x before any recoil, and b
+keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
+far below one ulp of the mirror's momentum. :func:`_branch` states that form
+once; amplitudes, log-amplitudes, gradients (relative to (k0, K0)), packet
+frames and conditional profiles all derive from it. :func:`_log_gauss2`
+evaluates it, and the incident branch, separable since E = I, as a product
+of two 1-D integrals. A Gauss-Hermite quadrature of the same integrals,
+written independently, serves as the oracle.
 
 Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
@@ -41,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import _TWO_PI, SpacetimePoint
-from .kinematics import PhysicalParams
+from .harmonic import _TWO_PI, SpacetimePoint, beat_frequency
+from .kinematics import PhysicalParams, elastic_final_velocities
 
 _LOG_TWO_PI = math.log(_TWO_PI)
 
@@ -50,14 +54,6 @@ _LOG_TWO_PI = math.log(_TWO_PI)
 # ---------------------------------------------------------------------------
 # complex Gaussian integrals
 # ---------------------------------------------------------------------------
-
-def _lin(c1, y1, c2, y2):
-    """c1*y1 + c2*y2 for scalar c1, c2, without the second term where c2 is 0,
-    so that the diagonal incident branch keeps its separable array shapes."""
-    if c2 == 0:
-        return c1 * y1
-    return c1 * y1 + c2 * y2
-
 
 def _log_gauss1(a, b):
     """Log of the integral of exp(-a s^2 / 2 + i b s) over R, and b / a."""
@@ -98,9 +94,7 @@ class WavegroupSpec:
     """
 
     params: PhysicalParams
-    k0: float
     dk: float
-    K0: float
     dK: float
     x1c: float
     x2c: float
@@ -114,46 +108,26 @@ class WavegroupSpec:
         sep = self.x2c - self.x1c
         if not sep > 5.0 * (1.0 / self.dk + 1.0 / self.dK):
             raise ValueError("packet centres closer than five combined widths")
-        p = self.params
-        if not (math.isclose(self.k0, p.k, rel_tol=1e-9, abs_tol=0.0)
-                and math.isclose(self.K0, p.K, rel_tol=1e-9, abs_tol=1e-300)):
-            raise ValueError("spectral centres inconsistent with params velocities")
         if self.wrong_side_defect() > 1e-6:
             raise ValueError("wrong-side probability defect exceeds 1e-6")
 
-    @classmethod
-    def from_params(cls, params: PhysicalParams, dk: float, dK: float,
-                    x1c: float, x2c: float, t0: float = 0.0) -> "WavegroupSpec":
-        return cls(params=params, k0=params.k, dk=dk, K0=params.K, dK=dK,
-                   x1c=x1c, x2c=x2c, t0=t0)
-
-    # collision kinematics of the spectral centre
+    # the spectral centre is the incident pair of params
     @property
-    def _a(self) -> tuple[float, float, float, float]:
-        m, M = self.params.m, self.params.M
-        s = m + M
-        return (m - M) / s, 2.0 * m / s, 2.0 * M / s, (M - m) / s
+    def k0(self) -> float:
+        return self.params.k
 
     @property
-    def k_ref0(self) -> float:
-        a11, a12, _, _ = self._a
-        return a11 * self.k0 + a12 * self.K0
-
-    @property
-    def K_ref0(self) -> float:
-        _, _, a21, a22 = self._a
-        return a21 * self.k0 + a22 * self.K0
+    def K0(self) -> float:
+        return self.params.K
 
     @property
     def K_rel0(self) -> float:
-        p = self.params
-        return (p.M * self.k0 - p.m * self.K0) / (p.m + p.M)
+        return self.params.k_rel
 
     @property
     def beat0(self) -> float:
         """Central beat frequency, the phase-advance rate of the cross term."""
-        p = self.params
-        return p.hbar * self.K_rel0 * (self.k0 + self.K0) / (p.m + p.M)
+        return beat_frequency(self.params)
 
     @property
     def norm_const(self) -> float:
@@ -197,41 +171,50 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 class _Branch(NamedTuple):
     """One branch's Gaussian form at the times tau (see the module docstring)."""
 
-    A: tuple   # (a11, a12, a22) of the complex symmetric A
-    E: tuple   # collision matrix ((e11, e12), (e21, e22)): (k, K) -> branch
-    ut: tuple  # carrier displacements (u1 tau1, u2 tau2)
-    k: tuple   # carrier wavevectors (k, K)
-    xc: tuple  # packet centres (x1c, x2c) at t0
+    A: tuple        # (a11, a12, a22) of the complex symmetric A
+    E: tuple        # collision matrix ((e11, e12), (e21, e22)) on spectral offsets
+    ut: tuple       # shared carrier displacements (v tau1, V tau2)
+    recoil: tuple   # the branch's own displacements on top of ut
+    kq: tuple       # carrier wavevectors relative to (k0, K0)
+    xc: tuple       # packet centres (x1c, x2c) at t0
+    reflected: bool
 
     def b(self, x1, x2):
-        """The linear coefficient b = E^T (x - u tau) - (x1c, x2c)."""
-        (a11, a12), (a21, a22) = self.E
+        """The linear coefficient b = E^T y - (x1c, x2c), y = x - ut - recoil."""
         y1, y2 = x1 - self.ut[0], x2 - self.ut[1]
-        return _lin(a11, y1, a21, y2) - self.xc[0], _lin(a22, y2, a12, y1) - self.xc[1]
+        if not self.reflected:
+            return y1 - self.xc[0], y2 - self.xc[1]
+        y1, y2 = y1 - self.recoil[0], y2 - self.recoil[1]
+        d = self.E[0][1] * (y1 - y2)  # E^T y = (2 y2 - y1, y2) + a12 (y1 - y2) (1, 1)
+        return 2.0 * y2 - y1 + d - self.xc[0], y2 + d - self.xc[1]
 
-    def log_gradient(self, q1, q2, detune: float = 1.0):
-        """Log-derivatives i k - E q of the amplitude (carrier included)."""
+    def log_gradient(self, q1, q2):
+        """Log-derivatives i kq - E q of the amplitude, relative to the
+        incident carrier (k0, K0)."""
+        if not self.reflected:  # E = I keeps the separable array shapes
+            return -q1, -q2
         (a11, a12), (a21, a22) = self.E
-        return (1j * detune * self.k[0] - _lin(a11, q1, a12, q2),
-                1j * detune * self.k[1] - _lin(a22, q2, a21, q1))
+        return (1j * self.kq[0] - (a11 * q1 + a12 * q2),
+                1j * self.kq[1] - (a21 * q1 + a22 * q2))
 
 
 def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
     """The incident or the reflected branch's Gaussian form at (tau1, tau2)."""
     p = spec.params
+    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
     if reflected:
-        a11, a12, a21, a22 = spec._a
-        k = (spec.k_ref0, spec.K_ref0)
-        u = (p.hbar * k[0] / p.m, p.hbar * k[1] / p.M)
+        (a11, a12), (a21, a22) = p.collision_matrix
+        kq = (-2.0 * p.k_rel, 2.0 * p.k_rel)
     else:
         a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
-        k, u = (spec.k0, spec.K0), (p.v, p.V)
-    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
+        kq = (0.0, 0.0)
     A = (1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
          1j * (c1 * a11 * a12 + c2 * a21 * a22),
          1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22))
-    return _Branch(A=A, E=((a11, a12), (a21, a22)), ut=(u[0] * tau1, u[1] * tau2),
-                   k=k, xc=(spec.x1c, spec.x2c))
+    # a carrier offset kq moves the packet by hbar kq tau / m = c kq
+    return _Branch(A=A, E=((a11, a12), (a21, a22)), ut=(p.v * tau1, p.V * tau2),
+                   recoil=(c1 * kq[0], c2 * kq[1]), kq=kq, xc=(spec.x1c, spec.x2c),
+                   reflected=reflected)
 
 
 def _axis_square(br: _Branch, axis: int, other):
@@ -316,6 +299,19 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     return np.maximum(y, 0.0)
 
 
+def _carrier_phases(spec: WavegroupSpec, x1, x2, tau1, tau2):
+    """The incident carrier phase Phi reduced mod 2*pi, and the exact
+    reflected-minus-incident difference 2 k_rel (x2 - x1) + 2 beat (tau1 - tau2)."""
+    p = spec.params
+    k0, K0 = p.k, p.K
+    w1, w2 = p.hbar * k0**2 / (2 * p.m), p.hbar * K0**2 / (2 * p.M)
+    phase0 = np.remainder(
+        k0 * (x1 - spec.x1c) + K0 * (x2 - spec.x2c) - w1 * tau1 - w2 * tau2, _TWO_PI
+    )
+    dphase = 2.0 * p.k_rel * (x2 - x1) + 2.0 * beat_frequency(p) * (tau1 - tau2)
+    return phase0, dphase
+
+
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
             logs: bool = False) -> SimpleNamespace:
@@ -328,24 +324,22 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     broken field for negative-control tests); ``reflected_weight``
     linearly rescales the reflected branch. ``logs`` adds the complex
     log-amplitudes log_in and log_ref, usable where the envelope factors
-    themselves underflow; ``gradients`` adds the log-derivatives Lin1..Lref2.
+    themselves underflow; ``gradients`` adds the log-derivatives Lin1..Lref2,
+    relative to the incident carrier (k0, K0).
     """
     p = spec.params
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     tau1 = np.asarray(t1, dtype=float) - spec.t0
     tau2 = np.asarray(t2, dtype=float) - spec.t0
-    k0, K0 = spec.k0, spec.K0
-    w1, w2 = p.hbar * k0**2 / (2 * p.m), p.hbar * K0**2 / (2 * p.M)
-
-    # carrier phases: absolute one reduced mod 2*pi, difference kept exact
-    phase0 = np.remainder(
-        k0 * (x1 - spec.x1c) + K0 * (x2 - spec.x2c) - w1 * tau1 - w2 * tau2, _TWO_PI
-    )
-    dphase = -2.0 * spec.K_rel0 * (x1 - x2) + 2.0 * spec.beat0 * (tau1 - tau2)
-    if detune != 1.0:
-        dphase = dphase + (detune - 1.0) * (spec.k_ref0 * x1 + spec.K_ref0 * x2)
-
+    phase0, dphase = _carrier_phases(spec, x1, x2, tau1, tau2)
     incident, reflected = (_branch(spec, r, tau1, tau2) for r in (False, True))
+    if detune != 1.0:
+        # the reflected carrier (k0, K0) + kq gains (detune - 1) times itself
+        extra = [(detune - 1.0) * (k + q) for k, q in zip((p.k, p.K), reflected.kq)]
+        dphase = dphase + extra[0] * x1 + extra[1] * x2
+        reflected = reflected._replace(kq=(reflected.kq[0] + extra[0],
+                                           reflected.kq[1] + extra[1]))
+
     log_pref = math.log(spec.norm_const / _TWO_PI)
     # E = I makes the incident branch separable, a product of two 1-D packets:
     # on separable coordinate arrays it costs O(n1 + n2) exponentials
@@ -359,7 +353,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
         out.log_in, out.log_ref = log_pref + log_in1 + log_in2, log_ref
     if gradients:
         out.Lin1, out.Lin2 = incident.log_gradient(qi1, qi2)
-        out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2, detune)
+        out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2)
     return out
 
 
@@ -396,8 +390,11 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
              reflected_weight: float = 1.0):
     """Probability currents (j1, j2) from analytic derivatives of the amplitude.
 
-    Carrier phases cancel in Psi* dPsi, so both currents stay accurate in
-    regimes where the absolute amplitude phase does not.
+    With Psi = exp(i Phi) psi, psi's log-derivatives are relative to the
+    incident carrier, whose share hbar k0/m |psi|^2 = v |psi|^2 (V |psi|^2
+    for the mirror) is added back. Phi cancels in Psi* dPsi, so the currents
+    stay accurate where it does not, and no recoil is a difference of large
+    wavevectors.
     """
     p = spec.params
     f = _fields(spec, x1, t1, x2, t2, detune=detune,
@@ -405,8 +402,9 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     psi = f.F_in - f.F_ref
     dpsi1 = f.F_in * f.Lin1 - f.F_ref * f.Lref1
     dpsi2 = f.F_in * f.Lin2 - f.F_ref * f.Lref2
-    j1 = p.hbar / p.m * np.imag(np.conj(psi) * dpsi1)
-    j2 = p.hbar / p.M * np.imag(np.conj(psi) * dpsi2)
+    density = np.abs(psi) ** 2
+    j1 = p.v * density + p.hbar / p.m * np.imag(np.conj(psi) * dpsi1)
+    j2 = p.V * density + p.hbar / p.M * np.imag(np.conj(psi) * dpsi2)
     return j1, j2
 
 
@@ -422,7 +420,8 @@ def _frame(br: _Branch):
     """
     a11, a12, a22 = br.A
     E = np.array(br.E)
-    centre = np.array(br.ut) + np.linalg.solve(E.T, np.array(br.xc))
+    centre = (np.array(br.ut) + np.array(br.recoil)
+              + np.linalg.solve(E.T, np.array(br.xc)))
     re_ainv = np.linalg.inv(np.array([[a11, a12], [a12, a22]])).real
     return centre, np.linalg.inv(2.0 * E @ re_ainv @ E.T)
 
@@ -498,30 +497,21 @@ def amplitude_quadrature(spec: WavegroupSpec, pt: SpacetimePoint, nodes: int = 6
                          "finite Gauss-Hermite weights")
     p = spec.params
     m, M, hb = p.m, p.M, p.hbar
-    a11, a12, a21, a22 = spec._a
+    (a11, a12), (a21, a22) = p.collision_matrix
     s, w = np.polynomial.hermite.hermgauss(nodes)
     sk = math.sqrt(2.0) * spec.dk
     sK = math.sqrt(2.0) * spec.dK
     w2 = (w[:, None] * w[None, :]) * (2.0 * spec.dk * spec.dK)
 
     tau1, tau2 = pt.t1 - spec.t0, pt.t2 - spec.t0
-    k0, K0 = spec.k0, spec.K0
-    v0, V0 = hb * k0 / m, hb * K0 / M
-    vr0, Vr0 = hb * spec.k_ref0 / m, hb * spec.K_ref0 / M
-    w1, w2c = hb * k0**2 / (2 * m), hb * K0**2 / (2 * M)
+    vr0, Vr0 = elastic_final_velocities(p)
     pref = spec.norm_const / _TWO_PI
-
-    phase0 = np.remainder(
-        k0 * (pt.x1 - spec.x1c) + K0 * (pt.x2 - spec.x2c) - w1 * tau1 - w2c * tau2,
-        _TWO_PI,
-    )
-    dphase = (-2.0 * spec.K_rel0 * (pt.x1 - pt.x2)
-              + 2.0 * spec.beat0 * (tau1 - tau2))
+    phase0, dphase = _carrier_phases(spec, pt.x1, pt.x2, tau1, tau2)
 
     def ph_in(u1, u2):
         kap, Kap = sk * u1, sK * u2
-        return (kap * (pt.x1 - spec.x1c - v0 * tau1)
-                + Kap * (pt.x2 - spec.x2c - V0 * tau2)
+        return (kap * (pt.x1 - spec.x1c - p.v * tau1)
+                + Kap * (pt.x2 - spec.x2c - p.V * tau2)
                 - hb * tau1 / (2 * m) * kap**2
                 - hb * tau2 / (2 * M) * Kap**2)
 

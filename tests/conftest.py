@@ -19,13 +19,13 @@ def params_fig5():
 
 @pytest.fixture(scope="session")
 def spec_fig5(params_fig5):
-    return WavegroupSpec.from_params(params_fig5, dk=1.0, dK=2.0, x1c=-10.0, x2c=0.0)
+    return WavegroupSpec(params_fig5, dk=1.0, dK=2.0, x1c=-10.0, x2c=0.0)
 
 
 @pytest.fixture(scope="session")
 def spec_fig2():
     p = PhysicalParams.natural(M=100.0, v=50.0, V=30.0)
-    return WavegroupSpec.from_params(p, dk=1.0, dK=2.0, x1c=-10.0, x2c=0.0)
+    return WavegroupSpec(p, dk=1.0, dK=2.0, x1c=-10.0, x2c=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -100,7 +100,7 @@ def test_criterion_04_beat_frequency(rng):
         p = PhysicalParams.natural(M=M, v=v, V=V)
         dK = rng.uniform(1.0, 5.0)
         sep = 5.0 * (1.0 + 1.0 / dK) * 1.3
-        spec = WavegroupSpec.from_params(p, dk=1.0, dK=dK, x1c=-sep, x2c=0.0)
+        spec = WavegroupSpec(p, dk=1.0, dK=dK, x1c=-sep, x2c=0.0)
         event = overlap_event(spec)
         state = collapse(spec, event)
         omega = beat_frequency(p)

@@ -6,7 +6,8 @@ import pytest
 from mirrorsim import (MeasurementEvent, PhysicalParams, UnresolvedSplittingError,
                        WavegroupSpec, classify_regime, collapse,
                        elastic_final_velocities, joint_pdf,
-                       sequential_probability, split_centroid_velocities)
+                       sequential_probability, split_centroid_velocities,
+                       thermal_spread)
 from mirrorsim.measurement import _smoothed_modes
 from mirrorsim.observables import marginal_over_mirror
 from mirrorsim.scenario import PRESETS, resolve_event
@@ -114,8 +115,8 @@ class TestSplitVelocities:
     def test_faster_particle_only_moves_fast_mode(self, spec_fig5):
         base = spec_fig5.params
         faster = PhysicalParams.natural(M=base.M, v=base.v * 1.25, V=base.V)
-        spec2 = WavegroupSpec.from_params(faster, dk=spec_fig5.dk, dK=spec_fig5.dK,
-                                          x1c=spec_fig5.x1c, x2c=spec_fig5.x2c)
+        spec2 = WavegroupSpec(faster, dk=spec_fig5.dk, dK=spec_fig5.dK,
+                              x1c=spec_fig5.x1c, x2c=spec_fig5.x2c)
         out = {}
         for tag, spec in (("base", spec_fig5), ("fast", spec2)):
             ev = overlap_event(spec)
@@ -204,6 +205,44 @@ class TestConditionalNorm:
         state = collapse(spec_fig5, ev)
         norms = [state.norm(t2) for t2 in t10 + spec_fig5.tau * np.array([0, 1, 3])]
         assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms)
+
+    # fig8 detections (x10, t10) that the benchmark's conditional workload
+    # queries: before, at and after the collision at t_c = 5e-5 s
+    FIG8_EVENTS = ((3.7251227464009765e-07, 4.840045984403394e-05),
+                   (-9.274481584899459e-08, 5e-05),
+                   (1.607768366678353e-07, 8.392231633321648e-05),
+                   (-1.784463266643296e-07, 0.00011784463266643297))
+
+    @pytest.mark.parametrize("x10, t10", FIG8_EVENTS)
+    def test_t2_invariance_fig8_si(self, presets, x10, t10):
+        # m/M = 1.4e-17: the exchanged 2 hbar k_rel is below one ulp of the
+        # mirror's momentum, and a reflected branch that loses it drifts
+        spec = presets["fig8"].wavegroup
+        state = collapse(spec, MeasurementEvent(x10=x10, t10=t10))
+        closed, sampled = [], []
+        for t2 in t10 + spec.tau * np.array([0.0, 1.0, 3.0]):
+            closed.append(state.norm(t2))
+            x2 = np.linspace(*state.support(t2), 4001)
+            sampled.append(np.trapezoid(state.pdf(x2, t2, apply_step=False), x2))
+        for norms in (closed, sampled):
+            assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms)
+
+    def test_t2_invariance_si_property(self, rng):
+        # SI draws down to m/M = 1e-20, with thermal widths built as fig8
+        # builds them (particle at 1 nK - 10 uK, mirror at 1 mK - 10 K) and
+        # the detection at the particle-marginal mode at t_c
+        for _ in range(300):
+            m = 10.0 ** rng.uniform(-27, -22)
+            M = m * 10.0 ** rng.uniform(0, 20)
+            v = 10.0 ** rng.uniform(-3, 0)
+            p = PhysicalParams(m=m, M=M, v=v, V=v * rng.uniform(-0.9, 0.9))
+            dk = m * thermal_spread(m, 10.0 ** rng.uniform(-9, -5))[0] / p.hbar
+            dK = M * thermal_spread(M, 10.0 ** rng.uniform(-3, 1))[0] / p.hbar
+            spec = WavegroupSpec(p, dk=dk, dK=dK, x1c=-8.0 * (1 / dk + 1 / dK), x2c=0.0)
+            t10 = spec.collision_time
+            state = collapse(spec, resolve_event_like(spec, t10))
+            norms = [state.norm(t2) for t2 in t10 + spec.tau * np.array([0.0, 1.0, 3.0])]
+            assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms), (m, M, v, dk, dK)
 
     @pytest.mark.filterwarnings("error")
     def test_sampled_kernel_matches_closed_norm(self, spec_fig5):

@@ -84,7 +84,7 @@ class TestDopplerBeat:
             dk = 1.0
             dK = rng.uniform(1.0, 5.0) * dk
             sep = 5.0 * (1.0 / dk + 1.0 / dK) * 1.3
-            spec = WavegroupSpec.from_params(p, dk=dk, dK=dK, x1c=-sep, x2c=0.0)
+            spec = WavegroupSpec(p, dk=dk, dK=dK, x1c=-sep, x2c=0.0)
             event = resolve_event_overlap(spec)
             state = collapse(spec, event)
             omega = beat_frequency(p)
@@ -234,7 +234,7 @@ class TestCoherenceTransfer:
 
     def test_symmetric_spec_is_trivial(self):
         p = PhysicalParams.natural(M=1.0, v=400.0, V=80.0)
-        spec = WavegroupSpec.from_params(p, dk=2.0, dK=2.0, x1c=-6.0, x2c=0.0)
+        spec = WavegroupSpec(p, dk=2.0, dK=2.0, x1c=-6.0, x2c=0.0)
         rep = coherence_transfer_metrics(
             spec, pre_t=0.0, post_t=spec.collision_time + 2.0 * spec.tau)
         assert rep.exchange_particle == pytest.approx(1.0, abs=0.1)
