@@ -114,26 +114,19 @@ def cmd_marginal(args) -> int:
     return EXIT_OK
 
 
-def _run_one_analysis(s, name):
-    try:
-        return name, sc.run_analysis(s, name), None
-    except Exception as err:  # noqa: BLE001  (reported per analysis)
-        return name, None, f"{type(err).__name__}: {err}"
-
-
 def cmd_observables(args) -> int:
     out = Path(args.out)
     failures = 0
     for s in _load_targets(args):
-        results = [_run_one_analysis(s, n) for n in list(s.analyses) or ["fringes"]]
         report = {"scenario": s.name, "hash": sc.scenario_hash(s), "analyses": {}}
-        for name, payload, err in results:
-            if err is None:
-                report["analyses"][name] = payload
-            else:
-                report["analyses"][name] = {"error": err}
+        for name in list(s.analyses) or ["fringes"]:
+            try:
+                report["analyses"][name] = sc.run_analysis(s, name)
+            except Exception as err:  # noqa: BLE001  (reported per analysis)
+                msg = f"{type(err).__name__}: {err}"
+                report["analyses"][name] = {"error": msg}
                 failures += 1
-                print(f"analysis {name} failed: {err}", file=sys.stderr)
+                print(f"analysis {name} failed: {msg}", file=sys.stderr)
         path = out / f"{s.name}_observables.json"
         gridio.write_json(json.dumps(report, sort_keys=True, indent=1), path)
         print(f"wrote {path}")
@@ -178,17 +171,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_target_args(p, require=True):
-    group = p.add_mutually_exclusive_group(required=require)
-    group.add_argument("--preset", help="preset name (see 'presets list')")
-    group.add_argument("--config", help="path to a scenario JSON file")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--resolution", type=int, default=None,
-                   help="samples per grid axis")
-    p.add_argument("--times", default=None,
-                   help="comma list of times, units of tau relative to collision")
-    p.add_argument("--event", default=None,
-                   help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)")
+_OPTIONS = {
+    "resolution": dict(type=int, default=None, help="samples per grid axis"),
+    "times": dict(default=None,
+                  help="comma list of times, units of tau relative to collision"),
+    "event": dict(default=None,
+                  help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)"),
+}
+
+# (command, help, handler, the options it reads beyond --preset/--config/--out)
+_TARGET_COMMANDS = (
+    ("simulate", "joint-PDF snapshots", cmd_simulate, ("resolution", "times")),
+    ("collapse", "conditional mirror PDFs after a detection", cmd_collapse,
+     ("resolution", "times", "event")),
+    ("marginal", "one-body marginal PDFs", cmd_marginal, ("resolution", "times")),
+    ("observables", "scalar analyses of a scenario", cmd_observables, ()),
+    ("check", "continuity-residual verification", cmd_check, ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,25 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-body densities for a particle reflecting from a moving mirror")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="joint-PDF snapshots")
-    _add_target_args(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("collapse", help="conditional mirror PDFs after a detection")
-    _add_target_args(p)
-    p.set_defaults(fn=cmd_collapse)
-
-    p = sub.add_parser("marginal", help="one-body marginal PDFs")
-    _add_target_args(p)
-    p.set_defaults(fn=cmd_marginal)
-
-    p = sub.add_parser("observables", help="scalar analyses of a scenario")
-    _add_target_args(p)
-    p.set_defaults(fn=cmd_observables)
-
-    p = sub.add_parser("check", help="continuity-residual verification")
-    _add_target_args(p)
-    p.set_defaults(fn=cmd_check)
+    for command, help_text, fn, options in _TARGET_COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", help="preset name (see 'presets list')")
+        group.add_argument("--config", help="path to a scenario JSON file")
+        p.add_argument("--out", default="out", help="output directory")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("presets", help="preset utilities")
     psub = p.add_subparsers(dest="presets_command", required=True)

@@ -16,14 +16,15 @@ where the step function makes the physical field non-smooth.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import (HarmonicMode, SpacetimePoint, fringe_period,
-                       interference_pdf)
+from .harmonic import (HarmonicMode, SpacetimePoint, beat_frequency,
+                       fringe_period, interference_pdf)
 from .wavegroup import WavegroupSpec, currents, joint_pdf
 
 
@@ -46,42 +47,33 @@ class ContinuityResidual:
 
 
 def _harmonic_currents(mode: HarmonicMode, x1, t1, x2, t2):
-    """Currents of the plane-wave superposition from analytic derivatives.
+    """Currents of the plane-wave superposition: the pattern drifts at v_cm.
 
-    For the superposition, Psi* dPsi collapses exactly to
-    j1 = hbar (k + k_ref) PDF / (2m) and the mirror analogue, valid at any
-    pair of measurement times.
+    Psi* dPsi collapses exactly to j1 = hbar (k + k_ref) PDF / (2m) and
+    j2 = hbar (K + K_ref) PDF / (2M), and both wavevector sums reduce to the
+    centre-of-mass velocity v_cm = (mv + MV)/(m + M), so j1 = j2 = v_cm PDF
+    at any pair of measurement times. v_cm is the factor that
+    :func:`~.harmonic.beat_frequency` carries on k_rel.
     """
     p = mode.params
-    pdf = interference_pdf(mode, SpacetimePoint(x1, t1, x2, t2))
-    j1 = p.hbar * (mode.k + mode.k_ref) / (2.0 * p.m) * pdf
-    j2 = p.hbar * (mode.K + mode.K_ref) / (2.0 * p.M) * pdf
-    return j1, j2
+    j = (beat_frequency(p) / p.k_rel
+         * interference_pdf(mode, SpacetimePoint(x1, t1, x2, t2)))
+    return j, j
 
 
 def _field_fns(field, detune: float = 1.0, reflected_weight: float = 1.0):
-    """(pdf, j1, j2) callables of (x1, t1, x2, t2) for either field type."""
+    """(pdf, currents) callables of (x1, t1, x2, t2) for either field type;
+    currents returns (j1, j2)."""
     if isinstance(field, WavegroupSpec):
-        def pdf(x1, t1, x2, t2):
-            return joint_pdf(field, x1, t1, x2, t2, detune=detune,
-                             reflected_weight=reflected_weight)
-
-        def j1(x1, t1, x2, t2):
-            return currents(field, x1, t1, x2, t2, detune=detune,
-                            reflected_weight=reflected_weight)[0]
-
-        def j2(x1, t1, x2, t2):
-            return currents(field, x1, t1, x2, t2, detune=detune,
-                            reflected_weight=reflected_weight)[1]
-
-        return pdf, j1, j2
+        knobs = dict(detune=detune, reflected_weight=reflected_weight)
+        return (functools.partial(joint_pdf, field, **knobs),
+                functools.partial(currents, field, **knobs))
     if isinstance(field, HarmonicMode):
         if detune != 1.0 or reflected_weight != 1.0:
             raise ValueError("corruption knobs apply to wavegroup fields only")
         return (lambda x1, t1, x2, t2: interference_pdf(
                     field, SpacetimePoint(x1, t1, x2, t2)),
-                lambda x1, t1, x2, t2: _harmonic_currents(field, x1, t1, x2, t2)[0],
-                lambda x1, t1, x2, t2: _harmonic_currents(field, x1, t1, x2, t2)[1])
+                functools.partial(_harmonic_currents, field))
     raise TypeError("field must be a WavegroupSpec or HarmonicMode")
 
 
@@ -99,14 +91,14 @@ def continuity_residual(field, x1, x2, t1: float, t2: float,
     if max(dx1, dx2) > fringe_period(field.params) / 20.0:
         warnings.warn("spatial steps coarser than a twentieth of a fringe",
                       UnderResolvedStepWarning, stacklevel=2)
-    pdf, j1f, j2f = _field_fns(field, detune, reflected_weight)
+    pdf, cur = _field_fns(field, detune, reflected_weight)
     X1 = np.asarray(x1, dtype=float)[:, None]
     X2 = np.asarray(x2, dtype=float)[None, :]
 
     dt1_term = (pdf(X1, t1 + dt1, X2, t2) - pdf(X1, t1 - dt1, X2, t2)) / (2 * dt1)
     dt2_term = (pdf(X1, t1, X2, t2 + dt2) - pdf(X1, t1, X2, t2 - dt2)) / (2 * dt2)
-    dx1_term = (j1f(X1 + dx1, t1, X2, t2) - j1f(X1 - dx1, t1, X2, t2)) / (2 * dx1)
-    dx2_term = (j2f(X1, t1, X2 + dx2, t2) - j2f(X1, t1, X2 - dx2, t2)) / (2 * dx2)
+    dx1_term = (cur(X1 + dx1, t1, X2, t2)[0] - cur(X1 - dx1, t1, X2, t2)[0]) / (2 * dx1)
+    dx2_term = (cur(X1, t1, X2 + dx2, t2)[1] - cur(X1, t1, X2 - dx2, t2)[1]) / (2 * dx2)
 
     residual = dt1_term + dt2_term + dx1_term + dx2_term
     scale = max(np.abs(dt1_term).max(), np.abs(dt2_term).max(),

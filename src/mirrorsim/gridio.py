@@ -86,38 +86,34 @@ def write_json(payload: str, path) -> Path:
     return path
 
 
-def heatmap_script(csv_path, out_path=None) -> Path:
-    """Gnuplot script rendering a 2D grid CSV as a pm3d heatmap."""
+def _gnuplot_script(csv_path, size: str, body: list[str]) -> Path:
+    """Write the companion .gp script of a CSV: shared preamble, then ``body``."""
     csv_path = Path(csv_path)
-    out_path = Path(out_path) if out_path else csv_path.with_suffix(".gp")
-    png = csv_path.with_suffix(".png").name
+    out_path = csv_path.with_suffix(".gp")
     text = "\n".join([
         "set datafile separator ','",
         "set datafile commentschars '#'",
-        "set term pngcairo size 900,780",
-        f"set output '{png}'",
+        f"set term pngcairo size {size}",
+        f"set output '{csv_path.with_suffix('.png').name}'",
+        *body,
+        "",
+    ])
+    _atomic_write(out_path, text)
+    return out_path
+
+
+def heatmap_script(csv_path) -> Path:
+    """Gnuplot script rendering a 2D grid CSV as a pm3d heatmap."""
+    return _gnuplot_script(csv_path, "900,780", [
         "set view map",
         "unset key",
-        f"splot '{csv_path.name}' matrix with image",
-        "",
+        f"splot '{Path(csv_path).name}' matrix with image",
     ])
-    _atomic_write(out_path, text)
-    return out_path
 
 
-def slice_script(csv_path, out_path=None) -> Path:
+def slice_script(csv_path) -> Path:
     """Gnuplot script plotting a curve CSV."""
-    csv_path = Path(csv_path)
-    out_path = Path(out_path) if out_path else csv_path.with_suffix(".gp")
-    png = csv_path.with_suffix(".png").name
-    text = "\n".join([
-        "set datafile separator ','",
-        "set datafile commentschars '#'",
-        "set term pngcairo size 900,600",
-        f"set output '{png}'",
+    return _gnuplot_script(csv_path, "900,600", [
         "unset key",
-        f"plot '{csv_path.name}' using 1:2 with lines",
-        "",
+        f"plot '{Path(csv_path).name}' using 1:2 with lines",
     ])
-    _atomic_write(out_path, text)
-    return out_path

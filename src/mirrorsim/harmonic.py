@@ -1,15 +1,17 @@
 """Two-time plane-wave (energy eigenstate) solutions and their interference.
 
 The incident state is an uncorrelated product of particle and mirror plane
-waves. The reflected state is the same pair after the elastic collision:
-the particle wavevector loses the recoil 2 k_rel and the mirror's gains it,
-(k_ref, K_ref) = (k - 2 k_rel, K + 2 k_rel) with k_rel from
-:class:`~.kinematics.PhysicalParams`. Each subsystem's kinetic energy
+waves, with phase :func:`incident_phase`. Each subsystem's kinetic energy
 multiplies its own time label, so that the pair (x1, t1) carries only
-particle parameters and (x2, t2) only mirror parameters. Total energy and
-momentum are unchanged by reflection, which is what makes the
-superposition vanish on the contact line x1 = x2 at equal times; the
-interference phase is k_rel (x2 - x1) + beat (t1 - t2).
+particle parameters and (x2, t2) only mirror parameters. The reflected state
+is the same pair after the elastic collision, which moves the recoil 2 k_rel
+(:class:`~.kinematics.PhysicalParams`) from particle to mirror: reflected =
+incident x exp(i Delta), with the recoil phase :func:`interference_phase`
+Delta = 2 k_rel (x2 - x1) + 2 beat (t1 - t2). Total energy and momentum are
+unchanged by reflection, which is why Delta, and with it the superposition,
+vanishes on the contact line x1 = x2 at equal times. Only Delta enters
+densities and currents, and it is never a difference of the large incident
+phases, so the pattern stays exact where k x1 + K x2 exceeds 1/eps.
 
 Phases are reduced modulo 2*pi before exponentiation; SI-scale wavevectors
 times metre-scale positions would otherwise exhaust double-precision trig
@@ -44,35 +46,43 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class HarmonicMode:
-    """One incident (k, K) plane-wave pair plus its reflected counterpart."""
+    """The incident plane-wave pair (k, K) of ``params`` and its reflection.
+
+    The wavevectors are read from ``params``: the incident pair is (p.k, p.K)
+    and the reflected pair (k - 2 k_rel, K + 2 k_rel). The amplitudes never
+    form the reflected pair; they take its phase as the incident phase plus
+    the recoil phase, so these properties are for inspection only.
+    """
 
     params: PhysicalParams
-    k: float
-    K: float
-    k_ref: float
-    K_ref: float
-
-    @classmethod
-    def from_params(cls, p: PhysicalParams) -> "HarmonicMode":
-        recoil = 2.0 * p.k_rel
-        return cls(params=p, k=p.k, K=p.K, k_ref=p.k - recoil, K_ref=p.K + recoil)
 
     @property
-    def omega1(self) -> float:
-        """Incident particle angular frequency hbar k^2 / 2m."""
-        return self.params.hbar * self.k**2 / (2.0 * self.params.m)
+    def k(self) -> float:
+        return self.params.k
 
     @property
-    def omega2(self) -> float:
-        return self.params.hbar * self.K**2 / (2.0 * self.params.M)
+    def K(self) -> float:
+        return self.params.K
 
     @property
-    def omega1_ref(self) -> float:
-        return self.params.hbar * self.k_ref**2 / (2.0 * self.params.m)
+    def k_ref(self) -> float:
+        return self.params.k - 2.0 * self.params.k_rel
 
     @property
-    def omega2_ref(self) -> float:
-        return self.params.hbar * self.K_ref**2 / (2.0 * self.params.M)
+    def K_ref(self) -> float:
+        return self.params.K + 2.0 * self.params.k_rel
+
+
+def incident_phase(p: PhysicalParams, x1, t1, x2, t2):
+    """Incident phase k x1 + K x2 - w1 t1 - w2 t2, w = hbar k^2 / 2m per body."""
+    w1, w2 = p.hbar * p.k**2 / (2 * p.m), p.hbar * p.K**2 / (2 * p.M)
+    return p.k * x1 + p.K * x2 - w1 * t1 - w2 * t2
+
+
+def interference_phase(p: PhysicalParams, x1, t1, x2, t2):
+    """Recoil phase Delta = 2 k_rel (x2 - x1) + 2 beat (t1 - t2), the reflected
+    minus the incident phase."""
+    return 2.0 * p.k_rel * (x2 - x1) + 2.0 * beat_frequency(p) * (t1 - t2)
 
 
 def _unit_phase(phase):
@@ -81,20 +91,14 @@ def _unit_phase(phase):
 
 
 def incident_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
-    """Uncorrelated incident plane wave exp[i(k x1 - w1 t1 + K x2 - w2 t2)]."""
-    phase = mode.k * pt.x1 - mode.omega1 * pt.t1 + mode.K * pt.x2 - mode.omega2 * pt.t2
-    return _unit_phase(phase)
+    """Uncorrelated incident plane wave exp[i(k x1 + K x2 - w1 t1 - w2 t2)]."""
+    return _unit_phase(incident_phase(mode.params, pt.x1, pt.t1, pt.x2, pt.t2))
 
 
 def reflected_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
-    """Reflected plane wave with Doppler-shifted wavevectors and energies."""
-    phase = (
-        mode.k_ref * pt.x1
-        - mode.omega1_ref * pt.t1
-        + mode.K_ref * pt.x2
-        - mode.omega2_ref * pt.t2
-    )
-    return _unit_phase(phase)
+    """Reflected plane wave: the incident one times the recoil phase exp(i Delta)."""
+    delta = interference_phase(mode.params, pt.x1, pt.t1, pt.x2, pt.t2)
+    return incident_amplitude(mode, pt) * _unit_phase(delta)
 
 
 def eigenstate_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
@@ -104,16 +108,15 @@ def eigenstate_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
 
 
 def interference_pdf(mode: HarmonicMode, pt: SpacetimePoint):
-    """Closed-form |incident - reflected|^2 on x1 <= x2.
+    """Closed-form |incident - reflected|^2 = 4 sin^2(Delta / 2) on x1 <= x2.
 
-    Equals 4 sin^2[k_rel (x2 - x1) + beat (t1 - t2)]; the argument is
-    reduced modulo pi (the period of sin^2) before evaluation.
+    The argument Delta / 2 = k_rel (x2 - x1) + beat (t1 - t2) is reduced
+    modulo pi (the period of sin^2) before evaluation.
     """
-    p = mode.params
-    arg = (p.k_rel * (np.asarray(pt.x2) - np.asarray(pt.x1))
-           + beat_frequency(p) * (np.asarray(pt.t1) - np.asarray(pt.t2)))
+    x1, x2 = np.asarray(pt.x1), np.asarray(pt.x2)
+    arg = 0.5 * interference_phase(mode.params, x1, pt.t1, x2, pt.t2)
     val = 4.0 * np.sin(np.remainder(arg, math.pi)) ** 2
-    return np.where(np.asarray(pt.x1) <= np.asarray(pt.x2), val, 0.0)
+    return np.where(x1 <= x2, val, 0.0)
 
 
 def fringe_spacing(p: PhysicalParams) -> float:
@@ -138,8 +141,9 @@ def fringe_period(p: PhysicalParams) -> float:
 
 
 def beat_frequency(p: PhysicalParams) -> float:
-    """Beat frequency k_rel (mv + MV)/(m + M) of the two-time PDF: the
-    relative wavevector times the centre-of-mass velocity.
+    """Beat frequency k_rel v_cm of the two-time PDF: the relative
+    wavevector times the centre-of-mass velocity v_cm = (mv + MV)/(m + M),
+    at which the plane-wave pattern drifts.
 
     This is the advance rate of the interference phase (the sin^2 argument)
     per unit measurement-time offset; the PDF intensity completes one full

@@ -83,14 +83,16 @@ class ConditionalMirrorState:
             out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), weight))
         return out
 
-    def support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
-        """Interval containing both conditional branches out to ``pad`` sigmas."""
+    def _kept_profiles(self, t2: float):
+        """The branch profiles at t2 without those below 1e-12 of the strongest."""
         profiles = self.branch_profiles(t2)
         wmax = max(w for _, _, w in profiles)
+        return [prof for prof in profiles if prof[2] >= 1e-12 * wmax]
+
+    def support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
+        """Interval containing the kept conditional branches out to ``pad`` sigmas."""
         lo, hi = math.inf, -math.inf
-        for c, s, w in profiles:
-            if w < 1e-12 * wmax:
-                continue
+        for c, s, _ in self._kept_profiles(t2):
             lo = min(lo, c - pad * s)
             hi = max(hi, c + pad * s)
         return lo, hi

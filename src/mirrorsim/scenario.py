@@ -34,12 +34,6 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
 from .conservation import continuity_residual, convergence_order
 from .wavegroup import WavegroupSpec, incident_frame, joint_pdf, reflected_frame
 
-_KNOWN_ANALYSES = (
-    "fringes", "beat", "regime", "split-velocities", "coherence-transfer",
-    "marginal-visibility", "marginal-t2-independence", "node-depth",
-    "continuity",
-)
-
 
 class ScenarioValidationError(ValueError):
     """Config violated one or more invariants; ``violations`` lists them all."""
@@ -226,7 +220,7 @@ def validate_config(cfg: dict) -> list[str]:
                 out.append(f"{path}: degenerate range")
 
     for i, a in enumerate(listed("analyses")):
-        if a not in _KNOWN_ANALYSES:
+        if not isinstance(a, str) or a not in _ANALYSIS_FNS:
             out.append(f"analyses[{i}]: unknown analysis '{a}'")
     return out
 
@@ -315,7 +309,8 @@ def _fig8_scenario() -> Scenario:
     t_c = spec.collision_time
     return Scenario(
         name="fig8", units="SI", params=params, wavegroup=spec,
-        events=(RawEvent(t10=t_c),),
+        # 1e-3 particle widths, the detector resolution of the natural presets
+        events=(RawEvent(t10=t_c, dx1=1e-3 / dk),),
         snapshot_times=(t_c,),
         grids=(_joint_grid(spec, (t_c,)),),
         analyses=("regime", "beat", "split-velocities", "node-depth"),
@@ -656,7 +651,10 @@ def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
     """Conditional mirror PDF sampled along x2, one 1D grid per listed t2.
 
     All snapshots share one x2 range (the hull of the conditional supports)
-    so the files can be overlaid directly. Raises ValueError for a
+    so the files can be overlaid directly. A grid is flagged
+    coarse-sampling when its step exceeds half the fringe period or half
+    the narrowest branch sigma kept in the support at its t2, the factor
+    :func:`joint_pdf_grid` uses. Raises ValueError for a
     detection at or past the upper end of the conditional support at t10,
     where the detection probability is zero, or past the whole range.
     """
@@ -675,11 +673,14 @@ def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
                          f"[{lo:g}, {hi:g}] over the times asked for): probability 0")
     lo = max(lo, event.x10)
     x2 = np.linspace(lo, hi, n)
+    step, fringe = x2[1] - x2[0], fringe_period(scenario.params)
     out = []
     for t2 in sorted(float(t) for t in t2_list):
+        sigma = min(s for _, s, _ in state._kept_profiles(t2))
+        flags = ["coarse-sampling"] if step > 0.5 * min(fringe, sigma) else []
         grid = GridSpec(axes=(AxisSpec("x2", lo, hi, n),))
         out.append(FieldGrid(
             grid=grid, values=np.asarray(state.pdf(x2, t2)),
             provenance={"operation": "conditional_pdf", "x10": event.x10,
-                        "t10": event.t10, "t2": t2, "flags": []}))
+                        "t10": event.t10, "t2": t2, "flags": flags}))
     return out

@@ -29,11 +29,13 @@ Faddeeva function (:func:`_closed_trace`); marginals and conditional
 probabilities all come from it.
 
 Phi is the (possibly astronomically large) carrier phase at the central
-wavevectors. Only the incident-reflected *difference* of carrier phases is
-physical for densities and currents; it is computed in closed form, never
-as a difference of large floats, so they stay accurate even where Phi
-exceeds float precision. The absolute phase of one amplitude is reduced
-modulo 2*pi and means something only while |Phi| << 1/eps.
+wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
+the incident-reflected *difference* of carrier phases is physical for
+densities and currents; it is the pair's recoil phase
+:func:`~.harmonic.interference_phase`, never a difference of large floats,
+so they stay accurate even where Phi exceeds float precision. The absolute
+phase of one amplitude is reduced modulo 2*pi and means something only
+while |Phi| << 1/eps.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import _TWO_PI, SpacetimePoint, beat_frequency
+from .harmonic import (_TWO_PI, SpacetimePoint, beat_frequency,
+                       incident_phase, interference_phase)
 from .kinematics import PhysicalParams, elastic_final_velocities
 
 _LOG_TWO_PI = math.log(_TWO_PI)
@@ -300,16 +303,13 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
 
 
 def _carrier_phases(spec: WavegroupSpec, x1, x2, tau1, tau2):
-    """The incident carrier phase Phi reduced mod 2*pi, and the exact
-    reflected-minus-incident difference 2 k_rel (x2 - x1) + 2 beat (tau1 - tau2)."""
+    """The plane-wave pair's phases at the central wavevectors: the incident
+    phase Phi about the packet centres, reduced mod 2*pi, and the recoil
+    phase, the exact reflected-minus-incident difference."""
     p = spec.params
-    k0, K0 = p.k, p.K
-    w1, w2 = p.hbar * k0**2 / (2 * p.m), p.hbar * K0**2 / (2 * p.M)
     phase0 = np.remainder(
-        k0 * (x1 - spec.x1c) + K0 * (x2 - spec.x2c) - w1 * tau1 - w2 * tau2, _TWO_PI
-    )
-    dphase = 2.0 * p.k_rel * (x2 - x1) + 2.0 * beat_frequency(p) * (tau1 - tau2)
-    return phase0, dphase
+        incident_phase(p, x1 - spec.x1c, tau1, x2 - spec.x2c, tau2), _TWO_PI)
+    return phase0, interference_phase(p, x1, tau1, x2, tau2)
 
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,

@@ -44,7 +44,7 @@ def test_criterion_01_interference_identity(rng):
         M = 10.0 ** rng.uniform(0.05, 1.5)
         v = rng.uniform(0.5, 8.0)
         V = v * rng.uniform(-0.9, 0.9)
-        mode = HarmonicMode.from_params(PhysicalParams.natural(M=M, v=v, V=V))
+        mode = HarmonicMode(PhysicalParams.natural(M=M, v=v, V=V))
         x1, x2 = sorted(rng.uniform(-3.0, 3.0, 2))
         t1, t2 = rng.uniform(-0.5, 0.5, 2)
         pt = SpacetimePoint(x1, t1, x2, t2)
@@ -62,7 +62,7 @@ def test_criterion_02_boundary_condition(rng):
         M = 10.0 ** rng.uniform(0.05, 1.5)
         v = rng.uniform(0.5, 8.0)
         V = v * rng.uniform(-0.9, 0.9)
-        mode = HarmonicMode.from_params(PhysicalParams.natural(M=M, v=v, V=V))
+        mode = HarmonicMode(PhysicalParams.natural(M=M, v=v, V=V))
         x = rng.uniform(-3.0, 3.0)
         t = rng.uniform(-0.5, 0.5)
         val = abs(eigenstate_amplitude(mode, SpacetimePoint(x, t, x, t)))

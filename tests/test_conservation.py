@@ -31,7 +31,7 @@ class TestCurrents:
     def test_standing_wave_has_no_current(self):
         # opposite momenta (mv = -MV): the superposition is a standing wave
         p = PhysicalParams.natural(M=4.0, v=1.0, V=-0.25)
-        mode = HarmonicMode.from_params(p)
+        mode = HarmonicMode(p)
         assert mode.k + mode.k_ref == pytest.approx(0.0, abs=1e-13)
         j1, j2 = _harmonic_currents(mode, 0.2, 0.0, 0.8, 0.0)
         assert abs(j1) < 1e-12
@@ -73,7 +73,7 @@ class TestCurrents:
         assert abs(j1) > 0  # currents need not vanish at density nodes
 
     def test_public_dispatch_harmonic(self, spec_fig5):
-        mode = HarmonicMode.from_params(spec_fig5.params)
+        mode = HarmonicMode(spec_fig5.params)
         pt = SpacetimePoint(0.2, 0.05, 0.9, 0.1)
         j1 = _harmonic_currents(mode, pt.x1, pt.t1, pt.x2, pt.t2)[0]
         p = spec_fig5.params
@@ -90,7 +90,7 @@ def _harmonic_pdf_for_test(mode, pt):
 
 class TestContinuityResidual:
     def test_harmonic_eigenstate(self, spec_fig5):
-        mode = HarmonicMode.from_params(spec_fig5.params)
+        mode = HarmonicMode(spec_fig5.params)
         p = spec_fig5.params
         fringe = fringe_period(p)
         h = fringe / 40.0

@@ -8,6 +8,7 @@ from mirrorsim import (HarmonicMode, PhysicalParams, SpacetimePoint,
                        fringe_spacing, incident_amplitude, interference_pdf,
                        reflected_amplitude)
 from mirrorsim.kinematics import ApproximationWarning
+from mirrorsim.scenario import PRESETS
 from conftest import random_valid_params
 
 # |phases| stay below ~1e3 for these draws, keeping trig rounding well
@@ -24,7 +25,7 @@ def bounded_params(rng):
 
 
 def random_mode(rng):
-    return HarmonicMode.from_params(bounded_params(rng))
+    return HarmonicMode(bounded_params(rng))
 
 
 def random_point(rng, ordered=False):
@@ -42,7 +43,7 @@ class TestAmplitudes:
 
     def test_half_turn(self):
         p = PhysicalParams.natural(M=50.0, v=1.0, V=0.0)
-        mode = HarmonicMode.from_params(p)  # k = 1, K = 0
+        mode = HarmonicMode(p)  # k = 1, K = 0
         val = incident_amplitude(mode, SpacetimePoint(math.pi, 0, 0, 0))
         assert val == pytest.approx(-1.0, abs=1e-12)
 
@@ -77,7 +78,7 @@ class TestAmplitudes:
 
     def test_equal_mass_rest_mirror_exchange(self):
         p = PhysicalParams.natural(M=1.0, v=1.0, V=0.0)
-        mode = HarmonicMode.from_params(p)
+        mode = HarmonicMode(p)
         assert mode.k_ref == pytest.approx(0.0, abs=1e-15)
         assert mode.K_ref == pytest.approx(mode.k, rel=1e-15)
 
@@ -93,7 +94,7 @@ class TestAmplitudes:
 
     def test_mode_conservation_property(self, rng):
         for _ in range(10_000):
-            mode = HarmonicMode.from_params(random_valid_params(rng))
+            mode = HarmonicMode(random_valid_params(rng))
             p = mode.params
             e_in = mode.k**2 / (2 * p.m) + mode.K**2 / (2 * p.M)
             e_out = mode.k_ref**2 / (2 * p.m) + mode.K_ref**2 / (2 * p.M)
@@ -120,6 +121,19 @@ class TestEigenstate:
             lhs = abs(eigenstate_amplitude(mode, pt)) ** 2
             rhs = interference_pdf(mode, pt)
             assert abs(lhs - rhs) <= 4.0 * 1e-12  # PDF full scale is 4
+
+    def test_matches_closed_form_pdf_si(self, rng):
+        # SI wavevectors at micron positions: K x2 passes 1e17 rad, whose ulp
+        # exceeds the whole recoil phase unless that phase is kept apart
+        draws = [PRESETS["fig8"].params] + [random_valid_params(rng, natural=False)
+                                            for _ in range(300)]
+        for p in draws:
+            mode = HarmonicMode(p)
+            x1, x2 = np.sort(rng.uniform(-1e-6, 1e-6, (2, 20)), axis=0)
+            t1, t2 = rng.uniform(0.0, 1e-4, (2, 20))
+            pt = SpacetimePoint(x1, t1, x2, t2)
+            lhs = np.abs(eigenstate_amplitude(mode, pt)) ** 2
+            assert np.abs(lhs - interference_pdf(mode, pt)).max() <= 4.0 * 1e-12
 
 
 class TestInterferencePdf:
@@ -161,7 +175,7 @@ class TestInterferencePdf:
     def test_temporal_period_matches_beat(self, rng):
         for _ in range(100):
             p = bounded_params(rng)
-            mode = HarmonicMode.from_params(p)
+            mode = HarmonicMode(p)
             omega = beat_frequency(p)
             if omega < 1e-6:
                 continue

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,10 +177,10 @@ class TestSequentialProbability:
 
     @pytest.mark.parametrize("name, raises", [("fig8", True), ("fig5", False)])
     def test_pr_one_above_one_names_dx1(self, presets, name, raises):
-        # fig8 is in SI units, where the default dx1 = 1e-3 is a millimetre:
-        # the first-order detection probability there comes out near 7.7e3
+        # fig8 is in SI units, where dx1 = 1e-3 is a millimetre: the
+        # first-order detection probability there comes out near 7.7e3
         s = presets[name]
-        ev = resolve_event(s, s.events[0])
+        ev = dataclasses.replace(resolve_event(s, s.events[0]), dx1=1e-3)
         lo, hi = collapse(s.wavegroup, ev).support(ev.t10)
         window = (max(lo, ev.x10), hi)
         if raises:
@@ -188,6 +189,14 @@ class TestSequentialProbability:
         else:
             res = sequential_probability(s.wavegroup, ev, window, ev.t10)
             assert 0.0 < res.pr_one <= 1.0
+
+    def test_fig8_preset_event_is_first_order(self, presets):
+        # the preset's resolution is 1e-3 particle widths, as in natural units
+        s = presets["fig8"]
+        ev = resolve_event(s, s.events[0])
+        lo, hi = collapse(s.wavegroup, ev).support(ev.t10)
+        res = sequential_probability(s.wavegroup, ev, (max(lo, ev.x10), hi), ev.t10)
+        assert 0.0 < res.pr_one <= 1.0
 
 
 class TestConditionalNorm:

@@ -11,7 +11,8 @@ import pytest
 from mirrorsim import AxisSpec, GridSpec, FieldGrid
 from mirrorsim.cli import main
 from mirrorsim.measurement import MeasurementEvent, collapse
-from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, ScenarioValidationError,
+from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
+                                ScenarioValidationError, conditional_pdf_grids,
                                 from_config, joint_pdf_grid, load_scenario,
                                 resolve_event, resolve_preset, scenario_hash,
                                 serialize, to_config, validate_config)
@@ -80,7 +81,7 @@ class TestPresets:
             "fig6-m1": "8b9da494b2597070", "fig6-m20": "ba76793cc0abb0cc",
             "fig7-a": "760faf7d8873facc", "fig7-b": "d621e64588949354",
             "fig7-c": "1436b22846696a15", "fig7-d": "7c3159ca4037bff8",
-            "fig8": "aebbb3f7e5365277", "fig9": "35eee3ff84eda1f6",
+            "fig8": "8ebca6b726218821", "fig9": "35eee3ff84eda1f6",
             "cont": "ea3efd095550c814",
         }
 
@@ -121,6 +122,12 @@ class TestConfigValidation:
         cfg["description"] = ["not", "text"]
         assert validate_config(cfg) == ["description: must be a string"]
 
+    def test_rejects_unhashable_analysis(self):
+        # analysis names are looked up in a dict, which a JSON list cannot key
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["analyses"] = [["fringes"], "fringes"]
+        assert validate_config(cfg) == ["analyses[0]: unknown analysis '['fringes']'"]
+
     def test_load_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -158,6 +165,18 @@ class TestJointGrid:
         fg = joint_pdf_grid(s, grid, s.collision_time, s.collision_time)
         assert fg.values.min() >= 0.0
         assert fg.values.max() > 0.0
+
+
+class TestConditionalGrids:
+    @pytest.mark.parametrize("name, coarse", [("fig8", True), ("cont", True),
+                                              ("fig2", False)])
+    def test_coarse_sampling_flag(self, name, coarse):
+        # fig8's mirror branches are far narrower than the shared x2 step,
+        # cont's fringes far finer; fig2 resolves both
+        s = PRESETS[name]
+        raw = s.events[0] if s.events else RawEvent(t10=s.collision_time)
+        grids = conditional_pdf_grids(s, raw, [raw.t10 + k * s.tau for k in (0, 1, 2)])
+        assert [("coarse-sampling" in g.provenance["flags"]) for g in grids] == [coarse] * 3
 
 
 class TestCli:
@@ -300,6 +319,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "lies past the conditional support" in err and "degenerate" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--preset", "cont", "--times", "5", "--resolution", "7",
+         "--event", "t10=9"],
+        ["observables", "--preset", "cont", "--times", "5", "--resolution", "7",
+         "--event", "t10=9"],
+        ["simulate", "--preset", "fig2", "--event", "t10=0"],
+        ["marginal", "--preset", "fig2", "--event", "t10=0"],
+    ])
+    def test_rejects_flags_the_command_does_not_read(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_observables_fig4(self, tmp_path):
         out = tmp_path / "o"
         assert main(["observables", "--preset", "fig4", "--out", str(out)]) == 0
@@ -321,4 +354,16 @@ class TestBenchmarkSelftest:
                                                           env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "benchmark/selftest.py"], cwd=root,
                               env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_tracer_finds_every_target(self):
+        # the traced benchmark patches its layers by name: a renamed or
+        # deleted target must fail here, not only under --trace
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(root / "src"), str(root / "benchmark"), env.get("PYTHONPATH")]))
+        code = "import mirrorsim.cli, tracing; tracing.Tracer().install()"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
