@@ -3,7 +3,8 @@
 Subcommands: simulate, collapse, marginal, observables, check,
 presets list, validate. Times given on the command line (--times, --event
 t10=...) are offsets from the collision time in units of the scenario's
-overlap time scale tau; configs store absolute times.
+overlap time scale tau; configs store absolute times. ``collapse`` samples
+each mirror time t2 on its own conditional support. --resolution is >= 16.
 
 Exit codes: 0 success, 2 parse error, 3 validation error,
 4 numerical-check failure.
@@ -12,13 +13,13 @@ Exit codes: 0 success, 2 parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gridio, scenario as sc
+from .grids import GridSpec
 from .observables import marginal_over_mirror, marginal_over_particle
 
 EXIT_OK = 0
@@ -56,13 +57,12 @@ def _event(scenario, args) -> sc.RawEvent:
     return sc.RawEvent(t10=scenario.collision_time)
 
 
-def _grid_for(scenario, resolution):
-    grid = scenario.grids[0]
-    if resolution and resolution != grid.axes[0].n:
-        from .grids import AxisSpec, GridSpec
-        grid = GridSpec(axes=tuple(
-            AxisSpec(a.role, a.lo, a.hi, resolution) for a in grid.axes))
-    return grid
+def _grid_for(scenario, resolution) -> GridSpec:
+    """The scenario's grid, with ``resolution`` samples on both axes if given."""
+    if resolution is None:
+        return scenario.grid
+    return GridSpec(axes=tuple(dataclasses.replace(a, n=resolution)
+                               for a in scenario.grid.axes))
 
 
 def cmd_simulate(args) -> int:
@@ -85,13 +85,12 @@ def cmd_collapse(args) -> int:
     for s in _load_targets(args):
         h = sc.scenario_hash(s)
         raw = _event(s, args)
-        t2_offsets = args.times or "0,1,2"
-        t10 = raw.t10
-        t2_list = [t10 + float(tok) * s.tau for tok in t2_offsets.split(",") if tok]
-        for i, fg in enumerate(sc.conditional_pdf_grids(
+        t2_list = [raw.t10 + float(tok) * s.tau
+                   for tok in (args.times or "0,1,2").split(",") if tok]
+        for i, curve in enumerate(sc.conditional_pdf_curves(
                 s, raw, t2_list, n=args.resolution or 256)):
             path = out / f"{s.name}_mirror_{i}.csv"
-            gridio.write_field_grid(fg, path, s.name, h)
+            gridio.write_curve(curve, path, s.name, h)
             gridio.slice_script(path)
             print(f"wrote {path}")
     return EXIT_OK
@@ -102,11 +101,10 @@ def cmd_marginal(args) -> int:
     for s in _load_targets(args):
         h = sc.scenario_hash(s)
         times = _times(s, args, (s.collision_time,))
-        n = args.resolution or 2048
+        axes = _grid_for(s, args.resolution or 2048).axes
         for i, t in enumerate(times):
-            for ax, trace in zip(s.grids[0].axes,
-                                 (marginal_over_mirror, marginal_over_particle)):
-                curve = trace(s.wavegroup, np.linspace(ax.lo, ax.hi, n), t, t)
+            for ax, trace in zip(axes, (marginal_over_mirror, marginal_over_particle)):
+                curve = trace(s.wavegroup, ax.values(), t, t)
                 path = out / f"{s.name}_marginal_{curve.meta['axis']}_{i}.csv"
                 gridio.write_curve(curve, path, s.name, h)
                 gridio.slice_script(path)
@@ -171,8 +169,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _resolution(text: str) -> int:
+    """--resolution: an integer of at least 16, the floor of a grid axis."""
+    if not text.isdecimal() or int(text) < 16:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 16, got '{text}'")
+    return int(text)
+
+
 _OPTIONS = {
-    "resolution": dict(type=int, default=None, help="samples per grid axis"),
+    "resolution": dict(type=_resolution, default=None,
+                       help="samples per grid axis or curve, at least 16"),
     "times": dict(default=None,
                   help="comma list of times, units of tau relative to collision"),
     "event": dict(default=None,

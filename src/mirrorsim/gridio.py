@@ -1,5 +1,10 @@
-"""Deterministic flat-file output: CSV grids with provenance headers and
+"""Deterministic flat-file output: CSV files with provenance headers and
 gnuplot companion scripts.
+
+A CSV holds one of two shapes: a joint-PDF grid (:func:`write_field_grid`,
+one row per x1 sample, written by ``simulate``), or a curve
+(:func:`write_curve`, one ``x,value`` row per sample, written by ``marginal``
+for both marginals and by ``collapse`` for each conditional mirror PDF).
 
 Files are written atomically (temp file + rename) and contain no wall-clock
 content, so identical configs produce byte-identical artifacts.
@@ -55,15 +60,14 @@ def _header(scenario_name: str, config_hash: str, provenance: dict,
 
 def write_field_grid(fg: FieldGrid, path, scenario_name: str,
                      config_hash: str) -> Path:
-    """One row per leading-axis sample."""
+    """One row per x1 sample, one column per x2 sample."""
     path = Path(path)
     axes_lines = [
         f"# axis-{i}: {a.role} {_fmt(a.lo)} {_fmt(a.hi)} {a.n}"
         for i, a in enumerate(fg.grid.axes)
     ]
     lines = _header(scenario_name, config_hash, fg.provenance, axes_lines, "real")
-    rows = fg.values if fg.values.ndim == 2 else fg.values[None, :]
-    for row in rows:
+    for row in fg.values:
         lines.append(",".join([_fmt(c) for c in row]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path

@@ -1,4 +1,5 @@
-"""Sampled-field containers shared by the simulation and the CLI."""
+"""Sampled-field containers shared by the simulation and the CLI: a joint
+PDF on one (x1, x2) grid, and 1-D curves."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_AXIS_ROLES = ("x1", "x2", "t1", "t2")
+_AXIS_ROLES = ("x1", "x2")
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis list of a sampled field."""
+    """The two axes of a joint-PDF grid, x1 then x2."""
 
-    axes: tuple[AxisSpec, ...]
+    axes: tuple[AxisSpec, AxisSpec]
 
     def __post_init__(self):
-        if not self.axes:
-            raise ValueError("grid needs at least one axis")
+        if tuple(a.role for a in self.axes) != _AXIS_ROLES:
+            raise ValueError(f"grid axes must be {_AXIS_ROLES}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -47,7 +48,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Row-major samples of a real, non-negative PDF plus provenance."""
+    """Row-major (x1, x2) samples of a real, non-negative PDF plus provenance."""
 
     grid: GridSpec
     values: np.ndarray

@@ -97,10 +97,20 @@ class ConditionalMirrorState:
             hi = max(hi, c + pad * s)
         return lo, hi
 
-    def _sampled(self, t2: float, n: int):
-        """(x2, pdf) at n points of [max(lo, x10), hi], the physical support at t2."""
-        lo, hi = self.support(t2)
-        x2 = np.linspace(max(lo, self.event.x10), hi, n)
+    def _wall_support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
+        """The physical support [max(lo, x10), hi] at t2 out to ``pad`` sigmas;
+        ValueError when x10 is at or past hi, where it has probability 0."""
+        lo, hi = self.support(t2, pad=pad)
+        ev = self.event
+        if ev.x10 >= hi:
+            raise ValueError(f"detection at x10={ev.x10:g}, t10={ev.t10:g} lies past "
+                             f"the conditional support (up to {hi:g} at t2={t2:g}): "
+                             "probability 0")
+        return max(lo, ev.x10), hi
+
+    def _sampled(self, t2: float, n: int, pad: float = 10.0):
+        """(x2, pdf) at n points of the physical support at t2 (``_wall_support``)."""
+        x2 = np.linspace(*self._wall_support(t2, pad), n)
         return x2, self.pdf(x2, t2)
 
     def _trace(self, t2: float, start=None) -> np.ndarray:
@@ -177,6 +187,24 @@ def classify_regime(spec: WavegroupSpec, event: MeasurementEvent) -> str:
     return "B" if hi_amp > 0 and lo_amp > 1e-3 * hi_amp else "A"
 
 
+def _extrema(x: np.ndarray, y: np.ndarray):
+    """(i, pos, height) arrays of the interior local maxima (rise in, no rise
+    out) and of the minima of y on the uniform axis x: sample indices, and
+    the vertex of the parabola through each sample and its two neighbours,
+    or the sample itself on a flat triple."""
+    dy = np.diff(y)
+
+    def refined(i):
+        left, mid, right = y[i - 1], y[i], y[i + 1]
+        denom = left - 2 * mid + right
+        flat = denom == 0
+        shift = np.where(flat, 0.0, 0.5 * (left - right) / np.where(flat, 1.0, denom))
+        return i, x[i] + shift * (x[1] - x[0]), mid - 0.25 * (left - right) * shift
+
+    return (refined(np.flatnonzero((dy[:-1] > 0) & (dy[1:] <= 0)) + 1),
+            refined(np.flatnonzero((dy[:-1] < 0) & (dy[1:] >= 0)) + 1))
+
+
 def _smoothed_modes(x: np.ndarray, y: np.ndarray, window: int,
                     min_height: float, min_sep: float) -> list[float]:
     """Locations of local maxima of the moving-average of y, refined
@@ -185,22 +213,15 @@ def _smoothed_modes(x: np.ndarray, y: np.ndarray, window: int,
     if window > 1:
         kernel = np.ones(window) / window
         y = np.convolve(y, kernel, mode="same")
-    peaks = []
-    dy = np.diff(y)
-    idx = np.where((dy[:-1] > 0) & (dy[1:] <= 0))[0] + 1
-    top = y.max()
-    for i in idx:
-        if y[i] < min_height * top:
-            continue
-        denom = y[i - 1] - 2 * y[i] + y[i + 1]
-        shift = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-        peaks.append((float(x[i] + shift * (x[1] - x[0])), float(y[i])))
-    peaks.sort(key=lambda p: -p[1])
-    kept: list[tuple[float, float]] = []
-    for pos, h in peaks:
-        if all(abs(pos - q) >= min_sep for q, _ in kept):
-            kept.append((pos, h))
-    return sorted(p for p, _ in kept)
+    (i, pos, _), _ = _extrema(x, y)
+    high = y[i] >= min_height * y.max()
+    pos, height = pos[high], y[i][high]
+    kept: list[float] = []
+    # the highest samples claim their neighbourhoods first
+    for p in pos[np.argsort(-height, kind="stable")]:
+        if all(abs(p - q) >= min_sep for q in kept):
+            kept.append(float(p))
+    return sorted(kept)
 
 
 def split_centroid_velocities(state: ConditionalMirrorState,

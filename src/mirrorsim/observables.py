@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import Curve
 from .kinematics import PhysicalParams
-from .measurement import ConditionalMirrorState
+from .measurement import ConditionalMirrorState, _extrema
 from .wavegroup import (WavegroupSpec, _closed_trace, _fields, incident_frame,
                         joint_pdf, reflected_frame)
 
@@ -125,24 +125,6 @@ def marginal_over_particle(spec: WavegroupSpec, x2_axis, t1: float,
 # fringe extraction
 # ---------------------------------------------------------------------------
 
-def _extrema(x: np.ndarray, y: np.ndarray, floor: float):
-    """Quadratically refined local maxima and minima above a noise floor."""
-    maxima, minima = [], []
-    dx = x[1] - x[0]
-    dy = np.diff(y)
-    for i in range(1, len(y) - 1):
-        up, down = dy[i - 1], dy[i]
-        denom = y[i - 1] - 2 * y[i] + y[i + 1]
-        shift = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-        if up > 0 and down <= 0 and y[i] > floor:
-            maxima.append((float(x[i] + shift * dx),
-                           float(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)))
-        elif up < 0 and down >= 0:
-            minima.append((float(x[i] + shift * dx),
-                           float(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)))
-    return maxima, minima
-
-
 def extract_fringes(curve: Curve) -> FringeReport:
     """Strength-weighted peak spacing and visibility of the fringes in one curve.
 
@@ -160,28 +142,25 @@ def extract_fringes(curve: Curve) -> FringeReport:
     """
     x, y = curve.x, curve.y
     axis = curve.meta.get("axis", "x1")
-    top = float(y.max())
-    maxima, minima = _extrema(x, y, floor=1e-12 * max(top, 1e-300))
-    if len(maxima) < 2:
-        return FringeReport(spacing=0.0, visibility=0.0, n_fringes=len(maxima), axis=axis)
-    pos = np.array([p for p, _ in maxima])
-    height = np.array([v for _, v in maxima])
+    (i, pos, height), (_, t_pos, t_val) = _extrema(x, y)
+    above = y[i] > 1e-12 * max(float(y.max()), 1e-300)
+    pos, height = pos[above], height[above]
+    if len(pos) < 2:
+        return FringeReport(spacing=0.0, visibility=0.0, n_fringes=len(pos), axis=axis)
     weight = np.sqrt(height[:-1] * height[1:])
     spacing = float(np.sum(weight * np.diff(pos)) / np.sum(weight))
 
-    visibility = 0.0
-    t_pos = np.array([p for p, _ in minima])
-    t_val = np.array([max(v, 0.0) for _, v in minima])
-    for p, v in maxima:
-        left = t_val[t_pos < p]
-        right = t_val[t_pos > p]
-        if left.size == 0 or right.size == 0:
-            continue
-        t_bar = 0.5 * (left[-1] + right[0])
-        if v + t_bar > 0:
-            visibility = max(visibility, (v - t_bar) / (v + t_bar))
+    # the troughs nearest each peak on either side; peaks missing one are skipped
+    left = np.searchsorted(t_pos, pos, side="left") - 1
+    right = np.searchsorted(t_pos, pos, side="right")
+    flanked = (left >= 0) & (right < len(t_pos))
+    t_val = np.maximum(t_val, 0.0)
+    t_bar = 0.5 * (t_val[left[flanked]] + t_val[right[flanked]])
+    v = height[flanked]
+    lit = v + t_bar > 0
+    visibility = np.max((v[lit] - t_bar[lit]) / (v[lit] + t_bar[lit]), initial=0.0)
     return FringeReport(spacing=spacing, visibility=float(visibility),
-                        n_fringes=len(maxima), axis=axis)
+                        n_fringes=len(pos), axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Scenario configuration, validation, the preset library and analysis runners.
 
 A scenario bundles one parameter set, one wavegroup, optional measurement
-events, sampling grids and a list of named analyses. Configs are plain
-JSON; times inside a config are absolute in the scenario's unit system.
+events, one (x1, x2) snapshot grid and a list of named analyses. Configs are
+plain JSON and list at most one grid; a config that lists none is framed like
+the presets, around both packets at its snapshot times. Times inside a config
+are absolute in the scenario's unit system.
 The command-line layer converts user-facing times, which are offsets from
 the collision time in units of the overlap time scale tau, into absolute
 times before they reach this module.
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grids import AxisSpec, Curve, FieldGrid, GridSpec
+from .grids import _AXIS_ROLES, AxisSpec, Curve, FieldGrid, GridSpec
 from .harmonic import beat_frequency, fringe_period, fringe_spacing
 from .kinematics import PhysicalParams, elastic_final_velocities, thermal_spread
 from .measurement import (MeasurementEvent, UnresolvedSplittingError, collapse,
@@ -58,9 +60,9 @@ class Scenario:
     units: str
     params: PhysicalParams
     wavegroup: WavegroupSpec
+    grid: GridSpec
     events: tuple[RawEvent, ...] = ()
     snapshot_times: tuple[float, ...] = ()
-    grids: tuple[GridSpec, ...] = ()
     analyses: tuple[str, ...] = ()
     description: str = ""
 
@@ -88,11 +90,8 @@ def to_config(s: Scenario) -> dict:
                       "t0": s.wavegroup.t0},
         "events": [{"t10": e.t10, "x10": e.x10, "dx1": e.dx1} for e in s.events],
         "snapshot_times": list(s.snapshot_times),
-        "grids": [
-            {"axes": [{"role": a.role, "lo": a.lo, "hi": a.hi, "n": a.n}
-                      for a in g.axes]}
-            for g in s.grids
-        ],
+        "grids": [{"axes": [{"role": a.role, "lo": a.lo, "hi": a.hi, "n": a.n}
+                            for a in s.grid.axes]}],
         "analyses": list(s.analyses),
     }
 
@@ -199,18 +198,23 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             out.append(f"snapshot_times[{i}]: not a number")
 
-    for i, g in enumerate(listed("grids")):
+    grids = listed("grids")
+    if len(grids) > 1:
+        out.append("grids: at most one (x1, x2) grid")
+    for i, g in enumerate(grids):
         axes = g.get("axes") if isinstance(g, dict) else None
         if not isinstance(axes, list) or not axes:
             out.append(f"grids[{i}]: missing axes")
             continue
+        if len(axes) != len(_AXIS_ROLES):
+            out.append(f"grids[{i}].axes: must be two axes, x1 then x2")
         for j, a in enumerate(axes):
             path = f"grids[{i}].axes[{j}]"
             if not isinstance(a, dict):
                 out.append(f"{path}: not an object")
                 continue
-            if a.get("role") not in ("x1", "x2", "t1", "t2"):
-                out.append(f"{path}.role: invalid")
+            if j < len(_AXIS_ROLES) and a.get("role") != _AXIS_ROLES[j]:
+                out.append(f"{path}.role: must be '{_AXIS_ROLES[j]}'")
             lo = _check_number(a, path, "lo", out)
             hi = _check_number(a, path, "hi", out)
             n = a.get("n")
@@ -240,19 +244,18 @@ def from_config(cfg: dict) -> Scenario:
                          x2c=w["x2c"], t0=w.get("t0", 0.0))
     events = tuple(RawEvent(t10=e["t10"], x10=e.get("x10"), dx1=e.get("dx1", 1e-3))
                    for e in cfg.get("events", []))
-    grids = tuple(
-        GridSpec(axes=tuple(AxisSpec(role=a["role"], lo=a["lo"], hi=a["hi"], n=a["n"])
-                            for a in g["axes"]))
-        for g in cfg.get("grids", [])
-    )
+    times = tuple(cfg.get("snapshot_times", []))
+    grid = (GridSpec(axes=tuple(AxisSpec(a["role"], a["lo"], a["hi"], a["n"])
+                                for a in cfg["grids"][0]["axes"]))
+            if cfg.get("grids") else _joint_grid(spec, times))
     return Scenario(
         name=cfg["name"],
         units=cfg["units"],
         params=params,
         wavegroup=spec,
+        grid=grid,
         events=events,
-        snapshot_times=tuple(cfg.get("snapshot_times", [])),
-        grids=grids,
+        snapshot_times=times,
         analyses=tuple(cfg.get("analyses", [])),
         description=cfg.get("description", ""),
     )
@@ -270,11 +273,12 @@ def load_scenario(path) -> Scenario:
 
 def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
     """Joint-PDF grid framing both packets at every listed synchronous time,
-    its bounds rounded to 12 significant digits so that a last-bit change in
-    the packet frames leaves the grid and the scenario hash as they are."""
+    or at the collision time when none is listed, its bounds rounded to 12
+    significant digits so that a last-bit change in the packet frames leaves
+    the grid and the scenario hash as they are."""
     lo1 = lo2 = math.inf
     hi1 = hi2 = -math.inf
-    for t in times:
+    for t in times or (spec.collision_time,):
         a, b = _support_hull(spec, t, t, axis=0, pad=6.0)
         lo1, hi1 = min(lo1, a), max(hi1, b)
         a, b = _support_hull(spec, t, t, axis=1, pad=6.0)
@@ -292,9 +296,8 @@ def _natural_scenario(name, *, M, v, V, dk, dK, x1c, description, analyses,
     t_c, tau = spec.collision_time, spec.tau
     times = tuple(t_c + o * tau for o in snapshot_offsets)
     events = tuple(RawEvent(t10=t_c + o * tau) for o in event_offsets)
-    grids = (_joint_grid(spec, times or (t_c,)),)
     return Scenario(name=name, units="natural", params=params, wavegroup=spec,
-                    events=events, snapshot_times=times, grids=grids,
+                    grid=_joint_grid(spec, times), events=events, snapshot_times=times,
                     analyses=tuple(analyses), description=description)
 
 
@@ -309,10 +312,10 @@ def _fig8_scenario() -> Scenario:
     t_c = spec.collision_time
     return Scenario(
         name="fig8", units="SI", params=params, wavegroup=spec,
+        grid=_joint_grid(spec, (t_c,)),
         # 1e-3 particle widths, the detector resolution of the natural presets
         events=(RawEvent(t10=t_c, dx1=1e-3 / dk),),
         snapshot_times=(t_c,),
-        grids=(_joint_grid(spec, (t_c,)),),
         analyses=("regime", "beat", "split-velocities", "node-depth"),
         description="rubidium atom on a 1e-8 kg thermal mirror, SI units",
     )
@@ -646,41 +649,24 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
                                  "flags": flags})
 
 
-def conditional_pdf_grids(scenario: Scenario, raw: RawEvent, t2_list,
-                          n: int = 256) -> list[FieldGrid]:
-    """Conditional mirror PDF sampled along x2, one 1D grid per listed t2.
-
-    All snapshots share one x2 range (the hull of the conditional supports)
-    so the files can be overlaid directly. A grid is flagged
-    coarse-sampling when its step exceeds half the fringe period or half
-    the narrowest branch sigma kept in the support at its t2, the factor
-    :func:`joint_pdf_grid` uses. Raises ValueError for a
-    detection at or past the upper end of the conditional support at t10,
-    where the detection probability is zero, or past the whole range.
-    """
-    spec = scenario.wavegroup
+def conditional_pdf_curves(scenario: Scenario, raw: RawEvent, t2_list,
+                           n: int = 256) -> list[Curve]:
+    """Conditional mirror PDF along x2, one curve per listed t2 in ascending
+    order, each at n points of its own physical support out to six branch
+    sigmas. A curve is flagged coarse-sampling when its step exceeds half the
+    fringe period or half the narrowest kept branch sigma at its t2, the
+    factor :func:`joint_pdf_grid` uses. Raises ValueError for a detection past
+    that support at t10 or at a listed t2, where it has probability 0."""
     event = resolve_event(scenario, raw)
-    state = collapse(spec, event)
-    pad = 6.0
-    hi10 = state.support(event.t10, pad=pad)[1]
-    lo, hi = math.inf, -math.inf
-    for t2 in t2_list:
-        a, b = state.support(t2, pad=pad)
-        lo, hi = min(lo, a), max(hi, b)
-    if event.x10 >= min(hi10, hi):
-        raise ValueError(f"detection at x10={event.x10:g}, t10={event.t10:g} lies past "
-                         f"the conditional support (up to {hi10:g} at t10, "
-                         f"[{lo:g}, {hi:g}] over the times asked for): probability 0")
-    lo = max(lo, event.x10)
-    x2 = np.linspace(lo, hi, n)
-    step, fringe = x2[1] - x2[0], fringe_period(scenario.params)
+    state = collapse(scenario.wavegroup, event)
+    state._wall_support(event.t10, pad=6.0)  # raises for a detection of probability 0
+    fringe = fringe_period(scenario.params)
     out = []
     for t2 in sorted(float(t) for t in t2_list):
+        x2, pdf = state._sampled(t2, n, pad=6.0)
         sigma = min(s for _, s, _ in state._kept_profiles(t2))
-        flags = ["coarse-sampling"] if step > 0.5 * min(fringe, sigma) else []
-        grid = GridSpec(axes=(AxisSpec("x2", lo, hi, n),))
-        out.append(FieldGrid(
-            grid=grid, values=np.asarray(state.pdf(x2, t2)),
-            provenance={"operation": "conditional_pdf", "x10": event.x10,
-                        "t10": event.t10, "t2": t2, "flags": flags}))
+        flags = ["coarse-sampling"] if x2[1] - x2[0] > 0.5 * min(fringe, sigma) else []
+        out.append(Curve(x=x2, y=np.asarray(pdf), meta={
+            "axis": "x2", "operation": "conditional_pdf", "x10": event.x10,
+            "t10": event.t10, "t2": t2, "flags": flags}))
     return out

@@ -102,6 +102,14 @@ class TestRegimeClassification:
         ev = resolve_event_like(spec_fig5, spec_fig5.t0 + 0.05 * spec_fig5.tau)
         assert classify_regime(spec_fig5, ev) == "A"
 
+    def test_detection_past_support_is_named(self, spec_fig5):
+        # above the conditional mirror support the detection has probability 0
+        ev = MeasurementEvent(x10=spec_fig5.collision_point + 5.0,
+                              t10=spec_fig5.collision_time)
+        assert collapse(spec_fig5, ev).support(ev.t10)[1] < ev.x10
+        with pytest.raises(ValueError, match="lies past the conditional support"):
+            classify_regime(spec_fig5, ev)
+
 
 class TestSplitVelocities:
     def test_matches_elastic_kinematics(self, spec_fig5):

@@ -12,7 +12,7 @@ from mirrorsim import AxisSpec, GridSpec, FieldGrid
 from mirrorsim.cli import main
 from mirrorsim.measurement import MeasurementEvent, collapse
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
-                                ScenarioValidationError, conditional_pdf_grids,
+                                ScenarioValidationError, conditional_pdf_curves,
                                 from_config, joint_pdf_grid, load_scenario,
                                 resolve_event, resolve_preset, scenario_hash,
                                 serialize, to_config, validate_config)
@@ -26,6 +26,12 @@ class TestGridTypes:
             AxisSpec("x1", 1.0, 1.0, 32)
         with pytest.raises(ValueError):
             AxisSpec("q", 0.0, 1.0, 32)
+
+    def test_grid_is_x1_then_x2(self):
+        x1, x2 = AxisSpec("x1", 0, 1, 16), AxisSpec("x2", 0, 1, 16)
+        for axes in ((x2, x1), (x1,), (x1, x2, x2)):
+            with pytest.raises(ValueError):
+                GridSpec(axes=axes)
 
     def test_field_grid_shape_check(self):
         grid = GridSpec(axes=(AxisSpec("x1", 0, 1, 16), AxisSpec("x2", 0, 1, 16)))
@@ -168,15 +174,118 @@ class TestJointGrid:
 
 
 class TestConditionalGrids:
-    @pytest.mark.parametrize("name, coarse", [("fig8", True), ("cont", True),
+    @pytest.mark.parametrize("name, coarse", [("fig8", False), ("cont", True),
                                               ("fig2", False)])
     def test_coarse_sampling_flag(self, name, coarse):
-        # fig8's mirror branches are far narrower than the shared x2 step,
-        # cont's fringes far finer; fig2 resolves both
+        # each curve spans its own support, so fig8's narrow mirror branches
+        # are resolved; cont's fringes are far finer than any 256-point step
         s = PRESETS[name]
         raw = s.events[0] if s.events else RawEvent(t10=s.collision_time)
-        grids = conditional_pdf_grids(s, raw, [raw.t10 + k * s.tau for k in (0, 1, 2)])
-        assert [("coarse-sampling" in g.provenance["flags"]) for g in grids] == [coarse] * 3
+        curves = conditional_pdf_curves(s, raw, [raw.t10 + k * s.tau for k in (0, 1, 2)])
+        assert [("coarse-sampling" in c.meta["flags"]) for c in curves] == [coarse] * 3
+
+
+def _fig2_config(**changes) -> dict:
+    cfg = json.loads(serialize(PRESETS["fig2"]))
+    cfg.update(changes)
+    return cfg
+
+
+def _axis(role, n=16):
+    return {"role": role, "lo": -1.0, "hi": 1.0, "n": n}
+
+
+def _data_rows(path) -> list[str]:
+    return [line for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+
+
+class TestOutputShapes:
+    @pytest.mark.parametrize("name", ["fig8", "fig9"])
+    def test_default_collapse_holds_the_mirror_packet(self, tmp_path, name):
+        # on one x2 range shared by all three times these curves held 0-1
+        # nonzero samples; on each time's own support they hold the packet
+        assert main(["collapse", "--preset", name, "--out", str(tmp_path)]) == 0
+        s = PRESETS[name]
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0]))
+        for i in range(3):
+            path = tmp_path / f"{name}_mirror_{i}.csv"
+            header = dict(line[2:].split(": ", 1)
+                          for line in path.read_text().splitlines()
+                          if line.startswith("# ") and ": " in line)
+            assert header["columns"] == "x2,value"
+            assert header["flags"] == "-"
+            x2, pdf = np.loadtxt(path, delimiter=",", unpack=True)
+            assert np.count_nonzero(pdf) >= 200
+            exact = float(state._trace(float(header["t2"]))[0])
+            assert np.trapezoid(pdf, x2) == pytest.approx(exact, rel=1e-4)
+
+    def test_curve_rows_have_the_plotted_columns(self, tmp_path):
+        assert main(["collapse", "--preset", "fig5", "--resolution", "64",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["marginal", "--preset", "fig2", "--resolution", "64",
+                     "--out", str(tmp_path)]) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 5
+        for path in csvs:
+            assert "using 1:2" in path.with_suffix(".gp").read_text()
+            rows = _data_rows(path)
+            assert len(rows) == 64
+            for row in rows:
+                assert len([float(v) for v in row.split(",")]) == 2
+
+    @pytest.mark.parametrize("grids", [
+        [{"axes": [_axis("t1"), _axis("t2")]}],
+        [{"axes": [_axis("x2"), _axis("x1")]}],
+        [{"axes": [_axis("x1")]}],
+        [{"axes": [_axis("x1"), _axis("x2"), _axis("x2")]}],
+        [{"axes": [_axis("x1"), _axis("x2")]}] * 2,
+    ], ids=["t1-t2", "x2-x1", "one-axis", "three-axes", "two-grids"])
+    def test_rejects_grids_other_than_one_x1_x2(self, tmp_path, capsys, grids):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_fig2_config(grids=grids)))
+        assert main(["validate", "--config", str(path)]) == 3
+        assert "grids" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert "grids" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gridless_config_is_framed_like_the_preset(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg = _fig2_config(name="bare")
+        del cfg["grids"]
+        path.write_text(json.dumps(cfg))
+        assert load_scenario(path).grid == PRESETS["fig2"].grid
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 0
+        for i in range(3):
+            axes = [[line for line in (out / f"{name}_joint_{i}.csv").read_text()
+                     .splitlines() if line.startswith("# axis-")]
+                    for name in ("bare", "fig2")]
+            assert axes[0] == axes[1] and len(axes[0]) == 2
+
+    def test_resolution_resamples_both_axes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_fig2_config(
+            grids=[{"axes": [_axis("x1", 32), _axis("x2", 16)]}])))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--times", "0",
+                     "--resolution", "32", "--out", str(out)]) == 0
+        rows = _data_rows(out / "fig2_joint_0.csv")
+        assert [len(row.split(",")) for row in rows] == [32] * 32
+
+    @pytest.mark.parametrize("command", ["simulate", "collapse", "marginal"])
+    @pytest.mark.parametrize("resolution", ["0", "1", "15"])
+    def test_resolution_below_axis_floor_is_a_parse_error(self, tmp_path, capsys,
+                                                         command, resolution):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig5", "--resolution", resolution,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "at least 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -307,7 +416,7 @@ class TestCli:
         assert not out.exists()
 
     def test_collapse_single_time_rejects_detection_past_support(self, tmp_path, capsys):
-        # with t2 = t10 only, the grid range is the support at t10 itself;
+        # with t2 = t10 only, the curve spans the support at t10 itself;
         # x10 lies 8 sigma above the mirror, inside the default 10-sigma support
         s = PRESETS["fig9"]
         t10 = s.collision_time
