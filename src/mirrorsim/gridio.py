@@ -8,9 +8,23 @@ for both marginals and by ``collapse`` for each conditional mirror PDF).
 
 Both shapes are formatted and streamed to disk in blocks of whole rows, about
 ``_BLOCK_VALUES`` values each, so the text of a grid is never held in memory
-whole. Every value is byte-identical to ``format(float(v), ".17g")``: +0.0 is
-written as ``0``, and the rest of a block goes through one ``"%.17g"`` format
-call, which uses the same ``PyOS_double_to_string(v, 'g', 17)``.
+whole. Every value is byte-identical to ``format(float(v), ".17g")``: the
+exact binary value rounded half to even to 17 significant digits. A block is
+formatted in numpy, exactly:
+
+- each finite nonzero x is scaled to N = |x| 10**(16 - e), e = floor(log10|x|),
+  as a double-double: Dekker's exact two-product of |x| and the high part of
+  10**(16 - e), plus |x| times its low part, from a table built with
+  ``Fraction`` on the first write. Values below 1e-280 or from 1e281 up are
+  first scaled by an exact power of two. N is then off by less than 1e-14;
+- N is rounded to an integer r. Where N falls outside [1e16, 1e17), e moves
+  by one and N is computed again; r = 1e17 carries into the exponent;
+- r's digits fill a fixed template, sign | 0.000 | digits with a '.' | e+XXX,
+  whose unused bytes are then deleted.
+
+Python's ``"%.17g"`` formats only what the fast path cannot certify, in one
+call per block: NaN, +-inf, and values whose fraction of N lies within 1e-6
+of 1/2, exact ties among them. :func:`_format_block` counts them.
 
 Files are written atomically (temp file + rename) and contain no wall-clock
 content, so identical configs produce byte-identical artifacts.
@@ -18,6 +32,7 @@ content, so identical configs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -29,11 +44,13 @@ from .grids import Curve, FieldGrid
 
 SCHEMA_VERSION = "mirrorsim-grid v1"
 
-# Values formatted per chunk, rounded down to whole rows: 4 rows of a 512-column
-# grid, half of a 2048-row curve. Larger blocks are no faster but raise the
-# peak RSS of `simulate` (64 rows of a 512 grid: +4 MB); blocks of a few values
-# pay a per-block overhead that shows on two-column curves.
-_BLOCK_VALUES = 2048
+# Values formatted per chunk, rounded down to whole rows: 16 rows of a
+# 512-column grid, two 2048-row curves. Each of the few dozen numpy steps of
+# a block costs a fixed overhead, so smaller blocks are slower: through the
+# benchmark's `snapshots` workload, 2048 values ran at 3.1 Mpts/s and 4096 at
+# 3.7, while 8192, 16384 and 32768 all ran at 3.8-4.3. Peak RSS stayed at
+# 77.9-79.5 MB at every size; the kernel's grids set it, not this buffer.
+_BLOCK_VALUES = 8192
 
 
 def _fmt(x: float) -> str:
@@ -75,6 +92,179 @@ def _header(scenario_name: str, config_hash: str, provenance: dict,
     return lines
 
 
+# Decimal exponents floor(log10|x|) of finite nonzero doubles, with a margin
+# of one each side for the log10 estimate. Below 1e-280 and from 1e281 up, the
+# value is first scaled by an exact 2**256 or 2**-256 and the table entry by
+# the inverse, so that neither the scaled value, the entry, nor the products
+# of their Dekker halves overflow, and the entry's low part stays normal.
+_E_MIN, _E_MAX = -325, 309
+_RESCALED_ABOVE = 280
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+# a 17th-digit fraction this close to 1/2 is not certified by the
+# double-double product (error below 1e-14) and goes to Python's "%.17g"
+_TIE_MARGIN = 1e-6
+# the template rows of one cell: sign, "0.000", 17 digits with one '.' among
+# them, "e+XXX", separator
+_SIGN, _PREFIX, _DIGITS, _EXP, _SEP = 0, slice(1, 6), slice(6, 24), slice(24, 29), 29
+_CELL = _SEP + 1
+
+
+@functools.cache
+def _tables():
+    """Per decimal exponent e: the power of two 2**s that pre-scales a value,
+    and 10**(16 - e) / 2**s as an unevaluated sum hi + lo, exact to 2**-106
+    of itself, with hi's Dekker halves. Built exactly with ``Fraction`` on
+    the first write, read-only after."""
+    from fractions import Fraction  # deferred with the tables: 6 ms of imports
+
+    scale, hi, lo = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        s = 256 if e < -_RESCALED_ABOVE else -256 if e > _RESCALED_ABOVE else 0
+        exact = Fraction(10) ** (16 - e) / Fraction(2) ** s
+        scale.append(2.0 ** s)
+        hi.append(float(exact))
+        lo.append(float(exact - Fraction(hi[-1])))
+    hi = np.array(hi)
+    tables = (np.array(scale), hi, *_split(hi), np.array(lo))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo exactly, each half with at most 26 bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, e):
+    """a * 10**(16 - e) as a double-double (n, t), with n = fl(n + t) and an
+    error below 4 * 2**-106 of itself: the exact two-product of a and the
+    table's high part (Dekker's, as numpy has no fused multiply-add), plus a
+    times the low part."""
+    scale, hi, hi_h, hi_l, lo = _tables()
+    i = e - _E_MIN
+    a = a * scale[i]
+    p = a * hi[i]
+    ah, al = _split(a)
+    bh, bl = hi_h[i], hi_l[i]
+    t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo[i]
+    n = p + t
+    return n, t - (n - p)
+
+
+def _round17(a):
+    """The 17 significant digits of each finite a > 0, rounded half to even,
+    as an integer r in [1e16, 1e17), and the exponent x with a ~ r 10**(x - 16).
+
+    Also returns which values are certified: their scaled fraction is at least
+    ``_TIE_MARGIN`` away from a tie, and their rounded digits are in range.
+    """
+    e = np.floor(np.log10(a)).astype(np.int64)  # may be off by one near 10**e
+    n, t = _scaled(a, e)
+    # step e where n + t < 1e16 or >= 1e17; each difference n - 10**k is exact
+    # where its sign could be in doubt, so the rounded sum has the exact sign
+    step = ((n - 1e17) + t >= 0).astype(np.int64) - ((n - 1e16) + t < 0)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        n[fix], t[fix] = _scaled(a[fix], e[fix])
+    nearest = np.rint(t)
+    r = n.astype(np.int64) + nearest.astype(np.int64)
+    # an exponent one too high where n + t rounds to 1e16 gives the digits
+    # that a carry to 1e17 gives at the right one; so r alone is checked
+    ok = ((np.abs(np.abs(t - nearest) - 0.5) >= _TIE_MARGIN)
+          & (r >= 10**16) & (r <= 10**17))
+    carry = r == 10**17  # 99999999999999999.5 and up round to 10**17
+    return r - carry * (9 * 10**16), e + carry, ok
+
+
+def _ascii_digits(v, count):
+    """ASCII digits of the integers 0 <= v < 10**count < 2**31, most
+    significant first, one row per digit."""
+    powers = 10 ** np.arange(count, -1, -1, dtype=np.int32)[:, None]
+    shifted = v.astype(np.int32) // powers
+    return (shifted[1:] - 10 * shifted[:-1] + ord("0")).astype(np.uint8)
+
+
+def _cells(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """The text of each nonzero value as ``format(float(v), ".17g")`` writes
+    it, in a template with one row per output column and one column per
+    value, so that every step is a contiguous numpy operation:
+
+        sign | 0.000 | 17 digits with a '.' after digit j | e+XXX
+
+    ``.17g`` writes the exponent x in scientific form when x < -4 or x > 16
+    (j = 1), as 0.000ddd when -4 <= x < 0 (no '.' among the digits), and as
+    integer part + fraction otherwise (j = x + 1). Trailing zeros of the
+    fraction are dropped, and the '.' with them. Dropped bytes are 0.
+
+    Also returns how many values the fast path could not certify and sent,
+    in one batch, to Python's ``"%.17g"``: NaN, +-inf, and near-ties.
+    """
+    finite = np.isfinite(v)
+    r, x, ok = _round17(np.where(finite, np.abs(v), 1.0))
+    slow = ~(finite & ok)
+
+    top = r // 10**8
+    digits = np.empty((19, v.size), np.uint8)  # 17 digits between two pad rows
+    digits[0] = digits[18] = ord("0")
+    digits[1:10] = _ascii_digits(top, 9)
+    digits[10:18] = _ascii_digits(r - top * 10**8, 8)
+    # number of digits up to the last nonzero one
+    kept = ((digits[1:18] != ord("0"))
+            * np.arange(1, 18, dtype=np.int8)[:, None]).max(axis=0)
+    sci = (x < -4) | (x > 16)
+    small = ~sci & (x < 0)
+    j = np.where(sci, 1, np.where(small, 17, x + 1)).astype(np.int8)
+    upto = np.where(small, kept, np.maximum(kept, j))  # digits kept, '.' aside
+
+    cells = np.empty((_SEP, v.size), np.uint8)
+    cells[_SIGN] = np.signbit(v) * np.uint8(ord("-"))
+    cells[_PREFIX] = (np.frombuffer(b"0.000", np.uint8)[:, None]
+                      * (np.arange(5, dtype=np.int8)[:, None]
+                         < np.where(small, 1 - x, 0).astype(np.int8)))
+    col = np.arange(18, dtype=np.int8)[:, None]
+    after = col > j  # row c holds digit c below the '.', digit c - 1 after it
+    region = (digits[1:] * (col < j) + digits[:18] * after
+              + np.uint8(ord(".")) * (col == j))
+    cells[_DIGITS] = region * ((col - after) < upto)
+    ax = np.abs(x)
+    exponent = np.empty((5, v.size), np.uint8)
+    exponent[0] = ord("e")
+    exponent[1] = np.where(x < 0, ord("-"), ord("+"))
+    exponent[2:] = _ascii_digits(ax, 3)
+    exponent[2] *= ax >= 100
+    cells[_EXP] = exponent * sci
+
+    rest = v[slow].tolist()
+    if rest:
+        text = np.array(("%.17g\n" * len(rest) % tuple(rest)).split("\n")[:-1],
+                        dtype=f"S{_SEP}")
+        cells[:, slow] = text.view(np.uint8).reshape(-1, _SEP).T
+    return cells, len(rest)
+
+
+def _format_block(flat: np.ndarray, ncol: int) -> tuple[str, int]:
+    """Rows of ``ncol`` comma-separated cells, each ``format(float(v), ".17g")``,
+    and the number of values sent to Python's ``"%.17g"``.
+
+    Each value gets ``_CELL`` bytes, 0 where nothing is written: +-0.0 a sign
+    and a '0', the rest :func:`_cells`, then the separator. Deleting the 0
+    bytes compacts the block.
+    """
+    out = np.zeros((flat.size, _CELL), np.uint8)
+    out[:, _SIGN] = np.signbit(flat) * np.uint8(ord("-"))
+    out[:, _DIGITS.start] = ord("0")
+    out[:, _SEP] = ord(",")
+    out[ncol - 1::ncol, _SEP] = ord("\n")
+    lanes = np.flatnonzero(flat != 0)  # NaN included
+    cells, slow = _cells(flat[lanes])
+    out[lanes, :_SEP] = cells.T
+    return out.tobytes().translate(None, b"\0").decode("ascii"), slow
+
+
 def _csv(header: list[str], values: np.ndarray) -> Iterator[str]:
     """The header text, then the comma-separated rows of the 2-D ``values``,
     one block of rows per chunk, each value as :func:`_fmt` writes it."""
@@ -82,14 +272,7 @@ def _csv(header: list[str], values: np.ndarray) -> Iterator[str]:
     ncol = values.shape[1]
     rows = max(1, _BLOCK_VALUES // ncol)
     for start in range(0, len(values), rows):
-        flat = values[start:start + rows].ravel()
-        formatted = (flat != 0) | np.signbit(flat)  # all but +0.0
-        cells = np.full(flat.size, "0", dtype=object)
-        nz = flat[formatted].tolist()
-        cells[formatted] = ("%.17g\n" * len(nz) % tuple(nz)).split("\n")[:-1]
-        cells = cells.tolist()
-        yield "".join([",".join(cells[i:i + ncol]) + "\n"
-                       for i in range(0, len(cells), ncol)])
+        yield _format_block(values[start:start + rows].ravel(), ncol)[0]
 
 
 def write_field_grid(fg: FieldGrid, path, scenario_name: str,

@@ -40,6 +40,7 @@ while |Phi| << 1/eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -302,14 +303,12 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     return np.maximum(y, 0.0)
 
 
-def _carrier_phases(spec: WavegroupSpec, x1, x2, tau1, tau2):
-    """The plane-wave pair's phases at the central wavevectors: the incident
-    phase Phi about the packet centres, reduced mod 2*pi, and the recoil
-    phase, the exact reflected-minus-incident difference."""
-    p = spec.params
-    phase0 = np.remainder(
-        incident_phase(p, x1 - spec.x1c, tau1, x2 - spec.x2c, tau2), _TWO_PI)
-    return phase0, interference_phase(p, x1, tau1, x2, tau2)
+def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
+    """The plane-wave pair's incident phase Phi at the central wavevectors,
+    about the packet centres, reduced mod 2*pi: the common factor
+    exp(i Phi) of both branches, which densities and currents never read."""
+    return np.remainder(incident_phase(spec.params, x1 - spec.x1c, t1 - spec.t0,
+                                       x2 - spec.x2c, t2 - spec.t0), _TWO_PI)
 
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
@@ -317,9 +316,9 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             logs: bool = False) -> SimpleNamespace:
     """Evaluate both spectral integrals at broadcastable coordinate arrays.
 
-    Returns F_in and F_ref such that the full amplitudes are
-    exp(i*phase0) * F and the physical state is exp(i*phase0) *
-    (F_in - F_ref) * theta(x2 - x1). ``detune`` scales the reflected
+    Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
+    and the physical state is exp(i*Phi) * (F_in - F_ref) * theta(x2 - x1),
+    Phi being :func:`_carrier_phase`. ``detune`` scales the reflected
     carrier wavevectors without touching the energies (a deliberately
     broken field for negative-control tests); ``reflected_weight``
     linearly rescales the reflected branch. ``logs`` adds the complex
@@ -331,7 +330,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     tau1 = np.asarray(t1, dtype=float) - spec.t0
     tau2 = np.asarray(t2, dtype=float) - spec.t0
-    phase0, dphase = _carrier_phases(spec, x1, x2, tau1, tau2)
+    dphase = interference_phase(p, x1, tau1, x2, tau2)
     incident, reflected = (_branch(spec, r, tau1, tau2) for r in (False, True))
     if detune != 1.0:
         # the reflected carrier (k0, K0) + kq gains (detune - 1) times itself
@@ -348,7 +347,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
                                     log_pref + 1j * np.remainder(dphase, _TWO_PI))
     out = SimpleNamespace(F_in=np.exp(log_pref + log_in1) * np.exp(log_in2),
                           F_ref=reflected_weight * np.exp(log_ref),
-                          phase0=phase0, physical=x1 <= x2)
+                          physical=x1 <= x2)
     if logs:
         out.log_in, out.log_ref = log_pref + log_in1 + log_in2, log_ref
     if gradients:
@@ -360,14 +359,15 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 def amplitude_parts(spec: WavegroupSpec, pt: SpacetimePoint):
     """Incident and reflected closed-form amplitudes (no step function)."""
     f = _fields(spec, pt.x1, pt.t1, pt.x2, pt.t2)
-    common = np.exp(1j * f.phase0)
+    common = np.exp(1j * _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2))
     return common * f.F_in, common * f.F_ref
 
 
 def amplitude_closed(spec: WavegroupSpec, pt: SpacetimePoint):
     """Full wavegroup amplitude (incident - reflected) * theta(x2 - x1)."""
     f = _fields(spec, pt.x1, pt.t1, pt.x2, pt.t2)
-    amp = np.exp(1j * f.phase0) * (f.F_in - f.F_ref)
+    phase = _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2)
+    amp = np.exp(1j * phase) * (f.F_in - f.F_ref)
     return np.where(f.physical, amp, 0.0 + 0.0j)
 
 
@@ -446,6 +446,14 @@ def reflected_frame(spec: WavegroupSpec, t1: float, t2: float):
 _MAX_NODES = 370
 
 
+@functools.cache
+def _hermgauss(nodes: int):
+    """Gauss-Hermite nodes and weights, computed once per count, read-only."""
+    s, w = np.polynomial.hermite.hermgauss(nodes)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
 def _saddle_node_sum(phase, s, w):
     """Gauss-Hermite sum of exp(-|u|^2 + i*phase(u1, u2)) over R^2.
 
@@ -498,7 +506,7 @@ def amplitude_quadrature(spec: WavegroupSpec, pt: SpacetimePoint, nodes: int = 6
     p = spec.params
     m, M, hb = p.m, p.M, p.hbar
     (a11, a12), (a21, a22) = p.collision_matrix
-    s, w = np.polynomial.hermite.hermgauss(nodes)
+    s, w = _hermgauss(nodes)
     sk = math.sqrt(2.0) * spec.dk
     sK = math.sqrt(2.0) * spec.dK
     w2 = (w[:, None] * w[None, :]) * (2.0 * spec.dk * spec.dK)
@@ -506,7 +514,8 @@ def amplitude_quadrature(spec: WavegroupSpec, pt: SpacetimePoint, nodes: int = 6
     tau1, tau2 = pt.t1 - spec.t0, pt.t2 - spec.t0
     vr0, Vr0 = elastic_final_velocities(p)
     pref = spec.norm_const / _TWO_PI
-    phase0, dphase = _carrier_phases(spec, pt.x1, pt.x2, tau1, tau2)
+    phase0 = _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2)
+    dphase = interference_phase(p, pt.x1, tau1, pt.x2, tau2)
 
     def ph_in(u1, u2):
         kap, Kap = sk * u1, sK * u2

@@ -49,9 +49,9 @@ class TestCurrents:
             j1, j2 = currents(s, x1, t1, x2, t2)
 
             def amp(a, b, c, d):
-                from mirrorsim.wavegroup import _fields
+                from mirrorsim.wavegroup import _carrier_phase, _fields
                 f = _fields(s, a, b, c, d)
-                return np.exp(1j * f.phase0) * (f.F_in - f.F_ref)
+                return np.exp(1j * _carrier_phase(s, a, b, c, d)) * (f.F_in - f.F_ref)
 
             psi = amp(x1, t1, x2, t2)
             d1 = (amp(x1 + h, t1, x2, t2) - amp(x1 - h, t1, x2, t2)) / (2 * h)

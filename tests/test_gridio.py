@@ -2,9 +2,12 @@
 and the atomic temp-file write."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorsim import gridio
 from mirrorsim.grids import AxisSpec, Curve, FieldGrid, GridSpec
@@ -28,6 +31,30 @@ def _grid(values) -> FieldGrid:
     return FieldGrid(grid=GridSpec(axes=(AxisSpec("x1", 0.0, 1.0, n1),
                                          AxisSpec("x2", 0.0, 1.0, n2))),
                      values=values)
+
+
+def _formatted(values) -> tuple[list[str], int]:
+    """Each value as the block formatter writes it, one per row, and how many
+    went to Python's ``%.17g``."""
+    text, slow = gridio._format_block(np.asarray(values, dtype=float), 1)
+    return text.split("\n")[:-1], slow
+
+
+def _expected(values) -> list[str]:
+    return [format(float(x), ".17g") for x in values]
+
+
+def _exact_ties() -> list[float]:
+    """Doubles m 2**q whose exact decimal has 18 significant digits ending in
+    5, so that rounding to 17 digits is a tie; below 1e-6, where the power of
+    ten that scales them is not a double."""
+    ties = []
+    for q in range(-80, -20):
+        for m in range(1, 400, 2):
+            digits = Decimal(math.ldexp(m, q)).normalize().as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(math.ldexp(m, q))
+    return ties
 
 
 def _mixed(rng, shape) -> np.ndarray:
@@ -72,6 +99,96 @@ class TestRowFormat:
         rows_per_chunk = max(1, gridio._BLOCK_VALUES // shape[1])
         assert len(chunks) == math.ceil(shape[0] / rows_per_chunk)
         assert all(c.endswith("\n") and c.count("\n") <= rows_per_chunk for c in chunks)
+
+
+class TestValueFormat:
+    """``_format_block`` cell by cell against ``format(x, ".17g")``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=64))
+    def test_any_float_matches_reference(self, values):
+        assert _formatted(values)[0] == _expected(values)
+
+    def test_random_bit_patterns(self, rng):
+        values = rng.integers(0, 2**64, 200_000, dtype=np.uint64,
+                              endpoint=False).view(np.float64)
+        cells, slow = _formatted(values)
+        assert cells == _expected(values)
+        # NaN and inf, about 1 in 2048 patterns, and the exact ties of values
+        # with a few fraction bits in [1e14, 1e16) go to Python
+        assert np.count_nonzero(~np.isfinite(values)) <= slow < 0.002 * values.size
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = []
+        for k in range(-323, 309):
+            p = float(f"1e{k}")
+            values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        values += [-v for v in values]
+        cells, slow = _formatted(values)
+        assert cells == _expected(values)
+        # all certified, exponent corrections included, but for the exact tie
+        # +-999999999999999.875 (below 1e15)
+        assert slow == 2 and "999999999999999.88" in cells
+        assert "100" in cells and "10000000000000000" in cells and "1e+17" in cells
+
+    def test_notation_boundaries(self):
+        """.17g turns scientific below an exponent of -4 and from 17 up, and
+        the exponent counted is that of the rounded value."""
+        values = [1e-5, 1e-4, 0.00012345, 9.9999999999999991e-05,
+                  math.nextafter(1e-4, 0.0), 1e16, 1e17, 12345678901234567.0,
+                  99999999999999984.0, 1.2345678901234567e17, 0.1, 0.5, 1.0,
+                  2.5, 123.456]
+        cells, slow = _formatted(values)
+        assert cells == _expected(values)
+        assert slow == 0
+        assert cells[:4] == ["1.0000000000000001e-05", "0.0001", "0.00012344999999999999",
+                             "9.9999999999999991e-05"]
+        assert cells[5:8] == ["10000000000000000", "1e+17", "12345678901234568"]
+
+    def test_two_and_three_digit_exponents(self):
+        values = [1e-99, 1e-100, 1e99, 1e100, 1.5e-308, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -4.9406564584124654e-324]
+        cells, slow = _formatted(values)
+        assert cells == _expected(values)
+        assert slow == 0
+        assert cells[4:6] == ["1.4999999999999999e-308", "4.9406564584124654e-324"]
+
+    def test_carry_to_next_power_of_ten(self):
+        """Doubles just below 10**k whose 17 digits round up to 10**17: the
+        exponent grows by one and the digits are a single 1. Here log10 also
+        rounds up to k, so each first takes an exponent correction."""
+        values = [1e-305, 1e-243, 1e-176, 1e-79]
+        assert all(Decimal(v) < Decimal(str(v)) for v in values)
+        cells, slow = _formatted(values)
+        assert cells == ["1e-305", "1e-243", "1e-176", "1e-79"]
+        assert slow == 0
+
+    def test_decimals_next_to_a_tie(self, rng):
+        """17 digits followed by a 5 parse to the double just above or below
+        the tie, which must round the same way as the exact value does."""
+        mantissas = rng.integers(10**16, 10**17, 2000)
+        exponents = rng.integers(-320, 290, 2000)
+        values = [float(f"{m}5e{e}")
+                  for m, e in zip(mantissas.tolist(), exponents.tolist())]
+        assert _formatted(values)[0] == _expected(values)
+
+    def test_exact_ties_go_to_python(self):
+        ties = _exact_ties()
+        assert len(ties) > 100
+        cells, slow = _formatted(ties)
+        assert cells == _expected(ties)
+        assert slow == len(ties)
+
+    def test_non_finite_and_zeros(self):
+        values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
+        assert _formatted(values) == (["nan", "nan", "inf", "-inf", "0", "-0", "1"], 4)
+
+    def test_no_floating_point_flags(self, rng):
+        values = np.concatenate([EDGE, _exact_ties(), rng.integers(
+            0, 2**64, 10_000, dtype=np.uint64, endpoint=False).view(np.float64)])
+        with np.errstate(all="raise"):
+            assert _formatted(values)[0] == _expected(values)
 
 
 class TestAtomicWrite:
