@@ -34,7 +34,8 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import WavegroupSpec, incident_frame, joint_pdf, reflected_frame
+from .wavegroup import (WavegroupSpec, _fields, incident_frame, joint_pdf,
+                        reflected_frame)
 
 
 class ScenarioValidationError(ValueError):
@@ -634,7 +635,15 @@ def run_analysis(scenario: Scenario, name: str) -> dict:
 
 def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
                    t2: float) -> FieldGrid:
-    """Joint PDF sampled on a (x1, x2) grid with coarse-sampling flagging."""
+    """Joint PDF sampled on a (x1, x2) grid with coarse-sampling flagging.
+
+    The amplitude lives on x1 <= x2 and the step sets the PDF to an exact 0
+    beyond it, so only the physical points are evaluated, and the rest of
+    the grid stays 0. The kernel's arithmetic is elementwise and its
+    incident factors are gathered from the axes (:func:`~.wavegroup._fields`),
+    so every value is bitwise that of :func:`~.wavegroup.joint_pdf` on the
+    whole grid.
+    """
     ax1, ax2 = grid.axes
     x1 = ax1.values()
     x2 = ax2.values()
@@ -643,8 +652,11 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     step = max(x1[1] - x1[0], x2[1] - x2[0])
     if step > 0.5 * fringe:
         flags.append("coarse-sampling")
-    values = joint_pdf(spec, x1[:, None], t1, x2[None, :], t2)
-    return FieldGrid(grid=grid, values=np.asarray(values),
+    physical = x1[:, None] <= x2[None, :]
+    f = _fields(spec, x1, t1, x2, t2, within=physical)
+    values = np.zeros(grid.shape)
+    values[physical] = np.abs(f.F_in - f.F_ref) ** 2
+    return FieldGrid(grid=grid, values=values,
                      provenance={"operation": "joint_pdf", "t1": t1, "t2": t2,
                                  "flags": flags})
 

@@ -22,6 +22,13 @@ evaluates it, and the incident branch, separable since E = I, as a product
 of two 1-D integrals. A Gauss-Hermite quadrature of the same integrals,
 written independently, serves as the oracle.
 
+A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`) is evaluated only on
+its physical half x1 <= x2, where the amplitude lives; the step sets the
+rest to an exact 0. The reflected branch is evaluated at the physical points
+alone and the incident factors are gathered from the axes (``within`` of
+:func:`_fields`). Every step is elementwise, so each value is bitwise that
+of the whole-grid evaluation.
+
 Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
 over a half line is a Gaussian times a complex erfc, evaluated through the
@@ -311,9 +318,16 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
                                        x2 - spec.x2c, t2 - spec.t0), _TWO_PI)
 
 
+def _gather(mask, rows, cols):
+    """Row factors (1-D, along x1) and column factors (along x2) at the true
+    points of a boolean grid mask, in row-major order."""
+    return ([np.broadcast_to(a[:, None], mask.shape)[mask] for a in rows]
+            + [np.broadcast_to(a, mask.shape)[mask] for a in cols])
+
+
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
-            logs: bool = False) -> SimpleNamespace:
+            logs: bool = False, within=None) -> SimpleNamespace:
     """Evaluate both spectral integrals at broadcastable coordinate arrays.
 
     Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
@@ -325,28 +339,38 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     log-amplitudes log_in and log_ref, usable where the envelope factors
     themselves underflow; ``gradients`` adds the log-derivatives Lin1..Lref2,
     relative to the incident carrier (k0, K0).
+
+    ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
+    1-D axes x1 and x2, evaluates only the grid's true points, in row-major
+    order. The incident factors are still evaluated on the axes and then
+    gathered, and every other step is elementwise, so each value is bitwise
+    that of the whole grid at the same point.
     """
     p = spec.params
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     tau1 = np.asarray(t1, dtype=float) - spec.t0
     tau2 = np.asarray(t2, dtype=float) - spec.t0
-    dphase = interference_phase(p, x1, tau1, x2, tau2)
     incident, reflected = (_branch(spec, r, tau1, tau2) for r in (False, True))
+
+    log_pref = math.log(spec.norm_const / _TWO_PI)
+    # E = I makes the incident branch separable, a product of two 1-D packets:
+    # on separable coordinate arrays it costs O(n1 + n2) exponentials
+    (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
+    in1, in2 = np.exp(log_pref + log_in1), np.exp(log_in2)
+    if within is not None:
+        x1, in1, x2, in2 = _gather(within, (x1, in1), (x2, in2))
+        if logs or gradients:
+            log_in1, qi1, log_in2, qi2 = _gather(within, (log_in1, qi1), (log_in2, qi2))
+    dphase = interference_phase(p, x1, tau1, x2, tau2)
     if detune != 1.0:
         # the reflected carrier (k0, K0) + kq gains (detune - 1) times itself
         extra = [(detune - 1.0) * (k + q) for k, q in zip((p.k, p.K), reflected.kq)]
         dphase = dphase + extra[0] * x1 + extra[1] * x2
         reflected = reflected._replace(kq=(reflected.kq[0] + extra[0],
                                            reflected.kq[1] + extra[1]))
-
-    log_pref = math.log(spec.norm_const / _TWO_PI)
-    # E = I makes the incident branch separable, a product of two 1-D packets:
-    # on separable coordinate arrays it costs O(n1 + n2) exponentials
-    (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
     log_ref, qr1, qr2 = _log_gauss2(*reflected.A, *reflected.b(x1, x2),
                                     log_pref + 1j * np.remainder(dphase, _TWO_PI))
-    out = SimpleNamespace(F_in=np.exp(log_pref + log_in1) * np.exp(log_in2),
-                          F_ref=reflected_weight * np.exp(log_ref),
+    out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref),
                           physical=x1 <= x2)
     if logs:
         out.log_in, out.log_ref = log_pref + log_in1 + log_in2, log_ref

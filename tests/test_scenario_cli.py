@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorsim import AxisSpec, GridSpec, FieldGrid
+from mirrorsim import AxisSpec, GridSpec, FieldGrid, joint_pdf, wavegroup
 from mirrorsim.cli import main
 from mirrorsim.measurement import MeasurementEvent, collapse
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
@@ -171,6 +171,78 @@ class TestJointGrid:
         fg = joint_pdf_grid(s, grid, s.collision_time, s.collision_time)
         assert fg.values.min() >= 0.0
         assert fg.values.max() > 0.0
+
+
+class TestPhysicalHalfGrid:
+    """``joint_pdf_grid`` evaluates only x1 <= x2, and every value is bitwise
+    the stepped smooth form on the whole grid."""
+
+    @staticmethod
+    def _full(spec, grid, t1, t2):
+        x1, x2 = (a.values() for a in grid.axes)
+        smooth = joint_pdf(spec, x1[:, None], t1, x2[None, :], t2, apply_step=False)
+        return np.where(x1[:, None] <= x2[None, :], smooth, 0.0)
+
+    def _assert_bitwise(self, spec, grid, t1, t2):
+        values = joint_pdf_grid(spec, grid, t1, t2).values
+        expected = self._full(spec, grid, t1, t2)
+        assert values.shape == expected.shape
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        return values
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("later", [0.0, 1.0], ids=["equal-times", "mirror-later"])
+    def test_presets_bitwise(self, name, later):
+        s = PRESETS[name]
+        grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 96) for a in s.grid.axes))
+        t_c = s.collision_time
+        values = self._assert_bitwise(s.wavegroup, grid, t_c, t_c + later * s.tau)
+        if not later:  # the snapshot grids frame both packets at t_c
+            assert values.max() > 0.0
+
+    def test_nodes_on_the_wall(self, spec_fig5):
+        x_c = spec_fig5.collision_point
+        same = AxisSpec("x1", x_c - 3.0, x_c + 3.0, 61)
+        shifted = AxisSpec("x2", x_c - 2.0, x_c + 4.0, 61)  # shares 51 nodes with x1
+        t_c = spec_fig5.collision_time
+        for x2_axis in (AxisSpec("x2", same.lo, same.hi, same.n), shifted):
+            grid = GridSpec(axes=(same, x2_axis))
+            x1, x2 = (a.values() for a in grid.axes)
+            assert np.any(x1[:, None] == x2[None, :])
+            self._assert_bitwise(spec_fig5, grid, t_c, t_c)
+
+    def test_grid_wholly_above_the_wall(self, spec_fig5):
+        x_c = spec_fig5.collision_point
+        grid = GridSpec(axes=(AxisSpec("x1", x_c - 4.0, x_c - 1.0, 40),
+                              AxisSpec("x2", x_c - 0.5, x_c + 3.0, 48)))
+        t_c = spec_fig5.collision_time
+        values = self._assert_bitwise(spec_fig5, grid, t_c, t_c + spec_fig5.tau)
+        assert np.all(values > 0.0)
+
+    def test_grid_wholly_below_the_wall(self, spec_fig5):
+        x_c = spec_fig5.collision_point
+        grid = GridSpec(axes=(AxisSpec("x1", x_c + 1.0, x_c + 4.0, 40),
+                              AxisSpec("x2", x_c - 3.0, x_c + 0.5, 48)))
+        t_c = spec_fig5.collision_time
+        values = self._assert_bitwise(spec_fig5, grid, t_c, t_c)
+        assert not np.any(values.view(np.uint64))  # +0.0 everywhere
+
+    def test_reflected_branch_only_on_the_physical_half(self, monkeypatch):
+        s = PRESETS["fig5"]
+        grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 96) for a in s.grid.axes))
+        points = []
+        original = wavegroup._log_gauss2
+
+        def counted(*args):
+            points.append(np.broadcast(*args).size)
+            return original(*args)
+
+        monkeypatch.setattr(wavegroup, "_log_gauss2", counted)
+        joint_pdf_grid(s.wavegroup, grid, s.collision_time, s.collision_time)
+        x1, x2 = (a.values() for a in grid.axes)
+        physical = np.count_nonzero(x1[:, None] <= x2[None, :])
+        assert 0 < physical < x1.size * x2.size
+        assert sum(points) == physical
 
 
 class TestConditionalGrids:
