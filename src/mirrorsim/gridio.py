@@ -24,7 +24,9 @@ formatted in numpy, exactly:
 
 Python's ``"%.17g"`` formats only what the fast path cannot certify, in one
 call per block: NaN, +-inf, and values whose fraction of N lies within 1e-6
-of 1/2, exact ties among them. :func:`_format_block` counts them.
+of 1/2, exact ties among them, unless 10**(16 - e) is itself a double
+(-6 <= e <= 16). Then N is exact and numpy's round-half-to-even rounds a
+tie as ``.17g`` does. :func:`_format_block` counts the fallbacks.
 
 Files are written atomically (temp file + rename) and contain no wall-clock
 content, so identical configs produce byte-identical artifacts.
@@ -158,8 +160,9 @@ def _round17(a):
     """The 17 significant digits of each finite a > 0, rounded half to even,
     as an integer r in [1e16, 1e17), and the exponent x with a ~ r 10**(x - 16).
 
-    Also returns which values are certified: their scaled fraction is at least
-    ``_TIE_MARGIN`` away from a tie, and their rounded digits are in range.
+    Also returns which values are certified: their rounded digits are in
+    range, and either the double-double product is exact or their scaled
+    fraction is at least ``_TIE_MARGIN`` away from a tie.
     """
     e = np.floor(np.log10(a)).astype(np.int64)  # may be off by one near 10**e
     n, t = _scaled(a, e)
@@ -172,9 +175,14 @@ def _round17(a):
         n[fix], t[fix] = _scaled(a[fix], e[fix])
     nearest = np.rint(t)
     r = n.astype(np.int64) + nearest.astype(np.int64)
+    # where the table's low part is 0 (-6 <= e <= 16, 10**(16 - e) a double),
+    # n + t is the exact product, and n >= 1e16 > 2**53 is even, so rint(t)
+    # already rounds a tie half to even
+    *_, lo = _tables()
+    exact = lo[e - _E_MIN] == 0.0
     # an exponent one too high where n + t rounds to 1e16 gives the digits
     # that a carry to 1e17 gives at the right one; so r alone is checked
-    ok = ((np.abs(np.abs(t - nearest) - 0.5) >= _TIE_MARGIN)
+    ok = ((exact | (np.abs(np.abs(t - nearest) - 0.5) >= _TIE_MARGIN))
           & (r >= 10**16) & (r <= 10**17))
     carry = r == 10**17  # 99999999999999999.5 and up round to 10**17
     return r - carry * (9 * 10**16), e + carry, ok

@@ -46,8 +46,9 @@ def _expected(values) -> list[str]:
 
 def _exact_ties() -> list[float]:
     """Doubles m 2**q whose exact decimal has 18 significant digits ending in
-    5, so that rounding to 17 digits is a tie; below 1e-6, where the power of
-    ten that scales them is not a double."""
+    5, so that rounding to 17 digits is a tie: 9 below 1e-6, where the power
+    of ten that scales them is not a double, and 312 from 1.07e-6 to 1.9e-4,
+    where it is."""
     ties = []
     for q in range(-80, -20):
         for m in range(1, 400, 2):
@@ -127,9 +128,9 @@ class TestValueFormat:
         values += [-v for v in values]
         cells, slow = _formatted(values)
         assert cells == _expected(values)
-        # all certified, exponent corrections included, but for the exact tie
-        # +-999999999999999.875 (below 1e15)
-        assert slow == 2 and "999999999999999.88" in cells
+        # all certified, exponent corrections included, and the exact tie
+        # +-999999999999999.875 (below 1e15) too
+        assert slow == 0 and "999999999999999.88" in cells
         assert "100" in cells and "10000000000000000" in cells and "1e+17" in cells
 
     def test_notation_boundaries(self):
@@ -174,11 +175,32 @@ class TestValueFormat:
         assert _formatted(values)[0] == _expected(values)
 
     def test_exact_ties_go_to_python(self):
+        """Only where 10**(16 - e) is not a double, below 1e-6. These 9 are
+        the only ties there: 18 digits below 1e-6 need q = -24 or -25."""
         ties = _exact_ties()
         assert len(ties) > 100
         cells, slow = _formatted(ties)
         assert cells == _expected(ties)
-        assert slow == len(ties)
+        assert slow == sum(x < 1e-6 for x in ties) == 9
+
+    def test_exact_ties_with_an_exact_scale_are_certified(self, rng):
+        """From 1e-6 up, 10**(16 - e) is a double, so the scaled value is exact
+        and numpy rounds its ties half to even itself. A tie m 2**q with m odd
+        needs q = e - 17: 23 fraction bits at 1e-6, 2 at 1e15, as in the SI
+        densities of fig8's joint grid. No double in [1e16, 1e17) has a
+        fraction, so none there is a tie."""
+        ties = []
+        for e in range(-6, 16):
+            lo, hi = 10**e * 2**(17 - e), min(10**(e + 1) * 2**(17 - e), 2**53)
+            for m in rng.integers(lo // 2, hi // 2, 40).tolist():
+                x = math.ldexp(2 * m + 1, e - 17)
+                digits = Decimal(x).normalize().as_tuple().digits
+                assert len(digits) == 18 and digits[-1] == 5
+                ties.append(x)
+        ties += [-x for x in ties]
+        cells, slow = _formatted(ties)
+        assert cells == _expected(ties)
+        assert slow == 0
 
     def test_non_finite_and_zeros(self):
         values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
