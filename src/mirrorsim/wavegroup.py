@@ -184,6 +184,7 @@ class _Branch(NamedTuple):
 
     A: tuple        # (a11, a12, a22) of the complex symmetric A
     E: tuple        # collision matrix ((e11, e12), (e21, e22)) on spectral offsets
+    chirp: tuple    # (hbar tau1/m, hbar tau2/M), the diagonal C of Im(A) = E^T C E
     ut: tuple       # shared carrier displacements (v tau1, V tau2)
     recoil: tuple   # the branch's own displacements on top of ut
     kq: tuple       # carrier wavevectors relative to (k0, K0)
@@ -223,7 +224,8 @@ def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
          1j * (c1 * a11 * a12 + c2 * a21 * a22),
          1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22))
     # a carrier offset kq moves the packet by hbar kq tau / m = c kq
-    return _Branch(A=A, E=((a11, a12), (a21, a22)), ut=(p.v * tau1, p.V * tau2),
+    return _Branch(A=A, E=((a11, a12), (a21, a22)), chirp=(c1, c2),
+                   ut=(p.v * tau1, p.V * tau2),
                    recoil=(c1 * kq[0], c2 * kq[1]), kq=kq, xc=(spec.x1c, spec.x2c),
                    reflected=reflected)
 
@@ -234,14 +236,37 @@ def _axis_square(br: _Branch, axis: int, other):
     With the other coordinate held at ``other``, b = b0 + w u is affine in
     the axis coordinate u, with w = E^T e_axis, so the branch's log-amplitude
     is quadratic in u with curvature kappa = w^T A^{-1} w. Completing the
-    square, |F|^2 peaks at the real centre -Re(w^T A^{-1} b0) / Re(kappa),
+    square, |F|^2 peaks at the real centre -Re(b0^T A^{-1} w) / Re(kappa),
     with intensity curvature Re(kappa).
+
+    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r, up to 1e15,
+    so it is never the real part of a complex inverse. With A = R + i E^T C E,
+    R = diag(1/dk^2, 1/dK^2) and P = E^{-T} R E^{-1}, kappa is element (i, i)
+    of (P + i C)^{-1}, i = axis: 1/z with the Schur complement
+    z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
+    like-signed terms, so nothing cancels. The centre is -Re(gamma / z) /
+    Re(1/z) with gamma = beta_i - beta_j P_ij / (P_jj + i c_j), beta = E^{-T} b0.
     """
-    w1, w2 = br.E[axis]
-    _, q1, q2 = _log_gauss2(*br.A, w1, w2)  # q = A^{-1} w
-    kappa = w1 * q1 + w2 * q2
+    (e11, e12), (e21, e22) = br.E
+    det_e = e11 * e22 - e12 * e21
+    s1, s2 = 1.0 / br.A[0].real, 1.0 / br.A[2].real  # R^{-1}
+    # P = Q^{-1} from the adjugate of Q = E R^{-1} E^T, det P = 1 / det Q
+    det_q = det_e * det_e * s1 * s2
+    q11 = e11 * e11 * s1 + e12 * e12 * s2
+    q12 = e11 * e21 * s1 + e12 * e22 * s2
+    q22 = e21 * e21 * s1 + e22 * e22 * s2
+    P = ((q22 / det_q, -q12 / det_q), (-q12 / det_q, q11 / det_q))
+    i, j = axis, 1 - axis
+    p_ii, p_ij, p_jj = P[i][i], P[i][j], P[j][j]
+    c_i, c_j = br.chirp[i], br.chirp[j]
+    den = p_jj * p_jj + c_j * c_j
+    re_z = (p_jj / det_q + p_ii * c_j * c_j) / den
+    im_z = c_i + p_ij * p_ij * c_j / den
     b1, b2 = br.b(other, 0.0) if axis == 1 else br.b(0.0, other)
-    return -(b1 * q1 + b2 * q2).real / kappa.real, kappa
+    beta = ((e22 * b1 - e21 * b2) / det_e, (e11 * b2 - e12 * b1) / det_e)
+    re_g = beta[i] - beta[j] * p_ij * p_jj / den
+    im_g = beta[j] * p_ij * c_j / den
+    return -re_g - im_g * im_z / re_z, 1.0 / complex(re_z, im_z)
 
 
 def _half_line(log_c, slope, alpha, d):

@@ -261,6 +261,24 @@ class TestConditionalNorm:
             norms = [state.norm(t2) for t2 in t10 + spec.tau * np.array([0.0, 1.0, 3.0])]
             assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms), (m, M, v, dk, dK)
 
+    def test_t2_invariance_extreme_width_ratio(self):
+        # dk/dK = 4.4e-9: the mirror's dispersion ratio hbar tau dK^2/M is
+        # 7.6e14-1.9e15, so Re(w^T A^{-1} w) is 1e-15 of its modulus and is
+        # lost when taken as the real part of a complex inverse (a 2 % swing)
+        p = PhysicalParams.natural(M=31.89006512464583, v=0.0017268940434955503,
+                                   V=0.0014486448780483593)
+        dk, dK = 1.607436826082042e-05, 3671.8873168148248
+        spec = WavegroupSpec(p, dk=dk, dK=dK, x1c=-8.0 * (1 / dk + 1 / dK), x2c=0.0)
+        t10 = spec.collision_time
+        state = collapse(spec, resolve_event_like(spec, t10))
+        for t2 in t10 + spec.tau * np.array([0.0, 1.0, 2.0, 3.0]):
+            norm = state.norm(t2)
+            assert abs(norm - 8.2323368438e-6) <= 1e-6 * norm
+            x2 = np.linspace(*state.support(t2), 400_001)
+            sampled = np.trapezoid(state.pdf(x2, t2, apply_step=False), x2)
+            # the trapezoid itself spreads by 7.6e-5 over these t2
+            assert abs(norm - sampled) <= 1e-4 * sampled
+
     @pytest.mark.filterwarnings("error")
     def test_sampled_kernel_matches_closed_norm(self, spec_fig5):
         # the closed norm never samples the PDF, so the kernel's own
