@@ -239,8 +239,8 @@ def _axis_square(br: _Branch, axis: int, other):
     square, |F|^2 peaks at the real centre -Re(b0^T A^{-1} w) / Re(kappa),
     with intensity curvature Re(kappa).
 
-    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r, up to 1e15,
-    so it is never the real part of a complex inverse. With A = R + i E^T C E,
+    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r (1e15 at
+    dk/dK = 4e-9), so it is never the real part of a complex inverse. With A = R + i E^T C E,
     R = diag(1/dk^2, 1/dK^2) and P = E^{-T} R E^{-1}, kappa is element (i, i)
     of (P + i C)^{-1}, i = axis: 1/z with the Schur complement
     z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
@@ -343,13 +343,6 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
                                        x2 - spec.x2c, t2 - spec.t0), _TWO_PI)
 
 
-def _gather(mask, rows, cols):
-    """Row factors (1-D, along x1) and column factors (along x2) at the true
-    points of a boolean grid mask, in row-major order."""
-    return ([np.broadcast_to(a[:, None], mask.shape)[mask] for a in rows]
-            + [np.broadcast_to(a, mask.shape)[mask] for a in cols])
-
-
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
             logs: bool = False, within=None) -> SimpleNamespace:
@@ -366,10 +359,11 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     relative to the incident carrier (k0, K0).
 
     ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
-    1-D axes x1 and x2, evaluates only the grid's true points, in row-major
-    order. The incident factors are still evaluated on the axes and then
-    gathered, and every other step is elementwise, so each value is bitwise
-    that of the whole grid at the same point.
+    1-D axes x1 and x2, evaluates F_in and F_ref (neither logs nor
+    gradients) only at the grid's true points, in row-major order. The
+    incident factors are still evaluated on the axes and then gathered, and
+    every other step is elementwise, so each value is bitwise that of the
+    whole grid at the same point.
     """
     p = spec.params
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
@@ -383,9 +377,8 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
     in1, in2 = np.exp(log_pref + log_in1), np.exp(log_in2)
     if within is not None:
-        x1, in1, x2, in2 = _gather(within, (x1, in1), (x2, in2))
-        if logs or gradients:
-            log_in1, qi1, log_in2, qi2 = _gather(within, (log_in1, qi1), (log_in2, qi2))
+        x1, in1 = (np.broadcast_to(a[:, None], within.shape)[within] for a in (x1, in1))
+        x2, in2 = (np.broadcast_to(a, within.shape)[within] for a in (x2, in2))
     dphase = interference_phase(p, x1, tau1, x2, tau2)
     if detune != 1.0:
         # the reflected carrier (k0, K0) + kq gains (detune - 1) times itself
