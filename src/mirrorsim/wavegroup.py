@@ -240,12 +240,13 @@ def _axis_square(br: _Branch, axis: int, other):
     with intensity curvature Re(kappa).
 
     Re(kappa) is about 1/r of |kappa| at a dispersion ratio r (1e15 at
-    dk/dK = 4e-9), so it is never the real part of a complex inverse. With A = R + i E^T C E,
-    R = diag(1/dk^2, 1/dK^2) and P = E^{-T} R E^{-1}, kappa is element (i, i)
-    of (P + i C)^{-1}, i = axis: 1/z with the Schur complement
+    dk/dK = 4e-9), so it is never the real part of a complex inverse. With
+    A = R + i E^T C E, R = diag(1/dk^2, 1/dK^2) and P = E^{-T} R E^{-1}, kappa
+    is element (i, i) of (P + i C)^{-1}, i = axis: 1/z with the Schur complement
     z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
     like-signed terms, so nothing cancels. The centre is -Re(gamma / z) /
-    Re(1/z) with gamma = beta_i - beta_j P_ij / (P_jj + i c_j), beta = E^{-T} b0.
+    Re(1/z) with gamma = beta_i - beta_j P_ij / (P_jj + i c_j), beta = E^{-T} b0,
+    which is beta_j h - beta_i, linear in b0 with a real coefficient h.
     """
     (e11, e12), (e21, e22) = br.E
     det_e = e11 * e22 - e12 * e21
@@ -262,11 +263,11 @@ def _axis_square(br: _Branch, axis: int, other):
     den = p_jj * p_jj + c_j * c_j
     re_z = (p_jj / det_q + p_ii * c_j * c_j) / den
     im_z = c_i + p_ij * p_ij * c_j / den
+    h = p_ij * (p_jj - c_j * im_z / re_z) / den
+    adj = ((e22, -e21), (-e12, e11))  # det(E) E^{-T}
+    g1, g2 = ((h * adj[j][k] - adj[i][k]) / det_e for k in (0, 1))
     b1, b2 = br.b(other, 0.0) if axis == 1 else br.b(0.0, other)
-    beta = ((e22 * b1 - e21 * b2) / det_e, (e11 * b2 - e12 * b1) / det_e)
-    re_g = beta[i] - beta[j] * p_ij * p_jj / den
-    im_g = beta[j] * p_ij * c_j / den
-    return -re_g - im_g * im_z / re_z, 1.0 / complex(re_z, im_z)
+    return g1 * b1 + g2 * b2, 1.0 / complex(re_z, im_z)
 
 
 def _half_line(log_c, slope, alpha, d):
