@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: simulate, collapse, marginal, observables, check,
-presets list, validate. Times given on the command line (--times, --event
-t10=...) are offsets from the collision time in units of the scenario's
-overlap time scale tau; configs store absolute times. ``collapse`` samples
-each mirror time t2 on its own conditional support. --resolution is >= 16.
+presets list, validate. Times given on the command line are in units of the
+scenario's overlap time scale tau: --event t10=... and the --times of
+``simulate`` and ``marginal`` count from the collision time, the --times of
+``collapse`` from the detection time t10. Configs store absolute times.
+``collapse`` samples each mirror time t2 on its own conditional support.
+--resolution is >= 16; --times is a comma list of at least one finite number.
 
 Exit codes: 0 success, 2 parse error, 3 validation error,
 4 numerical-check failure.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,7 +41,7 @@ def _times(scenario, args, default):
     if args.times is None:
         return list(default)
     t_c, tau = scenario.collision_time, scenario.tau
-    return [t_c + float(tok) * tau for tok in args.times.split(",") if tok]
+    return [t_c + t * tau for t in args.times]
 
 
 def _event(scenario, args) -> sc.RawEvent:
@@ -85,8 +88,7 @@ def cmd_collapse(args) -> int:
     for s in _load_targets(args):
         h = sc.scenario_hash(s)
         raw = _event(s, args)
-        t2_list = [raw.t10 + float(tok) * s.tau
-                   for tok in (args.times or "0,1,2").split(",") if tok]
+        t2_list = [raw.t10 + t * s.tau for t in args.times or (0.0, 1.0, 2.0)]
         for i, curve in enumerate(sc.conditional_pdf_curves(
                 s, raw, t2_list, n=args.resolution or 256)):
             path = out / f"{s.name}_mirror_{i}.csv"
@@ -177,11 +179,24 @@ def _resolution(text: str) -> int:
     return int(text)
 
 
+def _time_list(text: str) -> list[float]:
+    """--times: a comma list of at least one finite number."""
+    try:
+        times = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        times = []
+    if not times or not all(math.isfinite(t) for t in times):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of finite numbers, got '{text}'")
+    return times
+
+
 _OPTIONS = {
     "resolution": dict(type=_resolution, default=None,
                        help="samples per grid axis or curve, at least 16"),
-    "times": dict(default=None,
-                  help="comma list of times, units of tau relative to collision"),
+    "times": dict(type=_time_list, default=None,
+                  help="comma list of times in units of tau, from the collision "
+                       "(collapse: from the detection time t10)"),
     "event": dict(default=None,
                   help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)"),
 }

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -107,6 +108,19 @@ def scenario_hash(s: Scenario) -> str:
     return hashlib.sha256(serialize(s).encode()).hexdigest()[:16]
 
 
+def _finite(val, path: str, out: list[str]):
+    """``val`` as a float, or None once ``out`` says why it is not a finite number.
+
+    JSON parsing accepts NaN, Infinity and integers beyond the float range."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        out.append(f"{path}: not a number")
+        return None
+    if not abs(val) <= sys.float_info.max:
+        out.append(f"{path}: not a finite number")
+        return None
+    return float(val)
+
+
 def _check_number(cfg: dict, path: str, key: str, out: list[str],
                   required: bool = True, allow_none: bool = False):
     if key not in cfg:
@@ -116,10 +130,7 @@ def _check_number(cfg: dict, path: str, key: str, out: list[str],
     val = cfg[key]
     if val is None and allow_none:
         return None
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        out.append(f"{path}.{key}: not a number")
-        return None
-    return float(val)
+    return _finite(val, f"{path}.{key}", out)
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -196,8 +207,7 @@ def validate_config(cfg: dict) -> list[str]:
             out.append(f"events[{i}].t10: precedes wavegroup.t0")
 
     for i, t in enumerate(listed("snapshot_times")):
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            out.append(f"snapshot_times[{i}]: not a number")
+        _finite(t, f"snapshot_times[{i}]", out)
 
     grids = listed("grids")
     if len(grids) > 1:

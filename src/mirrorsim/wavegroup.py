@@ -16,11 +16,13 @@ carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
 Both branches take the shared (v tau1, V tau2) off x before any recoil, and b
 keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
 far below one ulp of the mirror's momentum. :func:`_branch` states that form
-once; amplitudes, log-amplitudes, gradients (relative to (k0, K0)), packet
-frames and conditional profiles all derive from it. :func:`_log_gauss2`
-evaluates it, and the incident branch, separable since E = I, as a product
-of two 1-D integrals. A Gauss-Hermite quadrature of the same integrals,
-written independently, serves as the oracle.
+once; amplitudes, log-amplitudes and gradients (relative to (k0, K0)) derive
+from it, and :func:`_moments` reads each branch's intensity Gaussian off it
+in real arithmetic, the one source of packet frames, axis squares and
+conditional profiles. :func:`_log_gauss2` evaluates the form, and the
+incident branch, separable since E = I, as a product of two 1-D integrals.
+A Gauss-Hermite quadrature of the same integrals, written independently,
+serves as the oracle.
 
 A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`) is evaluated only on
 its physical half x1 <= x2, where the amplitude lives; the step sets the
@@ -230,44 +232,59 @@ def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
                    reflected=reflected)
 
 
-def _axis_square(br: _Branch, axis: int, other):
-    """Real centre and curvature kappa of one branch along a coordinate axis.
+def _moments(br: _Branch):
+    """Centre, intensity covariance, P and det Q of one branch, in plain floats.
 
-    With the other coordinate held at ``other``, b = b0 + w u is affine in
-    the axis coordinate u, with w = E^T e_axis, so the branch's log-amplitude
-    is quadratic in u with curvature kappa = w^T A^{-1} w. Completing the
-    square, |F|^2 peaks at the real centre -Re(b0^T A^{-1} w) / Re(kappa),
-    with intensity curvature Re(kappa).
-
-    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r (1e15 at
-    dk/dK = 4e-9), so it is never the real part of a complex inverse. With
-    A = R + i E^T C E, R = diag(1/dk^2, 1/dK^2) and P = E^{-T} R E^{-1}, kappa
-    is element (i, i) of (P + i C)^{-1}, i = axis: 1/z with the Schur complement
-    z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
-    like-signed terms, so nothing cancels. The centre is -Re(gamma / z) /
-    Re(1/z) with gamma = beta_i - beta_j P_ij / (P_jj + i c_j), beta = E^{-T} b0,
-    which is beta_j h - beta_i, linear in b0 with a real coefficient h.
+    |F|^2 is the Gaussian exp(-b^T Re(A^{-1}) b), centred where b = 0, at
+    u tau + recoil + E^{-T} (x1c, x2c). With A = R + i E^T C E, R = diag(1/dk^2,
+    1/dK^2), C = diag(chirp), its covariance (2 E Re(A^{-1}) E^T)^{-1} is
+    (P + C Q C) / 2, P = E^{-T} R E^{-1}, Q = P^{-1} = E R^{-1} E^T, since
+    Re((P + i C)^{-1}) = (P + C Q C)^{-1}. The diagonal is a sum of like-signed
+    terms that bound the off-diagonal, so nothing cancels. P is the adjugate
+    of Q over det Q = det(E)^2 / (R11 R22).
     """
     (e11, e12), (e21, e22) = br.E
     det_e = e11 * e22 - e12 * e21
     s1, s2 = 1.0 / br.A[0].real, 1.0 / br.A[2].real  # R^{-1}
-    # P = Q^{-1} from the adjugate of Q = E R^{-1} E^T, det P = 1 / det Q
     det_q = det_e * det_e * s1 * s2
     q11 = e11 * e11 * s1 + e12 * e12 * s2
     q12 = e11 * e21 * s1 + e12 * e22 * s2
     q22 = e21 * e21 * s1 + e22 * e22 * s2
     P = ((q22 / det_q, -q12 / det_q), (-q12 / det_q, q11 / det_q))
+    c1, c2 = br.chirp
+    cov12 = 0.5 * (P[0][1] + c1 * c2 * q12)
+    cov = ((0.5 * (P[0][0] + c1 * c1 * q11), cov12),
+           (cov12, 0.5 * (P[1][1] + c2 * c2 * q22)))
+    x1c, x2c = br.xc
+    centre = (br.ut[0] + br.recoil[0] + (e22 * x1c - e21 * x2c) / det_e,
+              br.ut[1] + br.recoil[1] + (e11 * x2c - e12 * x1c) / det_e)
+    return centre, cov, P, det_q
+
+
+def _axis_square(br: _Branch, axis: int, other):
+    """Real centre and curvature kappa of one branch along a coordinate axis.
+
+    With the other coordinate held at ``other``, b = b0 + w u is affine in
+    the axis coordinate u, with w = E^T e_axis, so the log-amplitude is
+    quadratic in u with curvature kappa = w^T A^{-1} w. |F|^2 along u, a slice
+    of the intensity Gaussian (:func:`_moments`), peaks on its regression line
+    centre_i + cov_ij / cov_jj (other - centre_j), i = axis.
+
+    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r (1e15 at
+    dk/dK = 4e-9), so it is never the real part of a complex inverse. kappa
+    is element (i, i) of (P + i C)^{-1}: 1/z with the Schur complement
+    z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
+    like-signed terms, so nothing cancels.
+    """
+    centre, cov, P, det_q = _moments(br)
     i, j = axis, 1 - axis
     p_ii, p_ij, p_jj = P[i][i], P[i][j], P[j][j]
     c_i, c_j = br.chirp[i], br.chirp[j]
     den = p_jj * p_jj + c_j * c_j
     re_z = (p_jj / det_q + p_ii * c_j * c_j) / den
     im_z = c_i + p_ij * p_ij * c_j / den
-    h = p_ij * (p_jj - c_j * im_z / re_z) / den
-    adj = ((e22, -e21), (-e12, e11))  # det(E) E^{-T}
-    g1, g2 = ((h * adj[j][k] - adj[i][k]) / det_e for k in (0, 1))
-    b1, b2 = br.b(other, 0.0) if axis == 1 else br.b(0.0, other)
-    return g1 * b1 + g2 * b2, 1.0 / complex(re_z, im_z)
+    return (centre[i] + cov[i][j] / cov[j][j] * (other - centre[j]),
+            1.0 / complex(re_z, im_z))
 
 
 def _half_line(log_c, slope, alpha, d):
@@ -456,17 +473,10 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def _frame(br: _Branch):
-    """Centre and intensity covariance of one branch's packet.
-
-    |F|^2 is a Gaussian exp(-Re(b^T A^{-1} b)) in x, centred where b = 0 at
-    u tau + E^{-T} (x1c, x2c) with covariance (2 E Re(A^{-1}) E^T)^{-1}.
-    """
-    a11, a12, a22 = br.A
-    E = np.array(br.E)
-    centre = (np.array(br.ut) + np.array(br.recoil)
-              + np.linalg.solve(E.T, np.array(br.xc)))
-    re_ainv = np.linalg.inv(np.array([[a11, a12], [a12, a22]])).real
-    return centre, np.linalg.inv(2.0 * E @ re_ainv @ E.T)
+    """Centre and intensity covariance of one branch's packet (:func:`_moments`),
+    as arrays of shape (2,) and (2, 2)."""
+    centre, cov, _, _ = _moments(br)
+    return np.array(centre), np.array(cov)
 
 
 def incident_frame(spec: WavegroupSpec, t1: float, t2: float):
@@ -515,13 +525,14 @@ def _saddle_node_sum(phase, s, w):
     e0 = expo(0.0, 0.0)
     ep1, em1 = expo(1.0, 0.0), expo(-1.0, 0.0)
     ep2, em2 = expo(0.0, 1.0), expo(0.0, -1.0)
-    g = np.array([0.5 * (ep1 - em1), 0.5 * (ep2 - em2)])
+    g1, g2 = 0.5 * (ep1 - em1), 0.5 * (ep2 - em2)
+    h11, h22 = ep1 + em1 - 2.0 * e0, ep2 + em2 - 2.0 * e0
     h12 = expo(1.0, 1.0) - ep1 - ep2 + e0
-    H = np.array([[ep1 + em1 - 2.0 * e0, h12], [h12, ep2 + em2 - 2.0 * e0]])
-    u_star = -np.linalg.solve(H, g)
+    det_h = h11 * h22 - h12 * h12  # u* = -H^{-1} g by the adjugate
+    u1, u2 = (h12 * g2 - h22 * g1) / det_h, (h12 * g1 - h11 * g2) / det_h
 
     t1, t2 = s[:, None], s[None, :]
-    z = expo(u_star[0] + t1, u_star[1] + t2) + t1**2 + t2**2
+    z = expo(u1 + t1, u2 + t2) + t1**2 + t2**2
     return np.sum(w * np.exp(z.real) * np.exp(1j * np.remainder(z.imag, _TWO_PI)))
 
 

@@ -523,6 +523,42 @@ class TestCli:
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3
 
+    @pytest.mark.parametrize("path,value", [
+        ("params.M", math.nan), ("params.v", math.nan),
+        ("wavegroup.x1c", -math.inf), ("events[0].t10", math.nan),
+        ("snapshot_times[0]", math.inf), ("grids[0].axes[0].lo", math.nan),
+        ("grids[0].axes[0].hi", math.inf),
+        pytest.param("wavegroup.dk", 10**400, id="wavegroup.dk-int-beyond-float"),
+    ])
+    def test_non_finite_config_number_is_named(self, tmp_path, capsys, path, value):
+        # json parses NaN, Infinity and -Infinity as floats
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["events"] = [{"t10": cfg["snapshot_times"][0]}]
+        *parents, leaf = path.replace("]", "").replace("[", ".").split(".")
+        node = cfg
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[int(leaf) if leaf.isdigit() else leaf] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        for argv in (["validate", "--config", str(config)],
+                     ["simulate", "--config", str(config), "--resolution", "16",
+                      "--out", str(out)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"{path}: not a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "marginal", "collapse"])
+    @pytest.mark.parametrize("times", ["", ",", "1,,2", "abc", "nan", "inf", "0,-inf"])
+    def test_times_must_be_finite_numbers(self, tmp_path, capsys, command, times):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig2", "--times", times, "--resolution", "16",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--times: must be a comma list of finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBenchmarkSelftest:
     def test_selftest_passes(self):

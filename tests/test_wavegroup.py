@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        amplitude_quadrature, collapse, joint_pdf,
                        spectral_amplitude)
 from mirrorsim.scenario import PRESETS
-from mirrorsim.wavegroup import (_MAX_NODES, _carrier_phase, _fields, _log_gauss2,
-                                 incident_frame, reflected_frame)
+from mirrorsim.wavegroup import (_MAX_NODES, _axis_square, _branch, _carrier_phase,
+                                 _fields, _log_gauss2, incident_frame, reflected_frame)
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,9 +282,59 @@ def _moments(w, x1, x2):
     return total * (x1[1] - x1[0]) * (x2[1] - x2[0]), np.array([m1, m2]), cov
 
 
+def _exact_branch_moments(br):
+    """Exact rational moments of a branch form whose float A, E, ut, recoil and
+    xc are taken as exact: the centre, Sigma = (2 E Re(A^{-1}) E^T)^{-1}, and
+    per axis Re(kappa) = w^T Re(A^{-1}) w, w = E^T e_axis, with the function
+    that maps the other coordinate to the conditional centre
+    -b0^T Re(A^{-1}) w / Re(kappa). Complex numbers are (re, im) pairs."""
+    F = Fraction
+    (a1r, a1i), (a2r, a2i), (a3r, a3i) = ((F(z.real), F(z.imag)) for z in br.A)
+    # Re(A^{-1}) = Re(adj(A) conj(det A)) / |det A|^2
+    dr = a1r * a3r - a1i * a3i - a2r * a2r + a2i * a2i
+    di = a1r * a3i + a1i * a3r - 2 * a2r * a2i
+    mag = dr * dr + di * di
+    adj = ((a3r, a3i), (-a2r, -a2i), (a1r, a1i))
+    r11, r12, r22 = ((xr * dr + xi * di) / mag for xr, xi in adj)
+    re_ainv = ((r11, r12), (r12, r22))
+    E = [[F(e) for e in row] for row in br.E]
+    m = [[2 * sum(E[i][k] * re_ainv[k][l] * E[j][l] for k in (0, 1) for l in (0, 1))
+          for j in (0, 1)] for i in (0, 1)]
+    det_m = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    cov = ((m[1][1] / det_m, -m[0][1] / det_m), (-m[1][0] / det_m, m[0][0] / det_m))
+    shift = [F(u) + F(r) for u, r in zip(br.ut, br.recoil)]
+    x1c, x2c = (F(x) for x in br.xc)
+    det_e = E[0][0] * E[1][1] - E[0][1] * E[1][0]
+    centre = (shift[0] + (E[1][1] * x1c - E[1][0] * x2c) / det_e,
+              shift[1] + (E[0][0] * x2c - E[0][1] * x1c) / det_e)
+
+    def along(axis):
+        w = E[axis]
+        re_kappa = sum(w[k] * re_ainv[k][l] * w[l] for k in (0, 1) for l in (0, 1))
+
+        def conditional_centre(other):
+            y = [-shift[0], -shift[1]]
+            y[1 - axis] += F(other)
+            b0 = [E[0][k] * y[0] + E[1][k] * y[1] - F(x) for k, x in zip((0, 1), br.xc)]
+            slope = sum(b0[k] * re_ainv[k][l] * w[l] for k in (0, 1) for l in (0, 1))
+            return -slope / re_kappa
+        return re_kappa, conditional_centre
+
+    return centre, cov, along
+
+
+def _extreme_width_ratio_spec():
+    """The dk/dK = 4.4e-9 spec of test_t2_invariance_extreme_width_ratio."""
+    p = PhysicalParams.natural(M=31.89006512464583, v=0.0017268940434955503,
+                               V=0.0014486448780483593)
+    dk, dK = 1.607436826082042e-05, 3671.8873168148248
+    return WavegroupSpec(p, dk=dk, dK=dK, x1c=-8.0 * (1 / dk + 1 / dK), x2c=0.0)
+
+
 class TestBranchFrames:
     """Frames and conditional profiles come from the branch form alone; the
-    moments of each branch's own |F|^2 on a grid must reproduce them."""
+    moments of each branch's own |F|^2 on a grid must reproduce them, and so
+    must exact rational arithmetic on the same float form."""
 
     @staticmethod
     def _times(s):
@@ -324,3 +375,43 @@ class TestBranchFrames:
                 assert std == pytest.approx(sigma, rel=1e-9)
                 at_centre = getattr(_fields(s, ev.x10, ev.t10, centre, t2), part)
                 assert weight == pytest.approx(abs(at_centre), rel=1e-12)
+
+    @staticmethod
+    def _check_exact(spec, t1, t2, centres_too=True):
+        for reflected, frame in ((False, incident_frame), (True, reflected_frame)):
+            br = _branch(spec, reflected, t1 - spec.t0, t2 - spec.t0)
+            centre, cov = frame(spec, t1, t2)
+            ref_centre, ref_cov, along = _exact_branch_moments(br)
+            sig = [math.sqrt(ref_cov[i][i]) for i in (0, 1)]
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert abs(cov[i, j] - float(ref_cov[i][j])) <= 1e-14 * sig[i] * sig[j]
+                if centres_too:
+                    assert abs(centre[i] - float(ref_centre[i])) <= 1e-7 * sig[i]
+            for axis in (0, 1):
+                re_kappa, conditional_centre = along(axis)
+                other = float(ref_centre[1 - axis]) + sig[1 - axis]
+                c, kappa = _axis_square(br, axis, other)
+                assert abs(kappa.real - float(re_kappa)) <= 1e-14 * float(re_kappa)
+                if centres_too:
+                    width = 1.0 / math.sqrt(2.0 * float(re_kappa))
+                    assert abs(c - float(conditional_centre(other))) <= 1e-7 * width
+
+    def test_moments_match_exact_arithmetic(self):
+        # centres are checked on the named cases only: on random draws a
+        # centre is limited by ulp(|x|) / sigma, which the form cannot help
+        specs = [PRESETS[n].wavegroup for n in ("fig5", "fig7-d", "fig8")]
+        for s in specs + [_extreme_width_ratio_spec()]:
+            t_c, tau = s.collision_time, s.tau
+            for k in (0.0, 1.0, 3.0):
+                self._check_exact(s, t_c, t_c + k * tau)
+                self._check_exact(s, t_c + k * tau, t_c + k * tau)
+        rng = np.random.default_rng(20140501)
+        for _ in range(100):
+            p = PhysicalParams.natural(M=10.0 ** rng.uniform(0.0, 20.0),
+                                       v=1.0, V=1.0 - 10.0 ** rng.uniform(-3.0, 0.0))
+            dk = 10.0 ** rng.uniform(-3.0, 1.0)
+            dK = dk / 10.0 ** rng.uniform(-9.0, 1.0)
+            s = WavegroupSpec(p, dk=dk, dK=dK, x1c=-8.0 * (1 / dk + 1 / dK), x2c=0.0)
+            t1, t2 = s.collision_time + s.tau * rng.uniform(-1.0, 4.0, 2)
+            self._check_exact(s, t1, t2, centres_too=False)
