@@ -6,7 +6,8 @@ scenario's overlap time scale tau: --event t10=... and the --times of
 ``simulate`` and ``marginal`` count from the collision time, the --times of
 ``collapse`` from the detection time t10. Configs store absolute times.
 ``collapse`` samples each mirror time t2 on its own conditional support.
---resolution is >= 16; --times is a comma list of at least one finite number.
+--resolution is >= 16; --times is a comma list of at least one finite number;
+--event is a comma list of t10=, x10= and dx1= pairs, each at most once and finite.
 
 Exit codes: 0 success, 2 parse error, 3 validation error,
 4 numerical-check failure.
@@ -46,15 +47,9 @@ def _times(scenario, args, default):
 
 def _event(scenario, args) -> sc.RawEvent:
     if args.event:
-        fields = {}
-        for tok in args.event.split(","):
-            key, _, val = tok.partition("=")
-            if key not in ("t10", "x10", "dx1"):
-                raise ValueError(f"unknown event field '{key}'")
-            fields[key] = float(val)
-        t10 = scenario.collision_time + fields.get("t10", 0.0) * scenario.tau
-        return sc.RawEvent(t10=t10, x10=fields.get("x10"),
-                           dx1=fields.get("dx1", 1e-3))
+        t10 = scenario.collision_time + args.event.get("t10", 0.0) * scenario.tau
+        return sc.RawEvent(t10=t10, x10=args.event.get("x10"),
+                           dx1=args.event.get("dx1", 1e-3))
     if scenario.events:
         return scenario.events[0]
     return sc.RawEvent(t10=scenario.collision_time)
@@ -191,13 +186,31 @@ def _time_list(text: str) -> list[float]:
     return times
 
 
+def _event_fields(text: str) -> dict[str, float]:
+    """--event: key=value pairs of t10, x10 and dx1, each at most once and finite."""
+    fields = {}
+    for tok in text.split(","):
+        key, sep, val = tok.partition("=")
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        new_key = sep and key in ("t10", "x10", "dx1") and key not in fields
+        if not (new_key and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                "must be key=value pairs of t10, x10 and dx1, each at most once "
+                f"and finite, got '{text}'")
+        fields[key] = value
+    return fields
+
+
 _OPTIONS = {
     "resolution": dict(type=_resolution, default=None,
                        help="samples per grid axis or curve, at least 16"),
     "times": dict(type=_time_list, default=None,
                   help="comma list of times in units of tau, from the collision "
                        "(collapse: from the detection time t10)"),
-    "event": dict(default=None,
+    "event": dict(type=_event_fields, default=None,
                   help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)"),
 }
 

@@ -16,13 +16,16 @@ shape information comes from the slice itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .harmonic import _TWO_PI, SpacetimePoint, fringe_period
-from .wavegroup import (WavegroupSpec, _axis_square, _branch, _closed_trace,
-                        _log_gauss2, amplitude_parts, joint_pdf)
+from .wavegroup import (WavegroupSpec, _axis_square, _branch, _check_range,
+                        _closed_trace, _log_gauss2, amplitude_parts, joint_pdf)
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -79,6 +82,8 @@ class ConditionalMirrorState:
             centre, kappa = _axis_square(br, 1, ev.x10)
             centre = float(centre)
             log_g, _, _ = _log_gauss2(*br.A, *br.b(ev.x10, centre))
+            _check_range(kappa.real > 0.0 and log_g.real < _LOG_FLOAT_MAX,
+                         "conditional state", t10=ev.t10, t2=t2)
             weight = spec.norm_const / _TWO_PI * math.exp(log_g.real)
             out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), weight))
         return out

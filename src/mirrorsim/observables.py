@@ -16,7 +16,7 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import (WavegroupSpec, _closed_trace, _fields, incident_frame,
+from .wavegroup import (WavegroupSpec, _branch, _closed_trace, incident_frame,
                         joint_pdf, reflected_frame)
 
 
@@ -229,13 +229,15 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     """
     t2 = np.asarray(t2_axis, dtype=float)
     state._check_time(t2)
-    ev = state.event
-    f = _fields(state.spec, ev.x10, ev.t10, x2, t2, logs=True)
+    spec, ev = state.spec, state.event
     # log-space evaluation: the envelope factors underflow once the packet
     # has moved past the detector, but the normalised contrast survives
-    ref_level = np.maximum(f.log_in.real, f.log_ref.real)
-    a = np.exp(f.log_in - ref_level)
-    b = np.exp(f.log_ref - ref_level)
+    tau1, tau2 = ev.t10 - spec.t0, t2 - spec.t0
+    log_in, log_ref = (_branch(spec, r, tau1, tau2).log_amplitude(spec, ev.x10, x2)[0]
+                       for r in (False, True))
+    ref_level = np.maximum(log_in.real, log_ref.real)
+    a = np.exp(log_in - ref_level)
+    b = np.exp(log_ref - ref_level)
     y = np.abs(a - b) ** 2 / (np.abs(a) ** 2 + np.abs(b) ** 2)
     omega, _ = fit_sinusoid(t2, y)
     beat = 0.5 * omega

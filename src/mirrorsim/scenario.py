@@ -35,8 +35,8 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import (WavegroupSpec, _fields, incident_frame, joint_pdf,
-                        reflected_frame)
+from .wavegroup import (WavegroupSpec, _check_range, _fields, incident_frame,
+                        joint_pdf, reflected_frame)
 
 
 class ScenarioValidationError(ValueError):
@@ -453,13 +453,10 @@ def overlap_slice(scenario: Scenario, axis: str = "x2") -> Curve:
     x_c = spec.collision_point
     fringe = fringe_period(scenario.params)
     half = 12.0 * max(fringe, 0.5 / spec.dk)
-    if axis == "x2":
-        x2 = np.linspace(x_c - half, x_c + half, 8193)
-        y = joint_pdf(spec, x_c - 2.0 * fringe, t, x2, t)
-        return Curve(x=x2, y=np.asarray(y), meta={"axis": "x2", "t": t})
-    x1 = np.linspace(x_c - half, x_c + half, 8193)
-    y = joint_pdf(spec, x1, t, x_c + 2.0 * fringe, t)
-    return Curve(x=x1, y=np.asarray(y), meta={"axis": "x1", "t": t})
+    line = np.linspace(x_c - half, x_c + half, 8193)
+    x1, x2 = (x_c - 2.0 * fringe, line) if axis == "x2" else (line, x_c + 2.0 * fringe)
+    y = joint_pdf(spec, x1, t, x2, t)
+    return Curve(x=line, y=np.asarray(y), meta={"axis": axis, "t": t})
 
 
 def _beat_window(scenario: Scenario, event: MeasurementEvent):
@@ -666,6 +663,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     f = _fields(spec, x1, t1, x2, t2, within=physical)
     values = np.zeros(grid.shape)
     values[physical] = np.abs(f.F_in - f.F_ref) ** 2
+    _check_range(np.isfinite(values).all(), "joint pdf", t1=t1, t2=t2)
     return FieldGrid(grid=grid, values=values,
                      provenance={"operation": "joint_pdf", "t1": t1, "t2": t2,
                                  "flags": flags})
@@ -686,6 +684,7 @@ def conditional_pdf_curves(scenario: Scenario, raw: RawEvent, t2_list,
     out = []
     for t2 in sorted(float(t) for t in t2_list):
         x2, pdf = state._sampled(t2, n, pad=6.0)
+        _check_range(np.isfinite(pdf).all(), "conditional pdf", t10=event.t10, t2=t2)
         sigma = min(s for _, s, _ in state._kept_profiles(t2))
         flags = ["coarse-sampling"] if x2[1] - x2[0] > 0.5 * min(fringe, sigma) else []
         out.append(Curve(x=x2, y=np.asarray(pdf), meta={

@@ -15,12 +15,12 @@ reflected one. The reflected branch is the incident carrier plus a recoil:
 carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
 Both branches take the shared (v tau1, V tau2) off x before any recoil, and b
 keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
-far below one ulp of the mirror's momentum. :func:`_branch` states that form
-once; amplitudes, log-amplitudes and gradients (relative to (k0, K0)) derive
-from it, and :func:`_moments` reads each branch's intensity Gaussian off it
-in real arithmetic, the one source of packet frames, axis squares and
-conditional profiles. :func:`_log_gauss2` evaluates the form, and the
-incident branch, separable since E = I, as a product of two 1-D integrals.
+far below one ulp of the mirror's momentum. :func:`_branch` states that form,
+A, b and c, once and :meth:`_Branch.log_amplitude` evaluates it (the incident
+branch, separable since E = I, as two 1-D integrals); amplitudes, traces and
+gradients (relative to (k0, K0)) derive from it, and :func:`_moments` reads
+each branch's intensity Gaussian off it in real arithmetic, the one source of
+packet frames, axis squares and conditional profiles.
 A Gauss-Hermite quadrature of the same integrals, written independently,
 serves as the oracle.
 
@@ -89,6 +89,14 @@ def _log_gauss2(a11, a12, a22, b1, b2, c=0.0):
     log_val = (_LOG_TWO_PI + c - 0.5 * (np.log(a11) + np.log(det_a / a11))
                - 0.5 * (b1 * q1 + b2 * q2))
     return log_val, q1, q2
+
+
+def _check_range(ok, what: str, **times):
+    """ValueError naming the times unless ``ok``: at extreme times the closed
+    form's chirps and exponents leave the floating-point range."""
+    if not ok:
+        at = ", ".join(f"{k}={v:.6g}" for k, v in times.items())
+        raise ValueError(f"{what} at {at} is beyond the closed form's floating-point range")
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,8 @@ class _Branch(NamedTuple):
     kq: tuple       # carrier wavevectors relative to (k0, K0)
     xc: tuple       # packet centres (x1c, x2c) at t0
     reflected: bool
+    tau: tuple      # (tau1, tau2), the times of the recoil phase in c
+    offset: tuple | None  # a detuned carrier's extra wavevectors, phase only
 
     def b(self, x1, x2):
         """The linear coefficient b = E^T y - (x1c, x2c), y = x - ut - recoil."""
@@ -201,6 +211,19 @@ class _Branch(NamedTuple):
         y1, y2 = y1 - self.recoil[0], y2 - self.recoil[1]
         d = self.E[0][1] * (y1 - y2)  # E^T y = (2 y2 - y1, y2) + a12 (y1 - y2) (1, 1)
         return 2.0 * y2 - y1 + d - self.xc[0], y2 + d - self.xc[1]
+
+    def log_amplitude(self, spec: WavegroupSpec, x1, x2):
+        """(log F, q1, q2) at broadcastable (x1, x2), q = A^{-1} b. c is the log
+        prefactor plus, when reflected, i (recoil phase + offset . x) mod 2 pi."""
+        log_pref = math.log(spec.norm_const / _TWO_PI)
+        b1, b2 = self.b(x1, x2)
+        if not self.reflected:
+            (log1, q1), (log2, q2) = _log_gauss1(self.A[0], b1), _log_gauss1(self.A[2], b2)
+            return log_pref + log1 + log2, q1, q2
+        phase = interference_phase(spec.params, x1, self.tau[0], x2, self.tau[1])
+        if self.offset is not None:
+            phase = phase + self.offset[0] * x1 + self.offset[1] * x2
+        return _log_gauss2(*self.A, b1, b2, log_pref + 1j * np.remainder(phase, _TWO_PI))
 
     def log_gradient(self, q1, q2):
         """Log-derivatives i kq - E q of the amplitude, relative to the
@@ -212,24 +235,26 @@ class _Branch(NamedTuple):
                 1j * self.kq[1] - (a21 * q1 + a22 * q2))
 
 
-def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2) -> _Branch:
-    """The incident or the reflected branch's Gaussian form at (tau1, tau2)."""
+def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2, detune: float = 1.0) -> _Branch:
+    """The incident or the reflected branch's Gaussian form at (tau1, tau2).
+    ``detune`` scales the reflected carrier wavevectors, not the energies or the
+    packet's motion: a deliberately broken field for negative-control tests."""
     p = spec.params
     c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
-    if reflected:
-        (a11, a12), (a21, a22) = p.collision_matrix
-        kq = (-2.0 * p.k_rel, 2.0 * p.k_rel)
-    else:
-        a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
-        kq = (0.0, 0.0)
+    (a11, a12), (a21, a22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
+    kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
+    # a detuned reflected carrier (k0, K0) + kq gains (detune - 1) times itself
+    offset = (tuple((detune - 1.0) * (k + q) for k, q in zip((p.k, p.K), kq))
+              if reflected and detune != 1.0 else None)
     A = (1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
          1j * (c1 * a11 * a12 + c2 * a21 * a22),
          1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22))
     # a carrier offset kq moves the packet by hbar kq tau / m = c kq
     return _Branch(A=A, E=((a11, a12), (a21, a22)), chirp=(c1, c2),
-                   ut=(p.v * tau1, p.V * tau2),
-                   recoil=(c1 * kq[0], c2 * kq[1]), kq=kq, xc=(spec.x1c, spec.x2c),
-                   reflected=reflected)
+                   ut=(p.v * tau1, p.V * tau2), recoil=(c1 * kq[0], c2 * kq[1]),
+                   kq=kq if offset is None else (kq[0] + offset[0], kq[1] + offset[1]),
+                   xc=(spec.x1c, spec.x2c), reflected=reflected, tau=(tau1, tau2),
+                   offset=offset)
 
 
 def _moments(br: _Branch):
@@ -329,28 +354,30 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     largest, never as a difference of huge exponents.
     """
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    (c_in, k_in), (c_ref, k_ref) = (_axis_square(_branch(spec, r, tau1, tau2), axis, outer)
-                                    for r in (False, True))
+    incident, reflected = branches = [_branch(spec, r, tau1, tau2) for r in (False, True)]
+    (c_in, k_in), (c_ref, k_ref) = (_axis_square(br, axis, outer) for br in branches)
+    _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
     start = outer if start is None else start
 
-    def fields(u, gradients=False):
-        x1, x2 = (outer, u) if axis == 1 else (u, outer)
-        return _fields(spec, x1, t1, x2, t2, logs=True, gradients=gradients)
+    def log_amplitude(br, u):
+        return br.log_amplitude(spec, *((outer, u) if axis == 1 else (u, outer)))
 
     sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
     a_in, a_ref = k_in.real, k_ref.real
     mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
-    f = fields(mid, gradients=True)
-    slope = ((f.Lin2 + np.conj(f.Lref2)) if axis == 1
-             else (f.Lin1 + np.conj(f.Lref1)))
-    cross = _half_line(f.log_in + np.conj(f.log_ref), sign * slope,
+    (log_in, *q_in), (log_ref, *q_ref) = (log_amplitude(br, mid) for br in branches)
+    slope = (incident.log_gradient(*q_in)[axis]
+             + np.conj(reflected.log_gradient(*q_ref)[axis]))
+    cross = _half_line(log_in + np.conj(log_ref), sign * slope,
                        0.5 * (k_in + np.conj(k_ref)), sign * (start - mid))
     y = -2.0 * cross.real
-    y += _half_line(2.0 * fields(c_in).log_in.real, 0.0, a_in,
+    y += _half_line(2.0 * log_amplitude(incident, c_in)[0].real, 0.0, a_in,
                     sign * (start - c_in)).real
-    y += _half_line(2.0 * fields(c_ref).log_ref.real, 0.0, a_ref,
+    y += _half_line(2.0 * log_amplitude(reflected, c_ref)[0].real, 0.0, a_ref,
                     sign * (start - c_ref)).real
-    return np.maximum(y, 0.0)
+    y = np.maximum(y, 0.0)
+    _check_range(np.isfinite(y).all(), "trace", t1=t1, t2=t2)
+    return y
 
 
 def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
@@ -363,53 +390,38 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False,
-            logs: bool = False, within=None) -> SimpleNamespace:
+            within=None) -> SimpleNamespace:
     """Evaluate both spectral integrals at broadcastable coordinate arrays.
 
     Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
     and the physical state is exp(i*Phi) * (F_in - F_ref) * theta(x2 - x1),
-    Phi being :func:`_carrier_phase`. ``detune`` scales the reflected
-    carrier wavevectors without touching the energies (a deliberately
-    broken field for negative-control tests); ``reflected_weight``
-    linearly rescales the reflected branch. ``logs`` adds the complex
-    log-amplitudes log_in and log_ref, usable where the envelope factors
-    themselves underflow; ``gradients`` adds the log-derivatives Lin1..Lref2,
+    Phi being :func:`_carrier_phase`. ``detune`` detunes the reflected
+    carrier (:func:`_branch`); ``reflected_weight`` linearly rescales the
+    reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
     relative to the incident carrier (k0, K0).
 
     ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
-    1-D axes x1 and x2, evaluates F_in and F_ref (neither logs nor
-    gradients) only at the grid's true points, in row-major order. The
-    incident factors are still evaluated on the axes and then gathered, and
-    every other step is elementwise, so each value is bitwise that of the
-    whole grid at the same point.
+    1-D axes x1 and x2, evaluates F_in and F_ref (no gradients) only at the
+    grid's true points, in row-major order. The incident factors are still
+    evaluated on the axes and then gathered, and every other step is
+    elementwise, so each value is bitwise that of the whole grid at the same
+    point.
     """
-    p = spec.params
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     tau1 = np.asarray(t1, dtype=float) - spec.t0
     tau2 = np.asarray(t2, dtype=float) - spec.t0
-    incident, reflected = (_branch(spec, r, tau1, tau2) for r in (False, True))
+    incident, reflected = (_branch(spec, r, tau1, tau2, detune) for r in (False, True))
 
-    log_pref = math.log(spec.norm_const / _TWO_PI)
     # E = I makes the incident branch separable, a product of two 1-D packets:
     # on separable coordinate arrays it costs O(n1 + n2) exponentials
     (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
-    in1, in2 = np.exp(log_pref + log_in1), np.exp(log_in2)
+    in1, in2 = np.exp(math.log(spec.norm_const / _TWO_PI) + log_in1), np.exp(log_in2)
     if within is not None:
         x1, in1 = (np.broadcast_to(a[:, None], within.shape)[within] for a in (x1, in1))
         x2, in2 = (np.broadcast_to(a, within.shape)[within] for a in (x2, in2))
-    dphase = interference_phase(p, x1, tau1, x2, tau2)
-    if detune != 1.0:
-        # the reflected carrier (k0, K0) + kq gains (detune - 1) times itself
-        extra = [(detune - 1.0) * (k + q) for k, q in zip((p.k, p.K), reflected.kq)]
-        dphase = dphase + extra[0] * x1 + extra[1] * x2
-        reflected = reflected._replace(kq=(reflected.kq[0] + extra[0],
-                                           reflected.kq[1] + extra[1]))
-    log_ref, qr1, qr2 = _log_gauss2(*reflected.A, *reflected.b(x1, x2),
-                                    log_pref + 1j * np.remainder(dphase, _TWO_PI))
+    log_ref, qr1, qr2 = reflected.log_amplitude(spec, x1, x2)
     out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref),
                           physical=x1 <= x2)
-    if logs:
-        out.log_in, out.log_ref = log_pref + log_in1 + log_in2, log_ref
     if gradients:
         out.Lin1, out.Lin2 = incident.log_gradient(qi1, qi2)
         out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2)

@@ -245,6 +245,27 @@ class TestPhysicalHalfGrid:
         assert sum(points) == physical
 
 
+class TestClosedTraceWork:
+    """One ``_closed_trace`` call evaluates each branch twice, at the cross
+    term's centre and at its own, through the branch's log-amplitude alone."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_two_evaluations_per_branch(self, monkeypatch, axis):
+        s = PRESETS["fig5"]
+        sizes = {"_log_gauss1": [], "_log_gauss2": []}
+        for name, seen in sizes.items():
+            def counted(*args, original=getattr(wavegroup, name), seen=seen):
+                seen.append(np.broadcast(*args).size)
+                return original(*args)
+
+            monkeypatch.setattr(wavegroup, name, counted)
+        outer = s.grid.axes[1 - axis].values()
+        t_c = s.collision_time
+        wavegroup._closed_trace(s.wavegroup, outer, t_c, t_c + s.tau, axis)
+        assert sizes["_log_gauss2"] == [outer.size] * 2
+        assert sizes["_log_gauss1"] == [outer.size] * 4
+
+
 class TestConditionalGrids:
     @pytest.mark.parametrize("name, coarse", [("fig8", False), ("cont", True),
                                               ("fig2", False)])
@@ -558,6 +579,46 @@ class TestCli:
         assert exc.value.code == 2
         assert "--times: must be a comma list of finite numbers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("event", ["t10=nan", "t10=abc", "t10", "foo=1", "",
+                                       "t10=0,", "t10=1,t10=2", "dx1=inf", "x10=1e400"])
+    def test_event_must_be_finite_known_pairs(self, tmp_path, capsys, event):
+        with pytest.raises(SystemExit) as exc:
+            main(["collapse", "--preset", "fig9", "--event", event, "--resolution", "16",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--event: must be key=value pairs of t10, x10 and dx1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestExtremeTimes:
+    """Times far past the overlap give finite output or exit 3 naming the time,
+    with no traceback. Run in a subprocess: the suite turns the kernel's
+    RuntimeWarnings into errors, the CLI prints them."""
+
+    @pytest.mark.parametrize("command, preset, times", [
+        ("collapse", "fig5", "1e10"), ("collapse", "fig2", "1e11"),
+        ("collapse", "fig2", "1e14"), ("collapse", "fig2", "1e300"),
+        ("marginal", "fig2", "1e155"), ("marginal", "fig2", "1e300"),
+        ("simulate", "fig2", "1e155"),
+    ])
+    def test_named_error_and_nothing_written(self, tmp_path, command, preset, times):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "mirrorsim.cli", command, "--preset",
+                               preset, "--times", times, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        s = PRESETS[preset]
+        start = s.events[0].t10 if command == "collapse" and s.events else s.collision_time
+        t2 = start + float(times) * s.tau
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert f"t2={t2:.6g}" in proc.stderr.splitlines()[-1]
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestBenchmarkSelftest:
