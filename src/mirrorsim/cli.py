@@ -7,7 +7,7 @@ scenario's overlap time scale tau: --event t10=... and the --times of
 ``collapse`` from the detection time t10. Configs store absolute times.
 ``collapse`` samples each mirror time t2 on its own conditional support.
 --resolution is >= 16; --times is a comma list of at least one finite number;
---event is a comma list of t10=, x10= and dx1= pairs, each at most once and finite.
+--event is a comma list of t10= and x10= pairs, each at most once and finite.
 
 Exit codes: 0 success, 2 parse error, 3 validation error,
 4 numerical-check failure.
@@ -48,8 +48,7 @@ def _times(scenario, args, default):
 def _event(scenario, args) -> sc.RawEvent:
     if args.event:
         t10 = scenario.collision_time + args.event.get("t10", 0.0) * scenario.tau
-        return sc.RawEvent(t10=t10, x10=args.event.get("x10"),
-                           dx1=args.event.get("dx1", 1e-3))
+        return sc.RawEvent(t10=t10, x10=args.event.get("x10"))
     if scenario.events:
         return scenario.events[0]
     return sc.RawEvent(t10=scenario.collision_time)
@@ -100,8 +99,10 @@ def cmd_marginal(args) -> int:
         times = _times(s, args, (s.collision_time,))
         axes = _grid_for(s, args.resolution or 2048).axes
         for i, t in enumerate(times):
-            for ax, trace in zip(axes, (marginal_over_mirror, marginal_over_particle)):
-                curve = trace(s.wavegroup, ax.values(), t, t)
+            # both traces before either file, so a failed one writes nothing
+            curves = [trace(s.wavegroup, ax.values(), t, t) for ax, trace
+                      in zip(axes, (marginal_over_mirror, marginal_over_particle))]
+            for curve in curves:
                 path = out / f"{s.name}_marginal_{curve.meta['axis']}_{i}.csv"
                 gridio.write_curve(curve, path, s.name, h)
                 gridio.slice_script(path)
@@ -187,7 +188,7 @@ def _time_list(text: str) -> list[float]:
 
 
 def _event_fields(text: str) -> dict[str, float]:
-    """--event: key=value pairs of t10, x10 and dx1, each at most once and finite."""
+    """--event: key=value pairs of t10 and x10, each at most once and finite."""
     fields = {}
     for tok in text.split(","):
         key, sep, val = tok.partition("=")
@@ -195,10 +196,10 @@ def _event_fields(text: str) -> dict[str, float]:
             value = float(val)
         except ValueError:
             value = math.nan
-        new_key = sep and key in ("t10", "x10", "dx1") and key not in fields
+        new_key = sep and key in ("t10", "x10") and key not in fields
         if not (new_key and math.isfinite(value)):
             raise argparse.ArgumentTypeError(
-                "must be key=value pairs of t10, x10 and dx1, each at most once "
+                "must be key=value pairs of t10 and x10, each at most once "
                 f"and finite, got '{text}'")
         fields[key] = value
     return fields
@@ -211,7 +212,7 @@ _OPTIONS = {
                   help="comma list of times in units of tau, from the collision "
                        "(collapse: from the detection time t10)"),
     "event": dict(type=_event_fields, default=None,
-                  help="event override, e.g. t10=0,dx1=1e-3 (t10 in tau units)"),
+                  help="event override, e.g. t10=0.5,x10=0 (t10 in tau units)"),
 }
 
 # (command, help, handler, the options it reads beyond --preset/--config/--out)

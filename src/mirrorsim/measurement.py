@@ -78,7 +78,7 @@ class ConditionalMirrorState:
         spec, ev = self.spec, self.event
         out = []
         for reflected in (False, True):
-            br = _branch(spec, reflected, ev.t10 - spec.t0, t2 - spec.t0)
+            br = _branch(spec, reflected, ev.t10, t2)
             centre, kappa = _axis_square(br, 1, ev.x10)
             centre = float(centre)
             log_g, _, _ = _log_gauss2(*br.A, *br.b(ev.x10, centre))

@@ -16,8 +16,7 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import (WavegroupSpec, _branch, _closed_trace, incident_frame,
-                        joint_pdf, reflected_frame)
+from .wavegroup import WavegroupSpec, _branch, _closed_trace, frames, joint_pdf
 
 
 class TruncatedRangeWarning(UserWarning):
@@ -62,7 +61,7 @@ def _support_hull(spec: WavegroupSpec, t1: float, t2: float, axis: int,
                   pad: float = 8.0) -> tuple[float, float]:
     """Interval covering both packets along one axis (0 = x1, 1 = x2)."""
     lo, hi = math.inf, -math.inf
-    for centre, cov in (incident_frame(spec, t1, t2), reflected_frame(spec, t1, t2)):
+    for centre, cov in frames(spec, t1, t2):
         s = math.sqrt(cov[axis, axis])
         lo = min(lo, centre[axis] - pad * s)
         hi = max(hi, centre[axis] + pad * s)
@@ -232,8 +231,7 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     spec, ev = state.spec, state.event
     # log-space evaluation: the envelope factors underflow once the packet
     # has moved past the detector, but the normalised contrast survives
-    tau1, tau2 = ev.t10 - spec.t0, t2 - spec.t0
-    log_in, log_ref = (_branch(spec, r, tau1, tau2).log_amplitude(spec, ev.x10, x2)[0]
+    log_in, log_ref = (_branch(spec, r, ev.t10, t2).log_amplitude(spec, ev.x10, x2)[0]
                        for r in (False, True))
     ref_level = np.maximum(log_in.real, log_ref.real)
     a = np.exp(log_in - ref_level)
@@ -352,7 +350,7 @@ def coherence_transfer_metrics(spec: WavegroupSpec, pre_t: float,
     the physical domain at post_t.
     """
     p = spec.params
-    ci, _ = incident_frame(spec, post_t, post_t)
+    (ci, _), _ = frames(spec, post_t, post_t)
     gap = ci[0] - ci[1]
     if gap < 3.0 * (1.0 / spec.dk + 1.0 / spec.dK):
         warnings.warn("incident and reflected wavegroups still overlap at post_t",

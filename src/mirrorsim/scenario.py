@@ -35,8 +35,7 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import (WavegroupSpec, _check_range, _fields, incident_frame,
-                        joint_pdf, reflected_frame)
+from .wavegroup import WavegroupSpec, _check_range, _fields, frames, joint_pdf
 
 
 class ScenarioValidationError(ValueError):
@@ -602,8 +601,7 @@ def analysis_continuity(scenario: Scenario) -> dict:
     fringe = fringe_period(scenario.params)
     # the box and its steps resolve the narrowest packet at t_c, as it has
     # spread by then, as well as the fringe
-    width = min(math.sqrt(s) for frame in (incident_frame, reflected_frame)
-                for s in np.diag(frame(spec, t_c, t_c)[1]))
+    width = min(math.sqrt(s) for _, cov in frames(spec, t_c, t_c) for s in np.diag(cov))
     h = min(fringe, width) / 40.0
     v_mean = 0.5 * (scenario.params.v + scenario.params.V)
     steps = (h, h, h / v_mean, h / v_mean)
@@ -640,6 +638,7 @@ def run_analysis(scenario: Scenario, name: str) -> dict:
 # grid production
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
                    t2: float) -> FieldGrid:
     """Joint PDF sampled on a (x1, x2) grid with coarse-sampling flagging.
@@ -669,6 +668,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
                                  "flags": flags})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conditional_pdf_curves(scenario: Scenario, raw: RawEvent, t2_list,
                            n: int = 256) -> list[Curve]:
     """Conditional mirror PDF along x2, one curve per listed t2 in ascending

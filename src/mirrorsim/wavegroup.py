@@ -16,11 +16,12 @@ carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
 Both branches take the shared (v tau1, V tau2) off x before any recoil, and b
 keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
 far below one ulp of the mirror's momentum. :func:`_branch` states that form,
-A, b and c, once and :meth:`_Branch.log_amplitude` evaluates it (the incident
-branch, separable since E = I, as two 1-D integrals); amplitudes, traces and
-gradients (relative to (k0, K0)) derive from it, and :func:`_moments` reads
-each branch's intensity Gaussian off it in real arithmetic, the one source of
-packet frames, axis squares and conditional profiles.
+A, b and c, once at the measurement times (t1, t2), and
+:meth:`_Branch.log_amplitude` evaluates it (the incident branch, separable
+since E = I, as two 1-D integrals); amplitudes, traces and gradients
+(relative to (k0, K0)) derive from it, and :func:`_moments` reads each
+branch's intensity Gaussian off it in real arithmetic, the one source of
+axis squares, conditional profiles and both packets' frames (:func:`frames`).
 A Gauss-Hermite quadrature of the same integrals, written independently,
 serves as the oracle.
 
@@ -93,7 +94,9 @@ def _log_gauss2(a11, a12, a22, b1, b2, c=0.0):
 
 def _check_range(ok, what: str, **times):
     """ValueError naming the times unless ``ok``: at extreme times the closed
-    form's chirps and exponents leave the floating-point range."""
+    form's chirps and exponents leave the floating-point range. The callers
+    that check their results evaluate without overflow warnings, so the
+    error prints alone."""
     if not ok:
         at = ", ".join(f"{k}={v:.6g}" for k, v in times.items())
         raise ValueError(f"{what} at {at} is beyond the closed form's floating-point range")
@@ -190,7 +193,7 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 # ---------------------------------------------------------------------------
 
 class _Branch(NamedTuple):
-    """One branch's Gaussian form at the times tau (see the module docstring)."""
+    """One branch's Gaussian form at the times tau = t - t0 (see the module docstring)."""
 
     A: tuple        # (a11, a12, a22) of the complex symmetric A
     E: tuple        # collision matrix ((e11, e12), (e21, e22)) on spectral offsets
@@ -235,11 +238,13 @@ class _Branch(NamedTuple):
                 1j * self.kq[1] - (a21 * q1 + a22 * q2))
 
 
-def _branch(spec: WavegroupSpec, reflected: bool, tau1, tau2, detune: float = 1.0) -> _Branch:
-    """The incident or the reflected branch's Gaussian form at (tau1, tau2).
-    ``detune`` scales the reflected carrier wavevectors, not the energies or the
-    packet's motion: a deliberately broken field for negative-control tests."""
+def _branch(spec: WavegroupSpec, reflected: bool, t1, t2, detune: float = 1.0) -> _Branch:
+    """The incident or the reflected branch's Gaussian form at the measurement
+    times (t1, t2). ``detune`` scales the reflected carrier wavevectors, not the
+    energies or the packet's motion: a deliberately broken field for
+    negative-control tests."""
     p = spec.params
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
     (a11, a12), (a21, a22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
     kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
@@ -338,6 +343,7 @@ def _half_line(log_c, slope, alpha, d):
     return np.where(finite, np.where(upper, tail, full - tail), whole * full)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
                   start=None):
     """Exact integral of the smooth PDF over a half line of one axis.
@@ -353,8 +359,7 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     slope vanishes: log-amplitudes are then evaluated where they are
     largest, never as a difference of huge exponents.
     """
-    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    incident, reflected = branches = [_branch(spec, r, tau1, tau2) for r in (False, True)]
+    incident, reflected = branches = [_branch(spec, r, t1, t2) for r in (False, True)]
     (c_in, k_in), (c_ref, k_ref) = (_axis_square(br, axis, outer) for br in branches)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
     start = outer if start is None else start
@@ -408,9 +413,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     point.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    tau1 = np.asarray(t1, dtype=float) - spec.t0
-    tau2 = np.asarray(t2, dtype=float) - spec.t0
-    incident, reflected = (_branch(spec, r, tau1, tau2, detune) for r in (False, True))
+    incident, reflected = (_branch(spec, r, t1, t2, detune) for r in (False, True))
 
     # E = I makes the incident branch separable, a product of two 1-D packets:
     # on separable coordinate arrays it costs O(n1 + n2) exponentials
@@ -420,8 +423,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
         x1, in1 = (np.broadcast_to(a[:, None], within.shape)[within] for a in (x1, in1))
         x2, in2 = (np.broadcast_to(a, within.shape)[within] for a in (x2, in2))
     log_ref, qr1, qr2 = reflected.log_amplitude(spec, x1, x2)
-    out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref),
-                          physical=x1 <= x2)
+    out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref))
     if gradients:
         out.Lin1, out.Lin2 = incident.log_gradient(qi1, qi2)
         out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2)
@@ -440,7 +442,7 @@ def amplitude_closed(spec: WavegroupSpec, pt: SpacetimePoint):
     f = _fields(spec, pt.x1, pt.t1, pt.x2, pt.t2)
     phase = _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2)
     amp = np.exp(1j * phase) * (f.F_in - f.F_ref)
-    return np.where(f.physical, amp, 0.0 + 0.0j)
+    return np.where(np.less_equal(pt.x1, pt.x2), amp, 0.0 + 0.0j)
 
 
 def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
@@ -455,7 +457,7 @@ def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     val = np.abs(f.F_in - f.F_ref) ** 2
     if not apply_step:
         return val
-    return np.where(f.physical, val, 0.0)
+    return np.where(np.less_equal(x1, x2), val, 0.0)
 
 
 def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
@@ -484,21 +486,11 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 # packet tracking (framing helpers)
 # ---------------------------------------------------------------------------
 
-def _frame(br: _Branch):
-    """Centre and intensity covariance of one branch's packet (:func:`_moments`),
-    as arrays of shape (2,) and (2, 2)."""
-    centre, cov, _, _ = _moments(br)
-    return np.array(centre), np.array(cov)
-
-
-def incident_frame(spec: WavegroupSpec, t1: float, t2: float):
-    """Centre and intensity covariance of the incident packet at (t1, t2)."""
-    return _frame(_branch(spec, False, t1 - spec.t0, t2 - spec.t0))
-
-
-def reflected_frame(spec: WavegroupSpec, t1: float, t2: float):
-    """Centre and intensity covariance of the reflected packet at (t1, t2)."""
-    return _frame(_branch(spec, True, t1 - spec.t0, t2 - spec.t0))
+def frames(spec: WavegroupSpec, t1: float, t2: float):
+    """[(centre, covariance) of the incident packet, the same of the reflected
+    one] at (t1, t2): arrays of shape (2,) and (2, 2) from :func:`_moments`."""
+    return [tuple(np.array(m) for m in _moments(_branch(spec, r, t1, t2))[:2])
+            for r in (False, True)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,14 @@ def fig7_visibilities():
     plus the dispersed mirror width at the overlap snapshot."""
     import math
     from mirrorsim.scenario import analysis_marginal_visibility
-    from mirrorsim.wavegroup import incident_frame
+    from mirrorsim.wavegroup import frames
 
     out = {}
     for name in ("fig7-a", "fig7-b", "fig7-c", "fig7-d"):
         s = PRESETS[name]
         rep = analysis_marginal_visibility(s)
         t_c = s.collision_time
-        _, cov = incident_frame(s.wavegroup, t_c, t_c)
+        (_, cov), _ = frames(s.wavegroup, t_c, t_c)
         rep["effective_width"] = math.sqrt(cov[1, 1])
         out[name] = rep
     return out

@@ -27,7 +27,7 @@ from mirrorsim.scenario import (PRESETS, analysis_beat,
                                 analysis_marginal_t2_independence,
                                 analysis_node_depth, overlap_slice,
                                 resolve_event)
-from mirrorsim.wavegroup import incident_frame, reflected_frame
+from mirrorsim.wavegroup import frames
 
 from conftest import random_valid_params
 from test_measurement import overlap_event, resolve_event_like
@@ -135,8 +135,7 @@ def test_criterion_05_oracle_agreement(rng):
         while checked < 200:
             t = rng.uniform(s.t0, t_hi)
             use_ref = t > 0.7 * (s.collision_time - s.t0) + s.t0 and rng.integers(0, 2)
-            frame = reflected_frame if use_ref else incident_frame
-            centre, cov = frame(s, t, t)
+            centre, cov = frames(s, t, t)[1 if use_ref else 0]
             x1 = centre[0] + rng.uniform(-2, 2) * math.sqrt(cov[0, 0])
             x2 = centre[1] + rng.uniform(-2, 2) * math.sqrt(cov[1, 1])
             pt = SpacetimePoint(x1, t, x2, t)

@@ -76,7 +76,7 @@ class TestCollisionStatedTwice:
                 p = random_valid_params(rng, natural=natural)
                 spec = WavegroupSpec(p, dk=1.0, dK=1.0, x1c=-20.0, x2c=0.0)
                 mode = HarmonicMode(p)
-                br = _branch(spec, True, 1.0, 1.0)
+                br = _branch(spec, True, spec.t0 + 1.0, spec.t0 + 1.0)
                 k_scale = abs(spec.k0) + abs(spec.K0)
                 assert abs(spec.k0 + br.kq[0] - mode.k_ref) <= 1e-12 * k_scale
                 assert abs(spec.K0 + br.kq[1] - mode.K_ref) <= 1e-12 * k_scale

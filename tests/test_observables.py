@@ -14,7 +14,7 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
 from mirrorsim.observables import (_support_hull, coherence_transfer_metrics,
                                    fit_sinusoid)
 from mirrorsim.scenario import PRESETS, analysis_marginal_visibility, resolve_event
-from mirrorsim.wavegroup import incident_frame, joint_pdf, reflected_frame
+from mirrorsim.wavegroup import frames, joint_pdf
 
 
 class TestExtractFringes:
@@ -165,12 +165,12 @@ def _wall_trapezoid(spec, outer, t1, t2, axis, n=80001, pad=14.0):
     there), so the integrand is smooth between nodes and the error is
     O(h^2). They span both branches' conditional +-pad sigma, read from
     the packet frames' covariances."""
-    frames = (incident_frame(spec, t1, t2), reflected_frame(spec, t1, t2))
+    packets = frames(spec, t1, t2)
     other = 1 - axis
     y = []
     for o in outer:
         lo, hi = math.inf, -math.inf
-        for centre, cov in frames:
+        for centre, cov in packets:
             prec = np.linalg.inv(cov)
             sigma = 1.0 / math.sqrt(prec[axis, axis])
             c = centre[axis] - prec[axis, other] / prec[axis, axis] * (o - centre[other])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import pytest
 
 from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        WavegroupSpec, amplitude_closed, amplitude_parts,
-                       amplitude_quadrature, collapse, joint_pdf,
+                       amplitude_quadrature, collapse, currents, joint_pdf,
+                       marginal_over_mirror, marginal_over_particle,
                        spectral_amplitude)
 from mirrorsim.scenario import PRESETS
 from mirrorsim.wavegroup import (_MAX_NODES, _axis_square, _branch, _carrier_phase,
-                                 _fields, _log_gauss2, incident_frame, reflected_frame)
+                                 _fields, _log_gauss2, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,7 +142,7 @@ class TestClosedForm:
         assert abs(i_in) == pytest.approx(math.sqrt(s.dk * s.dK / math.pi), rel=1e-12)
 
     def test_dispersion_monotone(self, spec_fig5):
-        widths = [math.sqrt(incident_frame(spec_fig5, t, t)[1][0, 0])
+        widths = [math.sqrt(frames(spec_fig5, t, t)[0][1][0, 0])
                   for t in (0.0, 0.1, 0.3, 0.6)]
         assert all(b > a for a, b in zip(widths, widths[1:]))
 
@@ -166,6 +168,32 @@ class TestClosedForm:
         for pos in ma:
             assert np.min(np.abs(mb - pos)) < 0.02 * fringe
 
+    def test_nonzero_reference_time(self):
+        # moving t0 and every measurement time by the same amount moves
+        # nothing: the closed forms read the times only as t - t0
+        s = PRESETS["fig5"].wavegroup
+        moved = dataclasses.replace(s, t0=s.t0 + 0.25)
+        t_c, tau, x_c = s.collision_time, s.tau, s.collision_point
+        x = x_c + np.linspace(-6.0, 6.0, 49) / s.dk
+
+        def readings(spec, t1, t2):
+            out = [joint_pdf(spec, x[:, None], t1, x[None, :], t2),
+                   *currents(spec, x[:, None], t1, x[None, :], t2),
+                   marginal_over_mirror(spec, x, t1, t2).y,
+                   marginal_over_particle(spec, x, t1, t2).y,
+                   *(a for frame in frames(spec, t1, t2) for a in frame)]
+            pt = SpacetimePoint(x_c - 0.5 / s.dk, t1, x_c + 0.5 / s.dK, t2)
+            out += [*amplitude_parts(spec, pt), amplitude_quadrature(spec, pt)]
+            if t2 >= t1:
+                state = collapse(spec, MeasurementEvent(x10=x_c, t10=t1))
+                out += [np.array(state.branch_profiles(t2)), state.norm(t2)]
+            return out
+
+        for t1, t2 in ((t_c, t_c), (t_c, t_c + tau), (t_c + tau, t_c)):
+            for at_zero, at_moved in zip(readings(s, t1, t2),
+                                         readings(moved, t1 + 0.25, t2 + 0.25)):
+                np.testing.assert_allclose(at_moved, at_zero, rtol=1e-12, atol=0)
+
 
 class TestQuadratureOracle:
     def test_rejects_few_nodes(self, spec_fig5):
@@ -179,15 +207,15 @@ class TestQuadratureOracle:
             amplitude_quadrature(spec_fig5, SpacetimePoint(0, 0, 0, 0),
                                  nodes=_MAX_NODES + 1)
 
-    @pytest.mark.parametrize("name, t, frame", [
-        ("fig2", 0.885, reflected_frame),  # late: incident branch ~1e-33
-        ("fig3-c", 0.1, incident_frame),   # early: reflected branch ~1e-261
+    @pytest.mark.parametrize("name, t, branch", [
+        ("fig2", 0.885, 1),  # late: incident branch ~1e-33
+        ("fig3-c", 0.1, 0),  # early: reflected branch ~1e-261
     ], ids=["fig2-late", "fig3-c-early"])
-    def test_negligible_branch_per_branch(self, name, t, frame):
+    def test_negligible_branch_per_branch(self, name, t, branch):
         """Far from one branch its integrand oscillates faster than spectrally
         centred nodes resolve; saddle-centred nodes still get it right."""
         s = PRESETS[name].wavegroup
-        centre, cov = frame(s, t, t)
+        centre, cov = frames(s, t, t)[branch]
         pt = SpacetimePoint(centre[0] - math.sqrt(cov[0, 0]), t,
                             centre[1] + math.sqrt(cov[1, 1]), t)
         closed = amplitude_parts(s, pt)
@@ -229,8 +257,7 @@ class TestQuadratureOracle:
         for _ in range(200):
             t = rng.uniform(s.t0, s.collision_time + 2 * s.tau)
             branch = rng.integers(0, 2)
-            frame = incident_frame if branch == 0 else reflected_frame
-            centre, cov = frame(s, t, t)
+            centre, cov = frames(s, t, t)[branch]
             x1 = centre[0] + rng.uniform(-2, 2) * math.sqrt(cov[0, 0])
             x2 = centre[1] + rng.uniform(-2, 2) * math.sqrt(cov[1, 1])
             pt = SpacetimePoint(x1, t, x2, t)
@@ -345,8 +372,7 @@ class TestBranchFrames:
     def test_frames_match_branch_moments(self, name):
         s = PRESETS[name].wavegroup
         for t1, t2 in self._times(s):
-            for frame, part in ((incident_frame, "F_in"), (reflected_frame, "F_ref")):
-                centre, cov = frame(s, t1, t2)
+            for (centre, cov), part in zip(frames(s, t1, t2), ("F_in", "F_ref")):
                 half = 10.0 * np.sqrt(np.diag(cov))
                 x1 = np.linspace(centre[0] - half[0], centre[0] + half[0], 801)
                 x2 = np.linspace(centre[1] - half[1], centre[1] + half[1], 801)
@@ -378,9 +404,8 @@ class TestBranchFrames:
 
     @staticmethod
     def _check_exact(spec, t1, t2, centres_too=True):
-        for reflected, frame in ((False, incident_frame), (True, reflected_frame)):
-            br = _branch(spec, reflected, t1 - spec.t0, t2 - spec.t0)
-            centre, cov = frame(spec, t1, t2)
+        for reflected, (centre, cov) in zip((False, True), frames(spec, t1, t2)):
+            br = _branch(spec, reflected, t1, t2)
             ref_centre, ref_cov, along = _exact_branch_moments(br)
             sig = [math.sqrt(ref_cov[i][i]) for i in (0, 1)]
             for i in (0, 1):
