@@ -9,8 +9,13 @@ scenario's overlap time scale tau: --event t10=... and the --times of
 --resolution is >= 16; --times is a comma list of at least one finite number;
 --event is a comma list of t10= and x10= pairs, each at most once and finite.
 
-Exit codes: 0 success, 2 parse error, 3 validation error,
-4 numerical-check failure.
+``simulate``, ``collapse`` and ``marginal`` compute every output of a scenario
+before they write any of its files, so a scenario that fails at any time
+leaves no file behind. A preset group such as fig3 keeps the files of the
+scenarios before the one that failed.
+
+Exit codes: 0 success, 2 parse error, 3 validation error or a config or
+output path that cannot be read or written, 4 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import gridio, scenario as sc
-from .grids import GridSpec
+from .grids import FieldGrid, GridSpec
 from .observables import marginal_over_mirror, marginal_over_particle
 
 EXIT_OK = 0
@@ -62,51 +67,41 @@ def _grid_for(scenario, resolution) -> GridSpec:
                                for a in scenario.grid.axes))
 
 
+def _write(out, scenario, outputs) -> None:
+    """Write a scenario's computed (stem, FieldGrid | Curve) outputs, each as
+    ``out/<stem>.csv`` with its plot script, and print each CSV's path."""
+    h = sc.scenario_hash(scenario)
+    for stem, output in outputs:
+        write = gridio.write_field_grid if isinstance(output, FieldGrid) else gridio.write_curve
+        print(f"wrote {write(output, Path(out, f'{stem}.csv'), scenario.name, h)}")
+
+
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
     for s in _load_targets(args):
-        h = sc.scenario_hash(s)
         times = _times(s, args, s.snapshot_times or (s.collision_time,))
         grid = _grid_for(s, args.resolution)
-        for i, t in enumerate(times):
-            fg = sc.joint_pdf_grid(s.wavegroup, grid, t, t)
-            path = out / f"{s.name}_joint_{i}.csv"
-            gridio.write_field_grid(fg, path, s.name, h)
-            gridio.heatmap_script(path)
-            print(f"wrote {path}")
+        _write(args.out, s, [(f"{s.name}_joint_{i}", sc.joint_pdf_grid(s.wavegroup, grid, t, t))
+                             for i, t in enumerate(times)])
     return EXIT_OK
 
 
 def cmd_collapse(args) -> int:
-    out = Path(args.out)
     for s in _load_targets(args):
-        h = sc.scenario_hash(s)
         raw = _event(s, args)
         t2_list = [raw.t10 + t * s.tau for t in args.times or (0.0, 1.0, 2.0)]
-        for i, curve in enumerate(sc.conditional_pdf_curves(
-                s, raw, t2_list, n=args.resolution or 256)):
-            path = out / f"{s.name}_mirror_{i}.csv"
-            gridio.write_curve(curve, path, s.name, h)
-            gridio.slice_script(path)
-            print(f"wrote {path}")
+        curves = sc.conditional_pdf_curves(s, raw, t2_list, n=args.resolution or 256)
+        _write(args.out, s, [(f"{s.name}_mirror_{i}", c) for i, c in enumerate(curves)])
     return EXIT_OK
 
 
 def cmd_marginal(args) -> int:
-    out = Path(args.out)
     for s in _load_targets(args):
-        h = sc.scenario_hash(s)
         times = _times(s, args, (s.collision_time,))
         axes = _grid_for(s, args.resolution or 2048).axes
-        for i, t in enumerate(times):
-            # both traces before either file, so a failed one writes nothing
-            curves = [trace(s.wavegroup, ax.values(), t, t) for ax, trace
-                      in zip(axes, (marginal_over_mirror, marginal_over_particle))]
-            for curve in curves:
-                path = out / f"{s.name}_marginal_{curve.meta['axis']}_{i}.csv"
-                gridio.write_curve(curve, path, s.name, h)
-                gridio.slice_script(path)
-            print(f"wrote {s.name} marginals [{i}]")
+        traces = list(zip(axes, (marginal_over_mirror, marginal_over_particle)))
+        _write(args.out, s, [(f"{s.name}_marginal_{ax.role}_{i}",
+                              trace(s.wavegroup, ax.values(), t, t))
+                             for i, t in enumerate(times) for ax, trace in traces])
     return EXIT_OK
 
 
@@ -124,7 +119,7 @@ def cmd_observables(args) -> int:
                 failures += 1
                 print(f"analysis {name} failed: {msg}", file=sys.stderr)
         path = out / f"{s.name}_observables.json"
-        gridio.write_json(json.dumps(report, sort_keys=True, indent=1), path)
+        gridio.write_json(report, path)
         print(f"wrote {path}")
     return EXIT_CHECK if failures else EXIT_OK
 
@@ -139,7 +134,7 @@ def cmd_check(args) -> int:
               and rep["max_over_scale"] < 1e-3)
         rep["pass"] = bool(ok)
         path = out / f"{s.name}_check.json"
-        gridio.write_json(json.dumps(rep, sort_keys=True, indent=1), path)
+        gridio.write_json(rep, path)
         print(f"{s.name}: continuity {'PASS' if ok else 'FAIL'} "
               f"(residual/scale={rep['max_over_scale']:.3e}, order={rep['order']:.2f})")
         if not ok:
@@ -285,7 +280,7 @@ def main(argv=None) -> int:
         for v in err.violations:
             print(v, file=sys.stderr)
         return EXIT_VALIDATION
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,10 +1,14 @@
 """Deterministic flat-file output: CSV files with provenance headers and
-gnuplot companion scripts.
+gnuplot companion scripts, and JSON reports. This is the one module that
+knows how an output is written.
 
 A CSV holds one of two shapes: a joint-PDF grid (:func:`write_field_grid`,
 one row per x1 sample, written by ``simulate``), or a curve
 (:func:`write_curve`, one ``x,value`` row per sample, written by ``marginal``
 for both marginals and by ``collapse`` for each conditional mirror PDF).
+Each writer also writes the CSV's ``.gp`` companion next to it: a heatmap
+for a grid, a line plot for a curve. :func:`write_json` writes a report dict
+with sorted keys, indented by one, and a final newline.
 
 Both shapes are formatted and streamed to disk in blocks of whole rows, about
 ``_BLOCK_VALUES`` values each, so the text of a grid is never held in memory
@@ -35,6 +39,7 @@ content, so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -285,7 +290,7 @@ def _csv(header: list[str], values: np.ndarray) -> Iterator[str]:
 
 def write_field_grid(fg: FieldGrid, path, scenario_name: str,
                      config_hash: str) -> Path:
-    """One row per x1 sample, one column per x2 sample."""
+    """One row per x1 sample, one column per x2 sample; the .gp draws a heatmap."""
     path = Path(path)
     axes_lines = [
         f"# axis-{i}: {a.role} {_fmt(a.lo)} {_fmt(a.hi)} {a.n}"
@@ -293,28 +298,31 @@ def write_field_grid(fg: FieldGrid, path, scenario_name: str,
     ]
     header = _header(scenario_name, config_hash, fg.provenance, axes_lines, "real")
     _atomic_write(path, _csv(header, fg.values))
+    _gnuplot_script(path, "900,780", ["set view map", "unset key",
+                                      f"splot '{path.name}' matrix with image"])
     return path
 
 
 def write_curve(curve: Curve, path, scenario_name: str, config_hash: str) -> Path:
+    """One ``x,value`` row per sample; the .gp draws a line plot."""
     path = Path(path)
     meta = {k: v for k, v in curve.meta.items()}
     axes_lines = [f"# columns: {meta.pop('axis', 'x')},value"]
     header = _header(scenario_name, config_hash, meta, axes_lines, "real")
     _atomic_write(path, _csv(header, np.column_stack((curve.x, curve.y))))
+    _gnuplot_script(path, "900,600", ["unset key", f"plot '{path.name}' using 1:2 with lines"])
     return path
 
 
-def write_json(payload: str, path) -> Path:
+def write_json(report: dict, path) -> Path:
+    """``report`` with sorted keys, indented by one, and a final newline."""
     path = Path(path)
-    _atomic_write(path, [payload if payload.endswith("\n") else payload + "\n"])
+    _atomic_write(path, [json.dumps(report, sort_keys=True, indent=1) + "\n"])
     return path
 
 
-def _gnuplot_script(csv_path, size: str, body: list[str]) -> Path:
+def _gnuplot_script(csv_path: Path, size: str, body: list[str]):
     """Write the companion .gp script of a CSV: shared preamble, then ``body``."""
-    csv_path = Path(csv_path)
-    out_path = csv_path.with_suffix(".gp")
     text = "\n".join([
         "set datafile separator ','",
         "set datafile commentschars '#'",
@@ -323,22 +331,4 @@ def _gnuplot_script(csv_path, size: str, body: list[str]) -> Path:
         *body,
         "",
     ])
-    _atomic_write(out_path, [text])
-    return out_path
-
-
-def heatmap_script(csv_path) -> Path:
-    """Gnuplot script rendering a 2D grid CSV as a pm3d heatmap."""
-    return _gnuplot_script(csv_path, "900,780", [
-        "set view map",
-        "unset key",
-        f"splot '{Path(csv_path).name}' matrix with image",
-    ])
-
-
-def slice_script(csv_path) -> Path:
-    """Gnuplot script plotting a curve CSV."""
-    return _gnuplot_script(csv_path, "900,600", [
-        "unset key",
-        f"plot '{Path(csv_path).name}' using 1:2 with lines",
-    ])
+    _atomic_write(csv_path.with_suffix(".gp"), [text])

@@ -1,6 +1,7 @@
 """CSV writing: the block formatter against the per-value ``.17g`` reference,
 and the atomic temp-file write."""
 
+import json
 import math
 from decimal import Decimal
 
@@ -100,6 +101,32 @@ class TestRowFormat:
         rows_per_chunk = max(1, gridio._BLOCK_VALUES // shape[1])
         assert len(chunks) == math.ceil(shape[0] / rows_per_chunk)
         assert all(c.endswith("\n") and c.count("\n") <= rows_per_chunk for c in chunks)
+
+
+class TestCompanions:
+    """Each writer's plot script and the one JSON format."""
+
+    def test_field_grid_writes_heatmap_script(self, tmp_path):
+        path = gridio.write_field_grid(_grid(np.ones((16, 16))), tmp_path / "g.csv", "s", "h")
+        assert path == tmp_path / "g.csv"
+        script = (tmp_path / "g.gp").read_text().splitlines()
+        assert "splot 'g.csv' matrix with image" in script
+        assert "set output 'g.png'" in script
+
+    def test_curve_writes_line_plot_script(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 16)
+        path = gridio.write_curve(Curve(x=x, y=x.copy()), tmp_path / "c.csv", "s", "h")
+        assert path == tmp_path / "c.csv"
+        script = (tmp_path / "c.gp").read_text().splitlines()
+        assert "plot 'c.csv' using 1:2 with lines" in script
+        assert "set output 'c.png'" in script
+
+    def test_json_sorted_indented_one_newline(self, tmp_path):
+        report = {"b": [1, 2.5], "a": {"z": None, "y": "text"}, "c": True}
+        path = gridio.write_json(report, tmp_path / "r.json")
+        text = path.read_bytes().decode()
+        assert text == json.dumps(report, sort_keys=True, indent=1) + "\n"
+        assert text.startswith('{\n "a": {\n  "y": "text"') and text.endswith('\n "c": true\n}\n')
 
 
 class TestValueFormat:

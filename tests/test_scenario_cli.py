@@ -591,6 +591,22 @@ class TestCli:
         assert "--event: must be key=value pairs of t10 and x10" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{tmp}/missing.json"],
+        ["validate", "--config", "{tmp}/missing.json"],
+        ["validate", "--config", "{tmp}"],
+        ["simulate", "--preset", "fig2", "--resolution", "16", "--out", "{tmp}/file"],
+        ["observables", "--preset", "fig4", "--out", "{tmp}/file"],
+    ], ids=["simulate-missing-config", "validate-missing-config",
+            "validate-directory-config", "simulate-out-is-file", "observables-out-is-file"])
+    def test_unreadable_config_or_unwritable_out(self, tmp_path, capsys, argv):
+        # a config that cannot be read or an --out that is a file exits 3
+        # with one error line, where the OSError used to escape main
+        (tmp_path / "file").write_text("")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 class TestExtremeTimes:
     """Times far past the overlap give finite output or exit 3 naming the time,
@@ -602,6 +618,8 @@ class TestExtremeTimes:
         ("collapse", "fig2", "1e14"), ("collapse", "fig2", "1e300"),
         ("marginal", "fig2", "1e155"), ("marginal", "fig2", "1e300"),
         ("marginal", "fig9", "1e155"), ("simulate", "fig2", "1e155"),
+        # a later time fails after an earlier one computed: nothing is written
+        ("simulate", "fig2", "0,1e155"), ("marginal", "fig2", "0,1e155"),
     ])
     def test_named_error_and_nothing_written(self, tmp_path, command, preset, times):
         root = Path(__file__).resolve().parents[1]
@@ -615,12 +633,12 @@ class TestExtremeTimes:
         assert "Traceback" not in proc.stderr
         s = PRESETS[preset]
         start = s.events[0].t10 if command == "collapse" and s.events else s.collision_time
-        t2 = start + float(times) * s.tau
+        t2 = start + float(times.split(",")[-1]) * s.tau
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: ")
         assert f"t2={t2:.6g}" in lines[0]
-        assert not list(tmp_path.glob("*.csv"))
+        assert not list(tmp_path.iterdir())
 
 
 class TestBenchmarkSelftest:
