@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_value_flags(argv):
     """Fold '--times -1,0,1' into '--times=-1,0,1' so argparse accepts
     leading-minus value lists."""
-    if argv is None:
-        return None
     out = []
     it = iter(argv)
     for tok in it:

@@ -90,8 +90,6 @@ def _header(scenario_name: str, config_hash: str, provenance: dict,
             lines.append(f"# flags: {','.join(val) if val else '-'}")
         elif isinstance(val, float):
             lines.append(f"# {key}: {_fmt(val)}")
-        elif isinstance(val, list):
-            lines.append(f"# {key}: {','.join(_fmt(v) for v in val)}")
         else:
             lines.append(f"# {key}: {val}")
     lines.extend(axes_lines)

@@ -19,10 +19,6 @@ from .measurement import ConditionalMirrorState, _extrema
 from .wavegroup import WavegroupSpec, _branch, _closed_trace, frames, joint_pdf
 
 
-class TruncatedRangeWarning(UserWarning):
-    """An integration range clipped non-negligible probability."""
-
-
 class InsufficientSpanWarning(UserWarning):
     """A time series covered fewer oscillation periods than recommended."""
 
@@ -68,45 +64,23 @@ def _support_hull(spec: WavegroupSpec, t1: float, t2: float, axis: int,
     return lo, hi
 
 
-_CHUNK_POINTS = 2_000_000
-
-
-def _hull_trapezoid(spec, x1, t1, t2, n_quad: int):
-    """Composite trapezoid of the joint PDF over n_quad x2 nodes spanning both
-    packets' 8-sigma hull, for each x1, in blocks small enough to keep the
-    closed-form temporaries in cache."""
-    x2 = np.linspace(*_support_hull(spec, t1, t2, axis=1), n_quad)
-    y = np.empty_like(x1)
-    edge = 0.0
-    peak = 0.0
-    block = max(1, _CHUNK_POINTS // n_quad)
-    for i in range(0, len(x1), block):
-        pdf = joint_pdf(spec, x1[i:i + block, None], t1, x2[None, :], t2)
-        y[i:i + block] = np.trapezoid(pdf, x2, axis=1)
-        edge = max(edge, pdf[:, 0].max(), pdf[:, -1].max())
-        peak = max(peak, pdf.max())
-    if edge > 1e-10 * max(peak, 1e-300):
-        warnings.warn("integration range clipped probability",
-                      TruncatedRangeWarning, stacklevel=3)
-    return y
-
-
 def marginal_over_mirror(spec: WavegroupSpec, x1_axis, t1: float, t2: float,
                          n_quad: int | None = None) -> Curve:
     """Trace of the joint PDF over the mirror coordinate, sampled on x1_axis.
 
     The trace is the exact integral over the physical half line x2 >= x1
-    (:func:`~.wavegroup._closed_trace`). An integer ``n_quad`` selects the older
-    composite trapezoid on that many nodes over both packets' 8-sigma x2
-    hull instead; it is kept only because ``benchmark/selftest.py`` passes
-    ``n_quad=2049``. Its nodes do not start at the wall, so it is no
-    accuracy reference for the closed form.
+    (:func:`~.wavegroup._closed_trace`). An integer ``n_quad`` selects a
+    composite trapezoid on that many x2 nodes over both packets' 8-sigma
+    hull instead, unchecked for clipped probability; it is kept only because
+    ``benchmark/selftest.py`` passes ``n_quad=2049``. Its nodes do not start
+    at the wall, so it is no accuracy reference for the closed form.
     """
     x1 = np.asarray(x1_axis, dtype=float)
     if n_quad is None:
         y = _closed_trace(spec, x1, t1, t2, axis=1)
     else:
-        y = _hull_trapezoid(spec, x1, t1, t2, n_quad)
+        x2 = np.linspace(*_support_hull(spec, t1, t2, axis=1), n_quad)
+        y = np.trapezoid(joint_pdf(spec, x1[:, None], t1, x2, t2), x2, axis=1)
     return Curve(x=x1, y=y, meta={"axis": "x1", "t1": t1, "t2": t2})
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .grids import _AXIS_ROLES, AxisSpec, Curve, FieldGrid, GridSpec
 from .harmonic import beat_frequency, fringe_period, fringe_spacing
-from .kinematics import PhysicalParams, elastic_final_velocities, thermal_spread
+from .kinematics import (SI_HBAR, PhysicalParams, elastic_final_velocities,
+                         thermal_spread)
 from .measurement import (MeasurementEvent, UnresolvedSplittingError, collapse,
                           classify_regime, split_centroid_velocities)
 from .observables import (coherence_transfer_metrics, doppler_beat,
@@ -59,13 +60,16 @@ class RawEvent:
 class Scenario:
     name: str
     units: str
-    params: PhysicalParams
     wavegroup: WavegroupSpec
     grid: GridSpec
     events: tuple[RawEvent, ...] = ()
     snapshot_times: tuple[float, ...] = ()
     analyses: tuple[str, ...] = ()
     description: str = ""
+
+    @property
+    def params(self) -> PhysicalParams:
+        return self.wavegroup.params
 
     @property
     def tau(self) -> float:
@@ -193,7 +197,8 @@ def validate_config(cfg: dict) -> list[str]:
         out.append(f"{key}: must be a list")
         return []
 
-    for i, e in enumerate(listed("events")):
+    events = listed("events")
+    for i, e in enumerate(events):
         if not isinstance(e, dict):
             out.append(f"events[{i}]: not an object")
             continue
@@ -236,6 +241,8 @@ def validate_config(cfg: dict) -> list[str]:
     for i, a in enumerate(listed("analyses")):
         if not isinstance(a, str) or a not in _ANALYSIS_FNS:
             out.append(f"analyses[{i}]: unknown analysis '{a}'")
+        elif a in _EVENT_ANALYSES and not events:
+            out.append(f"analyses[{i}]: '{a}' needs an event")
     return out
 
 
@@ -261,7 +268,6 @@ def from_config(cfg: dict) -> Scenario:
     return Scenario(
         name=cfg["name"],
         units=cfg["units"],
-        params=params,
         wavegroup=spec,
         grid=grid,
         events=events,
@@ -298,37 +304,20 @@ def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
                           AxisSpec("x2", lo2, hi2, 256)))
 
 
-def _natural_scenario(name, *, M, v, V, dk, dK, x1c, description, analyses,
-                      snapshot_offsets=(), event_offsets=()) -> Scenario:
-    """A natural-units preset (m = 1) with its mirror centred at x2 = 0."""
-    params = PhysicalParams.natural(M=M, v=v, V=V)
+def _preset(name, *, M, v, V, dk, dK, x1c, description, analyses,
+            snapshot_offsets=(), event_offsets=(), m=None) -> Scenario:
+    """A preset with its mirror centred at x2 = 0, in natural units (m = 1)
+    unless an SI particle mass ``m`` is given. Each event's detector
+    resolution is 1e-3 particle widths."""
+    params = (PhysicalParams.natural(M=M, v=v, V=V) if m is None
+              else PhysicalParams(m=m, M=M, v=v, V=V))
     spec = WavegroupSpec(params, dk=dk, dK=dK, x1c=x1c, x2c=0.0)
     t_c, tau = spec.collision_time, spec.tau
     times = tuple(t_c + o * tau for o in snapshot_offsets)
-    events = tuple(RawEvent(t10=t_c + o * tau) for o in event_offsets)
-    return Scenario(name=name, units="natural", params=params, wavegroup=spec,
+    events = tuple(RawEvent(t10=t_c + o * tau, dx1=1e-3 / dk) for o in event_offsets)
+    return Scenario(name=name, units="natural" if m is None else "SI", wavegroup=spec,
                     grid=_joint_grid(spec, times), events=events, snapshot_times=times,
                     analyses=tuple(analyses), description=description)
-
-
-def _fig8_scenario() -> Scenario:
-    m, M = 1.4e-25, 1e-8
-    dv_atom, _ = thermal_spread(m, 1e-7)
-    dV_mirror, _ = thermal_spread(M, 1.0)
-    params = PhysicalParams(m=m, M=M, v=0.03, V=0.01)
-    dk = m * dv_atom / params.hbar
-    dK = M * dV_mirror / params.hbar
-    spec = WavegroupSpec(params, dk=dk, dK=dK, x1c=-1.0e-6, x2c=0.0)
-    t_c = spec.collision_time
-    return Scenario(
-        name="fig8", units="SI", params=params, wavegroup=spec,
-        grid=_joint_grid(spec, (t_c,)),
-        # 1e-3 particle widths, the detector resolution of the natural presets
-        events=(RawEvent(t10=t_c, dx1=1e-3 / dk),),
-        snapshot_times=(t_c,),
-        analyses=("regime", "beat", "split-velocities", "node-depth"),
-        description="rubidium atom on a 1e-8 kg thermal mirror, SI units",
-    )
 
 
 # the fig2 system; fig3 widens its spectrum and fig4/fig5 lighten its mirror
@@ -339,7 +328,7 @@ _FIG45_SYSTEM = dict(_FIG2_SYSTEM, M=3.0)
 def _build_presets() -> dict[str, Scenario]:
     presets: dict[str, Scenario] = {}
 
-    presets["fig2"] = _natural_scenario(
+    presets["fig2"] = _preset(
         "fig2", **_FIG2_SYSTEM,
         snapshot_offsets=(-1.0, 0.0, 1.0),
         analyses=("fringes",),
@@ -348,47 +337,56 @@ def _build_presets() -> dict[str, Scenario]:
     for label, scale in (("a", 1.0), ("b", 2.0), ("c", 4.0)):
         system = dict(_FIG2_SYSTEM, dk=scale * _FIG2_SYSTEM["dk"],
                       dK=scale * _FIG2_SYSTEM["dK"])
-        presets[f"fig3-{label}"] = _natural_scenario(
+        presets[f"fig3-{label}"] = _preset(
             f"fig3-{label}", **system, snapshot_offsets=(0.0,), analyses=("fringes",),
             description="overlap slices at increasing spectral width",
         )
-    presets["fig4"] = _natural_scenario(
+    presets["fig4"] = _preset(
         "fig4", **_FIG45_SYSTEM,
         snapshot_offsets=(1.0, 2.0, 3.0), event_offsets=(1.0,),
         analyses=("regime",),
         description="particle measured after reflection; mirror drifts and disperses",
     )
-    presets["fig5"] = _natural_scenario(
+    presets["fig5"] = _preset(
         "fig5", **_FIG45_SYSTEM,
         snapshot_offsets=(0.0, 1.0, 2.0), event_offsets=(0.0,),
         analyses=("regime", "split-velocities", "beat"),
         description="particle measured in the overlap; mirror splits into two states",
     )
-    presets["fig6-m1"] = _natural_scenario(
+    presets["fig6-m1"] = _preset(
         "fig6-m1", M=1.0, v=400.0, V=80.0, dk=1.0, dK=10.0, x1c=-6.0,
         snapshot_offsets=(-1.0, 2.0), analyses=("coherence-transfer",),
         description="equal masses exchange wavegroup widths on reflection",
     )
-    presets["fig6-m20"] = _natural_scenario(
+    presets["fig6-m20"] = _preset(
         "fig6-m20", M=20.0, v=400.0, V=80.0, dk=1.0, dK=200.0, x1c=-6.0,
         snapshot_offsets=(-1.0, 2.0), analyses=("coherence-transfer",),
         description="mass ratio 20 control: widths are not exchanged",
     )
     for label, dK in (("a", 2.0), ("b", 1.0 / 0.12), ("c", 1.0 / 0.06), ("d", 500.0)):
-        presets[f"fig7-{label}"] = _natural_scenario(
+        presets[f"fig7-{label}"] = _preset(
             f"fig7-{label}", M=400.0, v=20.0, V=15.0, dk=1.0, dK=dK, x1c=-8.0,
             snapshot_offsets=(0.0,), analyses=("marginal-visibility",),
             description="mirror velocity-spread ladder for one-body fringe washout",
         )
-    presets["fig8"] = _fig8_scenario()
-    presets["fig9"] = _natural_scenario(
+    m, M = 1.4e-25, 1e-8
+    presets["fig8"] = _preset(
+        "fig8", m=m, M=M, v=0.03, V=0.01, x1c=-1.0e-6,
+        # wavevector spreads of a 100 nK atom and a 1 K mirror
+        dk=m * thermal_spread(m, 1e-7)[0] / SI_HBAR,
+        dK=M * thermal_spread(M, 1.0)[0] / SI_HBAR,
+        snapshot_offsets=(0.0,), event_offsets=(0.0,),
+        analyses=("regime", "beat", "split-velocities", "node-depth"),
+        description="rubidium atom on a 1e-8 kg thermal mirror, SI units",
+    )
+    presets["fig9"] = _preset(
         "fig9", M=1.0e8, v=40.0, V=8.0, dk=1.0, dK=25000.0, x1c=-5.2,
         snapshot_offsets=(0.0,), event_offsets=(0.0,),
         analyses=("marginal-visibility", "marginal-t2-independence",
                   "node-depth", "beat"),
         description="mesoscopic-mass mirror: one-body fringes survive the mirror trace",
     )
-    presets["cont"] = _natural_scenario(
+    presets["cont"] = _preset(
         "cont", M=100.0, v=49152.0, V=29491.2, dk=1.0, dK=2.0, x1c=-8.0,
         snapshot_offsets=(0.0,), event_offsets=(0.0,),
         analyses=("continuity",),
@@ -616,6 +614,9 @@ def analysis_continuity(scenario: Scenario) -> dict:
             "order": order,
             "negative_control_ratio": broken.max_residual / healthy.max_residual}
 
+
+# analyses that read the scenario's first event
+_EVENT_ANALYSES = ("beat", "split-velocities")
 
 _ANALYSIS_FNS = {
     "fringes": analysis_fringes,

@@ -113,8 +113,9 @@ class WavegroupSpec:
     The spectral weight is exp[-(k-k0)^2/(2 dk^2)] exp[-(K-K0)^2/(2 dK^2)]
     with linear phases centring the packets at (x1c, x2c) at the reference
     time t0, normalised to unit total probability. The packet centres must
-    be separated widely enough that the incident packet's weight on the
-    unphysical side x1 > x2 is negligible.
+    lie more than five combined widths 1/dk + 1/dK apart. That caps the
+    incident packet's weight on the unphysical side x1 > x2 at t0,
+    erfc((x2c - x1c) / sqrt(1/dk^2 + 1/dK^2)) / 2, below erfc(5)/2 = 7.7e-13.
     """
 
     params: PhysicalParams
@@ -132,8 +133,6 @@ class WavegroupSpec:
         sep = self.x2c - self.x1c
         if not sep > 5.0 * (1.0 / self.dk + 1.0 / self.dK):
             raise ValueError("packet centres closer than five combined widths")
-        if self.wrong_side_defect() > 1e-6:
-            raise ValueError("wrong-side probability defect exceeds 1e-6")
 
     # the spectral centre is the incident pair of params
     @property
@@ -171,11 +170,6 @@ class WavegroupSpec:
         """Overlap time scale: incident and reflected centroids separate by
         twice the particle packet width 2/dk in this time."""
         return 4.0 / (self.dk * (self.params.v - self.params.V))
-
-    def wrong_side_defect(self) -> float:
-        """Incident-packet probability on x1 > x2 at t0 (Gaussian tail)."""
-        var = 0.5 / self.dk**2 + 0.5 / self.dK**2
-        return 0.5 * math.erfc((self.x2c - self.x1c) / math.sqrt(2.0 * var))
 
 
 def spectral_amplitude(spec: WavegroupSpec, k, K):

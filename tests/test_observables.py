@@ -11,8 +11,11 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
                        collapse, decoherence_report, doppler_beat,
                        extract_fringes, marginal_over_mirror,
                        marginal_over_particle)
-from mirrorsim.observables import (_support_hull, coherence_transfer_metrics,
-                                   fit_sinusoid)
+from mirrorsim.measurement import MeasurementEvent
+from mirrorsim.observables import (IncompleteSeparationWarning,
+                                   InsufficientSpanWarning, _support_hull,
+                                   coherence_transfer_metrics, fit_sinusoid,
+                                   transit_beat_periods)
 from mirrorsim.scenario import PRESETS, analysis_marginal_visibility, resolve_event
 from mirrorsim.wavegroup import frames, joint_pdf
 
@@ -107,6 +110,25 @@ class TestDopplerBeat:
         assert rep["method"] == "pattern-drift"
         assert rep["relative_error"] < 0.03
         assert abs(rep["fitted"] - 3e5) / 3e5 < 0.15
+
+    def test_short_axis_warns(self, presets):
+        # fig5's detector sees more than 3 beat periods in transit, so only
+        # the one-period axis falls short
+        s = presets["fig5"]
+        event = resolve_event(s, s.events[0])
+        state = collapse(s.wavegroup, event)
+        t2 = np.linspace(event.t10, event.t10 + math.pi / s.wavegroup.beat0, 300)
+        x2 = max(state.branch_profiles(float(t2[150])), key=lambda b: b[2])[0]
+        assert transit_beat_periods(state, float(t2[150])) >= 3.0
+        with pytest.warns(InsufficientSpanWarning):
+            doppler_beat(state, x2, t2)
+
+    def test_resting_mirror_has_unbounded_transit(self):
+        p = PhysicalParams.natural(M=3.0, v=50.0, V=0.0)
+        spec = WavegroupSpec(p, dk=1.0, dK=2.0, x1c=-10.0, x2c=0.0)
+        t_c = spec.collision_time
+        state = collapse(spec, MeasurementEvent(x10=spec.collision_point - 0.5, t10=t_c))
+        assert transit_beat_periods(state, t_c + spec.tau) == math.inf
 
     def test_fig9_beat(self, presets):
         from mirrorsim.scenario import analysis_beat
@@ -231,6 +253,12 @@ class TestCoherenceTransfer:
             post_t=s.collision_time + 2.0 * s.tau)
         assert not (0.7 <= rep.exchange_particle <= 1.4)
         assert not (0.7 <= rep.exchange_mirror <= 1.4)
+
+    def test_overlap_at_post_t_warns(self, presets):
+        s = presets["fig6-m1"]
+        with pytest.warns(IncompleteSeparationWarning):
+            coherence_transfer_metrics(s.wavegroup, pre_t=s.wavegroup.t0,
+                                       post_t=s.collision_time)
 
     def test_symmetric_spec_is_trivial(self):
         p = PhysicalParams.natural(M=1.0, v=400.0, V=80.0)

@@ -134,6 +134,18 @@ class TestConfigValidation:
         cfg["analyses"] = [["fringes"], "fringes"]
         assert validate_config(cfg) == ["analyses[0]: unknown analysis '['fringes']'"]
 
+    def test_event_analyses_need_an_event(self, tmp_path):
+        # beat and split-velocities read the first event, so a config without
+        # one is rejected before any analysis runs
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["analyses"] = ["fringes", "beat", "split-velocities", "regime"]
+        assert validate_config(cfg) == ["analyses[1]: 'beat' needs an event",
+                                        "analyses[2]: 'split-velocities' needs an event"]
+        path = tmp_path / "fig2.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["observables", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
     def test_load_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -540,6 +552,18 @@ class TestCli:
         assert main(["observables", "--preset", "fig4", "--out", str(out)]) == 0
         rep = json.loads((out / "fig4_observables.json").read_text())
         assert rep["analyses"]["regime"]["event0"]["regime"] == "A"
+
+    def test_observables_reports_a_failing_analysis(self, tmp_path, capsys, monkeypatch):
+        from mirrorsim import scenario as sc
+
+        def fail(_scenario):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(sc._ANALYSIS_FNS, "fringes", fail)
+        out = tmp_path / "o"
+        assert main(["observables", "--preset", "fig2", "--out", str(out)]) == 4
+        rep = json.loads((out / "fig2_observables.json").read_text())
+        assert rep["analyses"] == {"fringes": {"error": "RuntimeError: boom"}}
+        assert "analysis fringes failed: RuntimeError: boom" in capsys.readouterr().err
 
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3

@@ -112,9 +112,6 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             WavegroupSpec(params_fig5, dk=1.0, dK=2.0, x1c=-6.0, x2c=0.0)
 
-    def test_wrong_side_defect_small(self, spec_fig5):
-        assert spec_fig5.wrong_side_defect() < 1e-6
-
 
 class TestClosedForm:
     def test_unit_norm_at_reference_time(self, spec_fig5):
