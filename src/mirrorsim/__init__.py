@@ -3,10 +3,9 @@ for a quantum particle reflecting elastically from a moving mirror."""
 
 from .kinematics import (PhysicalParams, elastic_final_velocities, thermal_spread,
                          coherence_length, SI_H, SI_HBAR, SI_KB)
-from .harmonic import (HarmonicMode, SpacetimePoint, incident_amplitude,
-                       reflected_amplitude, eigenstate_amplitude,
-                       interference_pdf, fringe_spacing, fringe_period,
-                       beat_frequency)
+from .harmonic import (SpacetimePoint, incident_amplitude, reflected_amplitude,
+                       eigenstate_amplitude, interference_pdf, fringe_spacing,
+                       fringe_period, beat_frequency)
 from .wavegroup import (WavegroupSpec, spectral_amplitude, amplitude_closed,
                         amplitude_parts, amplitude_quadrature, joint_pdf, currents)
 from .measurement import (MeasurementEvent, ConditionalMirrorState, collapse,

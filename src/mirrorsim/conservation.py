@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import (HarmonicMode, SpacetimePoint, beat_frequency,
-                       fringe_period, interference_pdf)
+from .harmonic import (SpacetimePoint, beat_frequency, fringe_period,
+                       interference_pdf)
+from .kinematics import PhysicalParams
 from .wavegroup import WavegroupSpec, currents, joint_pdf
 
 
@@ -46,35 +47,37 @@ class ContinuityResidual:
         return self.max_residual / self.scale if self.scale else math.inf
 
 
-def _harmonic_currents(mode: HarmonicMode, x1, t1, x2, t2):
+def _harmonic_currents(p: PhysicalParams, x1, t1, x2, t2):
     """Currents of the plane-wave superposition: the pattern drifts at v_cm.
 
     Psi* dPsi collapses exactly to j1 = hbar (k + k_ref) PDF / (2m) and
-    j2 = hbar (K + K_ref) PDF / (2M), and both wavevector sums reduce to the
+    j2 = hbar (K + K_ref) PDF / (2M), with the reflected pair k_ref = k - 2 k_rel
+    and K_ref = K + 2 k_rel, and both wavevector sums reduce to the
     centre-of-mass velocity v_cm = (mv + MV)/(m + M), so j1 = j2 = v_cm PDF
     at any pair of measurement times. v_cm is the factor that
     :func:`~.harmonic.beat_frequency` carries on k_rel.
     """
-    p = mode.params
     j = (beat_frequency(p) / p.k_rel
-         * interference_pdf(mode, SpacetimePoint(x1, t1, x2, t2)))
+         * interference_pdf(p, SpacetimePoint(x1, t1, x2, t2)))
     return j, j
 
 
 def _field_fns(field, detune: float = 1.0, reflected_weight: float = 1.0):
-    """(pdf, currents) callables of (x1, t1, x2, t2) for either field type;
-    currents returns (j1, j2)."""
+    """(params, pdf, currents) of a field: a :class:`~.wavegroup.WavegroupSpec`,
+    or a plane-wave pair given as its :class:`~.kinematics.PhysicalParams`.
+    pdf and currents are callables of (x1, t1, x2, t2); currents returns
+    (j1, j2)."""
     if isinstance(field, WavegroupSpec):
         knobs = dict(detune=detune, reflected_weight=reflected_weight)
-        return (functools.partial(joint_pdf, field, **knobs),
+        return (field.params, functools.partial(joint_pdf, field, **knobs),
                 functools.partial(currents, field, **knobs))
-    if isinstance(field, HarmonicMode):
+    if isinstance(field, PhysicalParams):
         if detune != 1.0 or reflected_weight != 1.0:
             raise ValueError("corruption knobs apply to wavegroup fields only")
-        return (lambda x1, t1, x2, t2: interference_pdf(
+        return (field, lambda x1, t1, x2, t2: interference_pdf(
                     field, SpacetimePoint(x1, t1, x2, t2)),
                 functools.partial(_harmonic_currents, field))
-    raise TypeError("field must be a WavegroupSpec or HarmonicMode")
+    raise TypeError("field must be a WavegroupSpec or PhysicalParams")
 
 
 def continuity_residual(field, x1, x2, t1: float, t2: float,
@@ -83,15 +86,18 @@ def continuity_residual(field, x1, x2, t1: float, t2: float,
                         reflected_weight: float = 1.0) -> ContinuityResidual:
     """Central-difference residual of the local balance over an x1 x x2 box.
 
-    ``steps`` are (dx1, dx2, dt1, dt2). The reported scale is the largest
-    magnitude among the four balancing terms, so max_over_scale is the
-    dimensionless quality of the check.
+    ``field`` is a :class:`~.wavegroup.WavegroupSpec` or, for the plane-wave
+    pair, its :class:`~.kinematics.PhysicalParams`; the corruption knobs
+    ``detune`` and ``reflected_weight`` apply to a wavegroup only. ``steps``
+    are (dx1, dx2, dt1, dt2). The reported scale is the largest magnitude
+    among the four balancing terms, so max_over_scale is the dimensionless
+    quality of the check.
     """
     dx1, dx2, dt1, dt2 = steps
-    if max(dx1, dx2) > fringe_period(field.params) / 20.0:
+    p, pdf, cur = _field_fns(field, detune, reflected_weight)
+    if max(dx1, dx2) > fringe_period(p) / 20.0:
         warnings.warn("spatial steps coarser than a twentieth of a fringe",
                       UnderResolvedStepWarning, stacklevel=2)
-    pdf, cur = _field_fns(field, detune, reflected_weight)
     X1 = np.asarray(x1, dtype=float)[:, None]
     X2 = np.asarray(x2, dtype=float)[None, :]
 

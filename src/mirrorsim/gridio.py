@@ -80,7 +80,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]):
 
 
 def _header(scenario_name: str, config_hash: str, provenance: dict,
-            axes_lines: list[str], dtype: str) -> list[str]:
+            axes_lines: list[str]) -> list[str]:
     lines = [f"# {SCHEMA_VERSION}",
              f"# scenario: {scenario_name}",
              f"# scenario-hash: {config_hash}"]
@@ -93,7 +93,7 @@ def _header(scenario_name: str, config_hash: str, provenance: dict,
         else:
             lines.append(f"# {key}: {val}")
     lines.extend(axes_lines)
-    lines.append(f"# dtype: {dtype}")
+    lines.append("# dtype: real")
     return lines
 
 
@@ -294,7 +294,7 @@ def write_field_grid(fg: FieldGrid, path, scenario_name: str,
         f"# axis-{i}: {a.role} {_fmt(a.lo)} {_fmt(a.hi)} {a.n}"
         for i, a in enumerate(fg.grid.axes)
     ]
-    header = _header(scenario_name, config_hash, fg.provenance, axes_lines, "real")
+    header = _header(scenario_name, config_hash, fg.provenance, axes_lines)
     _atomic_write(path, _csv(header, fg.values))
     _gnuplot_script(path, "900,780", ["set view map", "unset key",
                                       f"splot '{path.name}' matrix with image"])
@@ -306,7 +306,7 @@ def write_curve(curve: Curve, path, scenario_name: str, config_hash: str) -> Pat
     path = Path(path)
     meta = {k: v for k, v in curve.meta.items()}
     axes_lines = [f"# columns: {meta.pop('axis', 'x')},value"]
-    header = _header(scenario_name, config_hash, meta, axes_lines, "real")
+    header = _header(scenario_name, config_hash, meta, axes_lines)
     _atomic_write(path, _csv(header, np.column_stack((curve.x, curve.y))))
     _gnuplot_script(path, "900,600", ["unset key", f"plot '{path.name}' using 1:2 with lines"])
     return path

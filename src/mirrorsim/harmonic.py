@@ -13,6 +13,11 @@ vanishes on the contact line x1 = x2 at equal times. Only Delta enters
 densities and currents, and it is never a difference of the large incident
 phases, so the pattern stays exact where k x1 + K x2 exceeds 1/eps.
 
+A plane-wave pair is its :class:`~.kinematics.PhysicalParams` ``p``, which
+the amplitude, phase, fringe and beat functions take: the incident wavevectors
+are (p.k, p.K) and the reflected ones (k - 2 k_rel, K + 2 k_rel), which the
+amplitudes never form.
+
 Phases are reduced modulo 2*pi before exponentiation; SI-scale wavevectors
 times metre-scale positions would otherwise exhaust double-precision trig
 accuracy.
@@ -44,35 +49,6 @@ class SpacetimePoint:
     t2: float
 
 
-@dataclass(frozen=True)
-class HarmonicMode:
-    """The incident plane-wave pair (k, K) of ``params`` and its reflection.
-
-    The wavevectors are read from ``params``: the incident pair is (p.k, p.K)
-    and the reflected pair (k - 2 k_rel, K + 2 k_rel). The amplitudes never
-    form the reflected pair; they take its phase as the incident phase plus
-    the recoil phase, so these properties are for inspection only.
-    """
-
-    params: PhysicalParams
-
-    @property
-    def k(self) -> float:
-        return self.params.k
-
-    @property
-    def K(self) -> float:
-        return self.params.K
-
-    @property
-    def k_ref(self) -> float:
-        return self.params.k - 2.0 * self.params.k_rel
-
-    @property
-    def K_ref(self) -> float:
-        return self.params.K + 2.0 * self.params.k_rel
-
-
 def incident_phase(p: PhysicalParams, x1, t1, x2, t2):
     """Incident phase k x1 + K x2 - w1 t1 - w2 t2, w = hbar k^2 / 2m per body."""
     w1, w2 = p.hbar * p.k**2 / (2 * p.m), p.hbar * p.K**2 / (2 * p.M)
@@ -90,31 +66,31 @@ def _unit_phase(phase):
     return np.exp(1j * np.remainder(phase, _TWO_PI))
 
 
-def incident_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
+def incident_amplitude(p: PhysicalParams, pt: SpacetimePoint):
     """Uncorrelated incident plane wave exp[i(k x1 + K x2 - w1 t1 - w2 t2)]."""
-    return _unit_phase(incident_phase(mode.params, pt.x1, pt.t1, pt.x2, pt.t2))
+    return _unit_phase(incident_phase(p, pt.x1, pt.t1, pt.x2, pt.t2))
 
 
-def reflected_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
+def reflected_amplitude(p: PhysicalParams, pt: SpacetimePoint):
     """Reflected plane wave: the incident one times the recoil phase exp(i Delta)."""
-    delta = interference_phase(mode.params, pt.x1, pt.t1, pt.x2, pt.t2)
-    return incident_amplitude(mode, pt) * _unit_phase(delta)
+    delta = interference_phase(p, pt.x1, pt.t1, pt.x2, pt.t2)
+    return incident_amplitude(p, pt) * _unit_phase(delta)
 
 
-def eigenstate_amplitude(mode: HarmonicMode, pt: SpacetimePoint):
+def eigenstate_amplitude(p: PhysicalParams, pt: SpacetimePoint):
     """(incident - reflected) on the physical domain x1 <= x2, zero beyond it."""
-    amp = incident_amplitude(mode, pt) - reflected_amplitude(mode, pt)
+    amp = incident_amplitude(p, pt) - reflected_amplitude(p, pt)
     return np.where(np.asarray(pt.x1) <= np.asarray(pt.x2), amp, 0.0 + 0.0j)
 
 
-def interference_pdf(mode: HarmonicMode, pt: SpacetimePoint):
+def interference_pdf(p: PhysicalParams, pt: SpacetimePoint):
     """Closed-form |incident - reflected|^2 = 4 sin^2(Delta / 2) on x1 <= x2.
 
     The argument Delta / 2 = k_rel (x2 - x1) + beat (t1 - t2) is reduced
     modulo pi (the period of sin^2) before evaluation.
     """
     x1, x2 = np.asarray(pt.x1), np.asarray(pt.x2)
-    arg = 0.5 * interference_phase(mode.params, x1, pt.t1, x2, pt.t2)
+    arg = 0.5 * interference_phase(p, x1, pt.t1, x2, pt.t2)
     val = 4.0 * np.sin(np.remainder(arg, math.pi)) ** 2
     return np.where(x1 <= x2, val, 0.0)
 

@@ -615,8 +615,9 @@ def analysis_continuity(scenario: Scenario) -> dict:
             "negative_control_ratio": broken.max_residual / healthy.max_residual}
 
 
-# analyses that read the scenario's first event
-_EVENT_ANALYSES = ("beat", "split-velocities")
+# analyses that need an event: beat and split-velocities read the first one,
+# and regime classifies each, so with none it would report nothing
+_EVENT_ANALYSES = ("beat", "split-velocities", "regime")
 
 _ANALYSIS_FNS = {
     "fringes": analysis_fringes,

@@ -110,9 +110,10 @@ def _check_range(ok, what: str, **times):
 class WavegroupSpec:
     """Gaussian spectral amplitudes and initial packet centres.
 
-    The spectral weight is exp[-(k-k0)^2/(2 dk^2)] exp[-(K-K0)^2/(2 dK^2)]
-    with linear phases centring the packets at (x1c, x2c) at the reference
-    time t0, normalised to unit total probability. The packet centres must
+    The spectral weight is exp[-(k-k0)^2/(2 dk^2)] exp[-(K-K0)^2/(2 dK^2)],
+    centred on the incident pair (k0, K0) = (params.k, params.K), with linear
+    phases centring the packets at (x1c, x2c) at the reference time t0,
+    normalised to unit total probability. The packet centres must
     lie more than five combined widths 1/dk + 1/dK apart. That caps the
     incident packet's weight on the unphysical side x1 > x2 at t0,
     erfc((x2c - x1c) / sqrt(1/dk^2 + 1/dK^2)) / 2, below erfc(5)/2 = 7.7e-13.
@@ -133,19 +134,6 @@ class WavegroupSpec:
         sep = self.x2c - self.x1c
         if not sep > 5.0 * (1.0 / self.dk + 1.0 / self.dK):
             raise ValueError("packet centres closer than five combined widths")
-
-    # the spectral centre is the incident pair of params
-    @property
-    def k0(self) -> float:
-        return self.params.k
-
-    @property
-    def K0(self) -> float:
-        return self.params.K
-
-    @property
-    def K_rel0(self) -> float:
-        return self.params.k_rel
 
     @property
     def beat0(self) -> float:
@@ -176,8 +164,8 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
     """Normalised Gaussian spectral weight with packet-centring phases."""
     k = np.asarray(k, dtype=float)
     K = np.asarray(K, dtype=float)
-    env = np.exp(-((k - spec.k0) ** 2) / (2.0 * spec.dk**2)
-                 - ((K - spec.K0) ** 2) / (2.0 * spec.dK**2))
+    env = np.exp(-((k - spec.params.k) ** 2) / (2.0 * spec.dk**2)
+                 - ((K - spec.params.K) ** 2) / (2.0 * spec.dK**2))
     phase = np.exp(-1j * np.remainder(k * spec.x1c + K * spec.x2c, _TWO_PI))
     return spec.norm_const * env * phase
 

@@ -52,6 +52,11 @@ def fig7_visibilities():
     return out
 
 
+def reflected_pair(p):
+    """Reflected plane-wave wavevectors (k - 2 k_rel, K + 2 k_rel) of params p."""
+    return p.k - 2.0 * p.k_rel, p.K + 2.0 * p.k_rel
+
+
 def random_valid_params(rng, natural=True):
     """A random parameter draw satisfying every PhysicalParams invariant."""
     m = 1.0 if natural else 10.0 ** rng.uniform(-27, -20)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from mirrorsim import (HarmonicMode, MeasurementEvent, PhysicalParams,
-                       SpacetimePoint, UnresolvedSplittingError, WavegroupSpec,
+from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
+                       UnresolvedSplittingError, WavegroupSpec,
                        amplitude_closed, amplitude_quadrature, beat_frequency,
                        collapse, continuity_residual, convergence_order,
                        decoherence_report, doppler_beat, eigenstate_amplitude,
@@ -44,12 +44,12 @@ def test_criterion_01_interference_identity(rng):
         M = 10.0 ** rng.uniform(0.05, 1.5)
         v = rng.uniform(0.5, 8.0)
         V = v * rng.uniform(-0.9, 0.9)
-        mode = HarmonicMode(PhysicalParams.natural(M=M, v=v, V=V))
+        p = PhysicalParams.natural(M=M, v=v, V=V)
         x1, x2 = sorted(rng.uniform(-3.0, 3.0, 2))
         t1, t2 = rng.uniform(-0.5, 0.5, 2)
         pt = SpacetimePoint(x1, t1, x2, t2)
-        lhs = abs(incident_amplitude(mode, pt) - reflected_amplitude(mode, pt)) ** 2
-        rhs = interference_pdf(mode, pt)
+        lhs = abs(incident_amplitude(p, pt) - reflected_amplitude(p, pt)) ** 2
+        rhs = interference_pdf(p, pt)
         assert abs(lhs - rhs) <= 1e-12 * 4.0  # PDF full scale is 4
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -62,10 +62,10 @@ def test_criterion_02_boundary_condition(rng):
         M = 10.0 ** rng.uniform(0.05, 1.5)
         v = rng.uniform(0.5, 8.0)
         V = v * rng.uniform(-0.9, 0.9)
-        mode = HarmonicMode(PhysicalParams.natural(M=M, v=v, V=V))
+        p = PhysicalParams.natural(M=M, v=v, V=V)
         x = rng.uniform(-3.0, 3.0)
         t = rng.uniform(-0.5, 0.5)
-        val = abs(eigenstate_amplitude(mode, SpacetimePoint(x, t, x, t)))
+        val = abs(eigenstate_amplitude(p, SpacetimePoint(x, t, x, t)))
         assert val < 1e-10 * 2.0  # peak eigenstate modulus is 2
     for name in ("fig2", "fig5"):
         s = PRESETS[name].wavegroup
@@ -154,9 +154,9 @@ def test_criterion_06_continuity():
     s = sc.wavegroup
     t_c = s.collision_time
     x_c = s.collision_point
-    fringe = math.pi / s.K_rel0
+    fringe = math.pi / s.params.k_rel
     h = fringe / 40.0
-    v_bar = s.beat0 / s.K_rel0
+    v_bar = s.beat0 / s.params.k_rel
     steps = (h, h, h / v_bar, h / v_bar)
     x1 = x_c - 0.2 / s.dk + np.arange(7) * h
     x2 = x_c + 0.2 / s.dk + np.arange(7) * h
@@ -182,7 +182,7 @@ def test_criterion_07_regime_phenomenology():
     spec5 = PRESETS["fig5"].wavegroup
     t10_a = spec5.collision_time + spec5.tau
     state_a = collapse(spec5, resolve_event_like(spec5, t10_a))
-    fringe = math.pi / spec5.K_rel0
+    fringe = math.pi / spec5.params.k_rel
     for t2 in t10_a + spec5.tau * np.array([0.0, 1.0, 2.0, 3.0]):
         lo, hi = state_a.support(t2)
         x2 = np.linspace(max(lo, state_a.event.x10), hi, 8001)

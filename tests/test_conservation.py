@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsim import (HarmonicMode, PhysicalParams, SpacetimePoint,
+from mirrorsim import (PhysicalParams, SpacetimePoint,
                        WavegroupSpec, beat_frequency, collapse, continuity_residual,
                        convergence_order, currents, fringe_period, joint_pdf)
 from mirrorsim.conservation import (ContinuityResidual, UnderResolvedStepWarning,
                                     _harmonic_currents)
 from mirrorsim.measurement import MeasurementEvent
 from mirrorsim.scenario import PRESETS
+from conftest import reflected_pair
 
 
 def cont_setup():
@@ -18,9 +19,9 @@ def cont_setup():
     p = sc.params
     t_c = s.collision_time
     x_c = s.collision_point
-    fringe = math.pi / s.K_rel0
+    fringe = math.pi / s.params.k_rel
     h = fringe / 40.0
-    v_bar = s.beat0 / s.K_rel0  # pattern speed hbar (k0 + K0) / (m + M)
+    v_bar = s.beat0 / s.params.k_rel  # pattern speed hbar (k0 + K0) / (m + M)
     steps = (h, h, h / v_bar, h / v_bar)
     x1 = x_c - 0.2 / s.dk + np.arange(7) * h
     x2 = x_c + 0.2 / s.dk + np.arange(7) * h
@@ -31,9 +32,8 @@ class TestCurrents:
     def test_standing_wave_has_no_current(self):
         # opposite momenta (mv = -MV): the superposition is a standing wave
         p = PhysicalParams.natural(M=4.0, v=1.0, V=-0.25)
-        mode = HarmonicMode(p)
-        assert mode.k + mode.k_ref == pytest.approx(0.0, abs=1e-13)
-        j1, j2 = _harmonic_currents(mode, 0.2, 0.0, 0.8, 0.0)
+        assert p.k + reflected_pair(p)[0] == pytest.approx(0.0, abs=1e-13)
+        j1, j2 = _harmonic_currents(p, 0.2, 0.0, 0.8, 0.0)
         assert abs(j1) < 1e-12
         assert abs(j2) < 1e-12
 
@@ -41,7 +41,7 @@ class TestCurrents:
         s = spec_fig5
         t_c = s.collision_time
         x_c = s.collision_point
-        h = 1e-4 / max(s.k0, abs(s.K0))
+        h = 1e-4 / max(s.params.k, abs(s.params.K))
         pts = [(x_c - 0.3, t_c, x_c + 0.2, t_c),
                (x_c, t_c, x_c, t_c),  # node of the standing structure
                (x_c - 0.8, t_c + 0.1 * s.tau, x_c + 0.5, t_c - 0.05 * s.tau)]
@@ -73,32 +73,30 @@ class TestCurrents:
         assert abs(j1) > 0  # currents need not vanish at density nodes
 
     def test_public_dispatch_harmonic(self, spec_fig5):
-        mode = HarmonicMode(spec_fig5.params)
-        pt = SpacetimePoint(0.2, 0.05, 0.9, 0.1)
-        j1 = _harmonic_currents(mode, pt.x1, pt.t1, pt.x2, pt.t2)[0]
         p = spec_fig5.params
-        expected = (p.hbar * (mode.k + mode.k_ref) / (2 * p.m)
+        pt = SpacetimePoint(0.2, 0.05, 0.9, 0.1)
+        j1 = _harmonic_currents(p, pt.x1, pt.t1, pt.x2, pt.t2)[0]
+        expected = (p.hbar * (p.k + reflected_pair(p)[0]) / (2 * p.m)
                     * float(np.asarray(
-                        _harmonic_pdf_for_test(mode, pt))))
+                        _harmonic_pdf_for_test(p, pt))))
         assert j1 == pytest.approx(expected, rel=1e-12)
 
 
-def _harmonic_pdf_for_test(mode, pt):
+def _harmonic_pdf_for_test(p, pt):
     from mirrorsim import interference_pdf
-    return interference_pdf(mode, pt)
+    return interference_pdf(p, pt)
 
 
 class TestContinuityResidual:
     def test_harmonic_eigenstate(self, spec_fig5):
-        mode = HarmonicMode(spec_fig5.params)
         p = spec_fig5.params
         fringe = fringe_period(p)
         h = fringe / 40.0
-        mode_vbar = p.hbar * (mode.k + mode.K) / (p.m + p.M)
+        mode_vbar = p.hbar * (p.k + p.K) / (p.m + p.M)
         steps = (h, h, h / mode_vbar, h / mode_vbar)
         x1 = -0.5 + np.arange(7) * h
         x2 = 0.3 + np.arange(7) * h
-        r = continuity_residual(mode, x1, x2, 0.1, 0.05, steps)
+        r = continuity_residual(p, x1, x2, 0.1, 0.05, steps)
         assert r.max_over_scale < 1e-9
 
     def test_wavegroup_overlap_region(self):
@@ -130,9 +128,19 @@ class TestContinuityResidual:
         r = ContinuityResidual(max_residual=0.0, rms_residual=0.0, scale=0.0)
         assert r.max_over_scale == math.inf
 
+    def test_rejects_a_field_of_another_type(self):
+        with pytest.raises(TypeError, match="WavegroupSpec or PhysicalParams"):
+            continuity_residual(object(), [0.0], [1.0], 0.0, 0.0, (1e-3,) * 4)
+
+    @pytest.mark.parametrize("knob", ["detune", "reflected_weight"])
+    def test_plane_wave_rejects_corruption_knobs(self, spec_fig5, knob):
+        with pytest.raises(ValueError, match="wavegroup fields only"):
+            continuity_residual(spec_fig5.params, [0.0], [1.0], 0.0, 0.0,
+                                (1e-3,) * 4, **{knob: 1.1})
+
     def test_warns_on_coarse_steps(self, spec_fig5):
         s = spec_fig5
-        fringe = math.pi / s.K_rel0
+        fringe = math.pi / s.params.k_rel
         t_c = s.collision_time
         x_c = s.collision_point
         with pytest.warns(UnderResolvedStepWarning):

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsim import (HarmonicMode, PhysicalParams, SpacetimePoint,
-                       beat_frequency, eigenstate_amplitude, fringe_period,
-                       fringe_spacing, incident_amplitude, interference_pdf,
-                       reflected_amplitude)
+from mirrorsim import (PhysicalParams, SpacetimePoint, beat_frequency,
+                       eigenstate_amplitude, fringe_period, fringe_spacing,
+                       incident_amplitude, interference_pdf, reflected_amplitude)
 from mirrorsim.kinematics import ApproximationWarning
 from mirrorsim.scenario import PRESETS
-from conftest import random_valid_params
+from conftest import random_valid_params, reflected_pair
 
 # |phases| stay below ~1e3 for these draws, keeping trig rounding well
 # under the identity tolerances
@@ -24,10 +23,6 @@ def bounded_params(rng):
     return PhysicalParams.natural(M=M, v=v, V=V)
 
 
-def random_mode(rng):
-    return HarmonicMode(bounded_params(rng))
-
-
 def random_point(rng, ordered=False):
     x1, x2 = rng.uniform(-_POS, _POS, 2)
     if ordered and x1 > x2:
@@ -38,88 +33,87 @@ def random_point(rng, ordered=False):
 
 class TestAmplitudes:
     def test_origin_phase(self, rng):
-        mode = random_mode(rng)
-        assert incident_amplitude(mode, SpacetimePoint(0, 0, 0, 0)) == pytest.approx(1.0)
+        p = bounded_params(rng)
+        assert incident_amplitude(p, SpacetimePoint(0, 0, 0, 0)) == pytest.approx(1.0)
 
     def test_half_turn(self):
         p = PhysicalParams.natural(M=50.0, v=1.0, V=0.0)
-        mode = HarmonicMode(p)  # k = 1, K = 0
-        val = incident_amplitude(mode, SpacetimePoint(math.pi, 0, 0, 0))
+        val = incident_amplitude(p, SpacetimePoint(math.pi, 0, 0, 0))
         assert val == pytest.approx(-1.0, abs=1e-12)
 
     def test_single_time_reduction(self, rng):
         for _ in range(100):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             x1, x2 = rng.uniform(-_POS, _POS, 2)
             t = rng.uniform(-_TIME, _TIME)
-            p = mode.params
-            e_total = (p.hbar**2 * mode.k**2 / (2 * p.m)
-                       + p.hbar**2 * mode.K**2 / (2 * p.M))
-            expected = np.exp(1j * ((mode.k * x1 + mode.K * x2
+            e_total = (p.hbar**2 * p.k**2 / (2 * p.m)
+                       + p.hbar**2 * p.K**2 / (2 * p.M))
+            expected = np.exp(1j * ((p.k * x1 + p.K * x2
                                      - e_total * t / p.hbar) % (2 * math.pi)))
-            got = incident_amplitude(mode, SpacetimePoint(x1, t, x2, t))
+            got = incident_amplitude(p, SpacetimePoint(x1, t, x2, t))
             assert abs(got - expected) < 1e-12
 
     def test_unit_modulus(self, rng):
         for _ in range(50):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             pt = random_point(rng)
-            assert abs(abs(incident_amplitude(mode, pt)) - 1.0) < 1e-14
-            assert abs(abs(reflected_amplitude(mode, pt)) - 1.0) < 1e-14
+            assert abs(abs(incident_amplitude(p, pt)) - 1.0) < 1e-14
+            assert abs(abs(reflected_amplitude(p, pt)) - 1.0) < 1e-14
 
     def test_boundary_condition(self, rng):
         for _ in range(200):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             x = rng.uniform(-_POS, _POS)
             t = rng.uniform(-_TIME, _TIME)
             pt = SpacetimePoint(x, t, x, t)
-            diff = incident_amplitude(mode, pt) - reflected_amplitude(mode, pt)
+            diff = incident_amplitude(p, pt) - reflected_amplitude(p, pt)
             assert abs(diff) < 1e-12
 
     def test_equal_mass_rest_mirror_exchange(self):
         p = PhysicalParams.natural(M=1.0, v=1.0, V=0.0)
-        mode = HarmonicMode(p)
-        assert mode.k_ref == pytest.approx(0.0, abs=1e-15)
-        assert mode.K_ref == pytest.approx(mode.k, rel=1e-15)
+        k_ref, K_ref = reflected_pair(p)
+        assert k_ref == pytest.approx(0.0, abs=1e-15)
+        assert K_ref == pytest.approx(p.k, rel=1e-15)
 
     def test_reflected_phase_gradient(self, rng):
         for _ in range(30):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             pt = random_point(rng)
-            h = 0.1 / max(abs(mode.k_ref), 1.0)
-            up = reflected_amplitude(mode, SpacetimePoint(pt.x1 + h, pt.t1, pt.x2, pt.t2))
-            dn = reflected_amplitude(mode, SpacetimePoint(pt.x1 - h, pt.t1, pt.x2, pt.t2))
+            k_ref = reflected_pair(p)[0]
+            h = 0.1 / max(abs(k_ref), 1.0)
+            up = reflected_amplitude(p, SpacetimePoint(pt.x1 + h, pt.t1, pt.x2, pt.t2))
+            dn = reflected_amplitude(p, SpacetimePoint(pt.x1 - h, pt.t1, pt.x2, pt.t2))
             grad = np.angle(up / dn) / (2 * h)
-            assert grad == pytest.approx(mode.k_ref, rel=1e-8, abs=1e-8)
+            assert grad == pytest.approx(k_ref, rel=1e-8, abs=1e-8)
 
     def test_mode_conservation_property(self, rng):
         for _ in range(10_000):
-            mode = HarmonicMode(random_valid_params(rng))
-            p = mode.params
-            e_in = mode.k**2 / (2 * p.m) + mode.K**2 / (2 * p.M)
-            e_out = mode.k_ref**2 / (2 * p.m) + mode.K_ref**2 / (2 * p.M)
-            mom_in = mode.k + mode.K
-            mom_out = mode.k_ref + mode.K_ref
+            p = random_valid_params(rng)
+            k_ref, K_ref = reflected_pair(p)
+            e_in = p.k**2 / (2 * p.m) + p.K**2 / (2 * p.M)
+            e_out = k_ref**2 / (2 * p.m) + K_ref**2 / (2 * p.M)
+            mom_in = p.k + p.K
+            mom_out = k_ref + K_ref
             assert abs(e_out - e_in) <= 1e-12 * abs(e_in)
             assert abs(mom_out - mom_in) <= 1e-12 * max(1.0, abs(mom_in))
 
 
 class TestEigenstate:
     def test_dead_zone(self, rng):
-        mode = random_mode(rng)
+        p = bounded_params(rng)
         pt = SpacetimePoint(1.0, 0.1, 0.5, 0.2)  # x1 > x2
-        assert eigenstate_amplitude(mode, pt) == 0.0
+        assert eigenstate_amplitude(p, pt) == 0.0
 
     def test_boundary_zero(self, rng):
-        mode = random_mode(rng)
-        assert abs(eigenstate_amplitude(mode, SpacetimePoint(0.7, 0.3, 0.7, 0.3))) < 1e-12
+        p = bounded_params(rng)
+        assert abs(eigenstate_amplitude(p, SpacetimePoint(0.7, 0.3, 0.7, 0.3))) < 1e-12
 
     def test_matches_closed_form_pdf(self, rng):
         for _ in range(1000):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             pt = random_point(rng, ordered=True)
-            lhs = abs(eigenstate_amplitude(mode, pt)) ** 2
-            rhs = interference_pdf(mode, pt)
+            lhs = abs(eigenstate_amplitude(p, pt)) ** 2
+            rhs = interference_pdf(p, pt)
             assert abs(lhs - rhs) <= 4.0 * 1e-12  # PDF full scale is 4
 
     def test_matches_closed_form_pdf_si(self, rng):
@@ -128,63 +122,59 @@ class TestEigenstate:
         draws = [PRESETS["fig8"].params] + [random_valid_params(rng, natural=False)
                                             for _ in range(300)]
         for p in draws:
-            mode = HarmonicMode(p)
             x1, x2 = np.sort(rng.uniform(-1e-6, 1e-6, (2, 20)), axis=0)
             t1, t2 = rng.uniform(0.0, 1e-4, (2, 20))
             pt = SpacetimePoint(x1, t1, x2, t2)
-            lhs = np.abs(eigenstate_amplitude(mode, pt)) ** 2
-            assert np.abs(lhs - interference_pdf(mode, pt)).max() <= 4.0 * 1e-12
+            lhs = np.abs(eigenstate_amplitude(p, pt)) ** 2
+            assert np.abs(lhs - interference_pdf(p, pt)).max() <= 4.0 * 1e-12
 
 
 class TestInterferencePdf:
     def test_node_at_contact(self, rng):
-        mode = random_mode(rng)
-        assert interference_pdf(mode, SpacetimePoint(0.2, 0.4, 0.2, 0.4)) < 1e-24
+        p = bounded_params(rng)
+        assert interference_pdf(p, SpacetimePoint(0.2, 0.4, 0.2, 0.4)) < 1e-24
 
     def test_spatial_period(self, rng):
         for _ in range(100):
-            mode = random_mode(rng)
-            p = mode.params
-            period = math.pi * (p.m + p.M) / abs(p.m * mode.K - p.M * mode.k)
+            p = bounded_params(rng)
+            period = math.pi * (p.m + p.M) / abs(p.m * p.K - p.M * p.k)
             pt = random_point(rng, ordered=True)
             shifted = SpacetimePoint(pt.x1 - period, pt.t1, pt.x2, pt.t2)
-            a = interference_pdf(mode, pt)
-            b = interference_pdf(mode, shifted)
+            a = interference_pdf(p, pt)
+            b = interference_pdf(p, shifted)
             assert abs(a - b) < 4e-10
 
     def test_cm_rel_form_at_equal_times(self, rng):
         for _ in range(1000):
-            mode = random_mode(rng)
-            p = mode.params
-            k_rel = (p.M * mode.k - p.m * mode.K) / (p.m + p.M)
+            p = bounded_params(rng)
+            k_rel = (p.M * p.k - p.m * p.K) / (p.m + p.M)
             x1, x2 = sorted(rng.uniform(-_POS, _POS, 2))
             t = rng.uniform(-_TIME, _TIME)
-            got = interference_pdf(mode, SpacetimePoint(x1, t, x2, t))
+            got = interference_pdf(p, SpacetimePoint(x1, t, x2, t))
             expected = 4.0 * math.sin((k_rel * (x1 - x2)) % math.pi) ** 2
             assert abs(got - expected) < 4e-12
 
     def test_static_fringes(self, rng):
         for _ in range(100):
-            mode = random_mode(rng)
+            p = bounded_params(rng)
             x1, x2 = sorted(rng.uniform(-_POS, _POS, 2))
             t, dt = rng.uniform(-_TIME, _TIME, 2)
-            a = interference_pdf(mode, SpacetimePoint(x1, t, x2, t))
-            b = interference_pdf(mode, SpacetimePoint(x1, t + dt, x2, t + dt))
+            a = interference_pdf(p, SpacetimePoint(x1, t, x2, t))
+            b = interference_pdf(p, SpacetimePoint(x1, t + dt, x2, t + dt))
             assert abs(a - b) < 4e-11
 
     def test_temporal_period_matches_beat(self, rng):
         for _ in range(100):
             p = bounded_params(rng)
-            mode = HarmonicMode(p)
             omega = beat_frequency(p)
             if omega < 1e-6:
                 continue
             period = math.pi / omega
             x1, x2 = sorted(rng.uniform(-_POS, _POS, 2))
             t1, t2 = rng.uniform(-_TIME, _TIME, 2)
-            a = interference_pdf(mode, SpacetimePoint(x1, t1, x2, t2))
-            b = interference_pdf(mode, SpacetimePoint(x1, t1 + period, x2, t2))
-            mid = interference_pdf(mode, SpacetimePoint(x1, t1 + 0.5 * period, x2, t2))
+            a = interference_pdf(p, SpacetimePoint(x1, t1, x2, t2))
+            b = interference_pdf(p, SpacetimePoint(x1, t1 + period, x2, t2))
+            mid = interference_pdf(p, SpacetimePoint(x1, t1 + 0.5 * period, x2, t2))
             assert abs(a - b) <= 1e-9 * 4.0
             # genuine oscillation at that rate: half a period flips the fringe
             expected_mid = 4.0 - a

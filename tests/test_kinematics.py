@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsim import (HarmonicMode, PhysicalParams, WavegroupSpec, beat_frequency,
+from mirrorsim import (PhysicalParams, WavegroupSpec, beat_frequency,
                        coherence_length, elastic_final_velocities, fringe_period,
                        thermal_spread)
 from mirrorsim.wavegroup import _branch
-from conftest import random_valid_params
+from conftest import random_valid_params, reflected_pair
 
 
 def cm_frame_oracle(m, M, v, V):
@@ -68,24 +68,24 @@ class TestElastic:
 class TestCollisionStatedTwice:
     def test_wavevector_and_velocity_forms_agree(self, rng):
         # the wavegroup's reflected branch carries the collision as a carrier
-        # offset and a recoil displacement, HarmonicMode as reflected
+        # offset and a recoil displacement, the plane-wave pair as reflected
         # wavevectors, elastic_final_velocities as velocities; the central
         # reflected wavevectors, velocities, fringe period and beat must agree
         for natural in (True, False):
             for _ in range(2000):
                 p = random_valid_params(rng, natural=natural)
                 spec = WavegroupSpec(p, dk=1.0, dK=1.0, x1c=-20.0, x2c=0.0)
-                mode = HarmonicMode(p)
+                k_ref, K_ref = reflected_pair(p)
                 br = _branch(spec, True, spec.t0 + 1.0, spec.t0 + 1.0)
-                k_scale = abs(spec.k0) + abs(spec.K0)
-                assert abs(spec.k0 + br.kq[0] - mode.k_ref) <= 1e-12 * k_scale
-                assert abs(spec.K0 + br.kq[1] - mode.K_ref) <= 1e-12 * k_scale
+                k_scale = abs(p.k) + abs(p.K)
+                assert abs(p.k + br.kq[0] - k_ref) <= 1e-12 * k_scale
+                assert abs(p.K + br.kq[1] - K_ref) <= 1e-12 * k_scale
                 v_scale = abs(p.v) + abs(p.V)
                 for u, u_f in zip(np.add(br.ut, br.recoil), elastic_final_velocities(p)):
                     assert abs(u - u_f) <= 1e-12 * v_scale
-                period = math.pi / abs(spec.K_rel0)
+                period = math.pi / abs(p.k_rel)
                 assert abs(period - fringe_period(p)) <= 1e-12 * period
-                beat_scale = (p.hbar * abs(spec.K_rel0) * k_scale) / (p.m + p.M)
+                beat_scale = (p.hbar * abs(p.k_rel) * k_scale) / (p.m + p.M)
                 assert abs(spec.beat0 - beat_frequency(p)) <= 1e-12 * beat_scale
 
 

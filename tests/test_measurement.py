@@ -54,7 +54,7 @@ class TestCollapse:
         t10 = spec_fig5.collision_time + spec_fig5.tau
         ev = resolve_event_like(spec_fig5, t10)
         state = collapse(spec_fig5, ev)
-        fringe = math.pi / spec_fig5.K_rel0
+        fringe = math.pi / spec_fig5.params.k_rel
         for t2 in t10 + spec_fig5.tau * np.array([0.0, 1.0, 2.0]):
             lo, hi = state.support(t2)
             x2 = np.linspace(max(lo, ev.x10), hi, 8001)
@@ -67,7 +67,7 @@ class TestCollapse:
     def test_regime_b_becomes_bimodal(self, spec_fig5):
         ev = overlap_event(spec_fig5)
         state = collapse(spec_fig5, ev)
-        fringe = math.pi / spec_fig5.K_rel0
+        fringe = math.pi / spec_fig5.params.k_rel
 
         def n_modes(t2):
             lo, hi = state.support(t2)
@@ -324,7 +324,7 @@ class TestReversedOrder:
         hi = x_c + max(v_f, s.params.v) * (t1 - t20) + 10 / s.dk
         x1 = np.linspace(lo, hi, 16001)
         pdf = joint_pdf(s, x1, t1, x20, t20, apply_step=False)
-        fringe = math.pi / s.K_rel0
+        fringe = math.pi / s.params.k_rel
         win = max(1, int(round(fringe / (x1[1] - x1[0]))))
         modes = _smoothed_modes(x1, pdf, win, min_height=0.1, min_sep=2 * fringe)
         assert len(modes) == 2

@@ -57,7 +57,7 @@ class TestPresets:
         s = PRESETS["fig2"]
         assert s.params.M / s.params.m == pytest.approx(100.0)
         assert s.wavegroup.dK / s.wavegroup.dk == pytest.approx(2.0)
-        assert s.wavegroup.K0 / s.wavegroup.k0 == pytest.approx(60.0)
+        assert s.wavegroup.params.K / s.wavegroup.params.k == pytest.approx(60.0)
 
     def test_presets_share_their_systems(self):
         assert PRESETS["fig3-a"].wavegroup == PRESETS["fig2"].wavegroup
@@ -135,12 +135,13 @@ class TestConfigValidation:
         assert validate_config(cfg) == ["analyses[0]: unknown analysis '['fringes']'"]
 
     def test_event_analyses_need_an_event(self, tmp_path):
-        # beat and split-velocities read the first event, so a config without
-        # one is rejected before any analysis runs
+        # beat and split-velocities read the first event and regime classifies
+        # each, so a config without one is rejected before any analysis runs
         cfg = json.loads(serialize(PRESETS["fig2"]))
         cfg["analyses"] = ["fringes", "beat", "split-velocities", "regime"]
         assert validate_config(cfg) == ["analyses[1]: 'beat' needs an event",
-                                        "analyses[2]: 'split-velocities' needs an event"]
+                                        "analyses[2]: 'split-velocities' needs an event",
+                                        "analyses[3]: 'regime' needs an event"]
         path = tmp_path / "fig2.json"
         path.write_text(json.dumps(cfg))
         assert main(["observables", "--config", str(path), "--out", str(tmp_path / "o")]) == 3

@@ -80,20 +80,21 @@ class TestGaussianIntegral:
 
 class TestSpectralAmplitude:
     def test_peak_modulus_is_norm_const(self, spec_fig5):
-        val = spectral_amplitude(spec_fig5, spec_fig5.k0, spec_fig5.K0)
+        val = spectral_amplitude(spec_fig5, spec_fig5.params.k, spec_fig5.params.K)
         assert abs(val) == pytest.approx(spec_fig5.norm_const, rel=1e-14)
 
     def test_width_falloff(self, spec_fig5):
         s = spec_fig5
-        for k, K in ((s.k0 + s.dk, s.K0), (s.k0 - s.dk, s.K0),
-                     (s.k0, s.K0 + s.dK), (s.k0, s.K0 - s.dK)):
+        k0, K0 = s.params.k, s.params.K
+        for k, K in ((k0 + s.dk, K0), (k0 - s.dk, K0),
+                     (k0, K0 + s.dK), (k0, K0 - s.dK)):
             ratio = abs(spectral_amplitude(s, k, K)) / s.norm_const
             assert ratio == pytest.approx(math.exp(-0.5), rel=1e-13)
 
     def test_unit_spectral_norm(self, spec_fig5):
         s = spec_fig5
-        k = np.linspace(s.k0 - 6 * s.dk, s.k0 + 6 * s.dk, 801)
-        K = np.linspace(s.K0 - 6 * s.dK, s.K0 + 6 * s.dK, 801)
+        k = np.linspace(s.params.k - 6 * s.dk, s.params.k + 6 * s.dk, 801)
+        K = np.linspace(s.params.K - 6 * s.dK, s.params.K + 6 * s.dK, 801)
         dens = np.abs(spectral_amplitude(s, k[:, None], K[None, :])) ** 2
         total = np.trapezoid(np.trapezoid(dens, K, axis=1), k, axis=0)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -148,7 +149,7 @@ class TestClosedForm:
         # while the envelopes themselves move sixty times faster
         s = spec_fig2
         t_c = s.collision_time
-        fringe = math.pi / s.K_rel0
+        fringe = math.pi / s.params.k_rel
         x_c = s.collision_point
         x2 = np.linspace(x_c - 1.0, x_c + 1.0, 40001)
 
@@ -279,8 +280,8 @@ class TestQuadratureOracle:
                                   s.collision_point + 0.1, t_c),
                    SpacetimePoint(s.x1c + p.v * 0.1 + 0.3, 0.1,
                                   s.x2c + p.V * 0.05 - 0.2, 0.05)):
-            k = np.linspace(s.k0 - 6 * s.dk, s.k0 + 6 * s.dk, 901)[:, None]
-            K = np.linspace(s.K0 - 6 * s.dK, s.K0 + 6 * s.dK, 901)[None, :]
+            k = np.linspace(s.params.k - 6 * s.dk, s.params.k + 6 * s.dk, 901)[:, None]
+            K = np.linspace(s.params.K - 6 * s.dK, s.params.K + 6 * s.dK, 901)[None, :]
             kr = a11 * k + a12 * K
             Kr = a21 * k + a22 * K
             amp = spectral_amplitude(s, k, K)
