@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import _TWO_PI, SpacetimePoint, fringe_period
+from .harmonic import SpacetimePoint, fringe_period
 from .wavegroup import (WavegroupSpec, _axis_square, _branch, _check_range,
-                        _closed_trace, _log_gauss2, amplitude_parts, joint_pdf)
+                        _closed_trace, _log_modulus, amplitude_parts, joint_pdf)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
@@ -72,7 +72,9 @@ class ConditionalMirrorState:
         particle, the reflected branch the one that has. With x1 frozen at
         x10, each branch's b is affine in x2 along w = E^T e2, so completing
         the square in x2 (:func:`~.wavegroup._axis_square`) gives its centre
-        and sigma. Weights are the |amplitude| values at the branch centres.
+        and sigma. Weights are the |amplitude| values at the branch centres,
+        from the same real log-modulus as the density
+        (:func:`~.wavegroup._log_modulus`).
         """
         self._check_time(t2)
         spec, ev = self.spec, self.event
@@ -81,11 +83,10 @@ class ConditionalMirrorState:
             br = _branch(spec, reflected, ev.t10, t2)
             centre, kappa = _axis_square(br, 1, ev.x10)
             centre = float(centre)
-            log_g, _, _ = _log_gauss2(*br.A, *br.b(ev.x10, centre))
-            _check_range(kappa.real > 0.0 and log_g.real < _LOG_FLOAT_MAX,
+            log_w = _log_modulus(br, ev.x10, centre)
+            _check_range(kappa.real > 0.0 and log_w < _LOG_FLOAT_MAX,
                          "conditional state", t10=ev.t10, t2=t2)
-            weight = spec.norm_const / _TWO_PI * math.exp(log_g.real)
-            out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), weight))
+            out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), math.exp(log_w)))
         return out
 
     def _kept_profiles(self, t2: float):

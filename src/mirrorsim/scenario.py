@@ -36,7 +36,7 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _support_hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import WavegroupSpec, _check_range, _fields, frames, joint_pdf
+from .wavegroup import WavegroupSpec, _check_range, _smooth_pdf, frames, joint_pdf
 
 
 class ScenarioValidationError(ValueError):
@@ -647,10 +647,10 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
 
     The amplitude lives on x1 <= x2 and the step sets the PDF to an exact 0
     beyond it, so only the physical points are evaluated, and the rest of
-    the grid stays 0. The kernel's arithmetic is elementwise and its
-    incident factors are gathered from the axes (:func:`~.wavegroup._fields`),
-    so every value is bitwise that of :func:`~.wavegroup.joint_pdf` on the
-    whole grid.
+    the grid stays 0. The real-form density's axis parts are evaluated on
+    the axes and gathered to the physical points, and every step is
+    elementwise (:func:`~.wavegroup._smooth_pdf`), so every value is bitwise
+    that of :func:`~.wavegroup.joint_pdf` on the whole grid.
     """
     ax1, ax2 = grid.axes
     x1 = ax1.values()
@@ -661,9 +661,8 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     if step > 0.5 * fringe:
         flags.append("coarse-sampling")
     physical = x1[:, None] <= x2[None, :]
-    f = _fields(spec, x1, t1, x2, t2, within=physical)
     values = np.zeros(grid.shape)
-    values[physical] = np.abs(f.F_in - f.F_ref) ** 2
+    values[physical] = _smooth_pdf(spec, x1, t1, x2, t2, within=physical)
     _check_range(np.isfinite(values).all(), "joint pdf", t1=t1, t2=t2)
     return FieldGrid(grid=grid, values=values,
                      provenance={"operation": "joint_pdf", "t1": t1, "t2": t2,

@@ -25,12 +25,20 @@ axis squares, conditional profiles and both packets' frames (:func:`frames`).
 A Gauss-Hermite quadrature of the same integrals, written independently,
 serves as the oracle.
 
-A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`) is evaluated only on
-its physical half x1 <= x2, where the amplitude lives; the step sets the
-rest to an exact 0. The reflected branch is evaluated at the physical points
-alone and the incident factors are gathered from the axes (``within`` of
-:func:`_fields`). Every step is elementwise, so each value is bitwise that
-of the whole-grid evaluation.
+The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
+(|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2) (:class:`_Density`).
+|F| of a branch is the square root of its intensity Gaussian, so Re(b^T
+A^{-1} b) is never formed, and dphi is one real quadratic in the offset from
+the incident centre, so no complex exponential is taken. All of each factor
+but one cross term e1 e2 depends on a single coordinate: on a grid those
+parts are evaluated on the axes, the recoil half phase reduced mod pi
+exactly there, and each point costs gathers, a few real multiply-adds, one
+real exp and one sin. A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`)
+is evaluated only on its physical half x1 <= x2, where the amplitude lives;
+the step sets the rest to an exact 0. Every step is elementwise, so each
+value is bitwise that of the whole-grid evaluation (``within`` of
+:func:`_smooth_pdf`). Amplitudes and currents keep the complex form
+(:func:`_fields`).
 
 Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
@@ -367,6 +375,181 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     return y
 
 
+# ---------------------------------------------------------------------------
+# the density in real arithmetic
+# ---------------------------------------------------------------------------
+
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+_BLOCK = 8192  # grid points per gathered block
+
+
+def _two_sum(a, b):
+    """(s, err) with s = fl(a + b) and s + err = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """(p, err) with p = fl(a b) and p + err = a b exactly (Dekker's split)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    a_hi, b_hi = ca - (ca - a), cb - (cb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _k_rel_dd(p: PhysicalParams):
+    """k_rel = m M (v - V) / (hbar (m + M)) as an unevaluated sum hi + lo."""
+    dv, dv_err = _two_sum(p.v, -p.V)
+    mass, mass_err = _two_sum(p.m, p.M)
+    mm, mm_err = _two_prod(p.m, p.M)
+    num, num_err = _two_prod(mm, dv)
+    num_err += mm * dv_err + mm_err * dv
+    den, den_err = _two_prod(p.hbar, mass)
+    den_err += p.hbar * mass_err
+    q = num / den
+    qd, qd_err = _two_prod(q, den)
+    return q, (((num - qd) - qd_err) + num_err - q * den_err) / den
+
+
+def _real_form(br: _Branch):
+    """(centre, log0, arg0, mr, mi) of one branch, whose log-amplitude is
+    log0 + i arg0 - d^T (mr + i mi) d / 2 about its intensity centre
+    (:func:`_moments`), d = x - centre, less a reflected branch's recoil
+    phase. mr and mi are (11, 12, 22).
+
+    With b = E^T d and A = E^T (P + i C) E, b^T A^{-1} b = d^T (P + i C)^{-1} d,
+    and (P + i C)^{-1} = adj(P + i C) conj(D) / |D|^2, D = det(P + i C). For
+    c1 c2 >= 0, |D|^2, mr's diagonal and all of mi are sums of like-signed
+    terms. mr = Sigma^{-1} / 2, and log0 is the unit-norm Gaussian's
+    -log(2 pi sqrt(det Sigma)) / 2, det Sigma = |D|^2 det Q / 4. arg0 =
+    -arg(D) / 2, the branch of sqrt(det A) continuous from real A.
+    """
+    centre, _, ((p11, p12), (_, p22)), det_q = _moments(br)
+    c1, c2 = br.chirp
+    det_p = 1.0 / det_q
+    dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
+          + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
+    mr = ((p22 * det_p + c2 * c2 * p11) / dd, -p12 * (det_p - c1 * c2) / dd,
+          (p11 * det_p + c1 * c1 * p22) / dd)
+    mi = (-(c1 * p22 * p22 + c1 * c2 * c2 + c2 * p12 * p12) / dd,
+          p12 * (c1 * p22 + c2 * p11) / dd,
+          -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
+    log0 = -0.25 * math.log(math.pi * math.pi * dd * det_q)
+    return centre, log0, -0.5 * math.atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
+
+
+def _log_modulus(br: _Branch, x1, x2):
+    """log|F| of one branch at (x1, x2), from its real form (:func:`_real_form`)."""
+    centre, log0, _, (m11, m12, m22), _ = _real_form(br)
+    d1, d2 = x1 - centre[0], x2 - centre[1]
+    return log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
+
+
+class _Density(NamedTuple):
+    """Scalar coefficients of |F_in - F_ref|^2 at one pair of times.
+
+    In e = x - (incident centre) and d = e - delta, delta the reflected
+    centre's offset, |F_in| = a1(e1) a2(e2), log|F_ref| = beta1 + beta2 -
+    mr12 e1 e2, and the half phase difference (arg F_in - arg F_ref) / 2 is
+    theta1 + theta2 + h12 e1 e2 / 2; a_j, beta_j and theta_j depend on x_j
+    alone. Each axis is (ut, xc, delta, log_in, log_ref, phase, cycles):
+    ut = u_j tau_j as (hi, lo), xc the packet centre at t0, log_in = (log
+    share, mr_in_jj / 2), log_ref = (log share, mr_jj / 2, fold of the cross
+    term), phase = (mi_jj / 4, mi_in_jj / 4, fold / 2, constant / 2) and
+    cycles = (hi, lo), the recoil half phase per unit x_j over pi.
+    """
+
+    axes: tuple
+    mr12: float
+    h12: float
+    weight: float   # |reflected_weight|
+
+    def axis(self, j: int, x):
+        """(a_j, beta_j, theta_j, e_j) at the points x of axis j. The recoil
+        half phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
+        exactly: x cycles is an exact product, and its integer part drops."""
+        (ut_hi, ut_lo), xc, delta, (la, ha), (lb, hb, fb), (qr, qi, fp, c), cycles = self.axes[j]
+        e = ((x - ut_hi) - xc) - ut_lo  # exact near the centre
+        d = e - delta
+        fold = d if j == 0 else e
+        e_sq, d_sq = e * e, d * d
+        w, w_err = _two_prod(x, cycles[0])
+        w_err = w_err + x * cycles[1]
+        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
+        return np.exp(la - ha * e_sq), lb - hb * d_sq + fb * fold, theta, e
+
+    def density(self, ax1, ax2):
+        """|F_in - F_ref|^2 = (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2)
+        from two axis tuples of :meth:`axis`, elementwise."""
+        (a1, b1, th1, e1), (a2, b2, th2, e2) = ax1, ax2
+        ee = e1 * e2
+        f_in = a1 * a2
+        f_ref = self.weight * np.exp(b1 + b2 - self.mr12 * ee)
+        s = np.sin(th1 + th2 + 0.5 * self.h12 * ee)
+        return (f_in - f_ref) ** 2 + 4.0 * f_in * f_ref * (s * s)
+
+
+def _over_pi(hi: float, lo: float):
+    """(hi + lo) / pi as an unevaluated sum."""
+    q = hi / math.pi
+    p, p_err = _two_prod(q, math.pi)
+    return q, (((hi - p) - p_err) + lo - q * _PI_LO) / math.pi
+
+
+def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
+                  reflected_weight: float = 1.0) -> _Density:
+    """The coefficients of :class:`_Density` at (t1, t2)."""
+    p = spec.params
+    incident, reflected = (_branch(spec, r, t1, t2, detune) for r in (False, True))
+    log_in, arg_in, mr_in, mi_in = _real_form(incident)[1:]
+    log_ref, arg_ref, mr, mi = _real_form(reflected)[1:]
+    # the centres' offset in closed form, never a difference of the two centres
+    a12, sep = reflected.E[0][1], spec.x2c - spec.x1c
+    delta = (reflected.recoil[0] + (2.0 - a12) * sep, reflected.recoil[1] - a12 * sep)
+    offset = reflected.offset or (0.0, 0.0)
+    # the recoil phase 2 k_rel (x2 - x1) + offset . x enters with a minus sign
+    k_hi, k_lo = _k_rel_dd(p)
+    tau1, tau2 = reflected.tau
+    const = (arg_in - arg_ref - 2.0 * beat_frequency(p) * (tau1 - tau2)
+             + (math.pi if reflected_weight < 0.0 else 0.0))
+    _check_range(math.isfinite(const), "joint pdf", t1=t1, t2=t2)  # before remainder raises
+    axes = tuple(
+        (_two_prod(u, tau), xc, delta[j], (log_in if j == 0 else 0.0, 0.5 * mr_in[2 * j]),
+         (log_ref if j == 0 else 0.0, 0.5 * mr[2 * j], mr[1] * delta[1 - j]),
+         (0.25 * mi[2 * j], 0.25 * mi_in[2 * j], 0.5 * mi[1] * delta[1 - j],
+          0.5 * math.remainder(const, _TWO_PI) if j == 0 else 0.0),
+         _over_pi(sign * k_hi - 0.5 * offset[j], sign * k_lo))
+        for j, (u, tau, xc, sign) in enumerate(((p.v, tau1, spec.x1c, 1.0),
+                                                 (p.V, tau2, spec.x2c, -1.0))))
+    return _Density(axes=axes, mr12=mr[1], h12=mi[1], weight=abs(reflected_weight))
+
+
+def _smooth_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
+                reflected_weight: float = 1.0, within=None):
+    """|F_in - F_ref|^2, the smooth PDF, at broadcastable (x1, x2).
+
+    ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
+    1-D axes, evaluates only the grid's true points, in row-major order: the
+    axis terms are gathered, in blocks whose temporaries stay in cache, and
+    every step is elementwise, so each value is bitwise that of the whole
+    grid at the same point.
+    """
+    form = _density_form(spec, t1, t2, detune, reflected_weight)
+    # a lone coordinate, such as a detection's x10, runs on Python floats
+    ax1, ax2 = (form.axis(j, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
+                for j, x in enumerate((x1, x2)))
+    if within is None:
+        return form.density(ax1, ax2)
+    flat = np.flatnonzero(within)
+    out = np.empty(flat.size)
+    for k in range(0, flat.size, _BLOCK):
+        i, j = np.divmod(flat[k:k + _BLOCK], within.shape[1])
+        out[k:k + _BLOCK] = form.density([a.take(i) for a in ax1], [a.take(j) for a in ax2])
+    return out
+
+
 def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
     """The plane-wave pair's incident phase Phi at the central wavevectors,
     about the packet centres, reduced mod 2*pi: the common factor
@@ -376,8 +559,7 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
 
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
-            reflected_weight: float = 1.0, gradients: bool = False,
-            within=None) -> SimpleNamespace:
+            reflected_weight: float = 1.0, gradients: bool = False) -> SimpleNamespace:
     """Evaluate both spectral integrals at broadcastable coordinate arrays.
 
     Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
@@ -386,13 +568,6 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     carrier (:func:`_branch`); ``reflected_weight`` linearly rescales the
     reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
     relative to the incident carrier (k0, K0).
-
-    ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
-    1-D axes x1 and x2, evaluates F_in and F_ref (no gradients) only at the
-    grid's true points, in row-major order. The incident factors are still
-    evaluated on the axes and then gathered, and every other step is
-    elementwise, so each value is bitwise that of the whole grid at the same
-    point.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     incident, reflected = (_branch(spec, r, t1, t2, detune) for r in (False, True))
@@ -401,9 +576,6 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     # on separable coordinate arrays it costs O(n1 + n2) exponentials
     (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
     in1, in2 = np.exp(math.log(spec.norm_const / _TWO_PI) + log_in1), np.exp(log_in2)
-    if within is not None:
-        x1, in1 = (np.broadcast_to(a[:, None], within.shape)[within] for a in (x1, in1))
-        x2, in2 = (np.broadcast_to(a, within.shape)[within] for a in (x2, in2))
     log_ref, qr1, qr2 = reflected.log_amplitude(spec, x1, x2)
     out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref))
     if gradients:
@@ -429,14 +601,15 @@ def amplitude_closed(spec: WavegroupSpec, pt: SpacetimePoint):
 
 def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
               reflected_weight: float = 1.0, apply_step: bool = True):
-    """|Psi|^2 on the physical domain, stable at any carrier-phase magnitude.
+    """|Psi|^2 on the physical domain, stable at any carrier-phase magnitude,
+    from the real-form density (:class:`_Density`) evaluated elementwise.
 
     ``apply_step=False`` evaluates the smooth closed form everywhere; the
     conservation checks use that branch, on which the coordinate-pair
     evolutions are exactly unitary.
     """
-    f = _fields(spec, x1, t1, x2, t2, detune=detune, reflected_weight=reflected_weight)
-    val = np.abs(f.F_in - f.F_ref) ** 2
+    val = _smooth_pdf(spec, x1, t1, x2, t2, detune=detune,
+                      reflected_weight=reflected_weight)
     if not apply_step:
         return val
     return np.where(np.less_equal(x1, x2), val, 0.0)

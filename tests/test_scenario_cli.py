@@ -244,13 +244,14 @@ class TestPhysicalHalfGrid:
         s = PRESETS["fig5"]
         grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 96) for a in s.grid.axes))
         points = []
-        original = wavegroup._log_gauss2
+        original = wavegroup._Density.density
 
         def counted(*args):
-            points.append(np.broadcast(*args).size)
-            return original(*args)
+            out = original(*args)
+            points.append(out.size)
+            return out
 
-        monkeypatch.setattr(wavegroup, "_log_gauss2", counted)
+        monkeypatch.setattr(wavegroup._Density, "density", counted)
         joint_pdf_grid(s.wavegroup, grid, s.collision_time, s.collision_time)
         x1, x2 = (a.values() for a in grid.axes)
         physical = np.count_nonzero(x1[:, None] <= x2[None, :])
@@ -638,22 +639,44 @@ class TestExtremeTimes:
     with no traceback and no RuntimeWarning before it. Run in a subprocess: the
     suite turns the kernel's RuntimeWarnings into errors, the CLI prints them."""
 
+    @staticmethod
+    def _run(tmp_path, command, preset, times):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "mirrorsim.cli", command, "--preset",
+                               preset, "--times", times, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("preset, times", [("fig5", "1e10"), ("fig2", "1e11"),
+                                               ("fig2", "1e14")])
+    def test_finite_conditional_pdf_far_past_the_detection(self, tmp_path, preset, times):
+        # the conditional PDF stays finite, and its smooth form keeps the
+        # detection time's closed norm, at t2 where the closed trace fails
+        proc = self._run(tmp_path, "collapse", preset, times)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        x2, pdf = np.loadtxt(tmp_path / f"{preset}_mirror_0.csv", delimiter=",", unpack=True)
+        assert np.isfinite(x2).all() and np.isfinite(pdf).all() and pdf.max() > 0.0
+        s = PRESETS[preset]
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0] if s.events
+                                                    else RawEvent(t10=s.collision_time)))
+        t2 = state.event.t10 + float(times) * s.tau
+        x2 = np.linspace(*state.support(t2), 400001)
+        norm = state.norm(state.event.t10)
+        assert np.trapezoid(state.pdf(x2, t2, apply_step=False), x2) == pytest.approx(
+            norm, rel=1e-6)
+
     @pytest.mark.parametrize("command, preset, times", [
-        ("collapse", "fig5", "1e10"), ("collapse", "fig2", "1e11"),
-        ("collapse", "fig2", "1e14"), ("collapse", "fig2", "1e300"),
+        ("collapse", "fig2", "1e300"),
         ("marginal", "fig2", "1e155"), ("marginal", "fig2", "1e300"),
         ("marginal", "fig9", "1e155"), ("simulate", "fig2", "1e155"),
         # a later time fails after an earlier one computed: nothing is written
         ("simulate", "fig2", "0,1e155"), ("marginal", "fig2", "0,1e155"),
     ])
     def test_named_error_and_nothing_written(self, tmp_path, command, preset, times):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "mirrorsim.cli", command, "--preset",
-                               preset, "--times", times, "--out", str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = self._run(tmp_path, command, preset, times)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         s = PRESETS[preset]
