@@ -674,6 +674,10 @@ class TestExtremeTimes:
         ("marginal", "fig9", "1e155"), ("simulate", "fig2", "1e155"),
         # a later time fails after an earlier one computed: nothing is written
         ("simulate", "fig2", "0,1e155"), ("marginal", "fig2", "0,1e155"),
+        # collapse computes these far times (the finite test above), so each
+        # is followed by one that fails; the id names the time that computes
+        pytest.param("collapse", "fig2", "1e11,1e300", id="collapse-fig2-1e11"),
+        pytest.param("collapse", "fig2", "1e14,1e300", id="collapse-fig2-1e14"),
     ])
     def test_named_error_and_nothing_written(self, tmp_path, command, preset, times):
         proc = self._run(tmp_path, command, preset, times)
