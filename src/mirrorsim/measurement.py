@@ -9,6 +9,12 @@ one-body probabilities built from it. Norms and probabilities are exact
 integrals of the slice over half lines of x2
 (:func:`~.wavegroup._closed_trace`), never sums over a grid.
 
+At each mirror time the state reads everything from the two branches' real
+forms (:func:`~.wavegroup._real_form`): branch profiles, supports and the
+PDF's density coefficients. It keeps those of the last t2 asked for in a
+one-entry memo, so a support and a PDF at one t2 build each branch once; the
+memo lives and dies with the state.
+
 The detection resolution dx1 enters only as a multiplicative factor; all
 shape information comes from the slice itself.
 """
@@ -17,13 +23,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .harmonic import SpacetimePoint, fringe_period
-from .wavegroup import (WavegroupSpec, _axis_square, _branch, _check_range,
-                        _closed_trace, _log_modulus, amplitude_parts, joint_pdf)
+from .wavegroup import (WavegroupSpec, _axis_centre, _check_range, _closed_trace,
+                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf,
+                        amplitude_parts)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
@@ -45,6 +52,17 @@ class MeasurementEvent:
             raise ValueError("detector resolution must be positive")
 
 
+@dataclass
+class _AtTime:
+    """Both branches of a conditional state at one mirror time t2, their real
+    forms, and the density coefficients, built from them on first use."""
+
+    t2: float
+    branches: tuple
+    forms: tuple
+    density: _Density | None = None
+
+
 @dataclass(frozen=True)
 class ConditionalMirrorState:
     """Mirror wavefunction conditioned on a particle detection.
@@ -55,38 +73,59 @@ class ConditionalMirrorState:
 
     spec: WavegroupSpec
     event: MeasurementEvent
+    _last: _AtTime | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _check_time(self, t2):
-        if np.any(np.asarray(t2) < self.event.t10):
+    def _check_time(self, t2: float):
+        if t2 < self.event.t10:
             raise ValueError("conditional state is defined for t2 >= t10 only")
 
-    def pdf(self, x2, t2, apply_step: bool = True):
+    def _at(self, t2: float) -> _AtTime:
+        """The branch forms at t2, from the one-entry memo when t2 was the last
+        time asked for. Only all-finite forms are kept."""
         self._check_time(t2)
-        return joint_pdf(self.spec, self.event.x10, self.event.t10, x2, t2,
-                         apply_step=apply_step)
+        last = self._last
+        if last is None or last.t2 != t2:
+            # the forms in Python floats: a numpy scalar t2 gives the same
+            # values, more slowly
+            last = _AtTime(t2, *_forms(self.spec, self.event.t10, float(t2)))
+            if all(map(math.isfinite, [v for c, log0, arg0, mr, mi in last.forms
+                                       for v in (*c, log0, arg0, *mr, *mi)])):
+                object.__setattr__(self, "_last", last)
+        return last
+
+    def pdf(self, x2, t2: float, apply_step: bool = True):
+        """The conditional PDF at x2, bitwise :func:`~.wavegroup.joint_pdf` at
+        (x10, t10, x2, t2), from the same evaluator."""
+        at = self._at(t2)
+        if at.density is None:
+            at.density = _density_form(self.spec, self.event.t10, t2, at.branches, at.forms)
+        x10 = self.event.x10
+        val = _smooth_pdf(at.density, x10, x2)
+        if not apply_step:
+            return val
+        return np.where(np.less_equal(x10, x2), val, 0.0)
 
     def branch_profiles(self, t2: float):
         """Per-branch (centre, intensity sigma, weight) of the conditional PDF.
 
         The incident branch is the mirror substate that has not reflected the
-        particle, the reflected branch the one that has. With x1 frozen at
-        x10, each branch's b is affine in x2 along w = E^T e2, so completing
-        the square in x2 (:func:`~.wavegroup._axis_square`) gives its centre
-        and sigma. Weights are the |amplitude| values at the branch centres,
-        from the same real log-modulus as the density
-        (:func:`~.wavegroup._log_modulus`).
+        particle, the reflected branch the one that has. Each is read off the
+        branch's real form at t2 (:func:`~.wavegroup._real_form`), kept in the
+        state's one-entry memo: along x2 at x10 its log-modulus is a quadratic
+        with curvature mr22, so the centre is c2 - mr12 / mr22 (x10 - c1)
+        (:func:`~.wavegroup._axis_centre`), sigma is 1 / sqrt(2 mr22), and the
+        weight is |amplitude| at the centre, from the same log-modulus as the
+        density (:func:`~.wavegroup._log_modulus`).
         """
-        self._check_time(t2)
-        spec, ev = self.spec, self.event
+        ev = self.event
         out = []
-        for reflected in (False, True):
-            br = _branch(spec, reflected, ev.t10, t2)
-            centre, kappa = _axis_square(br, 1, ev.x10)
-            centre = float(centre)
-            log_w = _log_modulus(br, ev.x10, centre)
-            _check_range(kappa.real > 0.0 and log_w < _LOG_FLOAT_MAX,
-                         "conditional state", t10=ev.t10, t2=t2)
-            out.append((centre, 1.0 / math.sqrt(2.0 * kappa.real), math.exp(log_w)))
+        for form in self._at(t2).forms:
+            m22 = form[3][2]
+            _check_range(m22 > 0.0, "conditional state", t10=ev.t10, t2=t2)
+            centre = _axis_centre(form, 1, ev.x10)
+            log_w = _log_modulus(form, ev.x10, centre)
+            _check_range(log_w < _LOG_FLOAT_MAX, "conditional state", t10=ev.t10, t2=t2)
+            out.append((centre, 1.0 / math.sqrt(2.0 * m22), math.exp(log_w)))
         return out
 
     def _kept_profiles(self, t2: float):

@@ -201,7 +201,7 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     interference term, matching the closed-form plane-wave expression.
     """
     t2 = np.asarray(t2_axis, dtype=float)
-    state._check_time(t2)
+    state._check_time(t2.min())
     spec, ev = state.spec, state.event
     # log-space evaluation: the envelope factors underflow once the packet
     # has moved past the detector, but the normalised contrast survives

@@ -21,7 +21,9 @@ A, b and c, once at the measurement times (t1, t2), and
 since E = I, as two 1-D integrals); amplitudes, traces and gradients
 (relative to (k0, K0)) derive from it, and :func:`_moments` reads each
 branch's intensity Gaussian off it in real arithmetic, the one source of
-axis squares, conditional profiles and both packets' frames (:func:`frames`).
+both packets' frames (:func:`frames`) and of each branch's real form
+(:func:`_real_form`), from which densities, conditional profiles and the
+traces' axis centres and curvatures are all read.
 A Gauss-Hermite quadrature of the same integrals, written independently,
 serves as the oracle.
 
@@ -281,30 +283,54 @@ def _moments(br: _Branch):
     return centre, cov, P, det_q
 
 
-def _axis_square(br: _Branch, axis: int, other):
-    """Real centre and curvature kappa of one branch along a coordinate axis.
+def _real_form(br: _Branch):
+    """(centre, log0, arg0, mr, mi) of one branch, whose log-amplitude is
+    log0 + i arg0 - d^T (mr + i mi) d / 2 about its intensity centre
+    (:func:`_moments`), d = x - centre, less a reflected branch's recoil
+    phase. mr and mi are (11, 12, 22).
 
-    With the other coordinate held at ``other``, b = b0 + w u is affine in
-    the axis coordinate u, with w = E^T e_axis, so the log-amplitude is
-    quadratic in u with curvature kappa = w^T A^{-1} w. |F|^2 along u, a slice
-    of the intensity Gaussian (:func:`_moments`), peaks on its regression line
-    centre_i + cov_ij / cov_jj (other - centre_j), i = axis.
-
-    Re(kappa) is about 1/r of |kappa| at a dispersion ratio r (1e15 at
-    dk/dK = 4e-9), so it is never the real part of a complex inverse. kappa
-    is element (i, i) of (P + i C)^{-1}: 1/z with the Schur complement
-    z = P_ii + i c_i - P_ij^2 / (P_jj + i c_j). Re(z) and Im(z) are sums of
-    like-signed terms, so nothing cancels.
+    With b = E^T d and A = E^T (P + i C) E, b^T A^{-1} b = d^T (P + i C)^{-1} d,
+    and (P + i C)^{-1} = adj(P + i C) conj(D) / |D|^2, D = det(P + i C). For
+    c1 c2 >= 0, |D|^2, mr's diagonal and all of mi are sums of like-signed
+    terms, so the curvature along an axis, kappa = mr_ii + i mi_ii, keeps its
+    real part even where it is 1e-15 of |kappa|. mr = Sigma^{-1} / 2, and log0
+    is the unit-norm Gaussian's -log(2 pi sqrt(det Sigma)) / 2, det Sigma =
+    |D|^2 det Q / 4. arg0 = -arg(D) / 2, the branch of sqrt(det A) continuous
+    from real A.
     """
-    centre, cov, P, det_q = _moments(br)
-    i, j = axis, 1 - axis
-    p_ii, p_ij, p_jj = P[i][i], P[i][j], P[j][j]
-    c_i, c_j = br.chirp[i], br.chirp[j]
-    den = p_jj * p_jj + c_j * c_j
-    re_z = (p_jj / det_q + p_ii * c_j * c_j) / den
-    im_z = c_i + p_ij * p_ij * c_j / den
-    return (centre[i] + cov[i][j] / cov[j][j] * (other - centre[j]),
-            1.0 / complex(re_z, im_z))
+    centre, _, ((p11, p12), (_, p22)), det_q = _moments(br)
+    c1, c2 = br.chirp
+    det_p = 1.0 / det_q
+    dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
+          + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
+    mr = ((p22 * det_p + c2 * c2 * p11) / dd, -p12 * (det_p - c1 * c2) / dd,
+          (p11 * det_p + c1 * c1 * p22) / dd)
+    mi = (-(c1 * p22 * p22 + c1 * c2 * c2 + c2 * p12 * p12) / dd,
+          p12 * (c1 * p22 + c2 * p11) / dd,
+          -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
+    log0 = -0.25 * math.log(math.pi * math.pi * dd * det_q)
+    return centre, log0, -0.5 * math.atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
+
+
+def _forms(spec: WavegroupSpec, t1, t2, detune: float = 1.0):
+    """Both branches at (t1, t2), incident first, and their real forms."""
+    branches = tuple(_branch(spec, r, t1, t2, detune) for r in (False, True))
+    return branches, tuple(_real_form(br) for br in branches)
+
+
+def _log_modulus(form, x1, x2):
+    """log|F| of one branch at (x1, x2), from its real form (:func:`_real_form`)."""
+    centre, log0, _, (m11, m12, m22), _ = form
+    d1, d2 = x1 - centre[0], x2 - centre[1]
+    return log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
+
+
+def _axis_centre(form, axis: int, other):
+    """Where |F| of one branch peaks along a coordinate axis, the other
+    coordinate held at ``other``: centre_i - mr_ij / mr_ii (other - centre_j),
+    i = axis, from its real form (:func:`_real_form`). Callers check mr_ii > 0."""
+    centre, _, _, mr, _ = form
+    return centre[axis] - mr[1] / mr[2 * axis] * (other - centre[1 - axis])
 
 
 def _half_line(log_c, slope, alpha, d):
@@ -343,15 +369,19 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     is the wall, giving the physical half line; start = -inf on axis 1
     gives the whole line. Along the axis each term of |F_in|^2 + |F_ref|^2
     - 2 Re(F_in conj F_ref) is exp(quadratic), with curvature Re(kappa_in),
-    Re(kappa_ref) and (kappa_in + conj kappa_ref)/2 (:func:`_axis_square`).
-    Each term is expanded about its own real centre, the cross term about
-    the curvature-weighted mean of the two branch centres, where its real
-    slope vanishes: log-amplitudes are then evaluated where they are
-    largest, never as a difference of huge exponents.
+    Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, where a branch's
+    kappa = mr_ii + i mi_ii is the diagonal of its real form
+    (:func:`_real_form`) and its real centre the peak of |F| along the axis
+    (:func:`_axis_centre`). Each term is expanded about its own real centre,
+    the cross term about the curvature-weighted mean of the two branch
+    centres, where its real slope vanishes: log-amplitudes are then
+    evaluated where they are largest, never as a difference of huge exponents.
     """
-    incident, reflected = branches = [_branch(spec, r, t1, t2) for r in (False, True)]
-    (c_in, k_in), (c_ref, k_ref) = (_axis_square(br, axis, outer) for br in branches)
+    branches, forms = _forms(spec, t1, t2)
+    incident, reflected = branches
+    k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
+    c_in, c_ref = (_axis_centre(form, axis, outer) for form in forms)
     start = outer if start is None else start
 
     def log_amplitude(br, u):
@@ -413,40 +443,6 @@ def _k_rel_dd(p: PhysicalParams):
     return q, (((num - qd) - qd_err) + num_err - q * den_err) / den
 
 
-def _real_form(br: _Branch):
-    """(centre, log0, arg0, mr, mi) of one branch, whose log-amplitude is
-    log0 + i arg0 - d^T (mr + i mi) d / 2 about its intensity centre
-    (:func:`_moments`), d = x - centre, less a reflected branch's recoil
-    phase. mr and mi are (11, 12, 22).
-
-    With b = E^T d and A = E^T (P + i C) E, b^T A^{-1} b = d^T (P + i C)^{-1} d,
-    and (P + i C)^{-1} = adj(P + i C) conj(D) / |D|^2, D = det(P + i C). For
-    c1 c2 >= 0, |D|^2, mr's diagonal and all of mi are sums of like-signed
-    terms. mr = Sigma^{-1} / 2, and log0 is the unit-norm Gaussian's
-    -log(2 pi sqrt(det Sigma)) / 2, det Sigma = |D|^2 det Q / 4. arg0 =
-    -arg(D) / 2, the branch of sqrt(det A) continuous from real A.
-    """
-    centre, _, ((p11, p12), (_, p22)), det_q = _moments(br)
-    c1, c2 = br.chirp
-    det_p = 1.0 / det_q
-    dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
-          + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
-    mr = ((p22 * det_p + c2 * c2 * p11) / dd, -p12 * (det_p - c1 * c2) / dd,
-          (p11 * det_p + c1 * c1 * p22) / dd)
-    mi = (-(c1 * p22 * p22 + c1 * c2 * c2 + c2 * p12 * p12) / dd,
-          p12 * (c1 * p22 + c2 * p11) / dd,
-          -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
-    log0 = -0.25 * math.log(math.pi * math.pi * dd * det_q)
-    return centre, log0, -0.5 * math.atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
-
-
-def _log_modulus(br: _Branch, x1, x2):
-    """log|F| of one branch at (x1, x2), from its real form (:func:`_real_form`)."""
-    centre, log0, _, (m11, m12, m22), _ = _real_form(br)
-    d1, d2 = x1 - centre[0], x2 - centre[1]
-    return log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
-
-
 class _Density(NamedTuple):
     """Scalar coefficients of |F_in - F_ref|^2 at one pair of times.
 
@@ -498,13 +494,13 @@ def _over_pi(hi: float, lo: float):
     return q, (((hi - p) - p_err) + lo - q * _PI_LO) / math.pi
 
 
-def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
+def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
                   reflected_weight: float = 1.0) -> _Density:
-    """The coefficients of :class:`_Density` at (t1, t2)."""
+    """The coefficients of :class:`_Density` at (t1, t2), from both branches
+    there and their real forms (:func:`_forms`)."""
     p = spec.params
-    incident, reflected = (_branch(spec, r, t1, t2, detune) for r in (False, True))
-    log_in, arg_in, mr_in, mi_in = _real_form(incident)[1:]
-    log_ref, arg_ref, mr, mi = _real_form(reflected)[1:]
+    reflected = branches[1]
+    (_, log_in, arg_in, mr_in, mi_in), (_, log_ref, arg_ref, mr, mi) = forms
     # the centres' offset in closed form, never a difference of the two centres
     a12, sep = reflected.E[0][1], spec.x2c - spec.x1c
     delta = (reflected.recoil[0] + (2.0 - a12) * sep, reflected.recoil[1] - a12 * sep)
@@ -526,9 +522,11 @@ def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
     return _Density(axes=axes, mr12=mr[1], h12=mi[1], weight=abs(reflected_weight))
 
 
-def _smooth_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
-                reflected_weight: float = 1.0, within=None):
-    """|F_in - F_ref|^2, the smooth PDF, at broadcastable (x1, x2).
+def _smooth_pdf(form: _Density, x1, x2, within=None):
+    """|F_in - F_ref|^2, the smooth PDF, at broadcastable (x1, x2) from its
+    coefficients at one pair of times: the one evaluator behind
+    :func:`joint_pdf`, :func:`~.scenario.joint_pdf_grid` and
+    :meth:`~.measurement.ConditionalMirrorState.pdf`.
 
     ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
     1-D axes, evaluates only the grid's true points, in row-major order: the
@@ -536,7 +534,6 @@ def _smooth_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     every step is elementwise, so each value is bitwise that of the whole
     grid at the same point.
     """
-    form = _density_form(spec, t1, t2, detune, reflected_weight)
     # a lone coordinate, such as a detection's x10, runs on Python floats
     ax1, ax2 = (form.axis(j, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
                 for j, x in enumerate((x1, x2)))
@@ -608,8 +605,8 @@ def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     conservation checks use that branch, on which the coordinate-pair
     evolutions are exactly unitary.
     """
-    val = _smooth_pdf(spec, x1, t1, x2, t2, detune=detune,
-                      reflected_weight=reflected_weight)
+    form = _density_form(spec, t1, t2, *_forms(spec, t1, t2, detune), reflected_weight)
+    val = _smooth_pdf(form, x1, x2)
     if not apply_step:
         return val
     return np.where(np.less_equal(x1, x2), val, 0.0)

@@ -89,6 +89,61 @@ class TestCollapse:
         assert sign_changes > 6  # many extrema: fringes
 
 
+def _preset_state(name):
+    s = PRESETS[name]
+    return s, collapse(s.wavegroup, resolve_event(s, s.events[0]))
+
+
+class TestOneFormPerTime:
+    """A conditional state builds each branch's form once per mirror time and
+    keeps it in a one-entry memo; what it reads from that memo is what the
+    two-body functions give without it."""
+
+    @pytest.mark.parametrize("name", ["fig5", "fig8"])
+    @pytest.mark.parametrize("k", [1.0, 3.0])
+    def test_pdf_is_the_joint_slice(self, name, k):
+        s, state = _preset_state(name)
+        ev = state.event
+        t2 = ev.t10 + k * s.tau
+        x2 = np.linspace(*state.support(t2), 1024)  # the memo is filled here
+        for apply_step in (True, False):
+            direct = joint_pdf(s.wavegroup, ev.x10, ev.t10, x2, t2, apply_step=apply_step)
+            np.testing.assert_array_equal(state.pdf(x2, t2, apply_step=apply_step), direct)
+
+    def test_each_branch_is_built_once_per_time(self, monkeypatch):
+        from mirrorsim import wavegroup
+        s, state = _preset_state("fig5")
+        built = {"_branch": 0, "_real_form": 0}
+        for fn_name in built:
+            original = getattr(wavegroup, fn_name)
+
+            def counted(*args, _original=original, _name=fn_name, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(wavegroup, fn_name, counted)
+        for n, t2 in enumerate(state.event.t10 + s.tau * np.array([1.0, 2.0]), start=1):
+            lo, hi = state.support(t2)
+            state.pdf(np.linspace(lo, hi, 64), t2)
+            state.branch_profiles(t2)
+            assert built == {"_branch": 2 * n, "_real_form": 2 * n}
+
+    @pytest.mark.parametrize("name", ["fig5", "fig8"])
+    @pytest.mark.parametrize("when", ["nan", "inf", "before"])
+    @pytest.mark.parametrize("method", ["pdf", "support", "branch_profiles", "norm"])
+    def test_bad_time_is_named_and_not_kept(self, name, when, method):
+        s, state = _preset_state(name)
+        ev = state.event
+        t2 = {"nan": math.nan, "inf": math.inf, "before": ev.t10 - s.tau}[when]
+        named = {"pdf": "joint pdf at", "support": "conditional state at",
+                 "branch_profiles": "conditional state at", "norm": "trace at"}[method]
+        if when == "before":
+            named = "t2 >= t10 only"
+        args = (ev.x10 + 1e-9, t2) if method == "pdf" else (t2,)
+        with pytest.raises(ValueError, match=named):
+            getattr(state, method)(*args)
+        assert state._last is None
+
+
 class TestRegimeClassification:
     def test_post_reflection_is_A(self, spec_fig5):
         t10 = spec_fig5.collision_time + spec_fig5.tau

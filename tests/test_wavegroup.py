@@ -11,8 +11,8 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        marginal_over_mirror, marginal_over_particle,
                        spectral_amplitude)
 from mirrorsim.scenario import PRESETS
-from mirrorsim.wavegroup import (_MAX_NODES, _axis_square, _branch, _carrier_phase,
-                                 _fields, _log_gauss2, frames)
+from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _branch, _carrier_phase,
+                                 _fields, _log_gauss2, _real_form, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -411,11 +411,12 @@ class TestBranchFrames:
                     assert abs(cov[i, j] - float(ref_cov[i][j])) <= 1e-14 * sig[i] * sig[j]
                 if centres_too:
                     assert abs(centre[i] - float(ref_centre[i])) <= 1e-7 * sig[i]
+            form = _real_form(br)
             for axis in (0, 1):
                 re_kappa, conditional_centre = along(axis)
                 other = float(ref_centre[1 - axis]) + sig[1 - axis]
-                c, kappa = _axis_square(br, axis, other)
-                assert abs(kappa.real - float(re_kappa)) <= 1e-14 * float(re_kappa)
+                c, mr_ii = _axis_centre(form, axis, other), form[3][2 * axis]
+                assert abs(mr_ii - float(re_kappa)) <= 1e-14 * float(re_kappa)
                 if centres_too:
                     width = 1.0 / math.sqrt(2.0 * float(re_kappa))
                     assert abs(c - float(conditional_centre(other))) <= 1e-7 * width
