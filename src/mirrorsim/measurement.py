@@ -13,7 +13,8 @@ At each mirror time the state reads everything from the two branches' real
 forms (:func:`~.wavegroup._real_form`): branch profiles, supports and the
 PDF's density coefficients. It keeps those of the last t2 asked for in a
 one-entry memo, so a support and a PDF at one t2 build each branch once; the
-memo lives and dies with the state.
+memo lives and dies with the state. A detection's regime compares both
+branches' log-moduli from its memo at t10 (:func:`classify_regime`).
 
 The detection resolution dx1 enters only as a multiplicative factor; all
 shape information comes from the slice itself.
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonic import SpacetimePoint, fringe_period
+from .harmonic import fringe_period
 from .wavegroup import (WavegroupSpec, _axis_centre, _check_range, _closed_trace,
-                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf,
-                        amplitude_parts)
+                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
@@ -219,17 +219,18 @@ def sequential_probability(spec: WavegroupSpec, event: MeasurementEvent,
 def classify_regime(spec: WavegroupSpec, event: MeasurementEvent) -> str:
     """"A" or "B": was the particle measured outside or inside the overlap.
 
-    The decision point is the mode x2* of the conditional mirror PDF at the
-    detection time; the event is regime B when the incident and reflected
-    amplitudes there are within three decades of each other.
+    The decision point x2* is the peak of the heavier conditional branch at
+    the detection time (:meth:`ConditionalMirrorState.branch_profiles`),
+    clipped into the physical support; the event is regime B when the
+    incident and reflected moduli at (x10, x2*), read from the branches'
+    real forms, are within three decades of each other.
     """
     state = collapse(spec, event)
-    x2, pdf = state._sampled(event.t10, 4097)
-    x2_star = float(x2[int(np.argmax(pdf))])
-    i_in, i_ref = amplitude_parts(
-        spec, SpacetimePoint(event.x10, event.t10, x2_star, event.t10))
-    lo_amp, hi_amp = sorted([abs(complex(i_in)), abs(complex(i_ref))])
-    return "B" if hi_amp > 0 and lo_amp > 1e-3 * hi_amp else "A"
+    x2_star = max(state.branch_profiles(event.t10), key=lambda prof: prof[2])[0]
+    lo, hi = state._wall_support(event.t10)
+    log_in, log_ref = (_log_modulus(form, event.x10, min(max(x2_star, lo), hi))
+                       for form in state._at(event.t10).forms)
+    return "B" if abs(log_in - log_ref) < math.log(1e3) else "A"
 
 
 def _extrema(x: np.ndarray, y: np.ndarray):

@@ -18,12 +18,12 @@ keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
 far below one ulp of the mirror's momentum. :func:`_branch` states that form,
 A, b and c, once at the measurement times (t1, t2), and
 :meth:`_Branch.log_amplitude` evaluates it (the incident branch, separable
-since E = I, as two 1-D integrals); amplitudes, traces and gradients
-(relative to (k0, K0)) derive from it, and :func:`_moments` reads each
-branch's intensity Gaussian off it in real arithmetic, the one source of
-both packets' frames (:func:`frames`) and of each branch's real form
-(:func:`_real_form`), from which densities, conditional profiles and the
-traces' axis centres and curvatures are all read.
+since E = I, as two 1-D integrals); complex amplitudes, currents and their
+gradients (relative to (k0, K0)) derive from it, and :func:`_moments` reads
+each branch's intensity Gaussian off it in real arithmetic, the one source
+of both packets' frames (:func:`frames`) and of each branch's real form
+(:func:`_real_form`), from which every probability is read: densities,
+traces, conditional profiles and regimes.
 A Gauss-Hermite quadrature of the same integrals, written independently,
 serves as the oracle.
 
@@ -46,7 +46,7 @@ Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
 over a half line is a Gaussian times a complex erfc, evaluated through the
 Faddeeva function (:func:`_closed_trace`); marginals and conditional
-probabilities all come from it.
+probabilities all come from it, its exponents read off the density's form.
 
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
@@ -368,38 +368,34 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     ``outer``; 0: x1 <= start at each x2 in ``outer``). The default start
     is the wall, giving the physical half line; start = -inf on axis 1
     gives the whole line. Along the axis each term of |F_in|^2 + |F_ref|^2
-    - 2 Re(F_in conj F_ref) is exp(quadratic), with curvature Re(kappa_in),
-    Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, where a branch's
-    kappa = mr_ii + i mi_ii is the diagonal of its real form
-    (:func:`_real_form`) and its real centre the peak of |F| along the axis
-    (:func:`_axis_centre`). Each term is expanded about its own real centre,
-    the cross term about the curvature-weighted mean of the two branch
-    centres, where its real slope vanishes: log-amplitudes are then
-    evaluated where they are largest, never as a difference of huge exponents.
+    - 2 |F_in F_ref| cos(dphi) is exp(quadratic), with curvature Re(kappa_in),
+    Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, kappa = mr_ii + i mi_ii
+    of each branch's real form (:func:`_real_form`). Each intensity term is
+    2 log|F| (:func:`_log_modulus`) about the branch's peak along the axis
+    (:func:`_axis_centre`), the cross term log|F_in F_ref| + i dphi about the
+    curvature-weighted mean of the two peaks, where its real slope vanishes,
+    with dphi and its slope from :meth:`_Density.half_phase`: every exponent
+    is read in real arithmetic, where it is largest.
     """
     branches, forms = _forms(spec, t1, t2)
-    incident, reflected = branches
     k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
+    density = _density_form(spec, t1, t2, branches, forms)
     c_in, c_ref = (_axis_centre(form, axis, outer) for form in forms)
     start = outer if start is None else start
 
-    def log_amplitude(br, u):
-        return br.log_amplitude(spec, *((outer, u) if axis == 1 else (u, outer)))
+    def log_modulus(form, u):
+        return _log_modulus(form, *((outer, u) if axis == 1 else (u, outer)))
 
     sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
     a_in, a_ref = k_in.real, k_ref.real
     mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
-    (log_in, *q_in), (log_ref, *q_ref) = (log_amplitude(br, mid) for br in branches)
-    slope = (incident.log_gradient(*q_in)[axis]
-             + np.conj(reflected.log_gradient(*q_ref)[axis]))
-    cross = _half_line(log_in + np.conj(log_ref), sign * slope,
-                       0.5 * (k_in + np.conj(k_ref)), sign * (start - mid))
+    theta, slope = density.half_phase(axis, mid, outer)
+    cross = _half_line(sum(log_modulus(form, mid) for form in forms) + 2j * theta,
+                       2j * sign * slope, 0.5 * (k_in + np.conj(k_ref)), sign * (start - mid))
     y = -2.0 * cross.real
-    y += _half_line(2.0 * log_amplitude(incident, c_in)[0].real, 0.0, a_in,
-                    sign * (start - c_in)).real
-    y += _half_line(2.0 * log_amplitude(reflected, c_ref)[0].real, 0.0, a_ref,
-                    sign * (start - c_ref)).real
+    for form, centre, a in zip(forms, (c_in, c_ref), (a_in, a_ref)):
+        y += _half_line(2.0 * log_modulus(form, centre), 0.0, a, sign * (start - centre)).real
     y = np.maximum(y, 0.0)
     _check_range(np.isfinite(y).all(), "trace", t1=t1, t2=t2)
     return y
@@ -450,11 +446,12 @@ class _Density(NamedTuple):
     centre's offset, |F_in| = a1(e1) a2(e2), log|F_ref| = beta1 + beta2 -
     mr12 e1 e2, and the half phase difference (arg F_in - arg F_ref) / 2 is
     theta1 + theta2 + h12 e1 e2 / 2; a_j, beta_j and theta_j depend on x_j
-    alone. Each axis is (ut, xc, delta, log_in, log_ref, phase, cycles):
+    alone. Each axis is (ut, xc, delta, log_in, log_ref, phase, cycles, kick):
     ut = u_j tau_j as (hi, lo), xc the packet centre at t0, log_in = (log
     share, mr_in_jj / 2), log_ref = (log share, mr_jj / 2, fold of the cross
-    term), phase = (mi_jj / 4, mi_in_jj / 4, fold / 2, constant / 2) and
-    cycles = (hi, lo), the recoil half phase per unit x_j over pi.
+    term), phase = (mi_jj / 4, mi_in_jj / 4, fold / 2, constant / 2),
+    cycles = (hi, lo), the recoil half phase per unit x_j over pi, and kick
+    that half phase's slope, +-k_rel on an undetuned carrier.
     """
 
     axes: tuple
@@ -466,7 +463,7 @@ class _Density(NamedTuple):
         """(a_j, beta_j, theta_j, e_j) at the points x of axis j. The recoil
         half phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
         exactly: x cycles is an exact product, and its integer part drops."""
-        (ut_hi, ut_lo), xc, delta, (la, ha), (lb, hb, fb), (qr, qi, fp, c), cycles = self.axes[j]
+        (ut_hi, ut_lo), xc, delta, (la, ha), (lb, hb, fb), (qr, qi, fp, c), cycles, _ = self.axes[j]
         e = ((x - ut_hi) - xc) - ut_lo  # exact near the centre
         d = e - delta
         fold = d if j == 0 else e
@@ -475,6 +472,15 @@ class _Density(NamedTuple):
         w_err = w_err + x * cycles[1]
         theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
         return np.exp(la - ha * e_sq), lb - hb * d_sq + fb * fold, theta, e
+
+    def half_phase(self, j: int, x, other):
+        """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
+        at ``other``: the half phase difference and its slope, recoil kick exact."""
+        *_, theta, e = self.axis(j, x)
+        *_, theta_o, e_o = self.axis(1 - j, other)
+        _, _, delta, _, _, (qr, qi, fp, _), _, kick = self.axes[j]
+        slope = kick + 2.0 * (qr * (e - delta) - qi * e) - fp + 0.5 * self.h12 * e_o
+        return theta + theta_o + 0.5 * self.h12 * e * e_o, slope
 
     def density(self, ax1, ax2):
         """|F_in - F_ref|^2 = (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2)
@@ -507,6 +513,7 @@ def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
     offset = reflected.offset or (0.0, 0.0)
     # the recoil phase 2 k_rel (x2 - x1) + offset . x enters with a minus sign
     k_hi, k_lo = _k_rel_dd(p)
+    kick = (k_hi - 0.5 * offset[0], -k_hi - 0.5 * offset[1])
     tau1, tau2 = reflected.tau
     const = (arg_in - arg_ref - 2.0 * beat_frequency(p) * (tau1 - tau2)
              + (math.pi if reflected_weight < 0.0 else 0.0))
@@ -516,7 +523,7 @@ def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
          (log_ref if j == 0 else 0.0, 0.5 * mr[2 * j], mr[1] * delta[1 - j]),
          (0.25 * mi[2 * j], 0.25 * mi_in[2 * j], 0.5 * mi[1] * delta[1 - j],
           0.5 * math.remainder(const, _TWO_PI) if j == 0 else 0.0),
-         _over_pi(sign * k_hi - 0.5 * offset[j], sign * k_lo))
+         _over_pi(kick[j], sign * k_lo), kick[j])
         for j, (u, tau, xc, sign) in enumerate(((p.v, tau1, spec.x1c, 1.0),
                                                  (p.V, tau2, spec.x2c, -1.0))))
     return _Density(axes=axes, mr12=mr[1], h12=mi[1], weight=abs(reflected_weight))

@@ -157,6 +157,13 @@ class TestRegimeClassification:
         ev = resolve_event_like(spec_fig5, spec_fig5.t0 + 0.05 * spec_fig5.tau)
         assert classify_regime(spec_fig5, ev) == "A"
 
+    @pytest.mark.parametrize("i, regime", enumerate("BBBA"))
+    def test_fig8_events(self, presets, i, regime):
+        # before, at and after the collision, at SI scale
+        x10, t10 = TestConditionalNorm.FIG8_EVENTS[i]
+        event = MeasurementEvent(x10=x10, t10=t10)
+        assert classify_regime(presets["fig8"].wavegroup, event) == regime
+
     def test_detection_past_support_is_named(self, spec_fig5):
         # above the conditional mirror support the detection has probability 0
         ev = MeasurementEvent(x10=spec_fig5.collision_point + 5.0,
@@ -277,6 +284,15 @@ class TestConditionalNorm:
         state = collapse(spec_fig5, ev)
         norms = [state.norm(t2) for t2 in t10 + spec_fig5.tau * np.array([0, 1, 3])]
         assert all(abs(n - norms[0]) <= 1e-6 * norms[0] for n in norms)
+
+    @pytest.mark.parametrize("offset", [1e8, 1e9, 1e10])
+    def test_t2_invariance_far_past_the_detection(self, presets, offset):
+        # the trace's exponents come from the real form, which holds where
+        # the complex Re(b^T A^-1 b) cancels at large chirp
+        s = presets["fig5"]
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0]))
+        t10 = state.event.t10
+        assert state.norm(t10 + offset * s.tau) == pytest.approx(state.norm(t10), rel=1e-12)
 
     # fig8 detections (x10, t10) that the benchmark's conditional workload
     # queries: before, at and after the collision at t_c = 5e-5 s

@@ -11,9 +11,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from mirrorsim.grids import AxisSpec, GridSpec
 from mirrorsim.measurement import collapse
+from mirrorsim.observables import _support_hull, marginal_over_particle
 from mirrorsim.scenario import PRESETS, RawEvent, joint_pdf_grid, resolve_event
 
 DIGITS = 50
@@ -130,3 +132,23 @@ def test_si_conditional_slices(offset, before):
 @pytest.mark.parametrize("name, offset", [("fig5", 1e8), ("fig5", 1e10), ("fig2", 1e14)])
 def test_conditional_slice_far_past_the_detection(name, offset):
     assert _slice_error(name, offset) < 1e-9
+
+
+def test_si_particle_marginal():
+    # fig8's particle marginal at t1 = t_c + tau/2, t2 = t_c, at the x2 of
+    # its 2048-point axis where the complex-form trace was furthest off
+    # (5.4e-10 of the peak): the oracle integrated over x1 <= x2 by Simpson
+    # on 16,001 nodes, checked against its own 8,001 even nodes
+    s = PRESETS["fig8"]
+    spec = s.wavegroup
+    t1, t2 = s.collision_time + 0.5 * s.tau, s.collision_time
+    x2 = 4.999972390850601e-07
+    x2_axis = next(a for a in s.grid.axes if a.role == "x2")
+    peak = marginal_over_particle(spec, np.linspace(x2_axis.lo, x2_axis.hi, 2048), t1, t2).y.max()
+    oracle = Oracle(spec, t1, t2)
+    x1 = np.linspace(_support_hull(spec, t1, t2, axis=0)[0], x2, 16001)
+    pdf = np.array([oracle.pdf(x, x2) for x in x1])
+    exact, coarse = simpson(pdf, x=x1), simpson(pdf[::2], x=x1[::2])
+    assert abs(exact - coarse) < 1e-11 * peak
+    closed = marginal_over_particle(spec, np.array([x2]), t1, t2).y[0]
+    assert abs(closed - exact) < 5e-11 * peak

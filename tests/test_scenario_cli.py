@@ -10,7 +10,9 @@ import pytest
 
 from mirrorsim import AxisSpec, GridSpec, FieldGrid, joint_pdf, wavegroup
 from mirrorsim.cli import main
-from mirrorsim.measurement import MeasurementEvent, collapse
+from mirrorsim.measurement import (MeasurementEvent, classify_regime, collapse,
+                                   sequential_probability)
+from mirrorsim.observables import marginal_over_mirror, marginal_over_particle
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
                                 ScenarioValidationError, conditional_pdf_curves,
                                 from_config, joint_pdf_grid, load_scenario,
@@ -260,24 +262,48 @@ class TestPhysicalHalfGrid:
 
 
 class TestClosedTraceWork:
-    """One ``_closed_trace`` call evaluates each branch twice, at the cross
-    term's centre and at its own, through the branch's log-amplitude alone."""
+    """One ``_closed_trace`` call evaluates each branch's log-modulus twice,
+    at the cross term's centre and at its own, from its real form alone;
+    no probability goes through the complex Gaussian integrals."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_two_evaluations_per_branch(self, monkeypatch, axis):
         s = PRESETS["fig5"]
-        sizes = {"_log_gauss1": [], "_log_gauss2": []}
-        for name, seen in sizes.items():
+        calls = {"_log_gauss1": [], "_log_gauss2": [], "_log_modulus": []}
+        for name, seen in calls.items():
             def counted(*args, original=getattr(wavegroup, name), seen=seen):
-                seen.append(np.broadcast(*args).size)
+                seen.append(args)
                 return original(*args)
 
             monkeypatch.setattr(wavegroup, name, counted)
         outer = s.grid.axes[1 - axis].values()
         t_c = s.collision_time
         wavegroup._closed_trace(s.wavegroup, outer, t_c, t_c + s.tau, axis)
-        assert sizes["_log_gauss2"] == [outer.size] * 2
-        assert sizes["_log_gauss1"] == [outer.size] * 4
+        assert calls["_log_gauss1"] == calls["_log_gauss2"] == []
+        per_form = {}
+        for form, *x in calls["_log_modulus"]:
+            per_form.setdefault(id(form), []).append(np.broadcast(*x).size)
+        assert list(per_form.values()) == [[outer.size] * 2] * 2
+
+    @pytest.mark.parametrize("name", ["fig5", "fig8"])
+    def test_probabilities_without_the_complex_gaussian(self, monkeypatch, name):
+        def refused(*args):
+            raise AssertionError("a probability evaluated the complex Gaussian")
+
+        monkeypatch.setattr(wavegroup, "_log_gauss1", refused)
+        monkeypatch.setattr(wavegroup, "_log_gauss2", refused)
+        s = PRESETS[name]
+        spec, t_c = s.wavegroup, s.collision_time
+        x1, x2 = (a.values() for a in s.grid.axes)
+        for trace, x in ((marginal_over_mirror, x1), (marginal_over_particle, x2)):
+            assert trace(spec, x, t_c + 0.5 * s.tau, t_c).y.max() > 0.0
+        event = resolve_event(s, s.events[0])
+        state = collapse(spec, event)
+        t2 = event.t10 + s.tau
+        assert state.norm(t2) > 0.0
+        window = state._wall_support(t2)
+        assert sequential_probability(spec, event, window, t2).value > 0.0
+        assert classify_regime(spec, event) in ("A", "B")
 
 
 class TestConditionalGrids:
@@ -652,8 +678,8 @@ class TestExtremeTimes:
     @pytest.mark.parametrize("preset, times", [("fig5", "1e10"), ("fig2", "1e11"),
                                                ("fig2", "1e14")])
     def test_finite_conditional_pdf_far_past_the_detection(self, tmp_path, preset, times):
-        # the conditional PDF stays finite, and its smooth form keeps the
-        # detection time's closed norm, at t2 where the closed trace fails
+        # the conditional PDF stays finite, and both its smooth form and the
+        # closed trace keep the detection time's closed norm
         proc = self._run(tmp_path, "collapse", preset, times)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
@@ -667,6 +693,7 @@ class TestExtremeTimes:
         norm = state.norm(state.event.t10)
         assert np.trapezoid(state.pdf(x2, t2, apply_step=False), x2) == pytest.approx(
             norm, rel=1e-6)
+        assert state.norm(t2) == pytest.approx(norm, rel=1e-12)
 
     @pytest.mark.parametrize("command, preset, times", [
         ("collapse", "fig2", "1e300"),
