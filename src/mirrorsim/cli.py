@@ -110,9 +110,10 @@ def cmd_observables(args) -> int:
     failures = 0
     for s in _load_targets(args):
         report = {"scenario": s.name, "hash": sc.scenario_hash(s), "analyses": {}}
+        traces = {}  # shared by this scenario's analyses only
         for name in list(s.analyses) or ["fringes"]:
             try:
-                report["analyses"][name] = sc.run_analysis(s, name)
+                report["analyses"][name] = sc.run_analysis(s, name, traces)
             except Exception as err:  # noqa: BLE001  (reported per analysis)
                 msg = f"{type(err).__name__}: {err}"
                 report["analyses"][name] = {"error": msg}

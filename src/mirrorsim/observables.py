@@ -145,7 +145,10 @@ def fit_sinusoid(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
     The model is a quadratic baseline plus one sinusoid; a zero-padded
     periodogram seeds the frequency and a golden-section search on the
-    least-squares residual refines it. Returns (omega, relative residual).
+    least-squares residual refines it. The baseline's QR is taken once: at
+    each trial frequency cos and sin are projected off it, and the residual
+    of the series, projected likewise, is fitted by their 2 x 2 normal
+    equations. Returns (omega, relative residual).
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -153,8 +156,8 @@ def fit_sinusoid(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if not np.allclose(np.diff(t), dt, rtol=1e-9):
         raise ValueError("sinusoid fit expects a uniform time axis")
     ts = (t - t.mean()) / (t[-1] - t[0])
-    base = np.vstack([np.ones_like(ts), ts, ts**2]).T
-    resid = y - base @ np.linalg.lstsq(base, y, rcond=None)[0]
+    q, _ = np.linalg.qr(np.vstack([np.ones_like(ts), ts, ts**2]).T)
+    resid = y - q @ (q.T @ y)
 
     n_fft = 8 * len(t)
     spec = np.abs(np.fft.rfft(resid * np.hanning(len(t)), n=n_fft))
@@ -163,11 +166,9 @@ def fit_sinusoid(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     w_seed = 2.0 * math.pi * freqs[k0]
 
     def sse(w):
-        design = np.hstack([base, np.cos(w * t)[:, None], np.sin(w * t)[:, None]])
-        _, res, *_ = np.linalg.lstsq(design, y, rcond=None)
-        if res.size:
-            return float(res[0])
-        r = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        wave = np.stack([np.cos(w * t), np.sin(w * t)], axis=1)
+        wave -= q @ (q.T @ wave)
+        r = resid - wave @ np.linalg.solve(wave.T @ wave, wave.T @ resid)
         return float(r @ r)
 
     lo = w_seed * 0.8
@@ -248,6 +249,9 @@ def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
     rate; its drift velocity comes from the conditional centroid track and
     the fringe wavevector from the measured particle-side fringe spacing.
     """
+    if not fringe_spacing_measured > 0.0:
+        raise ValueError("pattern-drift beat needs a measured fringe spacing; got "
+                         f"{fringe_spacing_measured:g}, fewer than two fringe peaks")
     t2 = np.asarray(t2_axis, dtype=float)
     centroids = []
     for t in t2:
@@ -273,12 +277,19 @@ class CoherenceTransferReport:
     @property
     def exchange_particle(self) -> float:
         """width(particle out) / width(mirror in)."""
-        return self.width_particle_out / self.width_mirror_in
+        return _width_ratio(self.width_particle_out, self.width_mirror_in, "mirror")
 
     @property
     def exchange_mirror(self) -> float:
         """width(mirror out) / width(particle in)."""
-        return self.width_mirror_out / self.width_particle_in
+        return _width_ratio(self.width_mirror_out, self.width_particle_in, "particle")
+
+
+def _width_ratio(out: float, incoming: float, body: str) -> float:
+    if incoming == 0.0:
+        raise ValueError(f"exchange ratio undefined: the incoming {body} width "
+                         "measured 0")
+    return out / incoming
 
 
 def _curve_std(curve: Curve) -> float:

@@ -483,7 +483,7 @@ def analysis_fringes(scenario: Scenario) -> dict:
     return out
 
 
-def analysis_beat(scenario: Scenario) -> dict:
+def analysis_beat(scenario: Scenario, traces: dict | None = None) -> dict:
     spec = scenario.wavegroup
     event = resolve_event(scenario, scenario.events[0])
     state = collapse(spec, event)
@@ -498,9 +498,8 @@ def analysis_beat(scenario: Scenario) -> dict:
     else:
         # sub-fringe mirror packet: the pattern rides the envelope, so the
         # beat is the measured fringe-crossing rate of the drifting pattern
-        x1 = _fringe_axis(scenario)
         spacing = extract_fringes(
-            marginal_over_mirror(spec, x1, event.t10, event.t10)).spacing
+            _fringe_marginal(scenario, event.t10, event.t10, traces)).spacing
         fitted = pattern_drift_beat(state, t_axis[::40], spacing)
         method = "pattern-drift"
     return {"fitted": fitted, "expected": expected, "method": method,
@@ -548,11 +547,23 @@ def _fringe_axis(scenario: Scenario):
     return np.linspace(x_c - 2.5 * sigma1, x_c - 0.3 * sigma1, 3001)
 
 
-def analysis_marginal_visibility(scenario: Scenario) -> dict:
+def _fringe_marginal(scenario: Scenario, t1: float, t2: float,
+                     traces: dict | None = None) -> Curve:
+    """The particle marginal on :func:`_fringe_axis` at (t1, t2). ``traces``,
+    one dict per run of a scenario's analyses (:func:`run_analysis`), keeps
+    each one traced, so the run traces it once."""
+    if traces is None:
+        traces = {}
+    if (t1, t2) not in traces:
+        traces[t1, t2] = marginal_over_mirror(scenario.wavegroup, _fringe_axis(scenario),
+                                              t1, t2)
+    return traces[t1, t2]
+
+
+def analysis_marginal_visibility(scenario: Scenario, traces: dict | None = None) -> dict:
     spec = scenario.wavegroup
     t = scenario.collision_time
-    x1 = _fringe_axis(scenario)
-    particle_side = extract_fringes(marginal_over_mirror(spec, x1, t, t))
+    particle_side = extract_fringes(_fringe_marginal(scenario, t, t, traces))
     lo, hi = _support_hull(spec, t, t, axis=1)
     mirror_side = extract_fringes(
         marginal_over_particle(spec, np.linspace(lo, hi, 4001), t, t))
@@ -561,23 +572,22 @@ def analysis_marginal_visibility(scenario: Scenario) -> dict:
             "mirror_visibility": mirror_side.visibility}
 
 
-def analysis_marginal_t2_independence(scenario: Scenario) -> dict:
-    spec = scenario.wavegroup
+def analysis_marginal_t2_independence(scenario: Scenario,
+                                      traces: dict | None = None) -> dict:
     t_c = scenario.collision_time
-    x1 = _fringe_axis(scenario)
-    offsets = np.linspace(0.0, 3.0 * math.pi / spec.beat0, 4)
-    curves = [marginal_over_mirror(spec, x1, t_c, t_c + dt).y for dt in offsets]
+    offsets = np.linspace(0.0, 3.0 * math.pi / scenario.wavegroup.beat0, 4)
+    curves = [_fringe_marginal(scenario, t_c, t_c + dt, traces).y for dt in offsets]
     peak = max(c.max() for c in curves)
     linf = max(float(np.abs(c - curves[0]).max()) for c in curves[1:])
     return {"linf_over_peak": linf / peak, "t2_offsets": list(offsets)}
 
 
-def analysis_node_depth(scenario: Scenario) -> dict:
+def analysis_node_depth(scenario: Scenario, traces: dict | None = None) -> dict:
     """Mirror PDF after detection at a fringe node versus at a peak."""
     spec = scenario.wavegroup
     t_c = scenario.collision_time
-    x1 = _fringe_axis(scenario)
-    curve = marginal_over_mirror(spec, x1, t_c, t_c)
+    curve = _fringe_marginal(scenario, t_c, t_c, traces)
+    x1 = curve.x
     i_peak = int(np.argmax(curve.y))
     fringe = fringe_period(scenario.params)
     dx = x1[1] - x1[0]
@@ -633,7 +643,16 @@ _ANALYSIS_FNS = {
 }
 
 
-def run_analysis(scenario: Scenario, name: str) -> dict:
+# analyses that trace the particle marginal on the fringe axis
+_FRINGE_ANALYSES = ("beat", "marginal-visibility", "marginal-t2-independence", "node-depth")
+
+
+def run_analysis(scenario: Scenario, name: str, traces: dict | None = None) -> dict:
+    """One named analysis. Pass one ``traces`` dict to every analysis of one
+    run of a scenario, and drop it after: the analyses that trace the fringe
+    marginal then share it (:func:`_fringe_marginal`)."""
+    if name in _FRINGE_ANALYSES:
+        return _ANALYSIS_FNS[name](scenario, traces)
     return _ANALYSIS_FNS[name](scenario)
 
 

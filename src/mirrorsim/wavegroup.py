@@ -44,9 +44,11 @@ value is bitwise that of the whole-grid evaluation (``within`` of
 
 Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
-over a half line is a Gaussian times a complex erfc, evaluated through the
-Faddeeva function (:func:`_closed_trace`); marginals and conditional
-probabilities all come from it, its exponents read off the density's form.
+over a half line is a Gaussian times an erfc (:func:`_closed_trace`). The two
+intensity terms are real, through the scaled real erfc; only the cross term
+takes a complex erfc, through the Faddeeva function, and only where it can
+change the sum. Marginals and conditional probabilities all come from it,
+its exponents read off the density's form.
 
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
@@ -333,7 +335,7 @@ def _axis_centre(form, axis: int, other):
     return centre[axis] - mr[1] / mr[2 * axis] * (other - centre[1 - axis])
 
 
-def _half_line(log_c, slope, alpha, d):
+def _half_line(log_c, alpha, d, slope=None):
     """Integral of exp(log_c + slope s - alpha s^2) over s >= d, Re(alpha) > 0.
 
     The closed form (1/2) sqrt(pi/alpha) exp(log_c + slope^2/(4 alpha)) erfc(z),
@@ -342,20 +344,29 @@ def _half_line(log_c, slope, alpha, d):
     erfc(z) = 2 - erfc(-z) otherwise, so w is only called in the upper half
     plane and exp(z^2) is never formed. The exponent left over is the
     integrand's own log at the start, log_c + slope d - alpha d^2. d = -inf
-    gives the whole line, the ``full`` term; d = +inf gives 0.
+    gives the whole line, the ``full`` term; d = +inf gives 0. With no
+    ``slope`` and a real alpha the integrand is real, and so is every step:
+    w(iz) = erfcx(z) for real z, bitwise, so the real path gives the complex
+    one's real part at zero slope, at half its cost.
     """
-    from scipy.special import wofz  # deferred: only traces need scipy
+    from scipy.special import erfcx, wofz  # deferred: only traces need scipy
 
     finite = np.isfinite(d)
     whole = np.where(d < 0.0, 1.0, 0.0)  # an infinite start: all or nothing
     d = np.where(finite, d, 0.0)
     root = np.sqrt(alpha)
-    z = root * d - slope / (2.0 * root)
     half = 0.5 * math.sqrt(math.pi) / root
-    upper = z.real >= 0.0
-    tail = (half * np.exp(log_c + slope * d - alpha * d * d)
-            * wofz(np.where(upper, 1j * z, -1j * z)))
-    full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
+    if slope is None:
+        z = root * d
+        upper = z >= 0.0
+        tail = half * np.exp(log_c - alpha * d * d) * erfcx(np.where(upper, z, -z))
+        full = 2.0 * half * np.exp(log_c)
+    else:
+        z = root * d - slope / (2.0 * root)
+        upper = z.real >= 0.0
+        tail = (half * np.exp(log_c + slope * d - alpha * d * d)
+                * wofz(np.where(upper, 1j * z, -1j * z)))
+        full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
     return np.where(finite, np.where(upper, tail, full - tail), whole * full)
 
 
@@ -371,31 +382,50 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     - 2 |F_in F_ref| cos(dphi) is exp(quadratic), with curvature Re(kappa_in),
     Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, kappa = mr_ii + i mi_ii
     of each branch's real form (:func:`_real_form`). Each intensity term is
-    2 log|F| (:func:`_log_modulus`) about the branch's peak along the axis
-    (:func:`_axis_centre`), the cross term log|F_in F_ref| + i dphi about the
-    curvature-weighted mean of the two peaks, where its real slope vanishes,
-    with dphi and its slope from :meth:`_Density.half_phase`: every exponent
-    is read in real arithmetic, where it is largest.
+    real: 2 log|F| (:func:`_log_modulus`) about the branch's peak along the
+    axis (:func:`_axis_centre`), with no slope, through erfcx. The cross term
+    is log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
+    peaks, where its real slope vanishes, with dphi and its slope from
+    :meth:`_Density.half_phase`: every exponent is read in real arithmetic,
+    where it is largest. By Cauchy-Schwarz |cross| <= sqrt(y_in y_ref), so
+    the complex cross term is evaluated only where that bound, with each y
+    raised by what underflow can take from it, exceeds 2^-81 (y_in + y_ref);
+    elsewhere it cannot change the rounded sum, and every value is bitwise
+    that of the cross term evaluated everywhere.
     """
     branches, forms = _forms(spec, t1, t2)
     k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
     density = _density_form(spec, t1, t2, branches, forms)
-    c_in, c_ref = (_axis_centre(form, axis, outer) for form in forms)
-    start = outer if start is None else start
+    outer, start = np.broadcast_arrays(outer, outer if start is None else start)
 
-    def log_modulus(form, u):
-        return _log_modulus(form, *((outer, u) if axis == 1 else (u, outer)))
+    def log_modulus(form, u, at):
+        return _log_modulus(form, *((at, u) if axis == 1 else (u, at)))
 
     sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
     a_in, a_ref = k_in.real, k_ref.real
-    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
-    theta, slope = density.half_phase(axis, mid, outer)
-    cross = _half_line(sum(log_modulus(form, mid) for form in forms) + 2j * theta,
-                       2j * sign * slope, 0.5 * (k_in + np.conj(k_ref)), sign * (start - mid))
-    y = -2.0 * cross.real
-    for form, centre, a in zip(forms, (c_in, c_ref), (a_in, a_ref)):
-        y += _half_line(2.0 * log_modulus(form, centre), 0.0, a, sign * (start - centre)).real
+    c_in, c_ref = (_axis_centre(form, axis, outer) for form in forms)
+    log_in, log_ref = (2.0 * log_modulus(form, c, outer) for form, c in zip(forms, (c_in, c_ref)))
+    y_in, y_ref = (_half_line(log_c, a, sign * (start - c))
+                   for log_c, c, a in zip((log_in, log_ref), (c_in, c_ref), (a_in, a_ref)))
+    # Cauchy-Schwarz, each term raised far above the (1 + sqrt(pi / a)) 2^-1074
+    # that underflow can take from it, as a product of roots: y_in y_ref
+    # underflows where the cross term still counts. The cross term's exponents
+    # are at most (log_in + log_ref) / 2, so below -746 it is an exact 0.
+    lost_in, lost_ref = (2.0**-1022 * (1.0 + math.sqrt(math.pi / a)) for a in (a_in, a_ref))
+    keep = np.flatnonzero((log_in + log_ref > -1492.0)
+                          & (np.sqrt(y_in + lost_in) * np.sqrt(y_ref + lost_ref)
+                             > 2.0**-81 * (y_in + y_ref)))
+    at = outer.take(keep)
+    mid = (a_in * c_in.take(keep) + a_ref * c_ref.take(keep)) / (a_in + a_ref)
+    theta, slope = density.half_phase(axis, mid, at)
+    cross = _half_line(sum(log_modulus(form, mid, at) for form in forms) + 2j * theta,
+                       0.5 * (k_in + np.conj(k_ref)), sign * (start.take(keep) - mid),
+                       2j * sign * slope)
+    y = np.zeros(outer.shape)
+    y.flat[keep] = -2.0 * cross.real
+    y += y_in
+    y += y_ref
     y = np.maximum(y, 0.0)
     _check_range(np.isfinite(y).all(), "trace", t1=t1, t2=t2)
     return y

@@ -12,10 +12,10 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
                        extract_fringes, marginal_over_mirror,
                        marginal_over_particle)
 from mirrorsim.measurement import MeasurementEvent
-from mirrorsim.observables import (IncompleteSeparationWarning,
+from mirrorsim.observables import (CoherenceTransferReport, IncompleteSeparationWarning,
                                    InsufficientSpanWarning, _support_hull,
                                    coherence_transfer_metrics, fit_sinusoid,
-                                   transit_beat_periods)
+                                   pattern_drift_beat, transit_beat_periods)
 from mirrorsim.scenario import PRESETS, analysis_marginal_visibility, resolve_event
 from mirrorsim.wavegroup import frames, joint_pdf
 
@@ -76,6 +76,28 @@ class TestSinusoidFit:
         with pytest.raises(ValueError):
             fit_sinusoid(t, np.sin(t))
 
+    def test_matches_the_five_column_least_squares(self):
+        # the same search on each trial frequency's full least-squares residual
+        # (baseline, cos, sin), whose minimum is flat to round-off: 1e-7
+        t = np.linspace(2.0, 2.6, 900)
+        y = (1.0 - 0.3 * t + 0.05 * t**2 + 0.4 * np.cos(61.0 * t + 0.3)
+             + 0.02 * np.cos(122.0 * t))
+        omega, rel = fit_sinusoid(t, y)
+        ts = (t - t.mean()) / (t[-1] - t[0])
+
+        def sse(w):
+            design = np.stack([np.ones_like(ts), ts, ts**2, np.cos(w * t), np.sin(w * t)], 1)
+            r = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+            return float(r @ r)
+
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = 0.8 * omega, 1.25 * omega
+        for _ in range(200):
+            c, d = b - phi * (b - a), a + phi * (b - a)
+            a, b = (a, d) if sse(c) < sse(d) else (c, b)
+        assert omega == pytest.approx(0.5 * (a + b), rel=1e-7)
+        assert rel == pytest.approx(math.sqrt(sse(omega) / float(y @ y)), rel=1e-6)
+
 
 class TestDopplerBeat:
     def test_random_draw_accuracy(self, rng):
@@ -135,6 +157,17 @@ class TestDopplerBeat:
         rep = analysis_beat(presets["fig9"])
         assert rep["method"] == "pattern-drift"
         assert rep["relative_error"] < 0.01
+
+    def test_pattern_drift_without_fringes_names_the_cause(self, presets):
+        # extract_fringes reports spacing 0 for a curve with fewer than two peaks
+        s = presets["fig9"]
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0]))
+        x = np.linspace(-5.0, 5.0, 2001)
+        spacing = extract_fringes(Curve(x=x, y=np.exp(-x**2), meta={})).spacing
+        assert spacing == 0.0
+        t2 = state.event.t10 + np.linspace(0.0, s.tau, 5)
+        with pytest.raises(ValueError, match="fewer than two fringe peaks"):
+            pattern_drift_beat(state, t2, spacing)
 
 
 class TestMarginals:
@@ -259,6 +292,16 @@ class TestCoherenceTransfer:
         with pytest.warns(IncompleteSeparationWarning):
             coherence_transfer_metrics(s.wavegroup, pre_t=s.wavegroup.t0,
                                        post_t=s.collision_time)
+
+    @pytest.mark.parametrize("ratio, zero", [("exchange_particle", "width_mirror_in"),
+                                             ("exchange_mirror", "width_particle_in")])
+    def test_zero_incoming_width_names_the_cause(self, ratio, zero):
+        widths = dict.fromkeys(("width_particle_in", "width_mirror_in",
+                                "width_particle_out", "width_mirror_out"), 1.0)
+        rep = CoherenceTransferReport(**{**widths, zero: 0.0})
+        body = zero.split("_")[1]
+        with pytest.raises(ValueError, match=f"incoming {body} width measured 0"):
+            getattr(rep, ratio)
 
     def test_symmetric_spec_is_trivial(self):
         p = PhysicalParams.natural(M=1.0, v=400.0, V=80.0)

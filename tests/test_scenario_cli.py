@@ -261,15 +261,47 @@ class TestPhysicalHalfGrid:
         assert sum(points) == physical
 
 
+def _full_trace(spec, outer, t1, t2, axis):
+    """The closed trace with the cross term evaluated at every point and both
+    intensity terms through the complex erfc at zero slope, in the same
+    summation order: what ``_closed_trace`` gives with no term skipped."""
+    branches, forms = wavegroup._forms(spec, t1, t2)
+    k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
+    density = wavegroup._density_form(spec, t1, t2, branches, forms)
+
+    def log_modulus(form, u):
+        return wavegroup._log_modulus(form, *((outer, u) if axis == 1 else (u, outer)))
+
+    sign = 1.0 if axis == 1 else -1.0
+    a_in, a_ref = k_in.real, k_ref.real
+    c_in, c_ref = (wavegroup._axis_centre(form, axis, outer) for form in forms)
+    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
+    theta, slope = density.half_phase(axis, mid, outer)
+    cross = wavegroup._half_line(sum(log_modulus(form, mid) for form in forms) + 2j * theta,
+                                 0.5 * (k_in + np.conj(k_ref)), sign * (outer - mid),
+                                 2j * sign * slope)
+    y = -2.0 * cross.real
+    for form, c, a in zip(forms, (c_in, c_ref), (a_in, a_ref)):
+        y += wavegroup._half_line(2.0 * log_modulus(form, c), a, sign * (outer - c), 0.0).real
+    return np.maximum(y, 0.0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
 class TestClosedTraceWork:
-    """One ``_closed_trace`` call evaluates each branch's log-modulus twice,
-    at the cross term's centre and at its own, from its real form alone;
-    no probability goes through the complex Gaussian integrals."""
+    """One ``_closed_trace`` call evaluates each branch's log-modulus at its
+    own centre on every point, through the real erfc, and the cross term only
+    where Cauchy-Schwarz lets it change the sum; no probability goes through
+    the complex Gaussian integrals."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_two_evaluations_per_branch(self, monkeypatch, axis):
-        s = PRESETS["fig5"]
-        calls = {"_log_gauss1": [], "_log_gauss2": [], "_log_modulus": []}
+        # fig6-m1's branches part along both axes, so each trace skips points
+        s = PRESETS["fig6-m1"]
+        calls = {"_log_gauss1": [], "_log_gauss2": [], "_log_modulus": [],
+                 "_half_line": []}
         for name, seen in calls.items():
             def counted(*args, original=getattr(wavegroup, name), seen=seen):
                 seen.append(args)
@@ -280,10 +312,44 @@ class TestClosedTraceWork:
         t_c = s.collision_time
         wavegroup._closed_trace(s.wavegroup, outer, t_c, t_c + s.tau, axis)
         assert calls["_log_gauss1"] == calls["_log_gauss2"] == []
+        (log_in, a_in, _), (log_ref, a_ref, _), (*_, cross_slope) = calls["_half_line"]
+        assert isinstance(a_in, float) and isinstance(a_ref, float)
+        # the points the bound keeps: Cauchy-Schwarz on the intensity terms,
+        # each raised by a bound on its underflow, where the cross term's
+        # exponent can exceed -746
+        y_in, y_ref = (wavegroup._half_line(*args) for args in calls["_half_line"][:2])
+        lost_in, lost_ref = (2.0**-1022 * (1.0 + math.sqrt(math.pi / a)) for a in (a_in, a_ref))
+        kept = np.count_nonzero((log_in + log_ref > -1492.0)
+                                & (np.sqrt(y_in + lost_in) * np.sqrt(y_ref + lost_ref)
+                                   > 2.0**-81 * (y_in + y_ref)))
+        assert 0 < kept < outer.size and cross_slope.size == kept
         per_form = {}
         for form, *x in calls["_log_modulus"]:
             per_form.setdefault(id(form), []).append(np.broadcast(*x).size)
-        assert list(per_form.values()) == [[outer.size] * 2] * 2
+        assert list(per_form.values()) == [[outer.size, kept]] * 2
+
+    def test_real_half_line_is_the_complex_one_bitwise(self):
+        d = np.concatenate([np.linspace(-30.0, 30.0, 4097), [-np.inf, np.inf, -0.0, 0.0]])
+        log_c = np.linspace(-700.0, 5.0, d.size)
+        for alpha in (1e-3, 1.0, 4.965089216446859, 1e6):
+            real = wavegroup._half_line(log_c, alpha, d)
+            assert real.dtype == float
+            assert _bits(real) == _bits(wavegroup._half_line(log_c, alpha, d, 0.0).real)
+
+    @pytest.mark.parametrize("name, offset", [("fig5", 0.0), ("fig6-m1", 0.0),
+                                              ("fig8", 0.0), ("fig2", 1e14)])
+    def test_matches_the_full_evaluation_bitwise(self, name, offset):
+        # fig2's mirror 1e14 tau past the detection has spread by 1e14
+        s = PRESETS[name]
+        spec, t_c, tau = s.wavegroup, s.collision_time, s.tau
+        for t1, t2 in ((t_c, t_c + offset * tau), (t_c + 0.5 * tau, t_c + offset * tau),
+                       (t_c + 2.0 * tau, t_c + 2.0 * tau + offset * tau)):
+            for axis in (0, 1):
+                outer = s.grid.axes[1 - axis].values()
+                if offset:
+                    outer = np.linspace(outer[0], outer[-1], 4097)
+                got = wavegroup._closed_trace(spec, outer, t1, t2, axis)
+                assert _bits(got) == _bits(_full_trace(spec, outer, t1, t2, axis)), (t1, t2, axis)
 
     @pytest.mark.parametrize("name", ["fig5", "fig8"])
     def test_probabilities_without_the_complex_gaussian(self, monkeypatch, name):
@@ -422,6 +488,23 @@ class TestOutputShapes:
 
 
 class TestCli:
+    def test_fringe_marginal_traced_once_per_run(self, monkeypatch, tmp_path):
+        # fig9's four fringe analyses share one trace at (t_c, t_c) in a run;
+        # a second run in the same process traces it again
+        from mirrorsim import scenario
+        s = PRESETS["fig9"]
+        t_c, x1 = s.collision_time, scenario._fringe_axis(s)
+        seen = []
+
+        def counted(spec, axis, t1, t2, original=scenario.marginal_over_mirror):
+            seen.append((t1, t2) if np.array_equal(axis, x1) else None)
+            return original(spec, axis, t1, t2)
+
+        monkeypatch.setattr(scenario, "marginal_over_mirror", counted)
+        for run in (1, 2):
+            assert main(["observables", "--preset", "fig9", "--out", str(tmp_path)]) == 0
+            assert seen.count((t_c, t_c)) == run
+
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0
         out = capsys.readouterr().out
