@@ -56,8 +56,13 @@ class DecoherenceEstimate:
 def _support_hull(spec: WavegroupSpec, t1: float, t2: float, axis: int,
                   pad: float = 8.0) -> tuple[float, float]:
     """Interval covering both packets along one axis (0 = x1, 1 = x2)."""
+    return _hull(frames(spec, t1, t2), axis, pad)
+
+
+def _hull(packets, axis: int, pad: float = 8.0) -> tuple[float, float]:
+    """Interval covering the (centre, covariance) packets along one axis."""
     lo, hi = math.inf, -math.inf
-    for centre, cov in frames(spec, t1, t2):
+    for centre, cov in packets:
         s = math.sqrt(cov[axis, axis])
         lo = min(lo, centre[axis] - pad * s)
         hi = max(hi, centre[axis] + pad * s)
@@ -299,7 +304,15 @@ def _curve_std(curve: Curve) -> float:
 
 
 def _measured_widths(spec: WavegroupSpec, t: float):
-    x1, x2 = (np.linspace(*_support_hull(spec, t, t, axis), 4097) for axis in (0, 1))
+    """Standard deviations of the two synchronous marginals at t, each sampled
+    on the hull of the packets whose centre lies on the physical side
+    x1 <= x2, or of both when both do: a packet centred behind the wall is
+    virtual, and its stretch of the hull holds only zeros. The hull reaches
+    10 sigma past each centre; at 8 sigma the tails cut off would take 8e-14
+    of a Gaussian's variance."""
+    packets = frames(spec, t, t)
+    packets = [(c, cov) for c, cov in packets if c[0] <= c[1]] or packets
+    x1, x2 = (np.linspace(*_hull(packets, axis, pad=10.0), 4097) for axis in (0, 1))
     return (_curve_std(marginal_over_mirror(spec, x1, t, t)),
             _curve_std(marginal_over_particle(spec, x2, t, t)))
 

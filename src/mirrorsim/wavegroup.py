@@ -47,8 +47,10 @@ is the exponential of a quadratic in the traced coordinate, so its integral
 over a half line is a Gaussian times an erfc (:func:`_closed_trace`). The two
 intensity terms are real, through the scaled real erfc; only the cross term
 takes a complex erfc, through the Faddeeva function, and only where it can
-change the sum. Marginals and conditional probabilities all come from it,
-its exponents read off the density's form.
+change the sum. Both functions are numpy kernels (:mod:`._faddeeva`), loaded
+on the first trace; the package needs nothing beyond numpy. Marginals and
+conditional probabilities all come from it, its exponents read off the
+density's form.
 
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
@@ -347,9 +349,10 @@ def _half_line(log_c, alpha, d, slope=None):
     gives the whole line, the ``full`` term; d = +inf gives 0. With no
     ``slope`` and a real alpha the integrand is real, and so is every step:
     w(iz) = erfcx(z) for real z, bitwise, so the real path gives the complex
-    one's real part at zero slope, at half its cost.
+    one's real part at zero slope, at half its cost. Both functions are the
+    numpy kernels of :mod:`._faddeeva`, imported on the first trace.
     """
-    from scipy.special import erfcx, wofz  # deferred: only traces need scipy
+    from ._faddeeva import erfcx, w
 
     finite = np.isfinite(d)
     whole = np.where(d < 0.0, 1.0, 0.0)  # an infinite start: all or nothing
@@ -365,7 +368,7 @@ def _half_line(log_c, alpha, d, slope=None):
         z = root * d - slope / (2.0 * root)
         upper = z.real >= 0.0
         tail = (half * np.exp(log_c + slope * d - alpha * d * d)
-                * wofz(np.where(upper, 1j * z, -1j * z)))
+                * w(np.where(upper, 1j * z, -1j * z)))
         full = 2.0 * half * np.exp(log_c + slope**2 / (4.0 * alpha))
     return np.where(finite, np.where(upper, tail, full - tail), whole * full)
 
@@ -385,7 +388,8 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     real: 2 log|F| (:func:`_log_modulus`) about the branch's peak along the
     axis (:func:`_axis_centre`), with no slope, through erfcx. The cross term
     is log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
-    peaks, where its real slope vanishes, with dphi and its slope from
+    peaks, where its real slope vanishes, through the Faddeeva w (both numpy
+    kernels of :mod:`._faddeeva`), with dphi and its slope from
     :meth:`_Density.half_phase`: every exponent is read in real arithmetic,
     where it is largest. By Cauchy-Schwarz |cross| <= sqrt(y_in y_ref), so
     the complex cross term is evaluated only where that bound, with each y

@@ -258,8 +258,9 @@ class TestClosedTrace:
                     oracle = _wall_trapezoid(spec, outer[idx], t1, t2, axis)
                     assert np.abs(y[idx] - oracle).max() <= 1e-6 * y.max(), (t1, t2, axis)
 
-    def test_import_loads_no_scipy(self):
-        # scipy costs about 0.2 s to import and is needed only by the traces
+    def test_import_loads_no_scipy(self, tmp_path):
+        # scipy takes 0.2-0.3 s and 20 MB to import; the traces' erfcx and w
+        # are numpy kernels, so no command needs it
         import mirrorsim
         src = str(Path(mirrorsim.__file__).parents[1])
         env = dict(os.environ)
@@ -268,6 +269,16 @@ class TestClosedTrace:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+        # every tracing command, with any import of scipy made to fail
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from mirrorsim.cli import main\n"
+                "sys.exit(max(main([command, '--preset', preset, '--out', sys.argv[1]])\n"
+                "             for command in ('marginal', 'collapse', 'observables')\n"
+                "             for preset in ('fig5', 'fig9')))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCoherenceTransfer:
@@ -278,6 +289,15 @@ class TestCoherenceTransfer:
             post_t=s.collision_time + 2.0 * s.tau)
         assert 0.9 <= rep.exchange_particle <= 1.1
         assert 0.9 <= rep.exchange_mirror <= 1.1
+
+    def test_incoming_widths_to_rounding(self, presets):
+        # sampled on the physical packet alone, 10 sigma each side
+        s = presets["fig6-m1"]
+        spec = s.wavegroup
+        rep = coherence_transfer_metrics(
+            spec, pre_t=spec.t0, post_t=s.collision_time + 2.0 * s.tau)
+        for width, dk in ((rep.width_particle_in, spec.dk), (rep.width_mirror_in, spec.dK)):
+            assert width == pytest.approx(1.0 / (math.sqrt(2.0) * dk), rel=1e-15, abs=0.0)
 
     def test_mass_ratio_20_control(self, presets):
         s = presets["fig6-m20"]
