@@ -251,14 +251,33 @@ def _extrema(x: np.ndarray, y: np.ndarray):
             refined(np.flatnonzero((dy[:-1] < 0) & (dy[1:] >= 0)) + 1))
 
 
+def _running_mean(y: np.ndarray, w: int) -> np.ndarray:
+    """Mean of y over a window of w samples at each sample, zero beyond the
+    ends, centred like np.convolve(y, np.ones(w) / w, "same"): the window
+    at i spans i - w // 2 to i + (w - 1) // 2. One cumulative sum of the
+    zero-padded series gives every window's sum as a difference of two
+    prefix sums, in O(n) for any w. What each addition of the sum rounded
+    away is recovered exactly (two-sum) and summed alongside, so the
+    differences keep the accuracy of a direct sum, to a few ulp of max |y|,
+    however large the prefix sums grow."""
+    h = (w - 1) // 2
+    pad = np.zeros(len(y) + w)
+    pad[w - h:w - h + len(y)] = y
+    c = np.cumsum(pad)
+    step = c[1:] - c[:-1]
+    lost = np.zeros_like(c)
+    np.cumsum((c[:-1] - (c[1:] - step)) + (pad[1:] - step), out=lost[1:])
+    return ((c[w:] - c[:-w]) + (lost[w:] - lost[:-w])) / w
+
+
 def _smoothed_modes(x: np.ndarray, y: np.ndarray, window: int,
                     min_height: float, min_sep: float) -> list[float]:
-    """Locations of local maxima of the moving-average of y, refined
-    by quadratic interpolation and pruned to a minimum separation."""
+    """Locations of local maxima of the moving average of y over ``window``
+    samples (:func:`_running_mean`, O(n) in the window), refined by
+    quadratic interpolation and pruned to a minimum separation."""
     window = min(window, len(y) // 8 + 1)  # sub-fringe supports need no smoothing
     if window > 1:
-        kernel = np.ones(window) / window
-        y = np.convolve(y, kernel, mode="same")
+        y = _running_mean(y, window)
     (i, pos, _), _ = _extrema(x, y)
     high = y[i] >= min_height * y.max()
     pos, height = pos[high], y[i][high]

@@ -458,8 +458,9 @@ def overlap_slice(scenario: Scenario, axis: str = "x2") -> Curve:
 
 
 def _beat_window(scenario: Scenario, event: MeasurementEvent):
-    """900 mirror times over six beat periods from the detection on."""
-    span = 6.0 * math.pi / scenario.wavegroup.beat0
+    """900 mirror times over six beat periods from the detection on, for
+    either sign of the beat: it is negative where m v + M V < 0."""
+    span = 6.0 * math.pi / abs(scenario.wavegroup.beat0)
     return np.linspace(event.t10, event.t10 + span, 900)
 
 
@@ -502,8 +503,9 @@ def analysis_beat(scenario: Scenario, traces: dict | None = None) -> dict:
             _fringe_marginal(scenario, event.t10, event.t10, traces)).spacing
         fitted = pattern_drift_beat(state, t_axis[::40], spacing)
         method = "pattern-drift"
+    # both estimators measure the beat's magnitude; ``expected`` keeps its sign
     return {"fitted": fitted, "expected": expected, "method": method,
-            "relative_error": abs(fitted - expected) / expected}
+            "relative_error": abs(fitted - abs(expected)) / abs(expected)}
 
 
 def analysis_regime(scenario: Scenario) -> dict:

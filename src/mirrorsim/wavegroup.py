@@ -390,7 +390,8 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     is log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
     peaks, where its real slope vanishes, through the Faddeeva w (both numpy
     kernels of :mod:`._faddeeva`), with dphi and its slope from
-    :meth:`_Density.half_phase`: every exponent is read in real arithmetic,
+    :meth:`_Density.half_phase`, which evaluates the phase parts alone
+    (:meth:`_Density.phase`): every exponent is read in real arithmetic,
     where it is largest. By Cauchy-Schwarz |cross| <= sqrt(y_in y_ref), so
     the complex cross term is evaluated only where that bound, with each y
     raised by what underflow can take from it, exceeds 2^-81 (y_in + y_ref);
@@ -486,6 +487,10 @@ class _Density(NamedTuple):
     term), phase = (mi_jj / 4, mi_in_jj / 4, fold / 2, constant / 2),
     cycles = (hi, lo), the recoil half phase per unit x_j over pi, and kick
     that half phase's slope, +-k_rel on an undetuned carrier.
+
+    :meth:`phase` evaluates (theta_j, e_j) alone, which is all a trace's
+    cross term reads (:meth:`half_phase`); :meth:`axis` adds a_j and beta_j
+    to the same values, for the density.
     """
 
     axes: tuple
@@ -493,11 +498,12 @@ class _Density(NamedTuple):
     h12: float
     weight: float   # |reflected_weight|
 
-    def axis(self, j: int, x):
-        """(a_j, beta_j, theta_j, e_j) at the points x of axis j. The recoil
-        half phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
-        exactly: x cycles is an exact product, and its integer part drops."""
-        (ut_hi, ut_lo), xc, delta, (la, ha), (lb, hb, fb), (qr, qi, fp, c), cycles, _ = self.axes[j]
+    def _phase_terms(self, j: int, x):
+        """(theta_j, e_j, fold, e_j^2, d_j^2) at the points x of axis j. The
+        recoil half phase, up to 1e6 rad on fine-fringed presets, is reduced
+        mod pi exactly: x cycles is an exact product, and its integer part
+        drops."""
+        (ut_hi, ut_lo), xc, delta, _, _, (qr, qi, fp, c), cycles, _ = self.axes[j]
         e = ((x - ut_hi) - xc) - ut_lo  # exact near the centre
         d = e - delta
         fold = d if j == 0 else e
@@ -505,13 +511,26 @@ class _Density(NamedTuple):
         w, w_err = _two_prod(x, cycles[0])
         w_err = w_err + x * cycles[1]
         theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
+        return theta, e, fold, e_sq, d_sq
+
+    def phase(self, j: int, x):
+        """(theta_j, e_j) at the points x of axis j (:meth:`_phase_terms`)."""
+        theta, e, *_ = self._phase_terms(j, x)
+        return theta, e
+
+    def axis(self, j: int, x):
+        """(a_j, beta_j, theta_j, e_j) at the points x of axis j, the phase and
+        the squared offsets from :meth:`_phase_terms`."""
+        _, _, _, (la, ha), (lb, hb, fb), *_ = self.axes[j]
+        theta, e, fold, e_sq, d_sq = self._phase_terms(j, x)
         return np.exp(la - ha * e_sq), lb - hb * d_sq + fb * fold, theta, e
 
     def half_phase(self, j: int, x, other):
         """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
-        at ``other``: the half phase difference and its slope, recoil kick exact."""
-        *_, theta, e = self.axis(j, x)
-        *_, theta_o, e_o = self.axis(1 - j, other)
+        at ``other``: the half phase difference and its slope, recoil kick
+        exact, from :meth:`phase` alone."""
+        theta, e = self.phase(j, x)
+        theta_o, e_o = self.phase(1 - j, other)
         _, _, delta, _, _, (qr, qi, fp, _), _, kick = self.axes[j]
         slope = kick + 2.0 * (qr * (e - delta) - qi * e) - fp + 0.5 * self.h12 * e_o
         return theta + theta_o + 0.5 * self.h12 * e * e_o, slope

@@ -9,7 +9,7 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, UnresolvedSplittingErro
                        elastic_final_velocities, joint_pdf,
                        sequential_probability, split_centroid_velocities,
                        thermal_spread)
-from mirrorsim.measurement import _smoothed_modes
+from mirrorsim.measurement import _running_mean, _smoothed_modes
 from mirrorsim.observables import marginal_over_mirror
 from mirrorsim.scenario import PRESETS, resolve_event
 
@@ -87,6 +87,38 @@ class TestCollapse:
         pdf = state.pdf(x2, ev.t10)
         sign_changes = np.sum(np.abs(np.diff(np.sign(np.diff(pdf)))) > 0)
         assert sign_changes > 6  # many extrema: fringes
+
+
+class TestRunningMean:
+    """The O(n) running mean of the mode search is the boxcar convolution it
+    replaced, centred alike for odd and even windows."""
+
+    @staticmethod
+    def _series(rng):
+        s = PRESETS["fig5"]
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0]))
+        _, pdf = state._sampled(state.event.t10 + 3.0 * s.tau, 8193)
+        return {"fig5 conditional pdf": pdf, "uniform": rng.random(8193),
+                "normal": rng.standard_normal(5000),
+                "wide range": rng.random(3001) * 1e5 + np.exp(np.linspace(-40, 40, 3001))}
+
+    def test_matches_the_same_mode_convolution(self, rng):
+        for label, y in self._series(rng).items():
+            n = len(y)
+            ulp = np.spacing(np.abs(y).max())
+            for w in (1, 2, 3, 8, 257, n // 8 + 1):
+                ref = np.convolve(y, np.ones(w) / w, mode="same")
+                err = np.abs(_running_mean(y, w) - ref).max()
+                assert err <= 4 * ulp, (label, w, err / ulp)
+
+    def test_as_accurate_as_an_exact_sum(self, rng):
+        # prefix sums grow to n max|y|; without the recovered rounding the
+        # uniform series is off by 1000 ulp of 1.0 at w = 2
+        y = rng.random(8193)
+        for w in (2, 3, 257, len(y) // 8 + 1):
+            exact = np.array([math.fsum(y[max(i - w // 2, 0):i + (w - 1) // 2 + 1]) / w
+                              for i in range(len(y))])
+            assert np.abs(_running_mean(y, w) - exact).max() <= np.spacing(1.0)
 
 
 def _preset_state(name):

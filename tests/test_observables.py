@@ -13,10 +13,11 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
                        marginal_over_particle)
 from mirrorsim.measurement import MeasurementEvent
 from mirrorsim.observables import (CoherenceTransferReport, IncompleteSeparationWarning,
-                                   InsufficientSpanWarning, _support_hull,
+                                   InsufficientSpanWarning, _brent, _support_hull,
                                    coherence_transfer_metrics, fit_sinusoid,
                                    pattern_drift_beat, transit_beat_periods)
-from mirrorsim.scenario import PRESETS, analysis_marginal_visibility, resolve_event
+from mirrorsim.scenario import (PRESETS, analysis_beat, analysis_marginal_visibility,
+                                from_config, resolve_event)
 from mirrorsim.wavegroup import frames, joint_pdf
 
 
@@ -98,6 +99,61 @@ class TestSinusoidFit:
         assert omega == pytest.approx(0.5 * (a + b), rel=1e-7)
         assert rel == pytest.approx(math.sqrt(sse(omega) / float(y @ y)), rel=1e-6)
 
+    @pytest.mark.parametrize("power", [2, 4])
+    @pytest.mark.parametrize("centre", [1e-3, 0.7, 1.2345, 61.0])
+    def test_brent_converges_in_few_calls(self, power, centre):
+        # a parabola is Brent's own model; a quartic's flat floor makes it fall
+        # back to golden steps
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2.5 * (x - centre) ** power
+
+        x, fx = _brent(f, 0.8 * centre, 1.25 * centre)
+        assert len(calls) <= 30
+        assert abs(x - centre) <= 1e-10 * centre
+        assert fx == f(x)
+
+    def test_agrees_with_scipy_bounded_brent(self, presets):
+        from scipy.optimize import minimize_scalar
+
+        import mirrorsim.observables as obs
+
+        s = presets["fig5"]
+        series = []
+        fit = obs.fit_sinusoid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(obs, "fit_sinusoid", lambda t, y: series.append((t, y)) or fit(t, y))
+            analysis_beat(s)
+        t = np.linspace(0.0, 3.0, 400)
+        series.append((t, 0.8 + 0.1 * t - 0.02 * t**2 + 0.5 * np.cos(17.3 * t + 0.7)))
+        t = np.linspace(2.0, 2.6, 900)
+        series.append((t, 1.0 - 0.3 * t + 0.05 * t**2 + 0.4 * np.cos(61.0 * t + 0.3)
+                       + 0.02 * np.cos(122.0 * t)))
+        assert len(series) == 3
+        for t, y in series:
+            # the residual and the bracket of fit_sinusoid, written out again
+            ts = (t - t.mean()) / (t[-1] - t[0])
+            q, _ = np.linalg.qr(np.vstack([np.ones_like(ts), ts, ts**2]).T)
+            resid = y - q @ (q.T @ y)
+            n_fft = 8 * len(t)
+            power = np.abs(np.fft.rfft(resid * np.hanning(len(t)), n=n_fft))
+            w_seed = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=t[1] - t[0])[
+                3 + int(np.argmax(power[3:]))]
+
+            def sse(w):
+                wave = np.stack([np.cos(w * t), np.sin(w * t)], axis=1)
+                wave -= q @ (q.T @ wave)
+                r = resid - wave @ np.linalg.solve(wave.T @ wave, wave.T @ resid)
+                return float(r @ r)
+
+            ref = minimize_scalar(sse, bounds=(0.8 * w_seed, 1.25 * w_seed),
+                                  method="bounded", options={"xatol": 1e-12 * w_seed})
+            omega, rel = fit_sinusoid(t, y)
+            assert omega == pytest.approx(ref.x, rel=1e-8)
+            assert rel <= (1.0 + 1e-6) * math.sqrt(ref.fun / float(y @ y))  # no worse a fit
+
 
 class TestDopplerBeat:
     def test_random_draw_accuracy(self, rng):
@@ -157,6 +213,22 @@ class TestDopplerBeat:
         rep = analysis_beat(presets["fig9"])
         assert rep["method"] == "pattern-drift"
         assert rep["relative_error"] < 0.01
+
+    def test_negative_beat_is_fitted_by_its_magnitude(self):
+        # m v + M V < 0 gives fig5's system with V = -30 a beat of -600: the
+        # fit window, the transit gate and the error take its magnitude
+        s = from_config({"name": "fig5-vneg", "units": "natural",
+                         "params": {"m": 1.0, "M": 3.0, "v": 50.0, "V": -30.0},
+                         "wavegroup": {"dk": 1.0, "dK": 2.0, "x1c": -10.0, "x2c": 0.0},
+                         "events": [{"t10": 0.125}], "analyses": ["beat"]})
+        assert s.wavegroup.beat0 == -600.0 and s.collision_time == 0.125
+        state = collapse(s.wavegroup, resolve_event(s, s.events[0]))
+        assert transit_beat_periods(state, 0.125) > 3.0
+        rep = analysis_beat(s)
+        assert rep["method"] == "time-series"
+        assert rep["expected"] == -600.0
+        assert rep["fitted"] == pytest.approx(600.0, rel=0.02)
+        assert rep["relative_error"] == abs(rep["fitted"] - 600.0) / 600.0
 
     def test_pattern_drift_without_fringes_names_the_cause(self, presets):
         # extract_fringes reports spacing 0 for a curve with fewer than two peaks

@@ -12,7 +12,8 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        spectral_amplitude)
 from mirrorsim.scenario import PRESETS
 from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _branch, _carrier_phase,
-                                 _fields, _log_gauss2, _real_form, frames)
+                                 _density_form, _fields, _forms, _log_gauss2, _real_form,
+                                 _two_prod, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -439,3 +440,38 @@ class TestBranchFrames:
             s = WavegroupSpec(p, dk=dk, dK=dK, x1c=-8.0 * (1 / dk + 1 / dK), x2c=0.0)
             t1, t2 = s.collision_time + s.tau * rng.uniform(-1.0, 4.0, 2)
             self._check_exact(s, t1, t2, centres_too=False)
+
+
+class TestDensityPhase:
+    """``_Density.phase`` is the phase half of ``_Density.axis``: the (theta, e)
+    a trace's cross term reads, bitwise what the density reads and what the
+    phase formula, written out here, gives."""
+
+    @staticmethod
+    def _one_pass(density, j, x):
+        (ut_hi, ut_lo), xc, delta, _, _, (qr, qi, fp, c), cycles, _ = density.axes[j]
+        e = ((x - ut_hi) - xc) - ut_lo
+        d = e - delta
+        fold = d if j == 0 else e
+        e_sq, d_sq = e * e, d * d
+        w, w_err = _two_prod(x, cycles[0])
+        w_err = w_err + x * cycles[1]
+        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
+        return theta, e
+
+    @pytest.mark.parametrize("name, detune", [("fig5", 1.0), ("fig8", 1.0), ("fig5", 1.1)])
+    def test_phase_is_bitwise_the_axis_phase(self, name, detune):
+        s = PRESETS[name].wavegroup
+        t_c, tau = s.collision_time, s.tau
+        for t1, t2 in ((t_c, t_c), (t_c, t_c + 2.0 * tau), (t_c + tau, t_c)):
+            density = _density_form(s, t1, t2, *_forms(s, t1, t2, detune))
+            for centre, cov in frames(s, t1, t2):
+                for j in (0, 1):
+                    half = 10.0 * math.sqrt(cov[j, j])
+                    x = np.linspace(centre[j] - half, centre[j] + half, 1001)
+                    for pts in (x, float(x[317])):
+                        got = density.phase(j, pts)
+                        ax = density.axis(j, pts)[2:]
+                        for ref in (ax, self._one_pass(density, j, pts)):
+                            for a, b in zip(got, ref):
+                                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
