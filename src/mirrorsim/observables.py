@@ -16,7 +16,7 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import WavegroupSpec, _branch, _closed_trace, frames, joint_pdf
+from .wavegroup import WavegroupSpec, _closed_trace, _density_form, _forms, frames, joint_pdf
 
 
 class InsufficientSpanWarning(UserWarning):
@@ -248,18 +248,21 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     without shifting the oscillation. The result is half the fitted
     intensity angular frequency, i.e. the phase-advance rate of the
     interference term, matching the closed-form plane-wave expression.
+
+    The whole series comes from one density form whose coefficients are
+    arrays over the t2 axis (:func:`~.wavegroup._density_form`), as
+    y = 1 - cos(2 theta) / cosh(log|F_in| - log|F_ref|) from the branch
+    log-moduli and half phase difference (:meth:`~.wavegroup._Density.logs`).
     """
     t2 = np.asarray(t2_axis, dtype=float)
     state._check_time(t2.min())
     spec, ev = state.spec, state.event
-    # log-space evaluation: the envelope factors underflow once the packet
-    # has moved past the detector, but the normalised contrast survives
-    log_in, log_ref = (_branch(spec, r, ev.t10, t2).log_amplitude(spec, ev.x10, x2)[0]
-                       for r in (False, True))
-    ref_level = np.maximum(log_in.real, log_ref.real)
-    a = np.exp(log_in - ref_level)
-    b = np.exp(log_ref - ref_level)
-    y = np.abs(a - b) ** 2 / (np.abs(a) ** 2 + np.abs(b) ** 2)
+    log_in, log_ref, theta, *_ = _density_form(
+        spec, ev.t10, t2, *_forms(spec, ev.t10, t2)).logs(ev.x10, x2)
+    # the envelopes underflow once the packet has moved past the detector, but
+    # the contrast survives: 1 / cosh(u) = 2 g / (1 + g^2), g = exp(-|u|)
+    g = np.exp(-np.abs(log_in - log_ref))
+    y = 1.0 - np.cos(2.0 * theta) * (2.0 * g / (1.0 + g * g))
     omega, _ = fit_sinusoid(t2, y)
     beat = 0.5 * omega
     periods = (t2[-1] - t2[0]) * beat / math.pi

@@ -577,7 +577,8 @@ def analysis_marginal_visibility(scenario: Scenario, traces: dict | None = None)
 def analysis_marginal_t2_independence(scenario: Scenario,
                                       traces: dict | None = None) -> dict:
     t_c = scenario.collision_time
-    offsets = np.linspace(0.0, 3.0 * math.pi / scenario.wavegroup.beat0, 4)
+    # later mirror times for either sign of the beat
+    offsets = np.linspace(0.0, 3.0 * math.pi / abs(scenario.wavegroup.beat0), 4)
     curves = [_fringe_marginal(scenario, t_c, t_c + dt, traces).y for dt in offsets]
     peak = max(c.max() for c in curves)
     linf = max(float(np.abs(c - curves[0]).max()) for c in curves[1:])

@@ -13,25 +13,25 @@ E acts on the spectral offsets: the identity for the incident branch, the
 recoil-form collision matrix of :class:`~.kinematics.PhysicalParams` for the
 reflected one. The reflected branch is the incident carrier plus a recoil:
 carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
-Both branches take the shared (v tau1, V tau2) off x before any recoil, and b
-keeps the O(m/M) part a12 (y1 - y2) of E^T y exact, so the exchange survives
-far below one ulp of the mirror's momentum. :func:`_branch` states that form,
-A, b and c, once at the measurement times (t1, t2), and
-:meth:`_Branch.log_amplitude` evaluates it (the incident branch, separable
-since E = I, as two 1-D integrals); complex amplitudes, currents and their
-gradients (relative to (k0, K0)) derive from it, and :func:`_moments` reads
-each branch's intensity Gaussian off it in real arithmetic, the one source
-of both packets' frames (:func:`frames`) and of each branch's real form
-(:func:`_real_form`), from which every probability is read: densities,
-traces, conditional profiles and regimes.
-A Gauss-Hermite quadrature of the same integrals, written independently,
-serves as the oracle.
+Both branches take the shared (v tau1, V tau2) off x before any recoil.
+:func:`_branch` states that form once at the measurement times (t1, t2), t2
+a float or an axis of times, and :func:`_moments` reads each branch's
+intensity Gaussian off it in real arithmetic: the one source of both
+packets' frames (:func:`frames`) and of each branch's real form
+(:func:`_real_form`), log|F| and arg F as real quadratics about the branch's
+centre. That is the one form per branch, and everything is read from it
+through the density's coefficients (:class:`_Density`): densities, traces,
+conditional profiles and regimes, and the complex amplitudes, currents and
+their gradients (relative to (k0, K0)) alike. A Gauss-Hermite quadrature of
+the same integrals, written independently, serves as the oracle.
 
 The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
 (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2) (:class:`_Density`).
 |F| of a branch is the square root of its intensity Gaussian, so Re(b^T
 A^{-1} b) is never formed, and dphi is one real quadratic in the offset from
-the incident centre, so no complex exponential is taken. All of each factor
+the incident centre, so no complex exponential is taken; the reflected
+centre's offset from the incident one is formed in closed form, never as a
+difference of the two centres. All of each factor
 but one cross term e1 e2 depends on a single coordinate: on a grid those
 parts are evaluated on the axes, the recoil half phase reduced mod pi
 exactly there, and each point costs gathers, a few real multiply-adds, one
@@ -39,8 +39,11 @@ real exp and one sin. A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`)
 is evaluated only on its physical half x1 <= x2, where the amplitude lives;
 the step sets the rest to an exact 0. Every step is elementwise, so each
 value is bitwise that of the whole-grid evaluation (``within`` of
-:func:`_smooth_pdf`). Amplitudes and currents keep the complex form
-(:func:`_fields`).
+:func:`_smooth_pdf`). Amplitudes and currents read the same coefficients
+(:func:`_fields`): |F_in| = a1 a2, and F_ref / F_in is |F_ref| / |F_in| times
+exp(-2 i theta), theta the half phase difference. Over an axis of mirror
+times the coefficients are arrays, one form for a whole series, as
+:func:`~.observables.doppler_beat` reads it.
 
 Traces are closed forms too: at fixed (t1, t2) every term of |F_in - F_ref|^2
 is the exponential of a quadratic in the traced coordinate, so its integral
@@ -56,8 +59,9 @@ Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
 the incident-reflected *difference* of carrier phases is physical for
 densities and currents; it is the pair's recoil phase
-:func:`~.harmonic.interference_phase`, never a difference of large floats,
-so they stay accurate even where Phi exceeds float precision. The absolute
+(:func:`~.harmonic.interference_phase`), which the density's form reduces
+mod pi exactly, never a difference of large floats, so they stay accurate
+even where Phi exceeds float precision. The absolute
 phase of one amplitude is reduced modulo 2*pi and means something only
 while |Phi| << 1/eps.
 """
@@ -76,43 +80,15 @@ from .harmonic import (_TWO_PI, SpacetimePoint, beat_frequency,
                        incident_phase, interference_phase)
 from .kinematics import PhysicalParams, elastic_final_velocities
 
-_LOG_TWO_PI = math.log(_TWO_PI)
-
-
-# ---------------------------------------------------------------------------
-# complex Gaussian integrals
-# ---------------------------------------------------------------------------
-
-def _log_gauss1(a, b):
-    """Log of the integral of exp(-a s^2 / 2 + i b s) over R, and b / a."""
-    q = b / a
-    return 0.5 * (_LOG_TWO_PI - np.log(a)) - 0.5 * (b * q), q
-
-
-def _log_gauss2(a11, a12, a22, b1, b2, c=0.0):
-    """Log of the integral of exp(-s^T A s / 2 + i b^T s + c) over R^2, and A^{-1} b.
-
-    Returns (log(2 pi / sqrt(det A)) + c - b^T q / 2, q1, q2) with q = A^{-1} b,
-    for broadcastable component arrays and Re(A) positive definite. Then a11
-    and the Schur complement det A / a11 both lie in the right half plane, so
-    the product of their principal roots is the branch of sqrt(det A) that
-    connects continuously to the real-A case.
-    """
-    det_a = a11 * a22 - a12 * a12
-    q1 = (a22 * b1 - a12 * b2) / det_a
-    q2 = (a11 * b2 - a12 * b1) / det_a
-    log_val = (_LOG_TWO_PI + c - 0.5 * (np.log(a11) + np.log(det_a / a11))
-               - 0.5 * (b1 * q1 + b2 * q2))
-    return log_val, q1, q2
-
 
 def _check_range(ok, what: str, **times):
     """ValueError naming the times unless ``ok``: at extreme times the closed
     form's chirps and exponents leave the floating-point range. The callers
     that check their results evaluate without overflow warnings, so the
     error prints alone."""
-    if not ok:
-        at = ", ".join(f"{k}={v:.6g}" for k, v in times.items())
+    if not ok:  # an axis of times is named by its span
+        at = ", ".join(f"{k}={v:.6g}" if np.ndim(v) == 0
+                       else f"{k}={np.min(v):.6g}..{np.max(v):.6g}" for k, v in times.items())
         raise ValueError(f"{what} at {at} is beyond the closed form's floating-point range")
 
 
@@ -189,7 +165,8 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 # ---------------------------------------------------------------------------
 
 class _Branch(NamedTuple):
-    """One branch's Gaussian form at the times tau = t - t0 (see the module docstring)."""
+    """One branch's Gaussian form at the times tau = t - t0 (see the module
+    docstring); tau2, and every field that depends on it, may be an array."""
 
     A: tuple        # (a11, a12, a22) of the complex symmetric A
     E: tuple        # collision matrix ((e11, e12), (e21, e22)) on spectral offsets
@@ -198,47 +175,15 @@ class _Branch(NamedTuple):
     recoil: tuple   # the branch's own displacements on top of ut
     kq: tuple       # carrier wavevectors relative to (k0, K0)
     xc: tuple       # packet centres (x1c, x2c) at t0
-    reflected: bool
-    tau: tuple      # (tau1, tau2), the times of the recoil phase in c
+    tau: tuple      # (tau1, tau2), the times of the recoil phase
     offset: tuple | None  # a detuned carrier's extra wavevectors, phase only
-
-    def b(self, x1, x2):
-        """The linear coefficient b = E^T y - (x1c, x2c), y = x - ut - recoil."""
-        y1, y2 = x1 - self.ut[0], x2 - self.ut[1]
-        if not self.reflected:
-            return y1 - self.xc[0], y2 - self.xc[1]
-        y1, y2 = y1 - self.recoil[0], y2 - self.recoil[1]
-        d = self.E[0][1] * (y1 - y2)  # E^T y = (2 y2 - y1, y2) + a12 (y1 - y2) (1, 1)
-        return 2.0 * y2 - y1 + d - self.xc[0], y2 + d - self.xc[1]
-
-    def log_amplitude(self, spec: WavegroupSpec, x1, x2):
-        """(log F, q1, q2) at broadcastable (x1, x2), q = A^{-1} b. c is the log
-        prefactor plus, when reflected, i (recoil phase + offset . x) mod 2 pi."""
-        log_pref = math.log(spec.norm_const / _TWO_PI)
-        b1, b2 = self.b(x1, x2)
-        if not self.reflected:
-            (log1, q1), (log2, q2) = _log_gauss1(self.A[0], b1), _log_gauss1(self.A[2], b2)
-            return log_pref + log1 + log2, q1, q2
-        phase = interference_phase(spec.params, x1, self.tau[0], x2, self.tau[1])
-        if self.offset is not None:
-            phase = phase + self.offset[0] * x1 + self.offset[1] * x2
-        return _log_gauss2(*self.A, b1, b2, log_pref + 1j * np.remainder(phase, _TWO_PI))
-
-    def log_gradient(self, q1, q2):
-        """Log-derivatives i kq - E q of the amplitude, relative to the
-        incident carrier (k0, K0)."""
-        if not self.reflected:  # E = I keeps the separable array shapes
-            return -q1, -q2
-        (a11, a12), (a21, a22) = self.E
-        return (1j * self.kq[0] - (a11 * q1 + a12 * q2),
-                1j * self.kq[1] - (a21 * q1 + a22 * q2))
 
 
 def _branch(spec: WavegroupSpec, reflected: bool, t1, t2, detune: float = 1.0) -> _Branch:
     """The incident or the reflected branch's Gaussian form at the measurement
-    times (t1, t2). ``detune`` scales the reflected carrier wavevectors, not the
-    energies or the packet's motion: a deliberately broken field for
-    negative-control tests."""
+    times (t1, t2), t2 a float or an array. ``detune`` scales the reflected
+    carrier wavevectors, not the energies or the packet's motion: a
+    deliberately broken field for negative-control tests."""
     p = spec.params
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
@@ -254,12 +199,13 @@ def _branch(spec: WavegroupSpec, reflected: bool, t1, t2, detune: float = 1.0) -
     return _Branch(A=A, E=((a11, a12), (a21, a22)), chirp=(c1, c2),
                    ut=(p.v * tau1, p.V * tau2), recoil=(c1 * kq[0], c2 * kq[1]),
                    kq=kq if offset is None else (kq[0] + offset[0], kq[1] + offset[1]),
-                   xc=(spec.x1c, spec.x2c), reflected=reflected, tau=(tau1, tau2),
+                   xc=(spec.x1c, spec.x2c), tau=(tau1, tau2),
                    offset=offset)
 
 
 def _moments(br: _Branch):
-    """Centre, intensity covariance, P and det Q of one branch, in plain floats.
+    """Centre, intensity covariance, P and det Q of one branch, in plain floats,
+    or in arrays over an axis of t2.
 
     |F|^2 is the Gaussian exp(-b^T Re(A^{-1}) b), centred where b = 0, at
     u tau + recoil + E^{-T} (x1c, x2c). With A = R + i E^T C E, R = diag(1/dk^2,
@@ -300,7 +246,9 @@ def _real_form(br: _Branch):
     real part even where it is 1e-15 of |kappa|. mr = Sigma^{-1} / 2, and log0
     is the unit-norm Gaussian's -log(2 pi sqrt(det Sigma)) / 2, det Sigma =
     |D|^2 det Q / 4. arg0 = -arg(D) / 2, the branch of sqrt(det A) continuous
-    from real A.
+    from real A. Over an axis of t2 the entries that depend on t2 are arrays,
+    from numpy's log and arctan2; Python float times keep math's, whose
+    roundings numpy's scalar arctan2 does not always reproduce.
     """
     centre, _, ((p11, p12), (_, p22)), det_q = _moments(br)
     c1, c2 = br.chirp
@@ -312,8 +260,9 @@ def _real_form(br: _Branch):
     mi = (-(c1 * p22 * p22 + c1 * c2 * c2 + c2 * p12 * p12) / dd,
           p12 * (c1 * p22 + c2 * p11) / dd,
           -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
-    log0 = -0.25 * math.log(math.pi * math.pi * dd * det_q)
-    return centre, log0, -0.5 * math.atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
+    log, atan2 = (np.log, np.arctan2) if isinstance(dd, np.ndarray) else (math.log, math.atan2)
+    log0 = -0.25 * log(math.pi * math.pi * dd * det_q)
+    return centre, log0, -0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
 
 
 def _forms(spec: WavegroupSpec, t1, t2, detune: float = 1.0):
@@ -475,7 +424,8 @@ def _k_rel_dd(p: PhysicalParams):
 
 
 class _Density(NamedTuple):
-    """Scalar coefficients of |F_in - F_ref|^2 at one pair of times.
+    """Coefficients of |F_in - F_ref|^2 at one pair of times, or arrays of them
+    over an axis of t2.
 
     In e = x - (incident centre) and d = e - delta, delta the reflected
     centre's offset, |F_in| = a1(e1) a2(e2), log|F_ref| = beta1 + beta2 -
@@ -489,8 +439,10 @@ class _Density(NamedTuple):
     that half phase's slope, +-k_rel on an undetuned carrier.
 
     :meth:`phase` evaluates (theta_j, e_j) alone, which is all a trace's
-    cross term reads (:meth:`half_phase`); :meth:`axis` adds a_j and beta_j
-    to the same values, for the density.
+    cross term reads (:meth:`half_phase`); :meth:`log_axis` adds log a_j and
+    beta_j to the same values, :meth:`axis` takes a_j from it for the
+    density, and :meth:`logs` combines both axes' logs for the amplitudes
+    (:func:`_fields`) and the beat (:func:`~.observables.doppler_beat`).
     """
 
     axes: tuple
@@ -518,12 +470,24 @@ class _Density(NamedTuple):
         theta, e, *_ = self._phase_terms(j, x)
         return theta, e
 
-    def axis(self, j: int, x):
-        """(a_j, beta_j, theta_j, e_j) at the points x of axis j, the phase and
-        the squared offsets from :meth:`_phase_terms`."""
+    def log_axis(self, j: int, x):
+        """(log a_j, beta_j, theta_j, e_j) at the points x of axis j, the phase
+        and the squared offsets from :meth:`_phase_terms`."""
         _, _, _, (la, ha), (lb, hb, fb), *_ = self.axes[j]
         theta, e, fold, e_sq, d_sq = self._phase_terms(j, x)
-        return np.exp(la - ha * e_sq), lb - hb * d_sq + fb * fold, theta, e
+        return la - ha * e_sq, lb - hb * d_sq + fb * fold, theta, e
+
+    def axis(self, j: int, x):
+        """(a_j, beta_j, theta_j, e_j) at the points x of axis j (:meth:`log_axis`)."""
+        log_a, beta, theta, e = self.log_axis(j, x)
+        return np.exp(log_a), beta, theta, e
+
+    def logs(self, x1, x2):
+        """(log|F_in|, log|F_ref| - log weight, theta, e1, e2) at broadcastable
+        (x1, x2), each axis part evaluated on its own coordinate."""
+        (la1, b1, th1, e1), (la2, b2, th2, e2) = self.log_axis(0, x1), self.log_axis(1, x2)
+        ee = e1 * e2
+        return la1 + la2, b1 + b2 - self.mr12 * ee, th1 + th2 + 0.5 * self.h12 * ee, e1, e2
 
     def half_phase(self, j: int, x, other):
         """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
@@ -556,7 +520,8 @@ def _over_pi(hi: float, lo: float):
 def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
                   reflected_weight: float = 1.0) -> _Density:
     """The coefficients of :class:`_Density` at (t1, t2), from both branches
-    there and their real forms (:func:`_forms`)."""
+    there and their real forms (:func:`_forms`); over an axis of t2 they are
+    arrays, one form for the whole series."""
     p = spec.params
     reflected = branches[1]
     (_, log_in, arg_in, mr_in, mi_in), (_, log_ref, arg_ref, mr, mi) = forms
@@ -570,12 +535,19 @@ def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
     tau1, tau2 = reflected.tau
     const = (arg_in - arg_ref - 2.0 * beat_frequency(p) * (tau1 - tau2)
              + (math.pi if reflected_weight < 0.0 else 0.0))
-    _check_range(math.isfinite(const), "joint pdf", t1=t1, t2=t2)  # before remainder raises
+    # Python float times keep math's calls, the exact remainder among them;
+    # over an axis of t2, numpy's remainder may land a period higher, which
+    # shifts theta by pi and the density, amplitudes and beat not at all
+    if isinstance(const, np.ndarray):
+        finite, remainder = bool(np.isfinite(const).all()), np.remainder
+    else:
+        finite, remainder = math.isfinite(const), math.remainder
+    _check_range(finite, "joint pdf", t1=t1, t2=t2)  # before remainder raises
     axes = tuple(
         (_two_prod(u, tau), xc, delta[j], (log_in if j == 0 else 0.0, 0.5 * mr_in[2 * j]),
          (log_ref if j == 0 else 0.0, 0.5 * mr[2 * j], mr[1] * delta[1 - j]),
          (0.25 * mi[2 * j], 0.25 * mi_in[2 * j], 0.5 * mi[1] * delta[1 - j],
-          0.5 * math.remainder(const, _TWO_PI) if j == 0 else 0.0),
+          0.5 * remainder(const, _TWO_PI) if j == 0 else 0.0),
          _over_pi(kick[j], sign * k_lo), kick[j])
         for j, (u, tau, xc, sign) in enumerate(((p.v, tau1, spec.x1c, 1.0),
                                                  (p.V, tau2, spec.x2c, -1.0))))
@@ -617,27 +589,37 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
             reflected_weight: float = 1.0, gradients: bool = False) -> SimpleNamespace:
-    """Evaluate both spectral integrals at broadcastable coordinate arrays.
+    """Both branches at broadcastable coordinate arrays, from the density's
+    coefficients (:class:`_Density`) at (t1, t2).
 
     Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
     and the physical state is exp(i*Phi) * (F_in - F_ref) * theta(x2 - x1),
-    Phi being :func:`_carrier_phase`. ``detune`` detunes the reflected
+    Phi being :func:`_carrier_phase`. In the density's exact offsets e and
+    d = e - delta, |F_in| = a1 a2, log|F_ref| = beta1 + beta2 - mr12 e1 e2,
+    the incident phase is arg_in - (mi_in11 e1^2 + mi_in22 e2^2) / 2 of its
+    real form, and F_ref / F_in has phase -2 theta. Every axis part is
+    evaluated on its own coordinate, so separable arrays x1[:, None],
+    x2[None, :] cost O(n1 + n2) of them. ``detune`` detunes the reflected
     carrier (:func:`_branch`); ``reflected_weight`` linearly rescales the
     reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
-    relative to the incident carrier (k0, K0).
+    relative to the incident carrier (k0, K0): those of the same quadratics,
+    with theta's slope, recoil kick exact, from :meth:`_Density.half_phase`.
     """
+    branches, forms = _forms(spec, t1, t2, detune)
+    form = _density_form(spec, t1, t2, branches, forms, reflected_weight)
+    (_, _, arg_in, mr_in, mi_in), (_, _, _, mr, _) = forms
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    incident, reflected = (_branch(spec, r, t1, t2, detune) for r in (False, True))
-
-    # E = I makes the incident branch separable, a product of two 1-D packets:
-    # on separable coordinate arrays it costs O(n1 + n2) exponentials
-    (log_in1, qi1), (log_in2, qi2) = map(_log_gauss1, incident.A[::2], incident.b(x1, x2))
-    in1, in2 = np.exp(math.log(spec.norm_const / _TWO_PI) + log_in1), np.exp(log_in2)
-    log_ref, qr1, qr2 = reflected.log_amplitude(spec, x1, x2)
-    out = SimpleNamespace(F_in=in1 * in2, F_ref=reflected_weight * np.exp(log_ref))
+    log_in, log_ref, theta, e1, e2 = form.logs(x1, x2)
+    arg = arg_in - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
+    out = SimpleNamespace(F_in=np.exp(log_in + 1j * arg),
+                          F_ref=form.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
     if gradients:
-        out.Lin1, out.Lin2 = incident.log_gradient(qi1, qi2)
-        out.Lref1, out.Lref2 = reflected.log_gradient(qr1, qr2)
+        d1, d2 = e1 - form.axes[0][2], e2 - form.axes[1][2]  # axes[j][2] is delta_j
+        (_, slope1), (_, slope2) = form.half_phase(0, x1, x2), form.half_phase(1, x2, x1)
+        out.Lin1 = -(mr_in[0] + 1j * mi_in[0]) * e1
+        out.Lin2 = -(mr_in[2] + 1j * mi_in[2]) * e2
+        out.Lref1 = -(mr[0] * d1 + mr[1] * d2) - 1j * (mi_in[0] * e1 + 2.0 * slope1)
+        out.Lref2 = -(mr[1] * d1 + mr[2] * d2) - 1j * (mi_in[2] * e2 + 2.0 * slope2)
     return out
 
 

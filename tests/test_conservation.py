@@ -37,16 +37,21 @@ class TestCurrents:
         assert abs(j1) < 1e-12
         assert abs(j2) < 1e-12
 
+    @staticmethod
+    def _points(s):
+        t_c, x_c = s.collision_time, s.collision_point
+        return [(x_c - 0.3, t_c, x_c + 0.2, t_c),
+                (x_c, t_c, x_c, t_c),  # node of the standing structure
+                (x_c - 0.8, t_c + 0.1 * s.tau, x_c + 0.5, t_c - 0.05 * s.tau)]
+
     def test_wavegroup_current_vs_finite_difference(self, spec_fig5):
         s = spec_fig5
-        t_c = s.collision_time
-        x_c = s.collision_point
         h = 1e-4 / max(s.params.k, abs(s.params.K))
-        pts = [(x_c - 0.3, t_c, x_c + 0.2, t_c),
-               (x_c, t_c, x_c, t_c),  # node of the standing structure
-               (x_c - 0.8, t_c + 0.1 * s.tau, x_c + 0.5, t_c - 0.05 * s.tau)]
-        for x1, t1, x2, t2 in pts:
-            j1, j2 = currents(s, x1, t1, x2, t2)
+        pts = self._points(s)
+        js = [currents(s, *pt) for pt in pts]
+        # one scale for every point: at the node psi = 0, so j = 0 there
+        scale = max(abs(j) for pair in js for j in pair)
+        for (x1, t1, x2, t2), (j1, j2) in zip(pts, js):
 
             def amp(a, b, c, d):
                 from mirrorsim.wavegroup import _carrier_phase, _fields
@@ -58,11 +63,11 @@ class TestCurrents:
             d2 = (amp(x1, t1, x2 + h, t2) - amp(x1, t1, x2 - h, t2)) / (2 * h)
             j1_fd = s.params.hbar / s.params.m * float(np.imag(np.conj(psi) * d1))
             j2_fd = s.params.hbar / s.params.M * float(np.imag(np.conj(psi) * d2))
-            scale = max(abs(j1), abs(j2))
             assert abs(j1 - j1_fd) < 1e-8 * scale
             assert abs(j2 - j2_fd) < 1e-8 * scale
 
     def test_current_at_node_is_finite(self, spec_fig5):
+        # j = v |psi|^2 + hbar/m Im(psi* dpsi) vanishes where psi does
         s = spec_fig5
         t_c = s.collision_time
         x_c = s.collision_point
@@ -70,7 +75,8 @@ class TestCurrents:
         assert joint_pdf(s, pt.x1, pt.t1, pt.x2, pt.t2) < 1e-10
         j1, j2 = currents(s, pt.x1, pt.t1, pt.x2, pt.t2)
         assert np.isfinite(j1) and np.isfinite(j2)
-        assert abs(j1) > 0  # currents need not vanish at density nodes
+        largest = max(abs(j) for p in self._points(s) for j in currents(s, *p))
+        assert max(abs(j1), abs(j2)) <= 1e-12 * largest
 
     def test_public_dispatch_harmonic(self, spec_fig5):
         p = spec_fig5.params

@@ -285,6 +285,17 @@ class TestMarginals:
         rep = analysis_marginal_t2_independence(presets["fig9"])
         assert rep["linf_over_peak"] < 1e-6
 
+    def test_t2_independence_after_the_particle_time(self):
+        # a negative beat (fig5's system with V = -30) still samples t2 >= t1
+        from mirrorsim.scenario import analysis_marginal_t2_independence
+        s = from_config({"name": "fig5-vneg", "units": "natural",
+                         "params": {"m": 1.0, "M": 3.0, "v": 50.0, "V": -30.0},
+                         "wavegroup": {"dk": 1.0, "dK": 2.0, "x1c": -10.0, "x2c": 0.0},
+                         "analyses": ["marginal-t2-independence"]})
+        assert s.wavegroup.beat0 < 0.0
+        offsets = analysis_marginal_t2_independence(s)["t2_offsets"]
+        assert len(offsets) == 4 and min(offsets) == 0.0 < max(offsets)
+
 
 def _wall_trapezoid(spec, outer, t1, t2, axis, n=80001, pad=14.0):
     """Trapezoid oracle of the half-line trace along ``axis`` (1: x2 >= x1,

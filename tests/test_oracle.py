@@ -1,9 +1,11 @@
-"""The joint PDF against a 50-digit oracle built from the physical inputs.
+"""The joint PDF and the branch amplitudes against a 50-digit oracle built
+from the physical inputs.
 
 The oracle evaluates both branches' spectral integrals in closed form with
 mpmath, from (m, M, v, V, hbar, dk, dK, x1c, x2c, t0) alone: every derived
 quantity, the carrier wavevectors included, is formed at 50 digits, never
-taken from the kernel's floats. Errors are fractions of the PDF's peak.
+taken from the kernel's floats. PDF errors are fractions of the PDF's peak,
+amplitude errors relative to the ratio F_ref / F_in.
 """
 
 import math
@@ -13,10 +15,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from mirrorsim import SpacetimePoint, amplitude_parts
 from mirrorsim.grids import AxisSpec, GridSpec
 from mirrorsim.measurement import collapse
 from mirrorsim.observables import _support_hull, marginal_over_particle
 from mirrorsim.scenario import PRESETS, RawEvent, joint_pdf_grid, resolve_event
+from mirrorsim.wavegroup import frames
 
 DIGITS = 50
 
@@ -54,16 +58,22 @@ class Oracle:
                 log_det = mp.log(a11) + mp.log(det / a11)
                 self.branches.append((e, (a22 / det, -a12 / det, a11 / det), log_det))
 
-    def pdf(self, x1, x2) -> float:
+    def log_amplitudes(self, x1, x2):
+        """[log Psi_in, log Psi_ref] at (x1, x2), as 50-digit complex numbers."""
         with mp.workdps(DIGITS):
             x = (mp.mpf(float(x1)), mp.mpf(float(x2)))
-            amp = []
+            logs = []
             for e, (i11, i12, i22), log_det in self.branches:
                 b1 = mp.mpc(self.rk0[0], e[0][0] * x[0] + e[1][0] * x[1] - self.xc[0])
                 b2 = mp.mpc(self.rk0[1], e[0][1] * x[0] + e[1][1] * x[1] - self.xc[1])
                 quad = b1 * (i11 * b1 + i12 * b2) + b2 * (i12 * b1 + i22 * b2)
-                amp.append(mp.exp(self.log_c - log_det / 2 + quad / 2))
-            return float(abs(amp[0] - amp[1]) ** 2)
+                logs.append(self.log_c - log_det / 2 + quad / 2)
+            return logs
+
+    def pdf(self, x1, x2) -> float:
+        with mp.workdps(DIGITS):
+            log_in, log_ref = self.log_amplitudes(x1, x2)
+            return float(abs(mp.exp(log_in) - mp.exp(log_ref)) ** 2)
 
 
 def _grid_error(name, n=48, draws=80):
@@ -100,9 +110,40 @@ def _slice_error(name, offset, n=257):
     return np.max(np.abs(pdf - exact)) / exact.max()
 
 
+def _ratio_error(name):
+    """Largest |(F_ref / F_in) / exact - 1| of ``amplitude_parts``, which
+    bounds the error of the ratio's modulus and of its phase at once, at 18
+    seeded points: 3 within 2 sigma of each branch's centre at (t_c, t_c),
+    (t_c, t_c + tau) and (t_c + tau / 2, t_c)."""
+    s = PRESETS[name].wavegroup
+    t_c, tau = s.collision_time, s.tau
+    rng = np.random.default_rng(20141005)
+    worst = 0.0
+    for t1, t2 in ((t_c, t_c), (t_c, t_c + tau), (t_c + 0.5 * tau, t_c)):
+        oracle = Oracle(s, t1, t2)
+        for n in range(6):
+            centre, cov = frames(s, t1, t2)[n % 2]
+            x1, x2 = (float(x) for x in centre + np.sqrt(np.diag(cov)) * rng.uniform(-2.0, 2.0, 2))
+            f_in, f_ref = amplitude_parts(s, SpacetimePoint(x1, t1, x2, t2))
+            log_in, log_ref = oracle.log_amplitudes(x1, x2)
+            with mp.workdps(DIGITS):
+                exact = complex(mp.exp(log_ref - log_in))
+            worst = max(worst, abs(complex(f_ref / f_in) / exact - 1.0))
+    return worst
+
+
+# twice the worst error of the amplitudes read off the density's form; the
+# complex Gaussian integrals they replaced were off by 2.9e-14, 4.1e-9,
+# 1.4e-14 and 2.1e-11 at the same points
+@pytest.mark.parametrize("name, bound", [("fig5", 8.6e-15), ("fig8", 8.3e-9),
+                                         ("fig9", 7.2e-15), ("cont", 9.4e-12)])
+def test_branch_ratio(name, bound):
+    assert _ratio_error(name) < bound
+
+
 def test_oracle_matches_the_quadrature():
     # the oracle against the independent Gauss-Hermite oracle at the overlap
-    from mirrorsim import SpacetimePoint, amplitude_quadrature
+    from mirrorsim import amplitude_quadrature
 
     s = PRESETS["fig5"]
     t = s.collision_time

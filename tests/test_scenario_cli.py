@@ -293,25 +293,24 @@ def _bits(x):
 class TestClosedTraceWork:
     """One ``_closed_trace`` call evaluates each branch's log-modulus at its
     own centre on every point, through the real erfc, and the cross term only
-    where Cauchy-Schwarz lets it change the sum; no probability goes through
-    the complex Gaussian integrals."""
+    where Cauchy-Schwarz lets it change the sum; no probability evaluates a
+    complex amplitude (``_fields``)."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_two_evaluations_per_branch(self, monkeypatch, axis):
         # fig6-m1's branches part along both axes, so each trace skips points
         s = PRESETS["fig6-m1"]
-        calls = {"_log_gauss1": [], "_log_gauss2": [], "_log_modulus": [],
-                 "_half_line": []}
+        calls = {"_fields": [], "_log_modulus": [], "_half_line": []}
         for name, seen in calls.items():
-            def counted(*args, original=getattr(wavegroup, name), seen=seen):
+            def counted(*args, original=getattr(wavegroup, name), seen=seen, **kwargs):
                 seen.append(args)
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(wavegroup, name, counted)
         outer = s.grid.axes[1 - axis].values()
         t_c = s.collision_time
         wavegroup._closed_trace(s.wavegroup, outer, t_c, t_c + s.tau, axis)
-        assert calls["_log_gauss1"] == calls["_log_gauss2"] == []
+        assert calls["_fields"] == []
         (log_in, a_in, _), (log_ref, a_ref, _), (*_, cross_slope) = calls["_half_line"]
         assert isinstance(a_in, float) and isinstance(a_ref, float)
         # the points the bound keeps: Cauchy-Schwarz on the intensity terms,
@@ -354,10 +353,9 @@ class TestClosedTraceWork:
     @pytest.mark.parametrize("name", ["fig5", "fig8"])
     def test_probabilities_without_the_complex_gaussian(self, monkeypatch, name):
         def refused(*args):
-            raise AssertionError("a probability evaluated the complex Gaussian")
+            raise AssertionError("a probability evaluated a complex amplitude")
 
-        monkeypatch.setattr(wavegroup, "_log_gauss1", refused)
-        monkeypatch.setattr(wavegroup, "_log_gauss2", refused)
+        monkeypatch.setattr(wavegroup, "_fields", refused)
         s = PRESETS[name]
         spec, t_c = s.wavegroup, s.collision_time
         x1, x2 = (a.values() for a in s.grid.axes)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        amplitude_quadrature, collapse, currents, joint_pdf,
                        marginal_over_mirror, marginal_over_particle,
                        spectral_amplitude)
+from mirrorsim.harmonic import interference_phase
 from mirrorsim.scenario import PRESETS
 from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _branch, _carrier_phase,
-                                 _density_form, _fields, _forms, _log_gauss2, _real_form,
+                                 _density_form, _fields, _forms, _real_form,
                                  _two_prod, frames)
 
 TWO_PI = 2.0 * math.pi
@@ -34,49 +36,82 @@ def trapezoid_gaussian_2d(A, b, c=0.0, half_width=9.0, n=1201):
     return np.trapezoid(np.trapezoid(integrand, dx=du, axis=1), dx=du, axis=0) * jac
 
 
-def random_pd_form(rng, b_scale=1.0):
-    L = rng.normal(size=(2, 2))
-    D = L @ L.T + 0.5 * np.eye(2)
-    S = rng.normal(size=(2, 2))
-    S = 0.5 * (S + S.T) * rng.uniform(0.2, 2.0)
-    A = D + 1j * S
-    b = (rng.normal(size=2) + 1j * rng.normal(size=2)) * b_scale
-    return A, b, complex(rng.normal(), rng.normal())
+def spectral_form(spec, reflected, pt):
+    """(A, b, c) of one branch's spectral integral at pt, written from the
+    physical inputs: the branch is N / (2 pi) times the integral of
+    exp(-s^T A s / 2 + b^T s + c) over the offsets s = k - k0, with
+    A = R + i E^T C E, b = i (E^T x - xc - E^T C E k0) and
+    c = i (E k0 . x - k0 . xc - E k0 . C E k0 / 2), E the identity or the
+    elastic collision on absolute wavevectors."""
+    p = spec.params
+    mu = 2.0 * p.m / (p.m + p.M)
+    E = np.array([[mu - 1.0, mu], [2.0 - mu, 1.0 - mu]]) if reflected else np.eye(2)
+    C = np.diag([p.hbar * (pt.t1 - spec.t0) / p.m, p.hbar * (pt.t2 - spec.t0) / p.M])
+    k0 = np.array([p.k, p.K])
+    kappa = E @ k0
+    x, xc = np.array([pt.x1, pt.x2]), np.array([spec.x1c, spec.x2c])
+    A = np.diag([spec.dk**-2, spec.dK**-2]) + 1j * (E.T @ C @ E)
+    b = 1j * (E.T @ x - xc - E.T @ C @ kappa)
+    c = 1j * math.remainder(kappa @ x - k0 @ xc - 0.5 * kappa @ C @ kappa, TWO_PI)
+    return A, b, c
 
 
-def gauss2(A, b, c=0.0):
-    """Integral of exp(-u^T A u / 2 + b^T u + c) over R^2 by the kernel's
-    evaluator, whose linear term is i beta^T u, so beta = -i b."""
-    log_val, _, _ = _log_gauss2(A[0, 0], A[0, 1], A[1, 1], -1j * b[0], -1j * b[1], c)
-    return complex(np.exp(log_val))
+def branch_at_centre(spec, branch, t):
+    """A branch of ``_fields`` at its own centre at t1 = t2 = t, where b = 0:
+    N / (2 pi) 2 pi / sqrt(det A), with the reflected recoil phase divided out."""
+    (x1, x2), _ = frames(spec, t, t)[branch]
+    f = _fields(spec, x1, t, x2, t)
+    if not branch:
+        return complex(f.F_in)
+    tau = t - spec.t0
+    return complex(f.F_ref * np.exp(-1j * interference_phase(spec.params, x1, tau, x2, tau)))
 
 
 class TestGaussianIntegral:
-    def test_identity_matrix(self):
-        assert gauss2(np.eye(2, dtype=complex), np.zeros(2)) == pytest.approx(
-            TWO_PI, rel=1e-14)
+    """Each branch's closed form is its spectral Gaussian integral: at t0,
+    where A is real, it peaks at N 2 pi / sqrt(det R) with no phase of its
+    own; at any times it matches a direct trapezoid of the integral; and the
+    root of det A it takes stays continuous as the chirp grows."""
 
-    def test_isotropic_scaling(self):
+    def test_identity_matrix(self, params_fig5):
+        # dk = dK = 1: A = I at t0, so each branch is N = 1 / sqrt(pi) at its centre
+        s = WavegroupSpec(params_fig5, dk=1.0, dK=1.0, x1c=-12.0, x2c=0.0)
+        for branch in (0, 1):
+            assert abs(branch_at_centre(s, branch, s.t0) - 1.0 / math.sqrt(math.pi)) < 1e-14
+
+    def test_isotropic_scaling(self, params_fig5):
         for a in (0.5, 2.0, 7.0):
-            val = gauss2(a * np.eye(2, dtype=complex), np.zeros(2))
-            assert val == pytest.approx(TWO_PI / a, rel=1e-14)
+            # A = I / a^2 at t0: each branch at its centre is N 2 pi a^2 = a / sqrt(pi)
+            s = WavegroupSpec(params_fig5, dk=a, dK=a, x1c=-12.0 / a, x2c=0.0)
+            for branch in (0, 1):
+                val = branch_at_centre(s, branch, s.t0)
+                assert abs(val - a / math.sqrt(math.pi)) < 1e-14 * a
 
     def test_against_trapezoid_oracle(self, rng):
+        # natural-unit presets, whose carrier phases the float form of the
+        # integral resolves; a branch drawn at up to 2 sigma from its centre
+        names = ("fig2", "fig3-c", "fig5", "fig6-m1")
         for _ in range(12):
-            A, b, c = random_pd_form(rng)
-            closed = gauss2(A, b, c)
-            brute = trapezoid_gaussian_2d(A, b, c)
+            s = PRESETS[names[rng.integers(len(names))]].wavegroup
+            t1, t2 = s.collision_time + s.tau * rng.uniform(-1.0, 2.0, 2)
+            branch = int(rng.integers(2))
+            centre, cov = frames(s, t1, t2)[branch]
+            x = centre + np.sqrt(np.diag(cov)) * rng.uniform(-2.0, 2.0, 2)
+            pt = SpacetimePoint(float(x[0]), float(t1), float(x[1]), float(t2))
+            closed = amplitude_parts(s, pt)[branch]
+            brute = s.norm_const / TWO_PI * trapezoid_gaussian_2d(*spectral_form(s, branch, pt))
             assert abs(closed - brute) / abs(closed) < 1e-8
 
-    def test_branch_continuity(self, rng):
-        # value must vary continuously as Im(A) grows from zero
-        S = np.array([[3.0, 1.0], [1.0, -2.0]])
-        prev = None
-        for theta in np.linspace(0.0, 40.0, 400):
-            val = gauss2(np.eye(2) + 1j * theta * S, np.zeros(2))
-            if prev is not None:
-                assert abs(val - prev) < 0.2 * abs(prev) + 1e-12
-            prev = val
+    def test_branch_continuity(self):
+        # value must vary continuously as Im(A) grows from zero, t0 to 40 tau
+        for name, branch in itertools.product(("fig5", "fig6-m1"), (0, 1)):
+            s = PRESETS[name].wavegroup
+            prev = None
+            for t in s.t0 + s.tau * np.linspace(0.0, 40.0, 400):
+                val = branch_at_centre(s, branch, float(t))
+                if prev is not None:
+                    assert abs(val - prev) < 0.2 * abs(prev) + 1e-12, (name, branch, t)
+                prev = val
 
 
 class TestSpectralAmplitude:
