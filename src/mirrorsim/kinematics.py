@@ -28,6 +28,16 @@ class ApproximationWarning(UserWarning):
     """A closed-form approximation was evaluated outside its stated regime."""
 
 
+def _require_finite(obj, *names: str):
+    """ValueError naming the first of the fields ``names`` of ``obj`` that is
+    not a finite number. An inf or a NaN input would otherwise surface later,
+    as a NaN, an all-zero result or an error that blames another input."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Masses, initial velocities and constants of one particle-mirror system.
@@ -44,6 +54,7 @@ class PhysicalParams:
     kB: float = SI_KB
 
     def __post_init__(self):
+        _require_finite(self, "m", "M", "v", "V", "hbar", "kB")
         if not (self.m > 0 and self.M > 0):
             raise ValueError("masses must be positive")
         if not (self.hbar > 0 and self.kB > 0):

@@ -10,8 +10,8 @@ integrals of the slice over half lines of x2
 (:func:`~.wavegroup._closed_trace`), never sums over a grid.
 
 At each mirror time the state reads everything from the two branches' real
-forms (:func:`~.wavegroup._real_form`): branch profiles, supports and the
-PDF's density coefficients. It keeps those of the last t2 asked for in a
+forms (:func:`~.wavegroup._form`): branch profiles, supports and the PDF's
+density coefficients. It keeps those of the last t2 asked for in a
 one-entry memo, so a support and a PDF at one t2 build each branch once; the
 memo lives and dies with the state. A detection's regime compares both
 branches' log-moduli from its memo at t10 (:func:`classify_regime`).
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonic import fringe_period
+from .kinematics import _require_finite
 from .wavegroup import (WavegroupSpec, _axis_centre, _check_range, _closed_trace,
                         _Density, _density_form, _forms, _log_modulus, _smooth_pdf)
 
@@ -48,17 +49,17 @@ class MeasurementEvent:
     dx1: float = 1e-3
 
     def __post_init__(self):
+        _require_finite(self, "x10", "t10", "dx1")
         if not self.dx1 > 0:
             raise ValueError("detector resolution must be positive")
 
 
 @dataclass
 class _AtTime:
-    """Both branches of a conditional state at one mirror time t2, their real
-    forms, and the density coefficients, built from them on first use."""
+    """Both branches' real forms of a conditional state at one mirror time t2,
+    and the density coefficients, built from them on first use."""
 
     t2: float
-    branches: tuple
     forms: tuple
     density: _Density | None = None
 
@@ -87,9 +88,9 @@ class ConditionalMirrorState:
         if last is None or last.t2 != t2:
             # the forms in Python floats: a numpy scalar t2 gives the same
             # values, more slowly
-            last = _AtTime(t2, *_forms(self.spec, self.event.t10, float(t2)))
-            if all(map(math.isfinite, [v for c, log0, arg0, mr, mi in last.forms
-                                       for v in (*c, log0, arg0, *mr, *mi)])):
+            last = _AtTime(t2, _forms(self.spec, self.event.t10, float(t2)))
+            if all(map(math.isfinite, [v for f in last.forms
+                                       for v in (*f.centre, f.log0, f.arg0, *f.mr, *f.mi)])):
                 object.__setattr__(self, "_last", last)
         return last
 
@@ -98,7 +99,7 @@ class ConditionalMirrorState:
         (x10, t10, x2, t2), from the same evaluator."""
         at = self._at(t2)
         if at.density is None:
-            at.density = _density_form(self.spec, self.event.t10, t2, at.branches, at.forms)
+            at.density = _density_form(self.spec, self.event.t10, t2, at.forms)
         x10 = self.event.x10
         val = _smooth_pdf(at.density, x10, x2)
         if not apply_step:
@@ -110,7 +111,7 @@ class ConditionalMirrorState:
 
         The incident branch is the mirror substate that has not reflected the
         particle, the reflected branch the one that has. Each is read off the
-        branch's real form at t2 (:func:`~.wavegroup._real_form`), kept in the
+        branch's real form at t2 (:func:`~.wavegroup._form`), kept in the
         state's one-entry memo: along x2 at x10 its log-modulus is a quadratic
         with curvature mr22, so the centre is c2 - mr12 / mr22 (x10 - c1)
         (:func:`~.wavegroup._axis_centre`), sigma is 1 / sqrt(2 mr22), and the
@@ -120,7 +121,7 @@ class ConditionalMirrorState:
         ev = self.event
         out = []
         for form in self._at(t2).forms:
-            m22 = form[3][2]
+            m22 = form.mr[2]
             _check_range(m22 > 0.0, "conditional state", t10=ev.t10, t2=t2)
             centre = _axis_centre(form, 1, ev.x10)
             log_w = _log_modulus(form, ev.x10, centre)

@@ -685,7 +685,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
         flags.append("coarse-sampling")
     physical = x1[:, None] <= x2[None, :]
     values = np.zeros(grid.shape)
-    form = _density_form(spec, t1, t2, *_forms(spec, t1, t2))
+    form = _density_form(spec, t1, t2, _forms(spec, t1, t2))
     values[physical] = _smooth_pdf(form, x1, x2, within=physical)
     _check_range(np.isfinite(values).all(), "joint pdf", t1=t1, t2=t2)
     return FieldGrid(grid=grid, values=values,

@@ -14,15 +14,17 @@ recoil-form collision matrix of :class:`~.kinematics.PhysicalParams` for the
 reflected one. The reflected branch is the incident carrier plus a recoil:
 carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
 Both branches take the shared (v tau1, V tau2) off x before any recoil.
-:func:`_branch` states that form once at the measurement times (t1, t2), t2
-a float or an axis of times, and :func:`_moments` reads each branch's
-intensity Gaussian off it in real arithmetic: the one source of both
-packets' frames (:func:`frames`) and of each branch's real form
-(:func:`_real_form`), log|F| and arg F as real quadratics about the branch's
-centre. That is the one form per branch, and everything is read from it
-through the density's coefficients (:class:`_Density`): densities, traces,
-conditional profiles and regimes, and the complex amplitudes, currents and
-their gradients (relative to (k0, K0)) alike. A Gauss-Hermite quadrature of
+:func:`_form` builds each branch's real form at the measurement times (t1,
+t2), t2 a float or an axis of times, straight from the spec in real
+arithmetic: the intensity Gaussian's centre and covariance, and log|F| and
+arg F as real quadratics about that centre. The complex A is never formed:
+R = diag(1/dk^2, 1/dK^2) enters through its inverse, the chirps C =
+diag(hbar tau1/m, hbar tau2/M) as they are. That is the one form per
+branch. Both packets' frames (:func:`frames`) read its centre and
+covariance, and everything else reads it through the density's
+coefficients (:class:`_Density`): densities, traces, conditional profiles
+and regimes, and the complex amplitudes, currents and their gradients
+(relative to (k0, K0)) alike. A Gauss-Hermite quadrature of
 the same integrals, written independently, serves as the oracle.
 
 The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
@@ -78,7 +80,7 @@ import numpy as np
 
 from .harmonic import (_TWO_PI, SpacetimePoint, beat_frequency,
                        incident_phase, interference_phase)
-from .kinematics import PhysicalParams, elastic_final_velocities
+from .kinematics import PhysicalParams, _require_finite, elastic_final_velocities
 
 
 def _check_range(ok, what: str, **times):
@@ -117,6 +119,7 @@ class WavegroupSpec:
     t0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "dk", "dK", "x1c", "x2c", "t0")
         if not (self.dk > 0 and self.dK > 0):
             raise ValueError("spectral widths must be positive")
         if not self.x1c < self.x2c:
@@ -164,94 +167,60 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 # closed-form evaluation
 # ---------------------------------------------------------------------------
 
-class _Branch(NamedTuple):
-    """One branch's Gaussian form at the times tau = t - t0 (see the module
-    docstring); tau2, and every field that depends on it, may be an array."""
+class _Form(NamedTuple):
+    """One branch's real form at a pair of times (:func:`_form`); over an axis
+    of t2 the entries that depend on t2 are arrays, the others scalars."""
 
-    A: tuple        # (a11, a12, a22) of the complex symmetric A
-    E: tuple        # collision matrix ((e11, e12), (e21, e22)) on spectral offsets
-    chirp: tuple    # (hbar tau1/m, hbar tau2/M), the diagonal C of Im(A) = E^T C E
-    ut: tuple       # shared carrier displacements (v tau1, V tau2)
-    recoil: tuple   # the branch's own displacements on top of ut
-    kq: tuple       # carrier wavevectors relative to (k0, K0)
-    xc: tuple       # packet centres (x1c, x2c) at t0
-    tau: tuple      # (tau1, tau2), the times of the recoil phase
-    offset: tuple | None  # a detuned carrier's extra wavevectors, phase only
+    centre: tuple   # (x1, x2) where |F| peaks
+    cov: tuple      # ((11, 12), (21, 22)) of the intensity Gaussian |F|^2
+    log0: float     # log|F| at the centre
+    arg0: float     # arg F at the centre, less Phi and a reflected recoil phase
+    mr: tuple       # (11, 12, 22) of the real curvature, Sigma^{-1} / 2
+    mi: tuple       # (11, 12, 22) of the imaginary curvature
 
 
-def _branch(spec: WavegroupSpec, reflected: bool, t1, t2, detune: float = 1.0) -> _Branch:
-    """The incident or the reflected branch's Gaussian form at the measurement
-    times (t1, t2), t2 a float or an array. ``detune`` scales the reflected
-    carrier wavevectors, not the energies or the packet's motion: a
-    deliberately broken field for negative-control tests."""
-    p = spec.params
-    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # chirp coefficients
-    (a11, a12), (a21, a22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
-    kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
-    # a detuned reflected carrier (k0, K0) + kq gains (detune - 1) times itself
-    offset = (tuple((detune - 1.0) * (k + q) for k, q in zip((p.k, p.K), kq))
-              if reflected and detune != 1.0 else None)
-    A = (1.0 / spec.dk**2 + 1j * (c1 * a11 * a11 + c2 * a21 * a21),
-         1j * (c1 * a11 * a12 + c2 * a21 * a22),
-         1.0 / spec.dK**2 + 1j * (c1 * a12 * a12 + c2 * a22 * a22))
-    # a carrier offset kq moves the packet by hbar kq tau / m = c kq
-    return _Branch(A=A, E=((a11, a12), (a21, a22)), chirp=(c1, c2),
-                   ut=(p.v * tau1, p.V * tau2), recoil=(c1 * kq[0], c2 * kq[1]),
-                   kq=kq if offset is None else (kq[0] + offset[0], kq[1] + offset[1]),
-                   xc=(spec.x1c, spec.x2c), tau=(tau1, tau2),
-                   offset=offset)
+def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
+    """The incident or the reflected branch's real form at the measurement
+    times (t1, t2), t2 a float or an array: its log-amplitude is log0 + i arg0
+    - d^T (mr + i mi) d / 2, d = x - centre, less a reflected branch's recoil
+    phase (:func:`_density_form`).
 
-
-def _moments(br: _Branch):
-    """Centre, intensity covariance, P and det Q of one branch, in plain floats,
-    or in arrays over an axis of t2.
-
-    |F|^2 is the Gaussian exp(-b^T Re(A^{-1}) b), centred where b = 0, at
-    u tau + recoil + E^{-T} (x1c, x2c). With A = R + i E^T C E, R = diag(1/dk^2,
-    1/dK^2), C = diag(chirp), its covariance (2 E Re(A^{-1}) E^T)^{-1} is
-    (P + C Q C) / 2, P = E^{-T} R E^{-1}, Q = P^{-1} = E R^{-1} E^T, since
-    Re((P + i C)^{-1}) = (P + C Q C)^{-1}. The diagonal is a sum of like-signed
-    terms that bound the off-diagonal, so nothing cancels. P is the adjugate
-    of Q over det Q = det(E)^2 / (R11 R22).
-    """
-    (e11, e12), (e21, e22) = br.E
-    det_e = e11 * e22 - e12 * e21
-    s1, s2 = 1.0 / br.A[0].real, 1.0 / br.A[2].real  # R^{-1}
-    det_q = det_e * det_e * s1 * s2
-    q11 = e11 * e11 * s1 + e12 * e12 * s2
-    q12 = e11 * e21 * s1 + e12 * e22 * s2
-    q22 = e21 * e21 * s1 + e22 * e22 * s2
-    P = ((q22 / det_q, -q12 / det_q), (-q12 / det_q, q11 / det_q))
-    c1, c2 = br.chirp
-    cov12 = 0.5 * (P[0][1] + c1 * c2 * q12)
-    cov = ((0.5 * (P[0][0] + c1 * c1 * q11), cov12),
-           (cov12, 0.5 * (P[1][1] + c2 * c2 * q22)))
-    x1c, x2c = br.xc
-    centre = (br.ut[0] + br.recoil[0] + (e22 * x1c - e21 * x2c) / det_e,
-              br.ut[1] + br.recoil[1] + (e11 * x2c - e12 * x1c) / det_e)
-    return centre, cov, P, det_q
-
-
-def _real_form(br: _Branch):
-    """(centre, log0, arg0, mr, mi) of one branch, whose log-amplitude is
-    log0 + i arg0 - d^T (mr + i mi) d / 2 about its intensity centre
-    (:func:`_moments`), d = x - centre, less a reflected branch's recoil
-    phase. mr and mi are (11, 12, 22).
+    In the module docstring's A = R + i E^T C E, R = diag(1/dk^2, 1/dK^2), C =
+    diag(hbar tau1/m, hbar tau2/M), |F|^2 is the Gaussian exp(-b^T Re(A^{-1})
+    b), centred where b = 0: at u tau + recoil + E^{-T} (x1c, x2c), a carrier
+    offset kq moving the packet by hbar kq tau / m = c kq. Its covariance Sigma
+    = (2 E Re(A^{-1}) E^T)^{-1} is (P + C Q C) / 2, P = E^{-T} R E^{-1}, Q =
+    P^{-1} = E R^{-1} E^T, since Re((P + i C)^{-1}) = (P + C Q C)^{-1}. The
+    diagonal is a sum of like-signed terms that bound the off-diagonal, so
+    nothing cancels. P is the adjugate of Q over det Q = det(E)^2 / (R11 R22).
 
     With b = E^T d and A = E^T (P + i C) E, b^T A^{-1} b = d^T (P + i C)^{-1} d,
     and (P + i C)^{-1} = adj(P + i C) conj(D) / |D|^2, D = det(P + i C). For
     c1 c2 >= 0, |D|^2, mr's diagonal and all of mi are sums of like-signed
     terms, so the curvature along an axis, kappa = mr_ii + i mi_ii, keeps its
-    real part even where it is 1e-15 of |kappa|. mr = Sigma^{-1} / 2, and log0
-    is the unit-norm Gaussian's -log(2 pi sqrt(det Sigma)) / 2, det Sigma =
-    |D|^2 det Q / 4. arg0 = -arg(D) / 2, the branch of sqrt(det A) continuous
-    from real A. Over an axis of t2 the entries that depend on t2 are arrays,
-    from numpy's log and arctan2; Python float times keep math's, whose
-    roundings numpy's scalar arctan2 does not always reproduce.
+    real part even where it is 1e-15 of |kappa|. log0 is the unit-norm
+    Gaussian's -log(2 pi sqrt(det Sigma)) / 2, det Sigma = |D|^2 det Q / 4, and
+    arg0 = -arg(D) / 2, the branch of sqrt(det A) continuous from real A. Over
+    an axis of t2 the entries that depend on t2 are arrays, from numpy's log
+    and arctan2; Python float times keep math's, whose roundings numpy's
+    scalar arctan2 does not always reproduce.
     """
-    centre, _, ((p11, p12), (_, p22)), det_q = _moments(br)
-    c1, c2 = br.chirp
+    p = spec.params
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # the chirps C
+    (e11, e12), (e21, e22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
+    kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
+    det_e = e11 * e22 - e12 * e21
+    s1, s2 = 1.0 / (1.0 / spec.dk**2), 1.0 / (1.0 / spec.dK**2)  # R^{-1}
+    det_q = det_e * det_e * s1 * s2
+    q11 = e11 * e11 * s1 + e12 * e12 * s2
+    q12 = e11 * e21 * s1 + e12 * e22 * s2
+    q22 = e21 * e21 * s1 + e22 * e22 * s2
+    p11, p12, p22 = q22 / det_q, -q12 / det_q, q11 / det_q
+    cov12 = 0.5 * (p12 + c1 * c2 * q12)
+    cov = ((0.5 * (p11 + c1 * c1 * q11), cov12), (cov12, 0.5 * (p22 + c2 * c2 * q22)))
+    centre = (p.v * tau1 + c1 * kq[0] + (e22 * spec.x1c - e21 * spec.x2c) / det_e,
+              p.V * tau2 + c2 * kq[1] + (e11 * spec.x2c - e12 * spec.x1c) / det_e)
     det_p = 1.0 / det_q
     dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
           + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
@@ -261,28 +230,27 @@ def _real_form(br: _Branch):
           p12 * (c1 * p22 + c2 * p11) / dd,
           -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
     log, atan2 = (np.log, np.arctan2) if isinstance(dd, np.ndarray) else (math.log, math.atan2)
-    log0 = -0.25 * log(math.pi * math.pi * dd * det_q)
-    return centre, log0, -0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr, mi
+    return _Form(centre=centre, cov=cov, log0=-0.25 * log(math.pi * math.pi * dd * det_q),
+                 arg0=-0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr=mr, mi=mi)
 
 
-def _forms(spec: WavegroupSpec, t1, t2, detune: float = 1.0):
-    """Both branches at (t1, t2), incident first, and their real forms."""
-    branches = tuple(_branch(spec, r, t1, t2, detune) for r in (False, True))
-    return branches, tuple(_real_form(br) for br in branches)
+def _forms(spec: WavegroupSpec, t1, t2):
+    """Both branches' real forms at (t1, t2), incident first (:func:`_form`)."""
+    return _form(spec, False, t1, t2), _form(spec, True, t1, t2)
 
 
-def _log_modulus(form, x1, x2):
-    """log|F| of one branch at (x1, x2), from its real form (:func:`_real_form`)."""
-    centre, log0, _, (m11, m12, m22), _ = form
-    d1, d2 = x1 - centre[0], x2 - centre[1]
-    return log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
+def _log_modulus(form: _Form, x1, x2):
+    """log|F| of one branch at (x1, x2), from its real form (:func:`_form`)."""
+    (c1, c2), (m11, m12, m22) = form.centre, form.mr
+    d1, d2 = x1 - c1, x2 - c2
+    return form.log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
 
 
-def _axis_centre(form, axis: int, other):
+def _axis_centre(form: _Form, axis: int, other):
     """Where |F| of one branch peaks along a coordinate axis, the other
     coordinate held at ``other``: centre_i - mr_ij / mr_ii (other - centre_j),
-    i = axis, from its real form (:func:`_real_form`). Callers check mr_ii > 0."""
-    centre, _, _, mr, _ = form
+    i = axis, from its real form (:func:`_form`). Callers check mr_ii > 0."""
+    centre, mr = form.centre, form.mr
     return centre[axis] - mr[1] / mr[2 * axis] * (other - centre[1 - axis])
 
 
@@ -333,24 +301,24 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     gives the whole line. Along the axis each term of |F_in|^2 + |F_ref|^2
     - 2 |F_in F_ref| cos(dphi) is exp(quadratic), with curvature Re(kappa_in),
     Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, kappa = mr_ii + i mi_ii
-    of each branch's real form (:func:`_real_form`). Each intensity term is
+    of each branch's real form (:func:`_form`). Each intensity term is
     real: 2 log|F| (:func:`_log_modulus`) about the branch's peak along the
     axis (:func:`_axis_centre`), with no slope, through erfcx. The cross term
     is log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
     peaks, where its real slope vanishes, through the Faddeeva w (both numpy
     kernels of :mod:`._faddeeva`), with dphi and its slope from
-    :meth:`_Density.half_phase`, which evaluates the phase parts alone
-    (:meth:`_Density.phase`): every exponent is read in real arithmetic,
+    :meth:`_Density.half_phase`, which evaluates the phase parts alone: every
+    exponent is read in real arithmetic,
     where it is largest. By Cauchy-Schwarz |cross| <= sqrt(y_in y_ref), so
     the complex cross term is evaluated only where that bound, with each y
     raised by what underflow can take from it, exceeds 2^-81 (y_in + y_ref);
     elsewhere it cannot change the rounded sum, and every value is bitwise
     that of the cross term evaluated everywhere.
     """
-    branches, forms = _forms(spec, t1, t2)
-    k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
+    forms = _forms(spec, t1, t2)
+    k_in, k_ref = (complex(f.mr[2 * axis], f.mi[2 * axis]) for f in forms)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
-    density = _density_form(spec, t1, t2, branches, forms)
+    density = _density_form(spec, t1, t2, forms)
     outer, start = np.broadcast_arrays(outer, outer if start is None else start)
 
     def log_modulus(form, u, at):
@@ -438,8 +406,8 @@ class _Density(NamedTuple):
     cycles = (hi, lo), the recoil half phase per unit x_j over pi, and kick
     that half phase's slope, +-k_rel on an undetuned carrier.
 
-    :meth:`phase` evaluates (theta_j, e_j) alone, which is all a trace's
-    cross term reads (:meth:`half_phase`); :meth:`log_axis` adds log a_j and
+    :meth:`_phase_terms` evaluates theta_j and the offsets alone, which is all
+    a trace's cross term reads (:meth:`half_phase`); :meth:`log_axis` adds log a_j and
     beta_j to the same values, :meth:`axis` takes a_j from it for the
     density, and :meth:`logs` combines both axes' logs for the amplitudes
     (:func:`_fields`) and the beat (:func:`~.observables.doppler_beat`).
@@ -465,11 +433,6 @@ class _Density(NamedTuple):
         theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
         return theta, e, fold, e_sq, d_sq
 
-    def phase(self, j: int, x):
-        """(theta_j, e_j) at the points x of axis j (:meth:`_phase_terms`)."""
-        theta, e, *_ = self._phase_terms(j, x)
-        return theta, e
-
     def log_axis(self, j: int, x):
         """(log a_j, beta_j, theta_j, e_j) at the points x of axis j, the phase
         and the squared offsets from :meth:`_phase_terms`."""
@@ -492,9 +455,9 @@ class _Density(NamedTuple):
     def half_phase(self, j: int, x, other):
         """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
         at ``other``: the half phase difference and its slope, recoil kick
-        exact, from :meth:`phase` alone."""
-        theta, e = self.phase(j, x)
-        theta_o, e_o = self.phase(1 - j, other)
+        exact, from the phase parts alone (:meth:`_phase_terms`)."""
+        theta, e, *_ = self._phase_terms(j, x)
+        theta_o, e_o, *_ = self._phase_terms(1 - j, other)
         _, _, delta, _, _, (qr, qi, fp, _), _, kick = self.axes[j]
         slope = kick + 2.0 * (qr * (e - delta) - qi * e) - fp + 0.5 * self.h12 * e_o
         return theta + theta_o + 0.5 * self.h12 * e * e_o, slope
@@ -517,23 +480,28 @@ def _over_pi(hi: float, lo: float):
     return q, (((hi - p) - p_err) + lo - q * _PI_LO) / math.pi
 
 
-def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
+def _density_form(spec: WavegroupSpec, t1, t2, forms, detune: float = 1.0,
                   reflected_weight: float = 1.0) -> _Density:
-    """The coefficients of :class:`_Density` at (t1, t2), from both branches
-    there and their real forms (:func:`_forms`); over an axis of t2 they are
-    arrays, one form for the whole series."""
+    """The coefficients of :class:`_Density` at (t1, t2), from both branches'
+    real forms there (:func:`_forms`); over an axis of t2 they are arrays, one
+    form for the whole series. ``detune`` scales the reflected carrier
+    wavevectors, not the energies or the packet's motion, so it changes the
+    phase alone: a deliberately broken field for negative-control tests."""
     p = spec.params
-    reflected = branches[1]
-    (_, log_in, arg_in, mr_in, mi_in), (_, log_ref, arg_ref, mr, mi) = forms
-    # the centres' offset in closed form, never a difference of the two centres
-    a12, sep = reflected.E[0][1], spec.x2c - spec.x1c
-    delta = (reflected.recoil[0] + (2.0 - a12) * sep, reflected.recoil[1] - a12 * sep)
-    offset = reflected.offset or (0.0, 0.0)
-    # the recoil phase 2 k_rel (x2 - x1) + offset . x enters with a minus sign
+    f_in, f_ref = forms
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+    kq = 2.0 * p.k_rel  # the reflected carrier is (k0, K0) + kq (-1, 1)
+    # the centres' offset in closed form, never a difference of the two centres:
+    # a carrier offset moves the packet by hbar kq tau / m, the recoil
+    a12, sep = p.collision_matrix[0][1], spec.x2c - spec.x1c
+    delta = (p.hbar * tau1 / p.m * -kq + (2.0 - a12) * sep,
+             p.hbar * tau2 / p.M * kq - a12 * sep)
+    # a detuned reflected carrier gains (detune - 1) times itself; the recoil
+    # phase 2 k_rel (x2 - x1) + offset . x enters with a minus sign
+    offset = ((detune - 1.0) * (p.k - kq), (detune - 1.0) * (p.K + kq))
     k_hi, k_lo = _k_rel_dd(p)
     kick = (k_hi - 0.5 * offset[0], -k_hi - 0.5 * offset[1])
-    tau1, tau2 = reflected.tau
-    const = (arg_in - arg_ref - 2.0 * beat_frequency(p) * (tau1 - tau2)
+    const = (f_in.arg0 - f_ref.arg0 - 2.0 * beat_frequency(p) * (tau1 - tau2)
              + (math.pi if reflected_weight < 0.0 else 0.0))
     # Python float times keep math's calls, the exact remainder among them;
     # over an axis of t2, numpy's remainder may land a period higher, which
@@ -544,14 +512,14 @@ def _density_form(spec: WavegroupSpec, t1, t2, branches, forms,
         finite, remainder = math.isfinite(const), math.remainder
     _check_range(finite, "joint pdf", t1=t1, t2=t2)  # before remainder raises
     axes = tuple(
-        (_two_prod(u, tau), xc, delta[j], (log_in if j == 0 else 0.0, 0.5 * mr_in[2 * j]),
-         (log_ref if j == 0 else 0.0, 0.5 * mr[2 * j], mr[1] * delta[1 - j]),
-         (0.25 * mi[2 * j], 0.25 * mi_in[2 * j], 0.5 * mi[1] * delta[1 - j],
+        (_two_prod(u, tau), xc, delta[j], (f_in.log0 if j == 0 else 0.0, 0.5 * f_in.mr[2 * j]),
+         (f_ref.log0 if j == 0 else 0.0, 0.5 * f_ref.mr[2 * j], f_ref.mr[1] * delta[1 - j]),
+         (0.25 * f_ref.mi[2 * j], 0.25 * f_in.mi[2 * j], 0.5 * f_ref.mi[1] * delta[1 - j],
           0.5 * remainder(const, _TWO_PI) if j == 0 else 0.0),
          _over_pi(kick[j], sign * k_lo), kick[j])
         for j, (u, tau, xc, sign) in enumerate(((p.v, tau1, spec.x1c, 1.0),
                                                  (p.V, tau2, spec.x2c, -1.0))))
-    return _Density(axes=axes, mr12=mr[1], h12=mi[1], weight=abs(reflected_weight))
+    return _Density(axes=axes, mr12=f_ref.mr[1], h12=f_ref.mi[1], weight=abs(reflected_weight))
 
 
 def _smooth_pdf(form: _Density, x1, x2, within=None):
@@ -596,26 +564,26 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     and the physical state is exp(i*Phi) * (F_in - F_ref) * theta(x2 - x1),
     Phi being :func:`_carrier_phase`. In the density's exact offsets e and
     d = e - delta, |F_in| = a1 a2, log|F_ref| = beta1 + beta2 - mr12 e1 e2,
-    the incident phase is arg_in - (mi_in11 e1^2 + mi_in22 e2^2) / 2 of its
-    real form, and F_ref / F_in has phase -2 theta. Every axis part is
-    evaluated on its own coordinate, so separable arrays x1[:, None],
+    the incident phase is arg0 - (mi11 e1^2 + mi22 e2^2) / 2 of its real
+    form (:func:`_form`), and F_ref / F_in has phase -2 theta. Every axis
+    part is evaluated on its own coordinate, so separable arrays x1[:, None],
     x2[None, :] cost O(n1 + n2) of them. ``detune`` detunes the reflected
-    carrier (:func:`_branch`); ``reflected_weight`` linearly rescales the
-    reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
+    carrier (:func:`_density_form`); ``reflected_weight`` linearly rescales
+    the reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
     relative to the incident carrier (k0, K0): those of the same quadratics,
     with theta's slope, recoil kick exact, from :meth:`_Density.half_phase`.
     """
-    branches, forms = _forms(spec, t1, t2, detune)
-    form = _density_form(spec, t1, t2, branches, forms, reflected_weight)
-    (_, _, arg_in, mr_in, mi_in), (_, _, _, mr, _) = forms
+    f_in, f_ref = forms = _forms(spec, t1, t2)
+    density = _density_form(spec, t1, t2, forms, detune, reflected_weight)
+    mr_in, mi_in, mr = f_in.mr, f_in.mi, f_ref.mr
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    log_in, log_ref, theta, e1, e2 = form.logs(x1, x2)
-    arg = arg_in - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
+    log_in, log_ref, theta, e1, e2 = density.logs(x1, x2)
+    arg = f_in.arg0 - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
     out = SimpleNamespace(F_in=np.exp(log_in + 1j * arg),
-                          F_ref=form.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
+                          F_ref=density.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
     if gradients:
-        d1, d2 = e1 - form.axes[0][2], e2 - form.axes[1][2]  # axes[j][2] is delta_j
-        (_, slope1), (_, slope2) = form.half_phase(0, x1, x2), form.half_phase(1, x2, x1)
+        d1, d2 = e1 - density.axes[0][2], e2 - density.axes[1][2]  # axes[j][2] is delta_j
+        (_, slope1), (_, slope2) = density.half_phase(0, x1, x2), density.half_phase(1, x2, x1)
         out.Lin1 = -(mr_in[0] + 1j * mi_in[0]) * e1
         out.Lin2 = -(mr_in[2] + 1j * mi_in[2]) * e2
         out.Lref1 = -(mr[0] * d1 + mr[1] * d2) - 1j * (mi_in[0] * e1 + 2.0 * slope1)
@@ -647,7 +615,7 @@ def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     conservation checks use that branch, on which the coordinate-pair
     evolutions are exactly unitary.
     """
-    form = _density_form(spec, t1, t2, *_forms(spec, t1, t2, detune), reflected_weight)
+    form = _density_form(spec, t1, t2, _forms(spec, t1, t2), detune, reflected_weight)
     val = _smooth_pdf(form, x1, x2)
     if not apply_step:
         return val
@@ -682,9 +650,9 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 
 def frames(spec: WavegroupSpec, t1: float, t2: float):
     """[(centre, covariance) of the incident packet, the same of the reflected
-    one] at (t1, t2): arrays of shape (2,) and (2, 2) from :func:`_moments`."""
-    return [tuple(np.array(m) for m in _moments(_branch(spec, r, t1, t2))[:2])
-            for r in (False, True)]
+    one] at (t1, t2): arrays of shape (2,) and (2, 2), read off both branches'
+    real forms (:func:`_forms`)."""
+    return [(np.array(f.centre), np.array(f.cov)) for f in _forms(spec, t1, t2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
 from mirrorsim import (PhysicalParams, WavegroupSpec, beat_frequency,
                        coherence_length, elastic_final_velocities, fringe_period,
                        thermal_spread)
-from mirrorsim.wavegroup import _branch
+from mirrorsim.wavegroup import _density_form, _form, _forms
 from conftest import random_valid_params, reflected_pair
 
 
@@ -67,22 +66,30 @@ class TestElastic:
 
 class TestCollisionStatedTwice:
     def test_wavevector_and_velocity_forms_agree(self, rng):
-        # the wavegroup's reflected branch carries the collision as a carrier
-        # offset and a recoil displacement, the plane-wave pair as reflected
-        # wavevectors, elastic_final_velocities as velocities; the central
-        # reflected wavevectors, velocities, fringe period and beat must agree
+        # the wavegroup's reflected branch carries the collision as a recoil
+        # phase, whose slope is the density's kick, and as the motion of its
+        # centre; the plane-wave pair as reflected wavevectors,
+        # elastic_final_velocities as velocities. The central reflected
+        # wavevectors, velocities, fringe period and beat must agree
         for natural in (True, False):
             for _ in range(2000):
                 p = random_valid_params(rng, natural=natural)
                 spec = WavegroupSpec(p, dk=1.0, dK=1.0, x1c=-20.0, x2c=0.0)
                 k_ref, K_ref = reflected_pair(p)
-                br = _branch(spec, True, spec.t0 + 1.0, spec.t0 + 1.0)
+                t = spec.t0 + 1.0
+                # the half phase (arg F_in - arg F_ref) / 2 rises by the kick
+                # per unit x_j, so F_ref's carrier is (k0, K0) - 2 kick
+                kick = [ax[-1] for ax in _density_form(spec, t, t, _forms(spec, t, t)).axes]
                 k_scale = abs(p.k) + abs(p.K)
-                assert abs(p.k + br.kq[0] - k_ref) <= 1e-12 * k_scale
-                assert abs(p.K + br.kq[1] - K_ref) <= 1e-12 * k_scale
+                assert abs(p.k - 2.0 * kick[0] - k_ref) <= 1e-12 * k_scale
+                assert abs(p.K - 2.0 * kick[1] - K_ref) <= 1e-12 * k_scale
                 v_scale = abs(p.v) + abs(p.V)
-                for u, u_f in zip(np.add(br.ut, br.recoil), elastic_final_velocities(p)):
-                    assert abs(u - u_f) <= 1e-12 * v_scale
+                # over a time long enough that the centre's offset at t0
+                # rounds to well below 1e-12 of the displacement
+                span = 1e6 / v_scale
+                c0, c1 = (_form(spec, True, spec.t0 + s, spec.t0 + s).centre for s in (0.0, span))
+                for a, b, u_f in zip(c0, c1, elastic_final_velocities(p)):
+                    assert abs((b - a) / span - u_f) <= 1e-12 * v_scale
                 period = math.pi / abs(p.k_rel)
                 assert abs(period - fringe_period(p)) <= 1e-12 * period
                 beat_scale = (p.hbar * abs(p.k_rel) * k_scale) / (p.m + p.M)

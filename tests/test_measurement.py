@@ -145,7 +145,7 @@ class TestOneFormPerTime:
     def test_each_branch_is_built_once_per_time(self, monkeypatch):
         from mirrorsim import wavegroup
         s, state = _preset_state("fig5")
-        built = {"_branch": 0, "_real_form": 0}
+        built = {"_form": 0}
         for fn_name in built:
             original = getattr(wavegroup, fn_name)
 
@@ -157,7 +157,7 @@ class TestOneFormPerTime:
             lo, hi = state.support(t2)
             state.pdf(np.linspace(lo, hi, 64), t2)
             state.branch_profiles(t2)
-            assert built == {"_branch": 2 * n, "_real_form": 2 * n}
+            assert built == {"_form": 2 * n}
 
     @pytest.mark.parametrize("name", ["fig5", "fig8"])
     @pytest.mark.parametrize("when", ["nan", "inf", "before"])

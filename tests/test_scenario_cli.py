@@ -265,9 +265,9 @@ def _full_trace(spec, outer, t1, t2, axis):
     """The closed trace with the cross term evaluated at every point and both
     intensity terms through the complex erfc at zero slope, in the same
     summation order: what ``_closed_trace`` gives with no term skipped."""
-    branches, forms = wavegroup._forms(spec, t1, t2)
-    k_in, k_ref = (complex(mr[2 * axis], mi[2 * axis]) for *_, mr, mi in forms)
-    density = wavegroup._density_form(spec, t1, t2, branches, forms)
+    forms = wavegroup._forms(spec, t1, t2)
+    k_in, k_ref = (complex(f.mr[2 * axis], f.mi[2 * axis]) for f in forms)
+    density = wavegroup._density_form(spec, t1, t2, forms)
 
     def log_modulus(form, u):
         return wavegroup._log_modulus(form, *((outer, u) if axis == 1 else (u, outer)))

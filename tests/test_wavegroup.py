@@ -12,10 +12,9 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        marginal_over_mirror, marginal_over_particle,
                        spectral_amplitude)
 from mirrorsim.harmonic import interference_phase
-from mirrorsim.scenario import PRESETS
-from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _branch, _carrier_phase,
-                                 _density_form, _fields, _forms, _real_form,
-                                 _two_prod, frames)
+from mirrorsim.scenario import PRESETS, _beat_window, resolve_event
+from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _carrier_phase, _density_form,
+                                 _fields, _forms, _two_prod, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,7 +135,26 @@ class TestSpectralAmplitude:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+_NON_FINITE_FIELDS = ([(PhysicalParams, f) for f in ("m", "M", "v", "V", "hbar", "kB")]
+                      + [(WavegroupSpec, f) for f in ("dk", "dK", "x1c", "x2c", "t0")]
+                      + [(MeasurementEvent, f) for f in ("x10", "t10", "dx1")])
+
+
 class TestSpecInvariants:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("cls, name", _NON_FINITE_FIELDS,
+                             ids=[f"{c.__name__}.{f}" for c, f in _NON_FINITE_FIELDS])
+    def test_rejects_non_finite_input(self, params_fig5, cls, name, value):
+        # an inf or NaN input is named where it enters, not left to give a
+        # NaN PDF, an all-zero conditional PDF or an unrelated error later
+        valid = {PhysicalParams: dict(m=1.0, M=3.0, v=50.0, V=30.0, hbar=1.0, kB=1.0),
+                 WavegroupSpec: dict(params=params_fig5, dk=1.0, dK=2.0, x1c=-10.0,
+                                     x2c=0.0, t0=0.0),
+                 MeasurementEvent: dict(x10=-1.0, t10=0.5, dx1=1e-3)}[cls]
+        cls(**valid)
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be finite"):
+            cls(**{**valid, name: value})
+
     def test_rejects_bad_widths(self, params_fig5):
         with pytest.raises(ValueError):
             WavegroupSpec(params_fig5, dk=0.0, dK=2.0, x1c=-10, x2c=0)
@@ -343,14 +361,28 @@ def _moments(w, x1, x2):
     return total * (x1[1] - x1[0]) * (x2[1] - x2[0]), np.array([m1, m2]), cov
 
 
-def _exact_branch_moments(br):
-    """Exact rational moments of a branch form whose float A, E, ut, recoil and
-    xc are taken as exact: the centre, Sigma = (2 E Re(A^{-1}) E^T)^{-1}, and
-    per axis Re(kappa) = w^T Re(A^{-1}) w, w = E^T e_axis, with the function
-    that maps the other coordinate to the conditional centre
-    -b0^T Re(A^{-1}) w / Re(kappa). Complex numbers are (re, im) pairs."""
+def _exact_branch_moments(spec, reflected, t1, t2):
+    """Exact rational moments of a branch's complex Gaussian form (the
+    ``wavegroup`` module docstring) at (t1, t2). The float A, E, shared
+    displacements ut = u tau, recoil c kq and centres xc are built from the
+    spec in floating point, then taken as exact: the centre, Sigma =
+    (2 E Re(A^{-1}) E^T)^{-1}, and per axis Re(kappa) = w^T Re(A^{-1}) w,
+    w = E^T e_axis, with the function that maps the other coordinate to the
+    conditional centre -b0^T Re(A^{-1}) w / Re(kappa). Complex numbers are
+    (re, im) pairs."""
+    p = spec.params
+    tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+    c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M
+    (e11, e12), (e21, e22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
+    kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
+    float_a = (1.0 / spec.dk**2 + 1j * (c1 * e11 * e11 + c2 * e21 * e21),
+               1j * (c1 * e11 * e12 + c2 * e21 * e22),
+               1.0 / spec.dK**2 + 1j * (c1 * e12 * e12 + c2 * e22 * e22))
+    ut, recoil = (p.v * tau1, p.V * tau2), (c1 * kq[0], c2 * kq[1])
+    xc = (spec.x1c, spec.x2c)
+
     F = Fraction
-    (a1r, a1i), (a2r, a2i), (a3r, a3i) = ((F(z.real), F(z.imag)) for z in br.A)
+    (a1r, a1i), (a2r, a2i), (a3r, a3i) = ((F(z.real), F(z.imag)) for z in float_a)
     # Re(A^{-1}) = Re(adj(A) conj(det A)) / |det A|^2
     dr = a1r * a3r - a1i * a3i - a2r * a2r + a2i * a2i
     di = a1r * a3i + a1i * a3r - 2 * a2r * a2i
@@ -358,13 +390,13 @@ def _exact_branch_moments(br):
     adj = ((a3r, a3i), (-a2r, -a2i), (a1r, a1i))
     r11, r12, r22 = ((xr * dr + xi * di) / mag for xr, xi in adj)
     re_ainv = ((r11, r12), (r12, r22))
-    E = [[F(e) for e in row] for row in br.E]
+    E = [[F(e) for e in row] for row in ((e11, e12), (e21, e22))]
     m = [[2 * sum(E[i][k] * re_ainv[k][l] * E[j][l] for k in (0, 1) for l in (0, 1))
           for j in (0, 1)] for i in (0, 1)]
     det_m = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     cov = ((m[1][1] / det_m, -m[0][1] / det_m), (-m[1][0] / det_m, m[0][0] / det_m))
-    shift = [F(u) + F(r) for u, r in zip(br.ut, br.recoil)]
-    x1c, x2c = (F(x) for x in br.xc)
+    shift = [F(u) + F(r) for u, r in zip(ut, recoil)]
+    x1c, x2c = (F(x) for x in xc)
     det_e = E[0][0] * E[1][1] - E[0][1] * E[1][0]
     centre = (shift[0] + (E[1][1] * x1c - E[1][0] * x2c) / det_e,
               shift[1] + (E[0][0] * x2c - E[0][1] * x1c) / det_e)
@@ -376,7 +408,7 @@ def _exact_branch_moments(br):
         def conditional_centre(other):
             y = [-shift[0], -shift[1]]
             y[1 - axis] += F(other)
-            b0 = [E[0][k] * y[0] + E[1][k] * y[1] - F(x) for k, x in zip((0, 1), br.xc)]
+            b0 = [E[0][k] * y[0] + E[1][k] * y[1] - F(x) for k, x in zip((0, 1), xc)]
             slope = sum(b0[k] * re_ainv[k][l] * w[l] for k in (0, 1) for l in (0, 1))
             return -slope / re_kappa
         return re_kappa, conditional_centre
@@ -438,20 +470,19 @@ class TestBranchFrames:
 
     @staticmethod
     def _check_exact(spec, t1, t2, centres_too=True):
-        for reflected, (centre, cov) in zip((False, True), frames(spec, t1, t2)):
-            br = _branch(spec, reflected, t1, t2)
-            ref_centre, ref_cov, along = _exact_branch_moments(br)
+        forms = _forms(spec, t1, t2)
+        for reflected, (centre, cov), form in zip((False, True), frames(spec, t1, t2), forms):
+            ref_centre, ref_cov, along = _exact_branch_moments(spec, reflected, t1, t2)
             sig = [math.sqrt(ref_cov[i][i]) for i in (0, 1)]
             for i in (0, 1):
                 for j in (0, 1):
                     assert abs(cov[i, j] - float(ref_cov[i][j])) <= 1e-14 * sig[i] * sig[j]
                 if centres_too:
                     assert abs(centre[i] - float(ref_centre[i])) <= 1e-7 * sig[i]
-            form = _real_form(br)
             for axis in (0, 1):
                 re_kappa, conditional_centre = along(axis)
                 other = float(ref_centre[1 - axis]) + sig[1 - axis]
-                c, mr_ii = _axis_centre(form, axis, other), form[3][2 * axis]
+                c, mr_ii = _axis_centre(form, axis, other), form.mr[2 * axis]
                 assert abs(mr_ii - float(re_kappa)) <= 1e-14 * float(re_kappa)
                 if centres_too:
                     width = 1.0 / math.sqrt(2.0 * float(re_kappa))
@@ -477,10 +508,40 @@ class TestBranchFrames:
             self._check_exact(s, t1, t2, centres_too=False)
 
 
+class TestFormsOverTimes:
+    """Over an axis of mirror times each branch is one real form whose entries
+    that depend on t2 are arrays; at each t2 it is the form built there alone.
+    Arithmetic is elementwise, so every entry is bitwise the scalar one, except
+    log0 and arg0, which take numpy's log and arctan2 over an axis and math's
+    on a float."""
+
+    @staticmethod
+    def _entries(form):
+        return {"centre": list(form.centre), "cov": [v for row in form.cov for v in row],
+                "mr": list(form.mr), "mi": list(form.mi), "log0": [form.log0],
+                "arg0": [form.arg0]}
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig8", "fig9"])
+    def test_axis_of_times_matches_each_time(self, name):
+        sc = PRESETS[name]
+        s, ev = sc.wavegroup, resolve_event(sc, sc.events[0])
+        t2 = _beat_window(sc, ev)  # the beat analysis's 900 times
+        at_each = [_forms(s, ev.t10, float(t)) for t in t2]
+        for branch, form in enumerate(_forms(s, ev.t10, t2)):
+            for field, values in self._entries(form).items():
+                for k, value in enumerate(values):
+                    got = np.broadcast_to(value, t2.shape)
+                    want = np.array([self._entries(f[branch])[field][k] for f in at_each])
+                    if field in ("log0", "arg0"):
+                        assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want)), (field, branch)
+                    else:
+                        assert got.tobytes() == want.tobytes(), (field, k, branch)
+
+
 class TestDensityPhase:
-    """``_Density.phase`` is the phase half of ``_Density.axis``: the (theta, e)
-    a trace's cross term reads, bitwise what the density reads and what the
-    phase formula, written out here, gives."""
+    """``_Density._phase_terms`` gives the phase half of ``_Density.axis``: the
+    (theta, e) a trace's cross term reads (``half_phase``), bitwise what the
+    density reads and what the phase formula, written out here, gives."""
 
     @staticmethod
     def _one_pass(density, j, x):
@@ -499,13 +560,13 @@ class TestDensityPhase:
         s = PRESETS[name].wavegroup
         t_c, tau = s.collision_time, s.tau
         for t1, t2 in ((t_c, t_c), (t_c, t_c + 2.0 * tau), (t_c + tau, t_c)):
-            density = _density_form(s, t1, t2, *_forms(s, t1, t2, detune))
+            density = _density_form(s, t1, t2, _forms(s, t1, t2), detune)
             for centre, cov in frames(s, t1, t2):
                 for j in (0, 1):
                     half = 10.0 * math.sqrt(cov[j, j])
                     x = np.linspace(centre[j] - half, centre[j] + half, 1001)
                     for pts in (x, float(x[317])):
-                        got = density.phase(j, pts)
+                        got = density._phase_terms(j, pts)[:2]
                         ax = density.axis(j, pts)[2:]
                         for ref in (ax, self._one_pass(density, j, pts)):
                             for a, b in zip(got, ref):
