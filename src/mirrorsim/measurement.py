@@ -31,7 +31,7 @@ import numpy as np
 from .harmonic import fringe_period
 from .kinematics import _require_finite
 from .wavegroup import (WavegroupSpec, _axis_centre, _check_range, _closed_trace,
-                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf)
+                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf, _span)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
@@ -137,11 +137,7 @@ class ConditionalMirrorState:
 
     def support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
         """Interval containing the kept conditional branches out to ``pad`` sigmas."""
-        lo, hi = math.inf, -math.inf
-        for c, s, _ in self._kept_profiles(t2):
-            lo = min(lo, c - pad * s)
-            hi = max(hi, c + pad * s)
-        return lo, hi
+        return _span(((c, s) for c, s, _ in self._kept_profiles(t2)), pad)
 
     def _wall_support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
         """The physical support [max(lo, x10), hi] at t2 out to ``pad`` sigmas;
@@ -272,15 +268,16 @@ def _running_mean(y: np.ndarray, w: int) -> np.ndarray:
 
 
 def _smoothed_modes(x: np.ndarray, y: np.ndarray, window: int,
-                    min_height: float, min_sep: float) -> list[float]:
+                    min_sep: float) -> list[float]:
     """Locations of local maxima of the moving average of y over ``window``
-    samples (:func:`_running_mean`, O(n) in the window), refined by
-    quadratic interpolation and pruned to a minimum separation."""
+    samples (:func:`_running_mean`, O(n) in the window) that reach a tenth
+    of its maximum, refined by quadratic interpolation and pruned to a
+    minimum separation."""
     window = min(window, len(y) // 8 + 1)  # sub-fringe supports need no smoothing
     if window > 1:
         y = _running_mean(y, window)
     (i, pos, _), _ = _extrema(x, y)
-    high = y[i] >= min_height * y.max()
+    high = y[i] >= 0.1 * y.max()
     pos, height = pos[high], y[i][high]
     kept: list[float] = []
     # the highest samples claim their neighbourhoods first
@@ -306,8 +303,7 @@ def split_centroid_velocities(state: ConditionalMirrorState,
         dx = x2[1] - x2[0]
         window = max(1, int(round(fringe / dx)))
         sigma_min = min(s for _, s, _ in state.branch_profiles(t2))
-        modes = _smoothed_modes(x2, pdf, window, min_height=0.1,
-                                min_sep=max(2 * fringe, sigma_min))
+        modes = _smoothed_modes(x2, pdf, window, min_sep=max(2 * fringe, sigma_min))
         if len(modes) >= 2:
             slow_track.append(modes[0])
             fast_track.append(modes[-1])

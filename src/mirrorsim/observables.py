@@ -16,7 +16,8 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import WavegroupSpec, _closed_trace, _density_form, _forms, frames, joint_pdf
+from .wavegroup import (WavegroupSpec, _closed_trace, _density_form, _forms, _span, frames,
+                        joint_pdf)
 
 
 class InsufficientSpanWarning(UserWarning):
@@ -53,20 +54,10 @@ class DecoherenceEstimate:
 # marginal (one-body) PDFs
 # ---------------------------------------------------------------------------
 
-def _support_hull(spec: WavegroupSpec, t1: float, t2: float, axis: int,
-                  pad: float = 8.0) -> tuple[float, float]:
-    """Interval covering both packets along one axis (0 = x1, 1 = x2)."""
-    return _hull(frames(spec, t1, t2), axis, pad)
-
-
 def _hull(packets, axis: int, pad: float = 8.0) -> tuple[float, float]:
-    """Interval covering the (centre, covariance) packets along one axis."""
-    lo, hi = math.inf, -math.inf
-    for centre, cov in packets:
-        s = math.sqrt(cov[axis, axis])
-        lo = min(lo, centre[axis] - pad * s)
-        hi = max(hi, centre[axis] + pad * s)
-    return lo, hi
+    """Interval covering the (centre, covariance) packets, such as both of
+    :func:`~.wavegroup.frames`, along one axis (0 = x1, 1 = x2)."""
+    return _span(((c[axis], math.sqrt(cov[axis, axis])) for c, cov in packets), pad)
 
 
 def marginal_over_mirror(spec: WavegroupSpec, x1_axis, t1: float, t2: float,
@@ -84,7 +75,7 @@ def marginal_over_mirror(spec: WavegroupSpec, x1_axis, t1: float, t2: float,
     if n_quad is None:
         y = _closed_trace(spec, x1, t1, t2, axis=1)
     else:
-        x2 = np.linspace(*_support_hull(spec, t1, t2, axis=1), n_quad)
+        x2 = np.linspace(*_hull(frames(spec, t1, t2), axis=1), n_quad)
         y = np.trapezoid(joint_pdf(spec, x1[:, None], t1, x2, t2), x2, axis=1)
     return Curve(x=x1, y=y, meta={"axis": "x1", "t1": t1, "t2": t2})
 
@@ -146,16 +137,18 @@ def extract_fringes(curve: Curve) -> FringeReport:
 # ---------------------------------------------------------------------------
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # the golden section's smaller share
+_BRENT_RTOL = 1e-10  # relative tolerance of the fitted beat frequency
 
 
-def _brent(f, a: float, b: float, rtol: float = 1e-10) -> tuple[float, float]:
+def _brent(f, a: float, b: float) -> tuple[float, float]:
     """(x, f(x)) at a minimum of f on [a, b] by Brent's method.
 
     Each step fits a parabola through the three best points and takes its
     vertex when it falls inside the bracket and shrinks the step of two
     steps before to less than half; otherwise it takes a golden-section step
-    into the larger side. No step is shorter than rtol |x|, and the search
-    stops once the bracket about x is within 2 rtol |x| on either side
+    into the larger side. No step is shorter than rtol |x|, rtol =
+    ``_BRENT_RTOL``, and the search stops once the bracket about x is within
+    2 rtol |x| on either side
     (Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 5).
     """
     x = w = v = a + _GOLDEN * (b - a)
@@ -163,7 +156,7 @@ def _brent(f, a: float, b: float, rtol: float = 1e-10) -> tuple[float, float]:
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol = rtol * abs(x) + 1e-300  # the floor ends a search at x = 0
+        tol = _BRENT_RTOL * abs(x) + 1e-300  # the floor ends a search at x = 0
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             return x, fx
         golden = True

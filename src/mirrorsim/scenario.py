@@ -34,7 +34,7 @@ from .measurement import (MeasurementEvent, UnresolvedSplittingError, collapse,
 from .observables import (coherence_transfer_metrics, doppler_beat,
                           extract_fringes, marginal_over_mirror,
                           marginal_over_particle, pattern_drift_beat,
-                          transit_beat_periods, _support_hull)
+                          transit_beat_periods, _hull)
 from .conservation import continuity_residual, convergence_order
 from .wavegroup import (WavegroupSpec, _check_range, _density_form, _forms, _smooth_pdf,
                         frames, joint_pdf)
@@ -293,13 +293,8 @@ def _joint_grid(spec: WavegroupSpec, times) -> GridSpec:
     or at the collision time when none is listed, its bounds rounded to 12
     significant digits so that a last-bit change in the packet frames leaves
     the grid and the scenario hash as they are."""
-    lo1 = lo2 = math.inf
-    hi1 = hi2 = -math.inf
-    for t in times or (spec.collision_time,):
-        a, b = _support_hull(spec, t, t, axis=0, pad=6.0)
-        lo1, hi1 = min(lo1, a), max(hi1, b)
-        a, b = _support_hull(spec, t, t, axis=1, pad=6.0)
-        lo2, hi2 = min(lo2, a), max(hi2, b)
+    packets = [pk for t in times or (spec.collision_time,) for pk in frames(spec, t, t)]
+    (lo1, hi1), (lo2, hi2) = (_hull(packets, axis, pad=6.0) for axis in (0, 1))
     lo1, hi1, lo2, hi2 = (float(f"{x:.12g}") for x in (lo1, hi1, lo2, hi2))
     return GridSpec(axes=(AxisSpec("x1", lo1, hi1, 256),
                           AxisSpec("x2", lo2, hi2, 256)))
@@ -421,15 +416,15 @@ def resolve_preset(name: str) -> tuple[Scenario, ...]:
 def resolve_event(scenario: Scenario, raw: RawEvent) -> MeasurementEvent:
     """Fill in a concrete detection position: the particle-marginal mode.
 
-    Cached per (scenario, event): fig5's regime, split-velocities and beat
-    analyses share one event, and each resolution, a 4097-point particle
-    marginal, costs about 5 ms, a third of fig5's analysis time.
+    Cached per (scenario, event), since fig5's regime, split-velocities and
+    beat analyses share one event. Each resolution, a 4097-point particle
+    marginal, costs 1.4-2.4 ms on fig5 and fig9 (the median of 30 in-process
+    calls with the cache cleared, per process, on 2 vCPUs).
     """
     if raw.x10 is not None:
         return MeasurementEvent(x10=raw.x10, t10=raw.t10, dx1=raw.dx1)
     spec = scenario.wavegroup
-    lo, hi = _support_hull(spec, raw.t10, raw.t10, axis=0)
-    axis = np.linspace(lo, hi, 4097)
+    axis = np.linspace(*_hull(frames(spec, raw.t10, raw.t10), axis=0), 4097)
     curve = marginal_over_mirror(spec, axis, raw.t10, raw.t10)
     x10 = float(axis[int(np.argmax(curve.y))])
     return MeasurementEvent(x10=x10, t10=raw.t10, dx1=raw.dx1)
@@ -457,10 +452,17 @@ def overlap_slice(scenario: Scenario, axis: str = "x2") -> Curve:
     return Curve(x=line, y=np.asarray(y), meta={"axis": axis, "t": t})
 
 
+def _beat_rate(scenario: Scenario) -> float:
+    """|beat0|; ValueError where m v + M V = 0, a zero beat with no period."""
+    if scenario.wavegroup.beat0 == 0.0:
+        raise ValueError("the central beat is zero (m v + M V = 0): it has no period")
+    return abs(scenario.wavegroup.beat0)
+
+
 def _beat_window(scenario: Scenario, event: MeasurementEvent):
     """900 mirror times over six beat periods from the detection on, for
     either sign of the beat: it is negative where m v + M V < 0."""
-    span = 6.0 * math.pi / abs(scenario.wavegroup.beat0)
+    span = 6.0 * math.pi / _beat_rate(scenario)
     return np.linspace(event.t10, event.t10 + span, 900)
 
 
@@ -566,9 +568,8 @@ def analysis_marginal_visibility(scenario: Scenario, traces: dict | None = None)
     spec = scenario.wavegroup
     t = scenario.collision_time
     particle_side = extract_fringes(_fringe_marginal(scenario, t, t, traces))
-    lo, hi = _support_hull(spec, t, t, axis=1)
-    mirror_side = extract_fringes(
-        marginal_over_particle(spec, np.linspace(lo, hi, 4001), t, t))
+    x2 = np.linspace(*_hull(frames(spec, t, t), axis=1), 4001)
+    mirror_side = extract_fringes(marginal_over_particle(spec, x2, t, t))
     return {"particle_visibility": particle_side.visibility,
             "particle_spacing": particle_side.spacing,
             "mirror_visibility": mirror_side.visibility}
@@ -578,7 +579,7 @@ def analysis_marginal_t2_independence(scenario: Scenario,
                                       traces: dict | None = None) -> dict:
     t_c = scenario.collision_time
     # later mirror times for either sign of the beat
-    offsets = np.linspace(0.0, 3.0 * math.pi / abs(scenario.wavegroup.beat0), 4)
+    offsets = np.linspace(0.0, 3.0 * math.pi / _beat_rate(scenario), 4)
     curves = [_fringe_marginal(scenario, t_c, t_c + dt, traces).y for dt in offsets]
     peak = max(c.max() for c in curves)
     linf = max(float(np.abs(c - curves[0]).max()) for c in curves[1:])

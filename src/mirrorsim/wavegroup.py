@@ -30,11 +30,12 @@ the same integrals, written independently, serves as the oracle.
 The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
 (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2) (:class:`_Density`).
 |F| of a branch is the square root of its intensity Gaussian, so Re(b^T
-A^{-1} b) is never formed, and dphi is one real quadratic in the offset from
-the incident centre, so no complex exponential is taken; the reflected
-centre's offset from the incident one is formed in closed form, never as a
-difference of the two centres. All of each factor
-but one cross term e1 e2 depends on a single coordinate: on a grid those
+A^{-1} b) is never formed, and dphi is one real quadratic, so no complex
+exponential is taken. Each branch is read in its own offsets: the incident
+one in e = x - (incident centre), the reflected one in d = e - delta, delta
+the reflected centre's offset, formed in closed form, never as a difference
+of the two centres. All of each factor but the reflected cross term d1 d2
+depends on a single coordinate: on a grid those
 parts are evaluated on the axes, the recoil half phase reduced mod pi
 exactly there, and each point costs gathers, a few real multiply-adds, one
 real exp and one sin. A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`)
@@ -395,81 +396,81 @@ class _Density(NamedTuple):
     """Coefficients of |F_in - F_ref|^2 at one pair of times, or arrays of them
     over an axis of t2.
 
-    In e = x - (incident centre) and d = e - delta, delta the reflected
-    centre's offset, |F_in| = a1(e1) a2(e2), log|F_ref| = beta1 + beta2 -
-    mr12 e1 e2, and the half phase difference (arg F_in - arg F_ref) / 2 is
-    theta1 + theta2 + h12 e1 e2 / 2; a_j, beta_j and theta_j depend on x_j
-    alone. Each axis is (ut, xc, delta, log_in, log_ref, phase, cycles, kick):
-    ut = u_j tau_j as (hi, lo), xc the packet centre at t0, log_in = (log
-    share, mr_in_jj / 2), log_ref = (log share, mr_jj / 2, fold of the cross
-    term), phase = (mi_jj / 4, mi_in_jj / 4, fold / 2, constant / 2),
-    cycles = (hi, lo), the recoil half phase per unit x_j over pi, and kick
-    that half phase's slope, +-k_rel on an undetuned carrier.
+    Each branch is read in its own offsets, exact near its centre: the
+    incident one in e = x - (incident centre), the reflected one in d = e -
+    delta, delta the reflected centre's offset. From the two real forms
+    (:func:`_form`) read by name, |F_in| = a1(e1) a2(e2), log|F_ref| =
+    beta1(d1) + beta2(d2) - mr12 d1 d2, and the half phase difference (arg
+    F_in - arg F_ref) / 2 is theta1 + theta2 + mi12 d1 d2 / 2, mr12 and mi12
+    the reflected form's (the incident form has none). theta_j holds the
+    recoil half phase x_j cycles_j pi and both squared offsets along x_j.
 
     :meth:`_phase_terms` evaluates theta_j and the offsets alone, which is all
     a trace's cross term reads (:meth:`half_phase`); :meth:`log_axis` adds log a_j and
-    beta_j to the same values, :meth:`axis` takes a_j from it for the
+    beta_j to the same values, :func:`_smooth_pdf` takes a_j from it for the
     density, and :meth:`logs` combines both axes' logs for the amplitudes
     (:func:`_fields`) and the beat (:func:`~.observables.doppler_beat`).
     """
 
-    axes: tuple
-    mr12: float
-    h12: float
+    f_in: _Form
+    f_ref: _Form
+    ut: tuple       # per axis, u_j tau_j as (hi, lo)
+    xc: tuple       # per axis, the packet centre at t0
+    delta: tuple    # per axis, the reflected centre's offset from the incident one
+    cycles: tuple   # per axis, the recoil half phase per unit x_j over pi, as (hi, lo)
+    kick: tuple     # per axis, that half phase's slope: +-k_rel on an undetuned carrier
+    theta0: float   # the constant part of theta, in theta1, reduced mod pi
     weight: float   # |reflected_weight|
 
     def _phase_terms(self, j: int, x):
-        """(theta_j, e_j, fold, e_j^2, d_j^2) at the points x of axis j. The
-        recoil half phase, up to 1e6 rad on fine-fringed presets, is reduced
-        mod pi exactly: x cycles is an exact product, and its integer part
-        drops."""
-        (ut_hi, ut_lo), xc, delta, _, _, (qr, qi, fp, c), cycles, _ = self.axes[j]
-        e = ((x - ut_hi) - xc) - ut_lo  # exact near the centre
-        d = e - delta
-        fold = d if j == 0 else e
-        e_sq, d_sq = e * e, d * d
-        w, w_err = _two_prod(x, cycles[0])
-        w_err = w_err + x * cycles[1]
-        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
-        return theta, e, fold, e_sq, d_sq
+        """(theta_j, e_j, d_j) at the points x of axis j. The recoil half
+        phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
+        exactly: x cycles is an exact product, and its integer part drops."""
+        ut_hi, ut_lo = self.ut[j]
+        e = ((x - ut_hi) - self.xc[j]) - ut_lo  # exact near the centre
+        d = e - self.delta[j]
+        qr, qi = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j]
+        w, w_err = _two_prod(x, self.cycles[j][0])
+        w_err = w_err + x * self.cycles[j][1]
+        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * (d * d) - qi * (e * e))
+                                                         + (self.theta0 if j == 0 else 0.0))
+        return theta, e, d
 
     def log_axis(self, j: int, x):
-        """(log a_j, beta_j, theta_j, e_j) at the points x of axis j, the phase
-        and the squared offsets from :meth:`_phase_terms`."""
-        _, _, _, (la, ha), (lb, hb, fb), *_ = self.axes[j]
-        theta, e, fold, e_sq, d_sq = self._phase_terms(j, x)
-        return la - ha * e_sq, lb - hb * d_sq + fb * fold, theta, e
-
-    def axis(self, j: int, x):
-        """(a_j, beta_j, theta_j, e_j) at the points x of axis j (:meth:`log_axis`)."""
-        log_a, beta, theta, e = self.log_axis(j, x)
-        return np.exp(log_a), beta, theta, e
+        """(log a_j, beta_j, theta_j, e_j, d_j) at the points x of axis j, the
+        phase and the offsets from :meth:`_phase_terms`."""
+        theta, e, d = self._phase_terms(j, x)
+        log_a = (self.f_in.log0 if j == 0 else 0.0) - 0.5 * self.f_in.mr[2 * j] * (e * e)
+        beta = (self.f_ref.log0 if j == 0 else 0.0) - 0.5 * self.f_ref.mr[2 * j] * (d * d)
+        return log_a, beta, theta, e, d
 
     def logs(self, x1, x2):
-        """(log|F_in|, log|F_ref| - log weight, theta, e1, e2) at broadcastable
-        (x1, x2), each axis part evaluated on its own coordinate."""
-        (la1, b1, th1, e1), (la2, b2, th2, e2) = self.log_axis(0, x1), self.log_axis(1, x2)
-        ee = e1 * e2
-        return la1 + la2, b1 + b2 - self.mr12 * ee, th1 + th2 + 0.5 * self.h12 * ee, e1, e2
+        """(log|F_in|, log|F_ref| - log weight, theta, (e1, e2), (d1, d2)) at
+        broadcastable (x1, x2), each axis part evaluated on its own coordinate."""
+        (la1, b1, th1, e1, d1), (la2, b2, th2, e2, d2) = self.log_axis(0, x1), self.log_axis(1, x2)
+        dd = d1 * d2
+        return (la1 + la2, b1 + b2 - self.f_ref.mr[1] * dd, th1 + th2 + 0.5 * self.f_ref.mi[1] * dd,
+                (e1, e2), (d1, d2))
 
     def half_phase(self, j: int, x, other):
         """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
         at ``other``: the half phase difference and its slope, recoil kick
         exact, from the phase parts alone (:meth:`_phase_terms`)."""
-        theta, e, *_ = self._phase_terms(j, x)
-        theta_o, e_o, *_ = self._phase_terms(1 - j, other)
-        _, _, delta, _, _, (qr, qi, fp, _), _, kick = self.axes[j]
-        slope = kick + 2.0 * (qr * (e - delta) - qi * e) - fp + 0.5 * self.h12 * e_o
-        return theta + theta_o + 0.5 * self.h12 * e * e_o, slope
+        theta, e, d = self._phase_terms(j, x)
+        theta_o, _, d_o = self._phase_terms(1 - j, other)
+        qr, qi, h12 = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j], self.f_ref.mi[1]
+        slope = self.kick[j] + 2.0 * (qr * d - qi * e) + 0.5 * h12 * d_o
+        return theta + theta_o + 0.5 * h12 * d * d_o, slope
 
     def density(self, ax1, ax2):
         """|F_in - F_ref|^2 = (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2)
-        from two axis tuples of :meth:`axis`, elementwise."""
-        (a1, b1, th1, e1), (a2, b2, th2, e2) = ax1, ax2
-        ee = e1 * e2
+        from two axis tuples (a_j, beta_j, theta_j, d_j) of :func:`_smooth_pdf`,
+        elementwise."""
+        (a1, b1, th1, d1), (a2, b2, th2, d2) = ax1, ax2
+        dd = d1 * d2
         f_in = a1 * a2
-        f_ref = self.weight * np.exp(b1 + b2 - self.mr12 * ee)
-        s = np.sin(th1 + th2 + 0.5 * self.h12 * ee)
+        f_ref = self.weight * np.exp(b1 + b2 - self.f_ref.mr[1] * dd)
+        s = np.sin(th1 + th2 + 0.5 * self.f_ref.mi[1] * dd)
         return (f_in - f_ref) ** 2 + 4.0 * f_in * f_ref * (s * s)
 
 
@@ -511,15 +512,10 @@ def _density_form(spec: WavegroupSpec, t1, t2, forms, detune: float = 1.0,
     else:
         finite, remainder = math.isfinite(const), math.remainder
     _check_range(finite, "joint pdf", t1=t1, t2=t2)  # before remainder raises
-    axes = tuple(
-        (_two_prod(u, tau), xc, delta[j], (f_in.log0 if j == 0 else 0.0, 0.5 * f_in.mr[2 * j]),
-         (f_ref.log0 if j == 0 else 0.0, 0.5 * f_ref.mr[2 * j], f_ref.mr[1] * delta[1 - j]),
-         (0.25 * f_ref.mi[2 * j], 0.25 * f_in.mi[2 * j], 0.5 * f_ref.mi[1] * delta[1 - j],
-          0.5 * remainder(const, _TWO_PI) if j == 0 else 0.0),
-         _over_pi(kick[j], sign * k_lo), kick[j])
-        for j, (u, tau, xc, sign) in enumerate(((p.v, tau1, spec.x1c, 1.0),
-                                                 (p.V, tau2, spec.x2c, -1.0))))
-    return _Density(axes=axes, mr12=f_ref.mr[1], h12=f_ref.mi[1], weight=abs(reflected_weight))
+    return _Density(f_in=f_in, f_ref=f_ref, ut=(_two_prod(p.v, tau1), _two_prod(p.V, tau2)),
+                    xc=(spec.x1c, spec.x2c), delta=delta,
+                    cycles=(_over_pi(kick[0], k_lo), _over_pi(kick[1], -k_lo)), kick=kick,
+                    theta0=0.5 * remainder(const, _TWO_PI), weight=abs(reflected_weight))
 
 
 def _smooth_pdf(form: _Density, x1, x2, within=None):
@@ -535,8 +531,9 @@ def _smooth_pdf(form: _Density, x1, x2, within=None):
     grid at the same point.
     """
     # a lone coordinate, such as a detection's x10, runs on Python floats
-    ax1, ax2 = (form.axis(j, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
-                for j, x in enumerate((x1, x2)))
+    ax1, ax2 = ((np.exp(log_a), beta, theta, d) for log_a, beta, theta, _, d in (
+        form.log_axis(j, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
+        for j, x in enumerate((x1, x2))))
     if within is None:
         return form.density(ax1, ax2)
     flat = np.flatnonzero(within)
@@ -562,8 +559,8 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 
     Returns F_in and F_ref such that the full amplitudes are exp(i*Phi) * F
     and the physical state is exp(i*Phi) * (F_in - F_ref) * theta(x2 - x1),
-    Phi being :func:`_carrier_phase`. In the density's exact offsets e and
-    d = e - delta, |F_in| = a1 a2, log|F_ref| = beta1 + beta2 - mr12 e1 e2,
+    Phi being :func:`_carrier_phase`. In each branch's own exact offsets, e
+    and d = e - delta, |F_in| = a1 a2, log|F_ref| = beta1 + beta2 - mr12 d1 d2,
     the incident phase is arg0 - (mi11 e1^2 + mi22 e2^2) / 2 of its real
     form (:func:`_form`), and F_ref / F_in has phase -2 theta. Every axis
     part is evaluated on its own coordinate, so separable arrays x1[:, None],
@@ -573,16 +570,14 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     relative to the incident carrier (k0, K0): those of the same quadratics,
     with theta's slope, recoil kick exact, from :meth:`_Density.half_phase`.
     """
-    f_in, f_ref = forms = _forms(spec, t1, t2)
-    density = _density_form(spec, t1, t2, forms, detune, reflected_weight)
-    mr_in, mi_in, mr = f_in.mr, f_in.mi, f_ref.mr
+    density = _density_form(spec, t1, t2, _forms(spec, t1, t2), detune, reflected_weight)
+    mr_in, mi_in, mr = density.f_in.mr, density.f_in.mi, density.f_ref.mr
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    log_in, log_ref, theta, e1, e2 = density.logs(x1, x2)
-    arg = f_in.arg0 - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
+    log_in, log_ref, theta, (e1, e2), (d1, d2) = density.logs(x1, x2)
+    arg = density.f_in.arg0 - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
     out = SimpleNamespace(F_in=np.exp(log_in + 1j * arg),
                           F_ref=density.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
     if gradients:
-        d1, d2 = e1 - density.axes[0][2], e2 - density.axes[1][2]  # axes[j][2] is delta_j
         (_, slope1), (_, slope2) = density.half_phase(0, x1, x2), density.half_phase(1, x2, x1)
         out.Lin1 = -(mr_in[0] + 1j * mi_in[0]) * e1
         out.Lin2 = -(mr_in[2] + 1j * mi_in[2]) * e2
@@ -653,6 +648,16 @@ def frames(spec: WavegroupSpec, t1: float, t2: float):
     one] at (t1, t2): arrays of shape (2,) and (2, 2), read off both branches'
     real forms (:func:`_forms`)."""
     return [(np.array(f.centre), np.array(f.cov)) for f in _forms(spec, t1, t2)]
+
+
+def _span(pairs, pad: float) -> tuple[float, float]:
+    """[min(c - pad s), max(c + pad s)] over (centre, sigma) pairs: the one
+    interval rule that frames every support."""
+    lo, hi = math.inf, -math.inf
+    for c, s in pairs:
+        lo = min(lo, c - pad * s)
+        hi = max(hi, c + pad * s)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        split_centroid_velocities, thermal_spread)
 from mirrorsim.cli import main
 from mirrorsim.measurement import _smoothed_modes
-from mirrorsim.observables import _support_hull, marginal_over_mirror
+from mirrorsim.observables import marginal_over_mirror
 from mirrorsim.scenario import (PRESETS, analysis_beat,
                                 analysis_marginal_t2_independence,
                                 analysis_node_depth, overlap_slice,
@@ -188,7 +188,7 @@ def test_criterion_07_regime_phenomenology():
         x2 = np.linspace(max(lo, state_a.event.x10), hi, 8001)
         modes = _smoothed_modes(x2, state_a.pdf(x2, t2),
                                 max(1, int(round(fringe / (x2[1] - x2[0])))),
-                                min_height=0.1, min_sep=2 * fringe)
+                                min_sep=2 * fringe)
         assert len(modes) == 1
 
     state_b = collapse(spec5, overlap_event(spec5))

@@ -79,7 +79,7 @@ class TestCollisionStatedTwice:
                 t = spec.t0 + 1.0
                 # the half phase (arg F_in - arg F_ref) / 2 rises by the kick
                 # per unit x_j, so F_ref's carrier is (k0, K0) - 2 kick
-                kick = [ax[-1] for ax in _density_form(spec, t, t, _forms(spec, t, t)).axes]
+                kick = _density_form(spec, t, t, _forms(spec, t, t)).kick
                 k_scale = abs(p.k) + abs(p.K)
                 assert abs(p.k - 2.0 * kick[0] - k_ref) <= 1e-12 * k_scale
                 assert abs(p.K - 2.0 * kick[1] - K_ref) <= 1e-12 * k_scale

@@ -60,8 +60,7 @@ class TestCollapse:
             x2 = np.linspace(max(lo, ev.x10), hi, 8001)
             pdf = state.pdf(x2, t2)
             win = max(1, int(round(fringe / (x2[1] - x2[0]))))
-            modes = _smoothed_modes(x2, pdf, win, min_height=0.1,
-                                    min_sep=2 * fringe)
+            modes = _smoothed_modes(x2, pdf, win, min_sep=2 * fringe)
             assert len(modes) == 1
 
     def test_regime_b_becomes_bimodal(self, spec_fig5):
@@ -74,8 +73,7 @@ class TestCollapse:
             x2 = np.linspace(max(lo, ev.x10), hi, 8001)
             pdf = state.pdf(x2, t2)
             win = max(1, int(round(fringe / (x2[1] - x2[0]))))
-            return len(_smoothed_modes(x2, pdf, win, min_height=0.1,
-                                       min_sep=2 * fringe))
+            return len(_smoothed_modes(x2, pdf, win, min_sep=2 * fringe))
 
         assert n_modes(ev.t10 + 2.5 * spec_fig5.tau) == 2
 
@@ -429,15 +427,16 @@ class TestReversedOrder:
         pdf = joint_pdf(s, x1, t1, x20, t20, apply_step=False)
         fringe = math.pi / s.params.k_rel
         win = max(1, int(round(fringe / (x1[1] - x1[0]))))
-        modes = _smoothed_modes(x1, pdf, win, min_height=0.1, min_sep=2 * fringe)
+        modes = _smoothed_modes(x1, pdf, win, min_sep=2 * fringe)
         assert len(modes) == 2
 
 
 @functools.lru_cache(maxsize=32)
 def resolve_event_like(spec, t10):
     """Detection at the particle-marginal mode at time t10."""
-    from mirrorsim.observables import _support_hull
-    lo, hi = _support_hull(spec, t10, t10, axis=0)
+    from mirrorsim.observables import _hull
+    from mirrorsim.wavegroup import frames
+    lo, hi = _hull(frames(spec, t10, t10), axis=0)
     axis = np.linspace(lo, hi, 4001)
     curve = marginal_over_mirror(spec, axis, t10, t10)
     return MeasurementEvent(x10=float(axis[np.argmax(curve.y)]), t10=t10)

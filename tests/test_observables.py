@@ -13,7 +13,7 @@ from mirrorsim import (Curve, PhysicalParams, WavegroupSpec, beat_frequency,
                        marginal_over_particle)
 from mirrorsim.measurement import MeasurementEvent
 from mirrorsim.observables import (CoherenceTransferReport, IncompleteSeparationWarning,
-                                   InsufficientSpanWarning, _brent, _support_hull,
+                                   InsufficientSpanWarning, _brent, _hull,
                                    coherence_transfer_metrics, fit_sinusoid,
                                    pattern_drift_beat, transit_beat_periods)
 from mirrorsim.scenario import (PRESETS, analysis_beat, analysis_marginal_visibility,
@@ -245,16 +245,16 @@ class TestDopplerBeat:
 class TestMarginals:
     def test_total_probability(self, spec_fig5):
         s = spec_fig5
-        lo, hi = _support_hull(s, s.t0, s.t0, axis=1)
+        lo, hi = _hull(frames(s, s.t0, s.t0), axis=1)
         curve = marginal_over_particle(s, np.linspace(lo, hi, 3001), s.t0, s.t0)
         assert np.trapezoid(curve.y, curve.x) == pytest.approx(1.0, abs=1e-6)
 
     def test_incident_only_matches_free_packet(self, spec_fig5):
         s = spec_fig5
         t = s.t0 + 0.1
-        lo, hi = _support_hull(s, t, t, axis=1)
+        lo, hi = _hull(frames(s, t, t), axis=1)
         x2 = np.linspace(lo, hi, 2001)
-        x1 = np.linspace(*_support_hull(s, t, t, axis=0), 2001)
+        x1 = np.linspace(*_hull(frames(s, t, t), axis=0), 2001)
         pdf = joint_pdf(s, x1[:, None], t, x2[None, :], t, reflected_weight=0.0)
         curve_y = np.trapezoid(pdf, x1, axis=0)
         w = curve_y / curve_y.sum()
@@ -332,7 +332,7 @@ class TestClosedTrace:
         for t1 in (t_c - tau, t_c, t_c + 2.0 * tau):
             for t2 in (t1, t1 + 0.37 * tau):
                 for axis, trace in ((1, marginal_over_mirror), (0, marginal_over_particle)):
-                    outer = np.linspace(*_support_hull(spec, t1, t2, axis=1 - axis), 4001)
+                    outer = np.linspace(*_hull(frames(spec, t1, t2), axis=1 - axis), 4001)
                     y = trace(spec, outer, t1, t2).y
                     assert np.all(np.isfinite(y)) and y.min() >= 0.0
                     # the mode and the two quartiles of the traced curve

@@ -18,7 +18,7 @@ from scipy.integrate import simpson
 from mirrorsim import SpacetimePoint, amplitude_parts
 from mirrorsim.grids import AxisSpec, GridSpec
 from mirrorsim.measurement import collapse
-from mirrorsim.observables import _support_hull, marginal_over_particle
+from mirrorsim.observables import _hull, marginal_over_particle
 from mirrorsim.scenario import PRESETS, RawEvent, joint_pdf_grid, resolve_event
 from mirrorsim.wavegroup import frames
 
@@ -187,7 +187,7 @@ def test_si_particle_marginal():
     x2_axis = next(a for a in s.grid.axes if a.role == "x2")
     peak = marginal_over_particle(spec, np.linspace(x2_axis.lo, x2_axis.hi, 2048), t1, t2).y.max()
     oracle = Oracle(spec, t1, t2)
-    x1 = np.linspace(_support_hull(spec, t1, t2, axis=0)[0], x2, 16001)
+    x1 = np.linspace(_hull(frames(spec, t1, t2), axis=0)[0], x2, 16001)
     pdf = np.array([oracle.pdf(x, x2) for x in x1])
     exact, coarse = simpson(pdf, x=x1), simpson(pdf[::2], x=x1[::2])
     assert abs(exact - coarse) < 1e-11 * peak

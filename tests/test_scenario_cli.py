@@ -674,6 +674,26 @@ class TestCli:
         assert rep["analyses"] == {"fringes": {"error": "RuntimeError: boom"}}
         assert "analysis fringes failed: RuntimeError: boom" in capsys.readouterr().err
 
+    def test_zero_beat_is_named(self, tmp_path, capsys):
+        # m v + M V = 0: the two analyses that sample beat periods name the zero
+        # beat, and the other seven still run
+        path = tmp_path / "zb.json"
+        path.write_text(json.dumps({
+            "name": "zb", "units": "natural", "params": {"m": 1, "M": 2, "v": 2, "V": -1},
+            "wavegroup": {"dk": 1, "dK": 2, "x1c": -10, "x2c": 0}, "events": [{"t10": 3.0}],
+            "analyses": ["fringes", "beat", "regime", "split-velocities", "coherence-transfer",
+                         "marginal-visibility", "marginal-t2-independence", "node-depth",
+                         "continuity"]}))
+        out = tmp_path / "o"
+        assert main(["observables", "--config", str(path), "--out", str(out)]) == 4
+        rep = json.loads((out / "zb_observables.json").read_text())["analyses"]
+        failed = {name for name, r in rep.items() if "error" in r}
+        assert failed == {"beat", "marginal-t2-independence"}
+        assert len(rep) == 9
+        for name in failed:
+            assert rep[name]["error"].startswith("ValueError: the central beat is zero")
+        assert "ZeroDivisionError" not in capsys.readouterr().err
+
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3
 

@@ -539,21 +539,22 @@ class TestFormsOverTimes:
 
 
 class TestDensityPhase:
-    """``_Density._phase_terms`` gives the phase half of ``_Density.axis``: the
-    (theta, e) a trace's cross term reads (``half_phase``), bitwise what the
-    density reads and what the phase formula, written out here, gives."""
+    """``_Density._phase_terms`` gives the phase half of ``_Density.log_axis``:
+    the (theta, e, d) a trace's cross term reads (``half_phase``), bitwise what
+    the density reads and what the phase formula, written out here, gives."""
 
     @staticmethod
     def _one_pass(density, j, x):
-        (ut_hi, ut_lo), xc, delta, _, _, (qr, qi, fp, c), cycles, _ = density.axes[j]
-        e = ((x - ut_hi) - xc) - ut_lo
-        d = e - delta
-        fold = d if j == 0 else e
-        e_sq, d_sq = e * e, d * d
+        ut_hi, ut_lo = density.ut[j]
+        e = ((x - ut_hi) - density.xc[j]) - ut_lo
+        d = e - density.delta[j]
+        qr, qi = 0.25 * density.f_ref.mi[2 * j], 0.25 * density.f_in.mi[2 * j]
+        c = density.theta0 if j == 0 else 0.0
+        cycles = density.cycles[j]
         w, w_err = _two_prod(x, cycles[0])
         w_err = w_err + x * cycles[1]
-        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * d_sq - qi * e_sq - fp * fold) + c)
-        return theta, e
+        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * (d * d) - qi * (e * e)) + c)
+        return theta, e, d
 
     @pytest.mark.parametrize("name, detune", [("fig5", 1.0), ("fig8", 1.0), ("fig5", 1.1)])
     def test_phase_is_bitwise_the_axis_phase(self, name, detune):
@@ -566,8 +567,8 @@ class TestDensityPhase:
                     half = 10.0 * math.sqrt(cov[j, j])
                     x = np.linspace(centre[j] - half, centre[j] + half, 1001)
                     for pts in (x, float(x[317])):
-                        got = density._phase_terms(j, pts)[:2]
-                        ax = density.axis(j, pts)[2:]
+                        got = density._phase_terms(j, pts)
+                        ax = density.log_axis(j, pts)[2:]
                         for ref in (ax, self._one_pass(density, j, pts)):
                             for a, b in zip(got, ref):
                                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
