@@ -16,6 +16,8 @@ scenarios before the one that failed.
 
 Exit codes: 0 success, 2 parse error, 3 validation error or a config or
 output path that cannot be read or written, 4 numerical-check failure.
+Warnings print as ``warning: <Category>: <message>``, without a source path;
+the library itself leaves them to Python's default handling.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import gridio, scenario as sc
@@ -266,11 +269,18 @@ def _join_value_flags(argv):
     return out
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = _join_value_flags(argv if argv is not None else sys.argv[1:])
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the scope restores the process's warning state when main returns
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.fn(args)
     except json.JSONDecodeError as err:
         print(f"parse error: line {err.lineno} column {err.colno}: {err.msg}",
               file=sys.stderr)

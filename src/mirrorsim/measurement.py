@@ -9,12 +9,12 @@ one-body probabilities built from it. Norms and probabilities are exact
 integrals of the slice over half lines of x2
 (:func:`~.wavegroup._closed_trace`), never sums over a grid.
 
-At each mirror time the state reads everything from the two branches' real
-forms (:func:`~.wavegroup._form`): branch profiles, supports and the PDF's
-density coefficients. It keeps those of the last t2 asked for in a
-one-entry memo, so a support and a PDF at one t2 build each branch once; the
-memo lives and dies with the state. A detection's regime compares both
-branches' log-moduli from its memo at t10 (:func:`classify_regime`).
+At each mirror time the state reads everything from the density
+(:class:`~.wavegroup._Density`), the one reader of both branches: branch
+profiles, supports and the PDF. It keeps the density of the last t2 asked
+for in a one-entry memo, so a support and a PDF at one t2 build each branch
+once; the memo lives and dies with the state. A detection's regime compares
+both branches' log-moduli from its density at t10 (:func:`classify_regime`).
 
 The detection resolution dx1 enters only as a multiplicative factor; all
 shape information comes from the slice itself.
@@ -30,8 +30,8 @@ import numpy as np
 
 from .harmonic import fringe_period
 from .kinematics import _require_finite
-from .wavegroup import (WavegroupSpec, _axis_centre, _check_range, _closed_trace,
-                        _Density, _density_form, _forms, _log_modulus, _smooth_pdf, _span)
+from .wavegroup import (WavegroupSpec, _check_range, _closed_trace, _Density, _density_form,
+                        _smooth_pdf, _span)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
 
@@ -54,16 +54,6 @@ class MeasurementEvent:
             raise ValueError("detector resolution must be positive")
 
 
-@dataclass
-class _AtTime:
-    """Both branches' real forms of a conditional state at one mirror time t2,
-    and the density coefficients, built from them on first use."""
-
-    t2: float
-    forms: tuple
-    density: _Density | None = None
-
-
 @dataclass(frozen=True)
 class ConditionalMirrorState:
     """Mirror wavefunction conditioned on a particle detection.
@@ -74,34 +64,29 @@ class ConditionalMirrorState:
 
     spec: WavegroupSpec
     event: MeasurementEvent
-    _last: _AtTime | None = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple[float, _Density] | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def _check_time(self, t2: float):
         if t2 < self.event.t10:
             raise ValueError("conditional state is defined for t2 >= t10 only")
 
-    def _at(self, t2: float) -> _AtTime:
-        """The branch forms at t2, from the one-entry memo when t2 was the last
-        time asked for. Only all-finite forms are kept."""
+    def _at(self, t2: float) -> _Density:
+        """The density at t2, from the one-entry memo when t2 was the last time
+        asked for; a time that is not finite is named and not kept."""
         self._check_time(t2)
-        last = self._last
-        if last is None or last.t2 != t2:
-            # the forms in Python floats: a numpy scalar t2 gives the same
-            # values, more slowly
-            last = _AtTime(t2, _forms(self.spec, self.event.t10, float(t2)))
-            if all(map(math.isfinite, [v for f in last.forms
-                                       for v in (*f.centre, f.log0, f.arg0, *f.mr, *f.mi)])):
-                object.__setattr__(self, "_last", last)
-        return last
+        ev = self.event
+        _check_range(math.isfinite(t2), "conditional state", t10=ev.t10, t2=t2)
+        if self._last is None or self._last[0] != t2:
+            # in Python floats: a numpy scalar t2 gives the same values, more slowly
+            object.__setattr__(self, "_last", (t2, _density_form(self.spec, ev.t10, float(t2))))
+        return self._last[1]
 
     def pdf(self, x2, t2: float, apply_step: bool = True):
         """The conditional PDF at x2, bitwise :func:`~.wavegroup.joint_pdf` at
         (x10, t10, x2, t2), from the same evaluator."""
-        at = self._at(t2)
-        if at.density is None:
-            at.density = _density_form(self.spec, self.event.t10, t2, at.forms)
         x10 = self.event.x10
-        val = _smooth_pdf(at.density, x10, x2)
+        val = _smooth_pdf(self._at(t2), x10, x2)
         if not apply_step:
             return val
         return np.where(np.less_equal(x10, x2), val, 0.0)
@@ -111,23 +96,23 @@ class ConditionalMirrorState:
 
         The incident branch is the mirror substate that has not reflected the
         particle, the reflected branch the one that has. Each is read off the
-        branch's real form at t2 (:func:`~.wavegroup._form`), kept in the
-        state's one-entry memo: along x2 at x10 its log-modulus is a quadratic
-        with curvature mr22, so the centre is c2 - mr12 / mr22 (x10 - c1)
-        (:func:`~.wavegroup._axis_centre`), sigma is 1 / sqrt(2 mr22), and the
-        weight is |amplitude| at the centre, from the same log-modulus as the
-        density (:func:`~.wavegroup._log_modulus`).
+        density at t2, the one reader of both branches, kept in the state's
+        one-entry memo: along x2 at x10 a branch's log-modulus is a quadratic
+        with curvature Re(kappa) (:meth:`~.wavegroup._Density.kappa`), so
+        sigma is 1 / sqrt(2 Re(kappa)), and the centre and the weight,
+        |amplitude| at the centre, are its peak
+        (:meth:`~.wavegroup._Density.peaks`) in the density's exact offsets.
         """
         ev = self.event
-        out = []
-        for form in self._at(t2).forms:
-            m22 = form.mr[2]
-            _check_range(m22 > 0.0, "conditional state", t10=ev.t10, t2=t2)
-            centre = _axis_centre(form, 1, ev.x10)
-            log_w = _log_modulus(form, ev.x10, centre)
-            _check_range(log_w < _LOG_FLOAT_MAX, "conditional state", t10=ev.t10, t2=t2)
-            out.append((centre, 1.0 / math.sqrt(2.0 * m22), math.exp(log_w)))
-        return out
+        density = self._at(t2)
+        a_in, a_ref = (k.real for k in density.kappa(1))
+        _check_range(a_in > 0.0 and a_ref > 0.0, "conditional state", t10=ev.t10, t2=t2)
+        (s_in, log_in), (s_ref, log_ref) = density.peaks(1, ev.x10)
+        _check_range(log_in < 2.0 * _LOG_FLOAT_MAX and log_ref < 2.0 * _LOG_FLOAT_MAX,
+                     "conditional state", t10=ev.t10, t2=t2)
+        centre = density.centre(1)
+        return [(centre + s, 1.0 / math.sqrt(2.0 * a), math.exp(0.5 * log))
+                for s, a, log in ((s_in, a_in, log_in), (s_ref, a_ref, log_ref))]
 
     def _kept_profiles(self, t2: float):
         """The branch profiles at t2 without those below 1e-12 of the strongest."""
@@ -219,14 +204,14 @@ def classify_regime(spec: WavegroupSpec, event: MeasurementEvent) -> str:
     The decision point x2* is the peak of the heavier conditional branch at
     the detection time (:meth:`ConditionalMirrorState.branch_profiles`),
     clipped into the physical support; the event is regime B when the
-    incident and reflected moduli at (x10, x2*), read from the branches'
-    real forms, are within three decades of each other.
+    incident and reflected moduli at (x10, x2*), read from the density there
+    (:meth:`~.wavegroup._Density.logs`), are within three decades of each
+    other.
     """
     state = collapse(spec, event)
     x2_star = max(state.branch_profiles(event.t10), key=lambda prof: prof[2])[0]
     lo, hi = state._wall_support(event.t10)
-    log_in, log_ref = (_log_modulus(form, event.x10, min(max(x2_star, lo), hi))
-                       for form in state._at(event.t10).forms)
+    log_in, log_ref, *_ = state._at(event.t10).logs(event.x10, min(max(x2_star, lo), hi))
     return "B" if abs(log_in - log_ref) < math.log(1e3) else "A"
 
 
@@ -293,25 +278,40 @@ def split_centroid_velocities(state: ConditionalMirrorState,
 
     The PDF at each sample time is low-pass filtered over one fringe period,
     its two dominant modes are located, and straight lines are fitted to the
-    tracks. Raises :class:`UnresolvedSplittingError` when fewer than two
-    modes are resolvable at three or more of the sampled times.
+    tracks. A time counts only when each of the two modes lies within one
+    sigma of the centre of a different branch
+    (:meth:`ConditionalMirrorState.branch_profiles`): modes that are not the
+    two substates have no substate velocity. Raises
+    :class:`UnresolvedSplittingError` when fewer than three sampled times
+    count.
     """
     fringe = fringe_period(state.spec.params)
     slow_track, fast_track, times = [], [], []
+    two_modes = 0
     for t2 in np.atleast_1d(np.asarray(t2_samples, dtype=float)):
         x2, pdf = state._sampled(t2, 8193)
         dx = x2[1] - x2[0]
         window = max(1, int(round(fringe / dx)))
-        sigma_min = min(s for _, s, _ in state.branch_profiles(t2))
+        profiles = state.branch_profiles(t2)
+        sigma_min = min(s for _, s, _ in profiles)
         modes = _smoothed_modes(x2, pdf, window, min_sep=max(2 * fringe, sigma_min))
-        if len(modes) >= 2:
+        if len(modes) < 2:
+            continue
+        two_modes += 1
+        near = [[abs(x - c) <= s for c, s, _ in profiles] for x in (modes[0], modes[-1])]
+        if (near[0][0] and near[1][1]) or (near[0][1] and near[1][0]):
             slow_track.append(modes[0])
             fast_track.append(modes[-1])
             times.append(float(t2))
+    if len(times) < 3 <= two_modes:
+        raise UnresolvedSplittingError(
+            "the two tracked mirror modes are not the two substates: they lie "
+            f"within one sigma of different branches at {len(times)} of the "
+            f"{two_modes} sampled times with two modes")
     if len(times) < 3:
         raise UnresolvedSplittingError(
             "mirror mode separation stayed below the wavegroup width; "
-            f"two modes resolved at {len(times)} of "
+            f"two modes resolved at {two_modes} of "
             f"{np.size(t2_samples)} sampled times")
     v_slow = float(np.polyfit(times, slow_track, 1)[0])
     v_fast = float(np.polyfit(times, fast_track, 1)[0])

@@ -16,8 +16,7 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import (WavegroupSpec, _closed_trace, _density_form, _forms, _span, frames,
-                        joint_pdf)
+from .wavegroup import WavegroupSpec, _closed_trace, _density_form, _span, frames, joint_pdf
 
 
 class InsufficientSpanWarning(UserWarning):
@@ -250,8 +249,7 @@ def doppler_beat(state: ConditionalMirrorState, x2: float, t2_axis) -> float:
     t2 = np.asarray(t2_axis, dtype=float)
     state._check_time(t2.min())
     spec, ev = state.spec, state.event
-    log_in, log_ref, theta, *_ = _density_form(
-        spec, ev.t10, t2, _forms(spec, ev.t10, t2)).logs(ev.x10, x2)
+    log_in, log_ref, theta, *_ = _density_form(spec, ev.t10, t2).logs(ev.x10, x2)
     # the envelopes underflow once the packet has moved past the detector, but
     # the contrast survives: 1 / cosh(u) = 2 g / (1 + g^2), g = exp(-|u|)
     g = np.exp(-np.abs(log_in - log_ref))

@@ -36,8 +36,8 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import (WavegroupSpec, _check_range, _density_form, _forms, _smooth_pdf,
-                        frames, joint_pdf)
+from .wavegroup import (WavegroupSpec, _check_range, _density_form, _smooth_pdf, frames,
+                        joint_pdf)
 
 
 class ScenarioValidationError(ValueError):
@@ -686,7 +686,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
         flags.append("coarse-sampling")
     physical = x1[:, None] <= x2[None, :]
     values = np.zeros(grid.shape)
-    form = _density_form(spec, t1, t2, _forms(spec, t1, t2))
+    form = _density_form(spec, t1, t2)
     values[physical] = _smooth_pdf(form, x1, x2, within=physical)
     _check_range(np.isfinite(values).all(), "joint pdf", t1=t1, t2=t2)
     return FieldGrid(grid=grid, values=values,

@@ -16,16 +16,17 @@ carrier (k0, K0) + 2 k_rel (-1, 1), velocity (v, V) + 2 hbar k_rel (-1/m, 1/M).
 Both branches take the shared (v tau1, V tau2) off x before any recoil.
 :func:`_form` builds each branch's real form at the measurement times (t1,
 t2), t2 a float or an axis of times, straight from the spec in real
-arithmetic: the intensity Gaussian's centre and covariance, and log|F| and
-arg F as real quadratics about that centre. The complex A is never formed:
+arithmetic: the intensity Gaussian's covariance, and log|F| and arg F as
+real quadratics about the branch's centre. The complex A is never formed:
 R = diag(1/dk^2, 1/dK^2) enters through its inverse, the chirps C =
 diag(hbar tau1/m, hbar tau2/M) as they are. That is the one form per
-branch. Both packets' frames (:func:`frames`) read its centre and
-covariance, and everything else reads it through the density's
-coefficients (:class:`_Density`): densities, traces, conditional profiles
-and regimes, and the complex amplitudes, currents and their gradients
-(relative to (k0, K0)) alike. A Gauss-Hermite quadrature of
-the same integrals, written independently, serves as the oracle.
+branch, and the density (:class:`_Density`) is its one reader: it alone
+turns a form into a position or a log-modulus, in each branch's exact
+offsets from its centre. Densities, traces, conditional profiles and
+regimes, both packets' frames (:func:`frames`), and the complex
+amplitudes, currents and their gradients (relative to (k0, K0)) all read
+it. A Gauss-Hermite quadrature of the same integrals, written
+independently, serves as the oracle.
 
 The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
 (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2) (:class:`_Density`).
@@ -56,7 +57,8 @@ takes a complex erfc, through the Faddeeva function, and only where it can
 change the sum. Both functions are numpy kernels (:mod:`._faddeeva`), loaded
 on the first trace; the package needs nothing beyond numpy. Marginals and
 conditional probabilities all come from it, its exponents read off the
-density's form.
+density: each branch's peak along the traced axis (:meth:`_Density.peaks`)
+and the cross term's exponent and slope (:meth:`_Density.cross`).
 
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
@@ -172,7 +174,6 @@ class _Form(NamedTuple):
     """One branch's real form at a pair of times (:func:`_form`); over an axis
     of t2 the entries that depend on t2 are arrays, the others scalars."""
 
-    centre: tuple   # (x1, x2) where |F| peaks
     cov: tuple      # ((11, 12), (21, 22)) of the intensity Gaussian |F|^2
     log0: float     # log|F| at the centre
     arg0: float     # arg F at the centre, less Phi and a reflected recoil phase
@@ -184,16 +185,16 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
     """The incident or the reflected branch's real form at the measurement
     times (t1, t2), t2 a float or an array: its log-amplitude is log0 + i arg0
     - d^T (mr + i mi) d / 2, d = x - centre, less a reflected branch's recoil
-    phase (:func:`_density_form`).
+    phase. The centres are the density's (:class:`_Density`), which reads
+    every branch in its own exact offsets from them.
 
     In the module docstring's A = R + i E^T C E, R = diag(1/dk^2, 1/dK^2), C =
     diag(hbar tau1/m, hbar tau2/M), |F|^2 is the Gaussian exp(-b^T Re(A^{-1})
-    b), centred where b = 0: at u tau + recoil + E^{-T} (x1c, x2c), a carrier
-    offset kq moving the packet by hbar kq tau / m = c kq. Its covariance Sigma
-    = (2 E Re(A^{-1}) E^T)^{-1} is (P + C Q C) / 2, P = E^{-T} R E^{-1}, Q =
-    P^{-1} = E R^{-1} E^T, since Re((P + i C)^{-1}) = (P + C Q C)^{-1}. The
-    diagonal is a sum of like-signed terms that bound the off-diagonal, so
-    nothing cancels. P is the adjugate of Q over det Q = det(E)^2 / (R11 R22).
+    b), centred where b = 0. Its covariance Sigma = (2 E Re(A^{-1}) E^T)^{-1}
+    is (P + C Q C) / 2, P = E^{-T} R E^{-1}, Q = P^{-1} = E R^{-1} E^T, since
+    Re((P + i C)^{-1}) = (P + C Q C)^{-1}. The diagonal is a sum of
+    like-signed terms that bound the off-diagonal, so nothing cancels. P is
+    the adjugate of Q over det Q = det(E)^2 / (R11 R22).
 
     With b = E^T d and A = E^T (P + i C) E, b^T A^{-1} b = d^T (P + i C)^{-1} d,
     and (P + i C)^{-1} = adj(P + i C) conj(D) / |D|^2, D = det(P + i C). For
@@ -210,7 +211,6 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # the chirps C
     (e11, e12), (e21, e22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
-    kq = (-2.0 * p.k_rel, 2.0 * p.k_rel) if reflected else (0.0, 0.0)
     det_e = e11 * e22 - e12 * e21
     s1, s2 = 1.0 / (1.0 / spec.dk**2), 1.0 / (1.0 / spec.dK**2)  # R^{-1}
     det_q = det_e * det_e * s1 * s2
@@ -220,8 +220,6 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
     p11, p12, p22 = q22 / det_q, -q12 / det_q, q11 / det_q
     cov12 = 0.5 * (p12 + c1 * c2 * q12)
     cov = ((0.5 * (p11 + c1 * c1 * q11), cov12), (cov12, 0.5 * (p22 + c2 * c2 * q22)))
-    centre = (p.v * tau1 + c1 * kq[0] + (e22 * spec.x1c - e21 * spec.x2c) / det_e,
-              p.V * tau2 + c2 * kq[1] + (e11 * spec.x2c - e12 * spec.x1c) / det_e)
     det_p = 1.0 / det_q
     dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
           + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
@@ -231,28 +229,13 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
           p12 * (c1 * p22 + c2 * p11) / dd,
           -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
     log, atan2 = (np.log, np.arctan2) if isinstance(dd, np.ndarray) else (math.log, math.atan2)
-    return _Form(centre=centre, cov=cov, log0=-0.25 * log(math.pi * math.pi * dd * det_q),
+    return _Form(cov=cov, log0=-0.25 * log(math.pi * math.pi * dd * det_q),
                  arg0=-0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr=mr, mi=mi)
 
 
 def _forms(spec: WavegroupSpec, t1, t2):
     """Both branches' real forms at (t1, t2), incident first (:func:`_form`)."""
     return _form(spec, False, t1, t2), _form(spec, True, t1, t2)
-
-
-def _log_modulus(form: _Form, x1, x2):
-    """log|F| of one branch at (x1, x2), from its real form (:func:`_form`)."""
-    (c1, c2), (m11, m12, m22) = form.centre, form.mr
-    d1, d2 = x1 - c1, x2 - c2
-    return form.log0 - 0.5 * (m11 * d1 * d1 + 2.0 * m12 * d1 * d2 + m22 * d2 * d2)
-
-
-def _axis_centre(form: _Form, axis: int, other):
-    """Where |F| of one branch peaks along a coordinate axis, the other
-    coordinate held at ``other``: centre_i - mr_ij / mr_ii (other - centre_j),
-    i = axis, from its real form (:func:`_form`). Callers check mr_ii > 0."""
-    centre, mr = form.centre, form.mr
-    return centre[axis] - mr[1] / mr[2 * axis] * (other - centre[1 - axis])
 
 
 def _half_line(log_c, alpha, d, slope=None):
@@ -302,35 +285,31 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     gives the whole line. Along the axis each term of |F_in|^2 + |F_ref|^2
     - 2 |F_in F_ref| cos(dphi) is exp(quadratic), with curvature Re(kappa_in),
     Re(kappa_ref) and (kappa_in + conj kappa_ref)/2, kappa = mr_ii + i mi_ii
-    of each branch's real form (:func:`_form`). Each intensity term is
-    real: 2 log|F| (:func:`_log_modulus`) about the branch's peak along the
-    axis (:func:`_axis_centre`), with no slope, through erfcx. The cross term
-    is log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
+    of each branch (:meth:`_Density.kappa`). The density is the one reader of
+    both branches. Each intensity term is real: 2 log|F| at the branch's peak
+    along the axis, and that peak's exact offset from the start, both from
+    :meth:`_Density.peaks`, with no slope, through erfcx. The cross term is
+    log|F_in F_ref| + i dphi about the curvature-weighted mean of the two
     peaks, where its real slope vanishes, through the Faddeeva w (both numpy
-    kernels of :mod:`._faddeeva`), with dphi and its slope from
-    :meth:`_Density.half_phase`, which evaluates the phase parts alone: every
-    exponent is read in real arithmetic,
+    kernels of :mod:`._faddeeva`), with log|F_in F_ref|, dphi and dphi's slope
+    from :meth:`_Density.cross`: every exponent is read in real arithmetic,
     where it is largest. By Cauchy-Schwarz |cross| <= sqrt(y_in y_ref), so
     the complex cross term is evaluated only where that bound, with each y
     raised by what underflow can take from it, exceeds 2^-81 (y_in + y_ref);
     elsewhere it cannot change the rounded sum, and every value is bitwise
     that of the cross term evaluated everywhere.
     """
-    forms = _forms(spec, t1, t2)
-    k_in, k_ref = (complex(f.mr[2 * axis], f.mi[2 * axis]) for f in forms)
+    _check_range(math.isfinite(t1) and math.isfinite(t2), "trace", t1=t1, t2=t2)
+    density = _density_form(spec, t1, t2)
+    k_in, k_ref = density.kappa(axis)
     _check_range(k_in.real > 0.0 and k_ref.real > 0.0, "trace", t1=t1, t2=t2)
-    density = _density_form(spec, t1, t2, forms)
     outer, start = np.broadcast_arrays(outer, outer if start is None else start)
-
-    def log_modulus(form, u, at):
-        return _log_modulus(form, *((at, u) if axis == 1 else (u, at)))
-
     sign = 1.0 if axis == 1 else -1.0  # direction of the half line away from the wall
     a_in, a_ref = k_in.real, k_ref.real
-    c_in, c_ref = (_axis_centre(form, axis, outer) for form in forms)
-    log_in, log_ref = (2.0 * log_modulus(form, c, outer) for form, c in zip(forms, (c_in, c_ref)))
-    y_in, y_ref = (_half_line(log_c, a, sign * (start - c))
-                   for log_c, c, a in zip((log_in, log_ref), (c_in, c_ref), (a_in, a_ref)))
+    (s_in, log_in), (s_ref, log_ref) = density.peaks(axis, outer)
+    e_start, _ = density._offsets(axis, start)
+    y_in, y_ref = (_half_line(log_c, a, sign * (e_start - s))
+                   for log_c, s, a in zip((log_in, log_ref), (s_in, s_ref), (a_in, a_ref)))
     # Cauchy-Schwarz, each term raised far above the (1 + sqrt(pi / a)) 2^-1074
     # that underflow can take from it, as a product of roots: y_in y_ref
     # underflows where the cross term still counts. The cross term's exponents
@@ -339,12 +318,10 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     keep = np.flatnonzero((log_in + log_ref > -1492.0)
                           & (np.sqrt(y_in + lost_in) * np.sqrt(y_ref + lost_ref)
                              > 2.0**-81 * (y_in + y_ref)))
-    at = outer.take(keep)
-    mid = (a_in * c_in.take(keep) + a_ref * c_ref.take(keep)) / (a_in + a_ref)
-    theta, slope = density.half_phase(axis, mid, at)
-    cross = _half_line(sum(log_modulus(form, mid, at) for form in forms) + 2j * theta,
-                       0.5 * (k_in + np.conj(k_ref)), sign * (start.take(keep) - mid),
-                       2j * sign * slope)
+    mid = density.centre(axis) + a_ref * s_ref.take(keep) / (a_in + a_ref)
+    log_c, theta, slope = density.cross(axis, mid, outer.take(keep))
+    cross = _half_line(log_c + 2j * theta, 0.5 * (k_in + np.conj(k_ref)),
+                       sign * (start.take(keep) - mid), 2j * sign * slope)
     y = np.zeros(outer.shape)
     y.flat[keep] = -2.0 * cross.real
     y += y_in
@@ -394,22 +371,26 @@ def _k_rel_dd(p: PhysicalParams):
 
 class _Density(NamedTuple):
     """Coefficients of |F_in - F_ref|^2 at one pair of times, or arrays of them
-    over an axis of t2.
+    over an axis of t2: the one reader of both branches, for every position
+    and log-modulus the package takes from them.
 
     Each branch is read in its own offsets, exact near its centre: the
-    incident one in e = x - (incident centre), the reflected one in d = e -
-    delta, delta the reflected centre's offset. From the two real forms
-    (:func:`_form`) read by name, |F_in| = a1(e1) a2(e2), log|F_ref| =
+    incident one in e = x - (incident centre), the incident centre being u_j
+    tau_j plus the packet centre at t0 (:meth:`centre`), the reflected one in
+    d = e - delta, delta the reflected centre's offset. From the two real
+    forms (:func:`_form`) read by name, |F_in| = a1(e1) a2(e2), log|F_ref| =
     beta1(d1) + beta2(d2) - mr12 d1 d2, and the half phase difference (arg
     F_in - arg F_ref) / 2 is theta1 + theta2 + mi12 d1 d2 / 2, mr12 and mi12
     the reflected form's (the incident form has none). theta_j holds the
     recoil half phase x_j cycles_j pi and both squared offsets along x_j.
 
-    :meth:`_phase_terms` evaluates theta_j and the offsets alone, which is all
-    a trace's cross term reads (:meth:`half_phase`); :meth:`log_axis` adds log a_j and
-    beta_j to the same values, :func:`_smooth_pdf` takes a_j from it for the
-    density, and :meth:`logs` combines both axes' logs for the amplitudes
-    (:func:`_fields`) and the beat (:func:`~.observables.doppler_beat`).
+    :meth:`_offsets` gives (e_j, d_j); :meth:`_phase_terms` adds theta_j, and
+    :meth:`log_axis` log a_j and beta_j to the same values. :func:`_smooth_pdf`
+    takes a_j from it for the density, and :meth:`logs` combines both axes'
+    logs for the amplitudes (:func:`_fields`), the beat
+    (:func:`~.observables.doppler_beat`) and a trace's cross term
+    (:meth:`cross`). Traces and conditional profiles read each branch's peak
+    along an axis (:meth:`peaks`), and frames the centres (:meth:`centre`).
     """
 
     f_in: _Form
@@ -422,13 +403,21 @@ class _Density(NamedTuple):
     theta0: float   # the constant part of theta, in theta1, reduced mod pi
     weight: float   # |reflected_weight|
 
+    def centre(self, j: int):
+        """The incident centre along axis j, u_j tau_j plus the packet centre at
+        t0; the reflected one lies delta_j further."""
+        return (self.ut[j][0] + self.xc[j]) + self.ut[j][1]
+
+    def _offsets(self, j: int, x):
+        """(e_j, d_j) at the points x of axis j, exact near each centre."""
+        e = ((x - self.ut[j][0]) - self.xc[j]) - self.ut[j][1]
+        return e, e - self.delta[j]
+
     def _phase_terms(self, j: int, x):
         """(theta_j, e_j, d_j) at the points x of axis j. The recoil half
         phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
         exactly: x cycles is an exact product, and its integer part drops."""
-        ut_hi, ut_lo = self.ut[j]
-        e = ((x - ut_hi) - self.xc[j]) - ut_lo  # exact near the centre
-        d = e - self.delta[j]
+        e, d = self._offsets(j, x)
         qr, qi = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j]
         w, w_err = _two_prod(x, self.cycles[j][0])
         w_err = w_err + x * self.cycles[j][1]
@@ -452,15 +441,37 @@ class _Density(NamedTuple):
         return (la1 + la2, b1 + b2 - self.f_ref.mr[1] * dd, th1 + th2 + 0.5 * self.f_ref.mi[1] * dd,
                 (e1, e2), (d1, d2))
 
-    def half_phase(self, j: int, x, other):
-        """(theta, dtheta / dx_j) at the points x of axis j, the other coordinate
-        at ``other``: the half phase difference and its slope, recoil kick
-        exact, from the phase parts alone (:meth:`_phase_terms`)."""
-        theta, e, d = self._phase_terms(j, x)
-        theta_o, _, d_o = self._phase_terms(1 - j, other)
-        qr, qi, h12 = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j], self.f_ref.mi[1]
-        slope = self.kick[j] + 2.0 * (qr * d - qi * e) + 0.5 * h12 * d_o
-        return theta + theta_o + 0.5 * h12 * d * d_o, slope
+    def kappa(self, j: int):
+        """(kappa_in, kappa_ref), each branch's curvature along axis j, mr_jj +
+        i mi_jj; a peak along the axis exists where its real part is > 0."""
+        f_in, f_ref = self.f_in, self.f_ref
+        return complex(f_in.mr[2 * j], f_in.mi[2 * j]), complex(f_ref.mr[2 * j], f_ref.mi[2 * j])
+
+    def peaks(self, j: int, other):
+        """[(s, 2 log|F|)] of the incident and the reflected branch where |F|
+        peaks along axis j, the other coordinate at ``other``: s the peak's
+        offset e_j, and the reflected 2 log|F| less 2 log weight. The incident
+        form has no cross term, so its peak is at e_j = 0; the reflected one is
+        at d_j = -mr12 d_o / mr_jj. Callers check Re(kappa) > 0 first."""
+        e_o, d_o = self._offsets(1 - j, other)
+        m_in, m_ref = self.f_in.mr, self.f_ref.mr
+        d = -m_ref[1] / m_ref[2 * j] * d_o
+        return ((0.0, 2.0 * self.f_in.log0 - m_in[2 - 2 * j] * (e_o * e_o)),
+                (self.delta[j] + d, 2.0 * self.f_ref.log0 - m_ref[2 - 2 * j] * (d_o * d_o)
+                 + m_ref[2 * j] * (d * d)))
+
+    def cross(self, j: int, x, other):
+        """(log|F_in F_ref| - log weight, theta, dtheta / dx_j) at the points x
+        of axis j, the other coordinate at ``other`` (:meth:`logs`): the
+        exponent of the cross term, and theta's slope (:meth:`_slope`)."""
+        log_in, log_ref, theta, e, d = self.logs(*((x, other) if j == 0 else (other, x)))
+        return log_in + log_ref, theta, self._slope(j, e, d)
+
+    def _slope(self, j: int, e, d):
+        """dtheta / dx_j from both axes' offsets, e = (e1, e2) and d = (d1, d2)
+        of :meth:`logs`, recoil kick exact."""
+        qr, qi = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j]
+        return self.kick[j] + 2.0 * (qr * d[j] - qi * e[j]) + 0.5 * self.f_ref.mi[1] * d[1 - j]
 
     def density(self, ax1, ax2):
         """|F_in - F_ref|^2 = (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2)
@@ -481,7 +492,7 @@ def _over_pi(hi: float, lo: float):
     return q, (((hi - p) - p_err) + lo - q * _PI_LO) / math.pi
 
 
-def _density_form(spec: WavegroupSpec, t1, t2, forms, detune: float = 1.0,
+def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
                   reflected_weight: float = 1.0) -> _Density:
     """The coefficients of :class:`_Density` at (t1, t2), from both branches'
     real forms there (:func:`_forms`); over an axis of t2 they are arrays, one
@@ -489,7 +500,7 @@ def _density_form(spec: WavegroupSpec, t1, t2, forms, detune: float = 1.0,
     wavevectors, not the energies or the packet's motion, so it changes the
     phase alone: a deliberately broken field for negative-control tests."""
     p = spec.params
-    f_in, f_ref = forms
+    f_in, f_ref = _forms(spec, t1, t2)
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     kq = 2.0 * p.k_rel  # the reflected carrier is (k0, K0) + kq (-1, 1)
     # the centres' offset in closed form, never a difference of the two centres:
@@ -568,9 +579,9 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     carrier (:func:`_density_form`); ``reflected_weight`` linearly rescales
     the reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
     relative to the incident carrier (k0, K0): those of the same quadratics,
-    with theta's slope, recoil kick exact, from :meth:`_Density.half_phase`.
+    with theta's slope, recoil kick exact, as :meth:`_Density.cross` gives it.
     """
-    density = _density_form(spec, t1, t2, _forms(spec, t1, t2), detune, reflected_weight)
+    density = _density_form(spec, t1, t2, detune, reflected_weight)
     mr_in, mi_in, mr = density.f_in.mr, density.f_in.mi, density.f_ref.mr
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     log_in, log_ref, theta, (e1, e2), (d1, d2) = density.logs(x1, x2)
@@ -578,7 +589,7 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     out = SimpleNamespace(F_in=np.exp(log_in + 1j * arg),
                           F_ref=density.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
     if gradients:
-        (_, slope1), (_, slope2) = density.half_phase(0, x1, x2), density.half_phase(1, x2, x1)
+        slope1, slope2 = (density._slope(j, (e1, e2), (d1, d2)) for j in (0, 1))
         out.Lin1 = -(mr_in[0] + 1j * mi_in[0]) * e1
         out.Lin2 = -(mr_in[2] + 1j * mi_in[2]) * e2
         out.Lref1 = -(mr[0] * d1 + mr[1] * d2) - 1j * (mi_in[0] * e1 + 2.0 * slope1)
@@ -610,7 +621,7 @@ def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     conservation checks use that branch, on which the coordinate-pair
     evolutions are exactly unitary.
     """
-    form = _density_form(spec, t1, t2, _forms(spec, t1, t2), detune, reflected_weight)
+    form = _density_form(spec, t1, t2, detune, reflected_weight)
     val = _smooth_pdf(form, x1, x2)
     if not apply_step:
         return val
@@ -645,9 +656,13 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 
 def frames(spec: WavegroupSpec, t1: float, t2: float):
     """[(centre, covariance) of the incident packet, the same of the reflected
-    one] at (t1, t2): arrays of shape (2,) and (2, 2), read off both branches'
-    real forms (:func:`_forms`)."""
-    return [(np.array(f.centre), np.array(f.cov)) for f in _forms(spec, t1, t2)]
+    one] at (t1, t2): arrays of shape (2,) and (2, 2), read off the density,
+    the one reader of both branches: each centre from its exact offsets
+    (:meth:`_Density.centre`), each covariance from the branch's real form."""
+    density = _density_form(spec, t1, t2)
+    centre = np.array([density.centre(0), density.centre(1)])
+    return [(centre, np.array(density.f_in.cov)),
+            (centre + np.array(density.delta), np.array(density.f_ref.cov))]
 
 
 def _span(pairs, pad: float) -> tuple[float, float]:

@@ -5,7 +5,7 @@ import pytest
 from mirrorsim import (PhysicalParams, WavegroupSpec, beat_frequency,
                        coherence_length, elastic_final_velocities, fringe_period,
                        thermal_spread)
-from mirrorsim.wavegroup import _density_form, _form, _forms
+from mirrorsim.wavegroup import _density_form, frames
 from conftest import random_valid_params, reflected_pair
 
 
@@ -79,7 +79,7 @@ class TestCollisionStatedTwice:
                 t = spec.t0 + 1.0
                 # the half phase (arg F_in - arg F_ref) / 2 rises by the kick
                 # per unit x_j, so F_ref's carrier is (k0, K0) - 2 kick
-                kick = _density_form(spec, t, t, _forms(spec, t, t)).kick
+                kick = _density_form(spec, t, t).kick
                 k_scale = abs(p.k) + abs(p.K)
                 assert abs(p.k - 2.0 * kick[0] - k_ref) <= 1e-12 * k_scale
                 assert abs(p.K - 2.0 * kick[1] - K_ref) <= 1e-12 * k_scale
@@ -87,7 +87,7 @@ class TestCollisionStatedTwice:
                 # over a time long enough that the centre's offset at t0
                 # rounds to well below 1e-12 of the displacement
                 span = 1e6 / v_scale
-                c0, c1 = (_form(spec, True, spec.t0 + s, spec.t0 + s).centre for s in (0.0, span))
+                c0, c1 = (frames(spec, spec.t0 + s, spec.t0 + s)[1][0] for s in (0.0, span))
                 for a, b, u_f in zip(c0, c1, elastic_final_velocities(p)):
                     assert abs((b - a) / span - u_f) <= 1e-12 * v_scale
                 period = math.pi / abs(p.k_rel)

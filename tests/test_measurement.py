@@ -164,7 +164,7 @@ class TestOneFormPerTime:
         s, state = _preset_state(name)
         ev = state.event
         t2 = {"nan": math.nan, "inf": math.inf, "before": ev.t10 - s.tau}[when]
-        named = {"pdf": "joint pdf at", "support": "conditional state at",
+        named = {"pdf": "conditional state at", "support": "conditional state at",
                  "branch_profiles": "conditional state at", "norm": "trace at"}[method]
         if when == "before":
             named = "t2 >= t10 only"

@@ -193,3 +193,25 @@ def test_si_particle_marginal():
     assert abs(exact - coarse) < 1e-11 * peak
     closed = marginal_over_particle(spec, np.array([x2]), t1, t2).y[0]
     assert abs(closed - exact) < 5e-11 * peak
+
+
+def test_si_mirror_marginal():
+    # fig8's mirror marginal at (t_c, t_c) on its preset grid's 256-point x2
+    # axis, at the three points where the trace was furthest off while it read
+    # each packet centre as one rounded float (1.28e-11, 1.91e-11 and 1.78e-11
+    # of the peak; 3.2e-12, 3.2e-12 and 3.8e-12 in the density's exact
+    # offsets): the oracle integrated over x1 <= x2 by Simpson on 2,001 nodes,
+    # checked against its own 1,001 even nodes
+    s = PRESETS["fig8"]
+    spec, t = s.wavegroup, s.collision_time
+    x2_axis = s.grid.axes[1].values()
+    curve = marginal_over_particle(spec, x2_axis, t, t).y
+    peak = curve.max()
+    oracle = Oracle(spec, t, t)
+    lo = _hull(frames(spec, t, t), axis=0)[0]
+    for i in (106, 149, 157):
+        x1 = np.linspace(lo, x2_axis[i], 2001)
+        pdf = np.array([oracle.pdf(x, x2_axis[i]) for x in x1])
+        exact, coarse = simpson(pdf, x=x1), simpson(pdf[::2], x=x1[::2])
+        assert abs(exact - coarse) < 1e-13 * peak
+        assert abs(curve[i] - exact) < 1e-11 * peak

@@ -265,24 +265,19 @@ def _full_trace(spec, outer, t1, t2, axis):
     """The closed trace with the cross term evaluated at every point and both
     intensity terms through the complex erfc at zero slope, in the same
     summation order: what ``_closed_trace`` gives with no term skipped."""
-    forms = wavegroup._forms(spec, t1, t2)
-    k_in, k_ref = (complex(f.mr[2 * axis], f.mi[2 * axis]) for f in forms)
-    density = wavegroup._density_form(spec, t1, t2, forms)
-
-    def log_modulus(form, u):
-        return wavegroup._log_modulus(form, *((outer, u) if axis == 1 else (u, outer)))
-
+    density = wavegroup._density_form(spec, t1, t2)
+    k_in, k_ref = density.kappa(axis)
     sign = 1.0 if axis == 1 else -1.0
     a_in, a_ref = k_in.real, k_ref.real
-    c_in, c_ref = (wavegroup._axis_centre(form, axis, outer) for form in forms)
-    mid = (a_in * c_in + a_ref * c_ref) / (a_in + a_ref)
-    theta, slope = density.half_phase(axis, mid, outer)
-    cross = wavegroup._half_line(sum(log_modulus(form, mid) for form in forms) + 2j * theta,
-                                 0.5 * (k_in + np.conj(k_ref)), sign * (outer - mid),
-                                 2j * sign * slope)
+    (s_in, log_in), (s_ref, log_ref) = density.peaks(axis, outer)
+    e_start, _ = density._offsets(axis, outer)
+    mid = density.centre(axis) + a_ref * s_ref / (a_in + a_ref)
+    log_c, theta, slope = density.cross(axis, mid, outer)
+    cross = wavegroup._half_line(log_c + 2j * theta, 0.5 * (k_in + np.conj(k_ref)),
+                                 sign * (outer - mid), 2j * sign * slope)
     y = -2.0 * cross.real
-    for form, c, a in zip(forms, (c_in, c_ref), (a_in, a_ref)):
-        y += wavegroup._half_line(2.0 * log_modulus(form, c), a, sign * (outer - c), 0.0).real
+    for log_c, s, a in zip((log_in, log_ref), (s_in, s_ref), (a_in, a_ref)):
+        y += wavegroup._half_line(log_c, a, sign * (e_start - s), 0.0).real
     return np.maximum(y, 0.0)
 
 
@@ -291,22 +286,24 @@ def _bits(x):
 
 
 class TestClosedTraceWork:
-    """One ``_closed_trace`` call evaluates each branch's log-modulus at its
-    own centre on every point, through the real erfc, and the cross term only
-    where Cauchy-Schwarz lets it change the sum; no probability evaluates a
-    complex amplitude (``_fields``)."""
+    """One ``_closed_trace`` call evaluates both branches' peaks on every
+    point, through the real erfc, and the cross term only where
+    Cauchy-Schwarz lets it change the sum; no probability evaluates a complex
+    amplitude (``_fields``)."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_two_evaluations_per_branch(self, monkeypatch, axis):
         # fig6-m1's branches part along both axes, so each trace skips points
         s = PRESETS["fig6-m1"]
-        calls = {"_fields": [], "_log_modulus": [], "_half_line": []}
+        calls = {"_fields": [], "_half_line": [], "peaks": [], "cross": []}
         for name, seen in calls.items():
-            def counted(*args, original=getattr(wavegroup, name), seen=seen, **kwargs):
+            owner = wavegroup._Density if name in ("peaks", "cross") else wavegroup
+
+            def counted(*args, original=getattr(owner, name), seen=seen, **kwargs):
                 seen.append(args)
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(wavegroup, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         outer = s.grid.axes[1 - axis].values()
         t_c = s.collision_time
         wavegroup._closed_trace(s.wavegroup, outer, t_c, t_c + s.tau, axis)
@@ -322,10 +319,8 @@ class TestClosedTraceWork:
                                 & (np.sqrt(y_in + lost_in) * np.sqrt(y_ref + lost_ref)
                                    > 2.0**-81 * (y_in + y_ref)))
         assert 0 < kept < outer.size and cross_slope.size == kept
-        per_form = {}
-        for form, *x in calls["_log_modulus"]:
-            per_form.setdefault(id(form), []).append(np.broadcast(*x).size)
-        assert list(per_form.values()) == [[outer.size, kept]] * 2
+        assert [np.broadcast(*x).size for _, _, *x in calls["peaks"]] == [outer.size]
+        assert [np.broadcast(*x).size for _, _, *x in calls["cross"]] == [kept]
 
     def test_real_half_line_is_the_complex_one_bitwise(self):
         d = np.concatenate([np.linspace(-30.0, 30.0, 4097), [-np.inf, np.inf, -0.0, 0.0]])
@@ -676,7 +671,9 @@ class TestCli:
 
     def test_zero_beat_is_named(self, tmp_path, capsys):
         # m v + M V = 0: the two analyses that sample beat periods name the zero
-        # beat, and the other seven still run
+        # beat, and the other seven still run. Both tracked mirror modes lie
+        # nearest the reflected branch, so split-velocities is unresolved, and
+        # the fringe-spacing warning prints without a source path
         path = tmp_path / "zb.json"
         path.write_text(json.dumps({
             "name": "zb", "units": "natural", "params": {"m": 1, "M": 2, "v": 2, "V": -1},
@@ -692,7 +689,13 @@ class TestCli:
         assert len(rep) == 9
         for name in failed:
             assert rep[name]["error"].startswith("ValueError: the central beat is zero")
-        assert "ZeroDivisionError" not in capsys.readouterr().err
+        split = rep["split-velocities"]
+        assert split["resolved"] is not True
+        assert split["reason"].startswith("the two tracked mirror modes are not the two substates")
+        err = capsys.readouterr().err
+        assert "ZeroDivisionError" not in err
+        assert "warning: ApproximationWarning: fringe spacing approximation" in err
+        assert ".py:" not in err
 
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3

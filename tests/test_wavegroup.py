@@ -13,8 +13,8 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        spectral_amplitude)
 from mirrorsim.harmonic import interference_phase
 from mirrorsim.scenario import PRESETS, _beat_window, resolve_event
-from mirrorsim.wavegroup import (_MAX_NODES, _axis_centre, _carrier_phase, _density_form,
-                                 _fields, _forms, _two_prod, frames)
+from mirrorsim.wavegroup import (_MAX_NODES, _carrier_phase, _density_form, _fields, _forms,
+                                 _two_prod, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -470,9 +470,9 @@ class TestBranchFrames:
 
     @staticmethod
     def _check_exact(spec, t1, t2, centres_too=True):
-        forms = _forms(spec, t1, t2)
-        for reflected, (centre, cov), form in zip((False, True), frames(spec, t1, t2), forms):
-            ref_centre, ref_cov, along = _exact_branch_moments(spec, reflected, t1, t2)
+        density = _density_form(spec, t1, t2)
+        for branch, (centre, cov) in enumerate(frames(spec, t1, t2)):
+            ref_centre, ref_cov, along = _exact_branch_moments(spec, branch == 1, t1, t2)
             sig = [math.sqrt(ref_cov[i][i]) for i in (0, 1)]
             for i in (0, 1):
                 for j in (0, 1):
@@ -482,7 +482,8 @@ class TestBranchFrames:
             for axis in (0, 1):
                 re_kappa, conditional_centre = along(axis)
                 other = float(ref_centre[1 - axis]) + sig[1 - axis]
-                c, mr_ii = _axis_centre(form, axis, other), form.mr[2 * axis]
+                s, _ = density.peaks(axis, other)[branch]
+                c, mr_ii = density.centre(axis) + s, density.kappa(axis)[branch].real
                 assert abs(mr_ii - float(re_kappa)) <= 1e-14 * float(re_kappa)
                 if centres_too:
                     width = 1.0 / math.sqrt(2.0 * float(re_kappa))
@@ -517,7 +518,7 @@ class TestFormsOverTimes:
 
     @staticmethod
     def _entries(form):
-        return {"centre": list(form.centre), "cov": [v for row in form.cov for v in row],
+        return {"cov": [v for row in form.cov for v in row],
                 "mr": list(form.mr), "mi": list(form.mi), "log0": [form.log0],
                 "arg0": [form.arg0]}
 
@@ -540,8 +541,8 @@ class TestFormsOverTimes:
 
 class TestDensityPhase:
     """``_Density._phase_terms`` gives the phase half of ``_Density.log_axis``:
-    the (theta, e, d) a trace's cross term reads (``half_phase``), bitwise what
-    the density reads and what the phase formula, written out here, gives."""
+    (theta, e, d), bitwise what the density reads and what the phase formula,
+    written out here, gives."""
 
     @staticmethod
     def _one_pass(density, j, x):
@@ -561,7 +562,7 @@ class TestDensityPhase:
         s = PRESETS[name].wavegroup
         t_c, tau = s.collision_time, s.tau
         for t1, t2 in ((t_c, t_c), (t_c, t_c + 2.0 * tau), (t_c + tau, t_c)):
-            density = _density_form(s, t1, t2, _forms(s, t1, t2), detune)
+            density = _density_form(s, t1, t2, detune)
             for centre, cov in frames(s, t1, t2):
                 for j in (0, 1):
                     half = 10.0 * math.sqrt(cov[j, j])
