@@ -114,9 +114,10 @@ class ConditionalMirrorState:
         return [(centre + s, 1.0 / math.sqrt(2.0 * a), math.exp(0.5 * log))
                 for s, a, log in ((s_in, a_in, log_in), (s_ref, a_ref, log_ref))]
 
-    def _kept_profiles(self, t2: float):
-        """The branch profiles at t2 without those below 1e-12 of the strongest."""
-        profiles = self.branch_profiles(t2)
+    def _kept_profiles(self, t2: float, profiles=None):
+        """The branch profiles at t2, or ``profiles`` read there, without those
+        below 1e-12 of the strongest."""
+        profiles = self.branch_profiles(t2) if profiles is None else profiles
         wmax = max(w for _, _, w in profiles)
         return [prof for prof in profiles if prof[2] >= 1e-12 * wmax]
 
@@ -124,10 +125,12 @@ class ConditionalMirrorState:
         """Interval containing the kept conditional branches out to ``pad`` sigmas."""
         return _span(((c, s) for c, s, _ in self._kept_profiles(t2)), pad)
 
-    def _wall_support(self, t2: float, pad: float = 10.0) -> tuple[float, float]:
-        """The physical support [max(lo, x10), hi] at t2 out to ``pad`` sigmas;
-        ValueError when x10 is at or past hi, where it has probability 0."""
-        lo, hi = self.support(t2, pad=pad)
+    def _wall_support(self, t2: float, pad: float = 10.0,
+                      profiles=None) -> tuple[float, float]:
+        """The physical support [max(lo, x10), hi] at t2 out to ``pad`` sigmas,
+        of the branch profiles there or of ``profiles`` read there; ValueError
+        when x10 is at or past hi, where it has probability 0."""
+        lo, hi = _span(((c, s) for c, s, _ in self._kept_profiles(t2, profiles)), pad)
         ev = self.event
         if ev.x10 >= hi:
             raise ValueError(f"detection at x10={ev.x10:g}, t10={ev.t10:g} lies past "
@@ -203,14 +206,16 @@ def classify_regime(spec: WavegroupSpec, event: MeasurementEvent) -> str:
 
     The decision point x2* is the peak of the heavier conditional branch at
     the detection time (:meth:`ConditionalMirrorState.branch_profiles`),
-    clipped into the physical support; the event is regime B when the
+    clipped into the physical support, which one read of those profiles
+    also gives (``_wall_support``); the event is regime B when the
     incident and reflected moduli at (x10, x2*), read from the density there
     (:meth:`~.wavegroup._Density.logs`), are within three decades of each
     other.
     """
     state = collapse(spec, event)
-    x2_star = max(state.branch_profiles(event.t10), key=lambda prof: prof[2])[0]
-    lo, hi = state._wall_support(event.t10)
+    profiles = state.branch_profiles(event.t10)
+    x2_star = max(profiles, key=lambda prof: prof[2])[0]
+    lo, hi = state._wall_support(event.t10, profiles=profiles)
     log_in, log_ref, *_ = state._at(event.t10).logs(event.x10, min(max(x2_star, lo), hi))
     return "B" if abs(log_in - log_ref) < math.log(1e3) else "A"
 

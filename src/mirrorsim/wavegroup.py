@@ -28,6 +28,13 @@ amplitudes, currents and their gradients (relative to (k0, K0)) all read
 it. A Gauss-Hermite quadrature of the same integrals, written
 independently, serves as the oracle.
 
+What no time changes is built once per spec and kept with it
+(:func:`_build_constants`): per branch Q = E R^{-1} E^T and its inverse P,
+per system the recoil, the centres' offset at t0, the undetuned recoil kick
+and the beat frequency. :func:`_form` adds the chirps C and all that depends
+on them, :func:`_density_form` the centres' motion and the phase constant,
+so a query at many mirror times repeats only the per-time part.
+
 The density |F_in - F_ref|^2 is evaluated in real arithmetic, as
 (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2) (:class:`_Density`).
 |F| of a branch is the square root of its intensity Gaussian, so Re(b^T
@@ -131,6 +138,12 @@ class WavegroupSpec:
         if not sep > 5.0 * (1.0 / self.dk + 1.0 / self.dK):
             raise ValueError("packet centres closer than five combined widths")
 
+    @functools.cached_property
+    def _constants(self) -> _Constants:
+        """The closed form's time-independent constants (:func:`_build_constants`),
+        built on first use; they live and die with the spec."""
+        return _build_constants(self)
+
     @property
     def beat0(self) -> float:
         """Central beat frequency, the phase-advance rate of the cross term."""
@@ -170,6 +183,43 @@ def spectral_amplitude(spec: WavegroupSpec, k, K):
 # closed-form evaluation
 # ---------------------------------------------------------------------------
 
+class _Constants(NamedTuple):
+    """What the closed form reads off a spec at no time (:func:`_build_constants`);
+    :func:`_form` and :func:`_density_form` add what depends on the times."""
+
+    spread: tuple   # per branch, incident first: (Q, det Q, P = adj(Q) / det Q, det P),
+                    # Q and P as (11, 12, 22)
+    kq: float       # 2 k_rel: the reflected carrier is (k0, K0) + kq (-1, 1)
+    delta0: tuple   # per axis, the reflected centre's offset at t0, (2 - a12, -a12) (x2c - x1c)
+    k_rel: tuple    # k_rel as (hi, lo) (:func:`_k_rel_dd`)
+    kick: tuple     # per axis, the undetuned recoil half phase's slope, +-k_rel
+    cycles: tuple   # per axis, that slope over pi, as (hi, lo)
+    beat: float     # the central beat frequency (:func:`~.harmonic.beat_frequency`)
+
+
+def _build_constants(spec: WavegroupSpec) -> _Constants:
+    """The spec's :class:`_Constants`, kept by ``WavegroupSpec._constants``:
+    each branch's Q = E R^{-1} E^T (:func:`_form`), E the identity or the
+    collision matrix, and the undetuned kick and cycles (:func:`_recoil`)."""
+    p = spec.params
+    s1, s2 = 1.0 / (1.0 / spec.dk**2), 1.0 / (1.0 / spec.dK**2)  # R^{-1}
+    spread = []
+    for (e11, e12), (e21, e22) in (((1.0, 0.0), (0.0, 1.0)), p.collision_matrix):
+        det_e = e11 * e22 - e12 * e21
+        det_q = det_e * det_e * s1 * s2
+        q11 = e11 * e11 * s1 + e12 * e12 * s2
+        q12 = e11 * e21 * s1 + e12 * e22 * s2
+        q22 = e21 * e21 * s1 + e22 * e22 * s2
+        spread.append(((q11, q12, q22), det_q, (q22 / det_q, -q12 / det_q, q11 / det_q),
+                       1.0 / det_q))
+    kq = 2.0 * p.k_rel
+    a12, sep = p.collision_matrix[0][1], spec.x2c - spec.x1c
+    k_rel = _k_rel_dd(p)
+    kick, cycles = _recoil(p, kq, k_rel, 1.0)
+    return _Constants(spread=tuple(spread), kq=kq, delta0=((2.0 - a12) * sep, -(a12 * sep)),
+                      k_rel=k_rel, kick=kick, cycles=cycles, beat=beat_frequency(p))
+
+
 class _Form(NamedTuple):
     """One branch's real form at a pair of times (:func:`_form`); over an axis
     of t2 the entries that depend on t2 are arrays, the others scalars."""
@@ -206,21 +256,16 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
     an axis of t2 the entries that depend on t2 are arrays, from numpy's log
     and arctan2; Python float times keep math's, whose roundings numpy's
     scalar arctan2 does not always reproduce.
+
+    Only the chirps depend on the times: Q, P and their determinants are the
+    spec's (:func:`_build_constants`), the rest is built here.
     """
     p = spec.params
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M  # the chirps C
-    (e11, e12), (e21, e22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
-    det_e = e11 * e22 - e12 * e21
-    s1, s2 = 1.0 / (1.0 / spec.dk**2), 1.0 / (1.0 / spec.dK**2)  # R^{-1}
-    det_q = det_e * det_e * s1 * s2
-    q11 = e11 * e11 * s1 + e12 * e12 * s2
-    q12 = e11 * e21 * s1 + e12 * e22 * s2
-    q22 = e21 * e21 * s1 + e22 * e22 * s2
-    p11, p12, p22 = q22 / det_q, -q12 / det_q, q11 / det_q
+    (q11, q12, q22), det_q, (p11, p12, p22), det_p = spec._constants.spread[reflected]
     cov12 = 0.5 * (p12 + c1 * c2 * q12)
     cov = ((0.5 * (p11 + c1 * c1 * q11), cov12), (cov12, 0.5 * (p22 + c2 * c2 * q22)))
-    det_p = 1.0 / det_q
     dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
           + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
     mr = ((p22 * det_p + c2 * c2 * p11) / dd, -p12 * (det_p - c1 * c2) / dd,
@@ -384,8 +429,9 @@ class _Density(NamedTuple):
     the reflected form's (the incident form has none). theta_j holds the
     recoil half phase x_j cycles_j pi and both squared offsets along x_j.
 
-    :meth:`_offsets` gives (e_j, d_j); :meth:`_phase_terms` adds theta_j, and
-    :meth:`log_axis` log a_j and beta_j to the same values. :func:`_smooth_pdf`
+    :meth:`_offsets` gives (e_j, d_j); :meth:`_phase_terms` adds theta_j and
+    both squares, and :meth:`log_axis` log a_j and beta_j from those same
+    squares, formed once per axis. :func:`_smooth_pdf`
     takes a_j from it for the density, and :meth:`logs` combines both axes'
     logs for the amplitudes (:func:`_fields`), the beat
     (:func:`~.observables.doppler_beat`) and a trace's cross term
@@ -414,23 +460,29 @@ class _Density(NamedTuple):
         return e, e - self.delta[j]
 
     def _phase_terms(self, j: int, x):
-        """(theta_j, e_j, d_j) at the points x of axis j. The recoil half
-        phase, up to 1e6 rad on fine-fringed presets, is reduced mod pi
-        exactly: x cycles is an exact product, and its integer part drops."""
+        """(theta_j, e_j, d_j, e_j^2, d_j^2) at the points x of axis j. The
+        recoil half phase, up to 1e6 rad on fine-fringed presets, is reduced
+        mod pi exactly: x cycles is an exact product, and its integer part
+        drops. Only theta1 holds theta's constant part."""
         e, d = self._offsets(j, x)
+        ee, dd = e * e, d * d
         qr, qi = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j]
         w, w_err = _two_prod(x, self.cycles[j][0])
         w_err = w_err + x * self.cycles[j][1]
-        theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * (d * d) - qi * (e * e))
-                                                         + (self.theta0 if j == 0 else 0.0))
-        return theta, e, d
+        quad = qr * dd - qi * ee
+        theta = math.pi * ((w - np.rint(w)) + w_err) + (quad + self.theta0 if j == 0 else quad)
+        return theta, e, d, ee, dd
 
     def log_axis(self, j: int, x):
         """(log a_j, beta_j, theta_j, e_j, d_j) at the points x of axis j, the
-        phase and the offsets from :meth:`_phase_terms`."""
-        theta, e, d = self._phase_terms(j, x)
-        log_a = (self.f_in.log0 if j == 0 else 0.0) - 0.5 * self.f_in.mr[2 * j] * (e * e)
-        beta = (self.f_ref.log0 if j == 0 else 0.0) - 0.5 * self.f_ref.mr[2 * j] * (d * d)
+        phase, the offsets and their squares from :meth:`_phase_terms`; only
+        axis 0 holds the log0 terms."""
+        theta, e, d, ee, dd = self._phase_terms(j, x)
+        if j == 0:
+            log_a = self.f_in.log0 - 0.5 * self.f_in.mr[0] * ee
+            beta = self.f_ref.log0 - 0.5 * self.f_ref.mr[0] * dd
+        else:
+            log_a, beta = -0.5 * self.f_in.mr[2] * ee, -0.5 * self.f_ref.mr[2] * dd
         return log_a, beta, theta, e, d
 
     def logs(self, x1, x2):
@@ -492,28 +544,40 @@ def _over_pi(hi: float, lo: float):
     return q, (((hi - p) - p_err) + lo - q * _PI_LO) / math.pi
 
 
+def _recoil(p: PhysicalParams, kq: float, k_rel: tuple, detune: float):
+    """(kick, cycles) per axis: the recoil half phase's slope and that slope
+    over pi as (hi, lo), k_rel = (hi, lo) and kq = 2 k_rel. A detuned
+    reflected carrier gains (detune - 1) times itself; the recoil phase 2
+    k_rel (x2 - x1) + offset . x enters with a minus sign."""
+    k_hi, k_lo = k_rel
+    offset = ((detune - 1.0) * (p.k - kq), (detune - 1.0) * (p.K + kq))
+    kick = (k_hi - 0.5 * offset[0], -k_hi - 0.5 * offset[1])
+    return kick, (_over_pi(kick[0], k_lo), _over_pi(kick[1], -k_lo))
+
+
 def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
                   reflected_weight: float = 1.0) -> _Density:
     """The coefficients of :class:`_Density` at (t1, t2), from both branches'
     real forms there (:func:`_forms`); over an axis of t2 they are arrays, one
     form for the whole series. ``detune`` scales the reflected carrier
     wavevectors, not the energies or the packet's motion, so it changes the
-    phase alone: a deliberately broken field for negative-control tests."""
-    p = spec.params
+    phase alone: a deliberately broken field for negative-control tests.
+
+    Per system (:func:`_build_constants`): an undetuned carrier's kick and
+    cycles, the centres' offset at t0 and the beat. Per time: the forms, the
+    centres' motion, the offset's recoil drift, theta's constant part and a
+    detuned carrier's kick and cycles."""
+    p, system = spec.params, spec._constants
     f_in, f_ref = _forms(spec, t1, t2)
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
-    kq = 2.0 * p.k_rel  # the reflected carrier is (k0, K0) + kq (-1, 1)
+    kq = system.kq
     # the centres' offset in closed form, never a difference of the two centres:
     # a carrier offset moves the packet by hbar kq tau / m, the recoil
-    a12, sep = p.collision_matrix[0][1], spec.x2c - spec.x1c
-    delta = (p.hbar * tau1 / p.m * -kq + (2.0 - a12) * sep,
-             p.hbar * tau2 / p.M * kq - a12 * sep)
-    # a detuned reflected carrier gains (detune - 1) times itself; the recoil
-    # phase 2 k_rel (x2 - x1) + offset . x enters with a minus sign
-    offset = ((detune - 1.0) * (p.k - kq), (detune - 1.0) * (p.K + kq))
-    k_hi, k_lo = _k_rel_dd(p)
-    kick = (k_hi - 0.5 * offset[0], -k_hi - 0.5 * offset[1])
-    const = (f_in.arg0 - f_ref.arg0 - 2.0 * beat_frequency(p) * (tau1 - tau2)
+    delta = (p.hbar * tau1 / p.m * -kq + system.delta0[0],
+             p.hbar * tau2 / p.M * kq + system.delta0[1])
+    kick, cycles = ((system.kick, system.cycles) if detune == 1.0
+                    else _recoil(p, kq, system.k_rel, detune))
+    const = (f_in.arg0 - f_ref.arg0 - 2.0 * system.beat * (tau1 - tau2)
              + (math.pi if reflected_weight < 0.0 else 0.0))
     # Python float times keep math's calls, the exact remainder among them;
     # over an axis of t2, numpy's remainder may land a period higher, which
@@ -524,8 +588,7 @@ def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
         finite, remainder = math.isfinite(const), math.remainder
     _check_range(finite, "joint pdf", t1=t1, t2=t2)  # before remainder raises
     return _Density(f_in=f_in, f_ref=f_ref, ut=(_two_prod(p.v, tau1), _two_prod(p.V, tau2)),
-                    xc=(spec.x1c, spec.x2c), delta=delta,
-                    cycles=(_over_pi(kick[0], k_lo), _over_pi(kick[1], -k_lo)), kick=kick,
+                    xc=(spec.x1c, spec.x2c), delta=delta, cycles=cycles, kick=kick,
                     theta0=0.5 * remainder(const, _TWO_PI), weight=abs(reflected_weight))
 
 

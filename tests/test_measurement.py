@@ -141,9 +141,13 @@ class TestOneFormPerTime:
             np.testing.assert_array_equal(state.pdf(x2, t2, apply_step=apply_step), direct)
 
     def test_each_branch_is_built_once_per_time(self, monkeypatch):
+        # the spec's constants are built once, on its first use, and kept
+        # with it: across both times and by a second state on the same spec
         from mirrorsim import wavegroup
-        s, state = _preset_state("fig5")
-        built = {"_form": 0}
+        s, _ = _preset_state("fig5")
+        spec = dataclasses.replace(s.wavegroup)  # a spec no earlier test has used
+        ev = resolve_event(s, s.events[0])
+        built = {"_form": 0, "_build_constants": 0}
         for fn_name in built:
             original = getattr(wavegroup, fn_name)
 
@@ -151,11 +155,14 @@ class TestOneFormPerTime:
                 built[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(wavegroup, fn_name, counted)
-        for n, t2 in enumerate(state.event.t10 + s.tau * np.array([1.0, 2.0]), start=1):
-            lo, hi = state.support(t2)
-            state.pdf(np.linspace(lo, hi, 64), t2)
-            state.branch_profiles(t2)
-            assert built == {"_form": 2 * n}
+        forms = 0
+        for state in (collapse(spec, ev), collapse(spec, ev)):
+            for t2 in ev.t10 + s.tau * np.array([1.0, 2.0]):
+                lo, hi = state.support(t2)
+                state.pdf(np.linspace(lo, hi, 64), t2)
+                state.branch_profiles(t2)
+                forms += 2
+                assert built == {"_form": forms, "_build_constants": 1}
 
     @pytest.mark.parametrize("name", ["fig5", "fig8"])
     @pytest.mark.parametrize("when", ["nan", "inf", "before"])

@@ -11,10 +11,10 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
                        amplitude_quadrature, collapse, currents, joint_pdf,
                        marginal_over_mirror, marginal_over_particle,
                        spectral_amplitude)
-from mirrorsim.harmonic import interference_phase
+from mirrorsim.harmonic import beat_frequency, interference_phase
 from mirrorsim.scenario import PRESETS, _beat_window, resolve_event
-from mirrorsim.wavegroup import (_MAX_NODES, _carrier_phase, _density_form, _fields, _forms,
-                                 _two_prod, frames)
+from mirrorsim.wavegroup import (_MAX_NODES, _carrier_phase, _Density, _density_form, _fields,
+                                 _Form, _form, _forms, _k_rel_dd, _over_pi, _two_prod, frames)
 
 TWO_PI = 2.0 * math.pi
 
@@ -542,7 +542,8 @@ class TestFormsOverTimes:
 class TestDensityPhase:
     """``_Density._phase_terms`` gives the phase half of ``_Density.log_axis``:
     (theta, e, d), bitwise what the density reads and what the phase formula,
-    written out here, gives."""
+    written out here, gives, with the squares e^2 and d^2 that both halves
+    read."""
 
     @staticmethod
     def _one_pass(density, j, x):
@@ -555,7 +556,7 @@ class TestDensityPhase:
         w, w_err = _two_prod(x, cycles[0])
         w_err = w_err + x * cycles[1]
         theta = math.pi * ((w - np.rint(w)) + w_err) + ((qr * (d * d) - qi * (e * e)) + c)
-        return theta, e, d
+        return theta, e, d, e * e, d * d
 
     @pytest.mark.parametrize("name, detune", [("fig5", 1.0), ("fig8", 1.0), ("fig5", 1.1)])
     def test_phase_is_bitwise_the_axis_phase(self, name, detune):
@@ -573,3 +574,96 @@ class TestDensityPhase:
                         for ref in (ax, self._one_pass(density, j, pts)):
                             for a, b in zip(got, ref):
                                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestConstantsPerSpec:
+    """A spec builds its time-independent constants once and keeps them
+    (``WavegroupSpec._constants``); each branch's form and the density's
+    coefficients built from them at any times are bitwise the formulas
+    written out here, every constant evaluated again at each time."""
+
+    @staticmethod
+    def _form(spec, reflected, t1, t2):
+        p = spec.params
+        tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+        c1, c2 = p.hbar * tau1 / p.m, p.hbar * tau2 / p.M
+        (e11, e12), (e21, e22) = p.collision_matrix if reflected else ((1.0, 0.0), (0.0, 1.0))
+        det_e = e11 * e22 - e12 * e21
+        s1, s2 = 1.0 / (1.0 / spec.dk**2), 1.0 / (1.0 / spec.dK**2)
+        det_q = det_e * det_e * s1 * s2
+        q11 = e11 * e11 * s1 + e12 * e12 * s2
+        q12 = e11 * e21 * s1 + e12 * e22 * s2
+        q22 = e21 * e21 * s1 + e22 * e22 * s2
+        p11, p12, p22 = q22 / det_q, -q12 / det_q, q11 / det_q
+        cov12 = 0.5 * (p12 + c1 * c2 * q12)
+        cov = ((0.5 * (p11 + c1 * c1 * q11), cov12), (cov12, 0.5 * (p22 + c2 * c2 * q22)))
+        det_p = 1.0 / det_q
+        dd = (det_p * det_p + c1 * c1 * c2 * c2 + c1 * c1 * p22 * p22
+              + c2 * c2 * p11 * p11 + 2.0 * c1 * c2 * p12 * p12)
+        mr = ((p22 * det_p + c2 * c2 * p11) / dd, -p12 * (det_p - c1 * c2) / dd,
+              (p11 * det_p + c1 * c1 * p22) / dd)
+        mi = (-(c1 * p22 * p22 + c1 * c2 * c2 + c2 * p12 * p12) / dd,
+              p12 * (c1 * p22 + c2 * p11) / dd,
+              -(c2 * p11 * p11 + c1 * c1 * c2 + c1 * p12 * p12) / dd)
+        log, atan2 = (np.log, np.arctan2) if isinstance(dd, np.ndarray) else (math.log, math.atan2)
+        return _Form(cov=cov, log0=-0.25 * log(math.pi * math.pi * dd * det_q),
+                     arg0=-0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr=mr, mi=mi)
+
+    @classmethod
+    def _density(cls, spec, t1, t2, detune):
+        p = spec.params
+        f_in, f_ref = cls._form(spec, False, t1, t2), cls._form(spec, True, t1, t2)
+        tau1, tau2 = t1 - spec.t0, t2 - spec.t0
+        kq = 2.0 * p.k_rel
+        a12, sep = p.collision_matrix[0][1], spec.x2c - spec.x1c
+        delta = (p.hbar * tau1 / p.m * -kq + (2.0 - a12) * sep,
+                 p.hbar * tau2 / p.M * kq - a12 * sep)
+        offset = ((detune - 1.0) * (p.k - kq), (detune - 1.0) * (p.K + kq))
+        k_hi, k_lo = _k_rel_dd(p)
+        kick = (k_hi - 0.5 * offset[0], -k_hi - 0.5 * offset[1])
+        const = f_in.arg0 - f_ref.arg0 - 2.0 * beat_frequency(p) * (tau1 - tau2) + 0.0
+        remainder = np.remainder if isinstance(const, np.ndarray) else math.remainder
+        return _Density(f_in=f_in, f_ref=f_ref, ut=(_two_prod(p.v, tau1), _two_prod(p.V, tau2)),
+                        xc=(spec.x1c, spec.x2c), delta=delta,
+                        cycles=(_over_pi(kick[0], k_lo), _over_pi(kick[1], -k_lo)), kick=kick,
+                        theta0=0.5 * remainder(const, TWO_PI), weight=1.0)
+
+    @staticmethod
+    def _leaves(obj):
+        if isinstance(obj, tuple):
+            return [leaf for item in obj for leaf in TestConstantsPerSpec._leaves(item)]
+        return [np.asarray(obj, dtype=float)]
+
+    def _check(self, spec, t1, t2, detune=1.0):
+        for reflected in (False, True):
+            got, want = _form(spec, reflected, t1, t2), self._form(spec, reflected, t1, t2)
+            for field, a, b in zip(_Form._fields, got, want):
+                for x, y in zip(self._leaves(a), self._leaves(b), strict=True):
+                    assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), (field, reflected)
+        got, want = _density_form(spec, t1, t2, detune), self._density(spec, t1, t2, detune)
+        for field, a, b in zip(_Density._fields, got, want):
+            for x, y in zip(self._leaves(a), self._leaves(b), strict=True):
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), field
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_forms_are_the_written_out_formulas(self, name):
+        s = PRESETS[name].wavegroup
+        t_c, tau = s.collision_time, s.tau
+        for detune in (1.0, 1.05):
+            self._check(s, t_c, t_c + tau, detune)
+
+    def test_over_the_beat_times(self):
+        sc = PRESETS["fig9"]
+        ev = resolve_event(sc, sc.events[0])
+        self._check(sc.wavegroup, ev.t10, _beat_window(sc, ev))
+
+    def test_replaced_spec_builds_its_own(self):
+        s = PRESETS["fig5"].wavegroup
+        wider = dataclasses.replace(s, dK=2.0 * s.dK)
+        assert wider._constants.spread != s._constants.spread
+        assert s._constants is s._constants  # kept, not rebuilt
+        t_c, tau = wider.collision_time, wider.tau
+        self._check(wider, t_c, t_c + tau)
+        # the kept constants are no field: equality and hashing see the fields alone
+        same = dataclasses.replace(s)
+        assert same == s and hash(same) == hash(s) and "_constants" not in vars(same)
