@@ -8,6 +8,8 @@ scenario's overlap time scale tau: --event t10=... and the --times of
 ``collapse`` samples each mirror time t2 on its own conditional support.
 --resolution is >= 16; --times is a comma list of at least one finite number;
 --event is a comma list of t10= and x10= pairs, each at most once and finite.
+``validate`` loads a config the way the commands do, so it accepts exactly
+the configs they load and reports the same errors.
 
 ``simulate``, ``collapse`` and ``marginal`` compute every output of a scenario
 before they write any of its files, so a scenario that fails at any time
@@ -155,13 +157,7 @@ def cmd_presets_list(_args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    violations = sc.validate_config(cfg)
-    if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        return EXIT_VALIDATION
+    sc.load_scenario(args.config)
     print("ok")
     return EXIT_OK
 

@@ -62,17 +62,16 @@ def _harmonic_currents(p: PhysicalParams, x1, t1, x2, t2):
     return j, j
 
 
-def _field_fns(field, detune: float = 1.0, reflected_weight: float = 1.0):
+def _field_fns(field, detune: float = 1.0):
     """(params, pdf, currents) of a field: a :class:`~.wavegroup.WavegroupSpec`,
     or a plane-wave pair given as its :class:`~.kinematics.PhysicalParams`.
     pdf and currents are callables of (x1, t1, x2, t2); currents returns
     (j1, j2)."""
     if isinstance(field, WavegroupSpec):
-        knobs = dict(detune=detune, reflected_weight=reflected_weight)
-        return (field.params, functools.partial(joint_pdf, field, **knobs),
-                functools.partial(currents, field, **knobs))
+        return (field.params, functools.partial(joint_pdf, field, detune=detune),
+                functools.partial(currents, field, detune=detune))
     if isinstance(field, PhysicalParams):
-        if detune != 1.0 or reflected_weight != 1.0:
+        if detune != 1.0:
             raise ValueError("corruption knobs apply to wavegroup fields only")
         return (field, lambda x1, t1, x2, t2: interference_pdf(
                     field, SpacetimePoint(x1, t1, x2, t2)),
@@ -82,19 +81,18 @@ def _field_fns(field, detune: float = 1.0, reflected_weight: float = 1.0):
 
 def continuity_residual(field, x1, x2, t1: float, t2: float,
                         steps: tuple[float, float, float, float],
-                        detune: float = 1.0,
-                        reflected_weight: float = 1.0) -> ContinuityResidual:
+                        detune: float = 1.0) -> ContinuityResidual:
     """Central-difference residual of the local balance over an x1 x x2 box.
 
     ``field`` is a :class:`~.wavegroup.WavegroupSpec` or, for the plane-wave
-    pair, its :class:`~.kinematics.PhysicalParams`; the corruption knobs
-    ``detune`` and ``reflected_weight`` apply to a wavegroup only. ``steps``
-    are (dx1, dx2, dt1, dt2). The reported scale is the largest magnitude
-    among the four balancing terms, so max_over_scale is the dimensionless
-    quality of the check.
+    pair, its :class:`~.kinematics.PhysicalParams`; the corruption knob
+    ``detune`` applies to a wavegroup only. ``steps`` are (dx1, dx2, dt1,
+    dt2). The reported scale is the largest magnitude among the four
+    balancing terms, so max_over_scale is the dimensionless quality of the
+    check.
     """
     dx1, dx2, dt1, dt2 = steps
-    p, pdf, cur = _field_fns(field, detune, reflected_weight)
+    p, pdf, cur = _field_fns(field, detune)
     if max(dx1, dx2) > fringe_period(p) / 20.0:
         warnings.warn("spatial steps coarser than a twentieth of a fringe",
                       UnderResolvedStepWarning, stacklevel=2)

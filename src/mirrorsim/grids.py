@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kinematics import _require_finite
+
 _AXIS_ROLES = ("x1", "x2")
 
 
@@ -22,6 +24,7 @@ class AxisSpec:
     def __post_init__(self):
         if self.role not in _AXIS_ROLES:
             raise ValueError(f"axis role must be one of {_AXIS_ROLES}")
+        _require_finite(self, "lo", "hi")
         if not self.hi > self.lo:
             raise ValueError("axis range is degenerate")
         if self.n < 16:

@@ -278,11 +278,6 @@ def _form(spec: WavegroupSpec, reflected: bool, t1, t2) -> _Form:
                  arg0=-0.5 * atan2(c1 * p22 + c2 * p11, det_p - c1 * c2), mr=mr, mi=mi)
 
 
-def _forms(spec: WavegroupSpec, t1, t2):
-    """Both branches' real forms at (t1, t2), incident first (:func:`_form`)."""
-    return _form(spec, False, t1, t2), _form(spec, True, t1, t2)
-
-
 def _half_line(log_c, alpha, d, slope=None):
     """Integral of exp(log_c + slope s - alpha s^2) over s >= d, Re(alpha) > 0.
 
@@ -429,11 +424,10 @@ class _Density(NamedTuple):
     the reflected form's (the incident form has none). theta_j holds the
     recoil half phase x_j cycles_j pi and both squared offsets along x_j.
 
-    :meth:`_offsets` gives (e_j, d_j); :meth:`_phase_terms` adds theta_j and
-    both squares, and :meth:`log_axis` log a_j and beta_j from those same
-    squares, formed once per axis. :func:`_smooth_pdf`
-    takes a_j from it for the density, and :meth:`logs` combines both axes'
-    logs for the amplitudes (:func:`_fields`), the beat
+    :meth:`_offsets` gives (e_j, d_j), and :meth:`log_axis` adds theta_j, log
+    a_j and beta_j, from both squared offsets formed once per axis.
+    :func:`_smooth_pdf` takes a_j from it for the density, and :meth:`logs`
+    combines both axes' logs for the amplitudes (:func:`_fields`), the beat
     (:func:`~.observables.doppler_beat`) and a trace's cross term
     (:meth:`cross`). Traces and conditional profiles read each branch's peak
     along an axis (:meth:`peaks`), and frames the centres (:meth:`centre`).
@@ -459,29 +453,24 @@ class _Density(NamedTuple):
         e = ((x - self.ut[j][0]) - self.xc[j]) - self.ut[j][1]
         return e, e - self.delta[j]
 
-    def _phase_terms(self, j: int, x):
-        """(theta_j, e_j, d_j, e_j^2, d_j^2) at the points x of axis j. The
-        recoil half phase, up to 1e6 rad on fine-fringed presets, is reduced
-        mod pi exactly: x cycles is an exact product, and its integer part
-        drops. Only theta1 holds theta's constant part."""
+    def log_axis(self, j: int, x):
+        """(log a_j, beta_j, theta_j, e_j, d_j) at the points x of axis j, each
+        squared offset formed once. The recoil half phase, up to 1e6 rad on
+        fine-fringed presets, is reduced mod pi exactly: x cycles is an exact
+        product, and its integer part drops. Only axis 0 holds theta's
+        constant part and the log0 terms."""
         e, d = self._offsets(j, x)
         ee, dd = e * e, d * d
         qr, qi = 0.25 * self.f_ref.mi[2 * j], 0.25 * self.f_in.mi[2 * j]
         w, w_err = _two_prod(x, self.cycles[j][0])
         w_err = w_err + x * self.cycles[j][1]
-        quad = qr * dd - qi * ee
-        theta = math.pi * ((w - np.rint(w)) + w_err) + (quad + self.theta0 if j == 0 else quad)
-        return theta, e, d, ee, dd
-
-    def log_axis(self, j: int, x):
-        """(log a_j, beta_j, theta_j, e_j, d_j) at the points x of axis j, the
-        phase, the offsets and their squares from :meth:`_phase_terms`; only
-        axis 0 holds the log0 terms."""
-        theta, e, d, ee, dd = self._phase_terms(j, x)
+        turns, quad = math.pi * ((w - np.rint(w)) + w_err), qr * dd - qi * ee
         if j == 0:
+            theta = turns + (quad + self.theta0)
             log_a = self.f_in.log0 - 0.5 * self.f_in.mr[0] * ee
             beta = self.f_ref.log0 - 0.5 * self.f_ref.mr[0] * dd
         else:
+            theta = turns + quad
             log_a, beta = -0.5 * self.f_in.mr[2] * ee, -0.5 * self.f_ref.mr[2] * dd
         return log_a, beta, theta, e, d
 
@@ -558,17 +547,19 @@ def _recoil(p: PhysicalParams, kq: float, k_rel: tuple, detune: float):
 def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
                   reflected_weight: float = 1.0) -> _Density:
     """The coefficients of :class:`_Density` at (t1, t2), from both branches'
-    real forms there (:func:`_forms`); over an axis of t2 they are arrays, one
+    real forms there (:func:`_form`); over an axis of t2 they are arrays, one
     form for the whole series. ``detune`` scales the reflected carrier
     wavevectors, not the energies or the packet's motion, so it changes the
     phase alone: a deliberately broken field for negative-control tests.
+    ``reflected_weight`` linearly rescales the reflected branch, for
+    :func:`joint_pdf` alone.
 
     Per system (:func:`_build_constants`): an undetuned carrier's kick and
     cycles, the centres' offset at t0 and the beat. Per time: the forms, the
     centres' motion, the offset's recoil drift, theta's constant part and a
     detuned carrier's kick and cycles."""
     p, system = spec.params, spec._constants
-    f_in, f_ref = _forms(spec, t1, t2)
+    f_in, f_ref = _form(spec, False, t1, t2), _form(spec, True, t1, t2)
     tau1, tau2 = t1 - spec.t0, t2 - spec.t0
     kq = system.kq
     # the centres' offset in closed form, never a difference of the two centres:
@@ -627,7 +618,7 @@ def _carrier_phase(spec: WavegroupSpec, x1, t1, x2, t2):
 
 
 def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
-            reflected_weight: float = 1.0, gradients: bool = False) -> SimpleNamespace:
+            gradients: bool = False) -> SimpleNamespace:
     """Both branches at broadcastable coordinate arrays, from the density's
     coefficients (:class:`_Density`) at (t1, t2).
 
@@ -639,18 +630,18 @@ def _fields(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     form (:func:`_form`), and F_ref / F_in has phase -2 theta. Every axis
     part is evaluated on its own coordinate, so separable arrays x1[:, None],
     x2[None, :] cost O(n1 + n2) of them. ``detune`` detunes the reflected
-    carrier (:func:`_density_form`); ``reflected_weight`` linearly rescales
-    the reflected branch. ``gradients`` adds the log-derivatives Lin1..Lref2,
-    relative to the incident carrier (k0, K0): those of the same quadratics,
-    with theta's slope, recoil kick exact, as :meth:`_Density.cross` gives it.
+    carrier (:func:`_density_form`). ``gradients`` adds the log-derivatives
+    Lin1..Lref2, relative to the incident carrier (k0, K0): those of the same
+    quadratics, with theta's slope, recoil kick exact, as
+    :meth:`_Density.cross` gives it.
     """
-    density = _density_form(spec, t1, t2, detune, reflected_weight)
+    density = _density_form(spec, t1, t2, detune)
     mr_in, mi_in, mr = density.f_in.mr, density.f_in.mi, density.f_ref.mr
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     log_in, log_ref, theta, (e1, e2), (d1, d2) = density.logs(x1, x2)
     arg = density.f_in.arg0 - 0.5 * (mi_in[0] * e1 * e1 + mi_in[2] * e2 * e2)
     out = SimpleNamespace(F_in=np.exp(log_in + 1j * arg),
-                          F_ref=density.weight * np.exp(log_ref + 1j * (arg - 2.0 * theta)))
+                          F_ref=np.exp(log_ref + 1j * (arg - 2.0 * theta)))
     if gradients:
         slope1, slope2 = (density._slope(j, (e1, e2), (d1, d2)) for j in (0, 1))
         out.Lin1 = -(mr_in[0] + 1j * mi_in[0]) * e1
@@ -691,8 +682,7 @@ def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     return np.where(np.less_equal(x1, x2), val, 0.0)
 
 
-def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
-             reflected_weight: float = 1.0):
+def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0):
     """Probability currents (j1, j2) from analytic derivatives of the amplitude.
 
     With Psi = exp(i Phi) psi, psi's log-derivatives are relative to the
@@ -702,8 +692,7 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
     wavevectors.
     """
     p = spec.params
-    f = _fields(spec, x1, t1, x2, t2, detune=detune,
-                reflected_weight=reflected_weight, gradients=True)
+    f = _fields(spec, x1, t1, x2, t2, detune=detune, gradients=True)
     psi = f.F_in - f.F_ref
     dpsi1 = f.F_in * f.Lin1 - f.F_ref * f.Lref1
     dpsi2 = f.F_in * f.Lin2 - f.F_ref * f.Lref2
@@ -717,15 +706,20 @@ def currents(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
 # packet tracking (framing helpers)
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def frames(spec: WavegroupSpec, t1: float, t2: float):
     """[(centre, covariance) of the incident packet, the same of the reflected
     one] at (t1, t2): arrays of shape (2,) and (2, 2), read off the density,
     the one reader of both branches: each centre from its exact offsets
-    (:meth:`_Density.centre`), each covariance from the branch's real form."""
+    (:meth:`_Density.centre`), each covariance from the branch's real form.
+    A frame that is not finite is a ValueError naming the times."""
     density = _density_form(spec, t1, t2)
     centre = np.array([density.centre(0), density.centre(1)])
-    return [(centre, np.array(density.f_in.cov)),
-            (centre + np.array(density.delta), np.array(density.f_ref.cov))]
+    packets = [(centre, np.array(density.f_in.cov)),
+               (centre + np.array(density.delta), np.array(density.f_ref.cov))]
+    _check_range(all(np.isfinite(a).all() for packet in packets for a in packet),
+                 "frames", t1=t1, t2=t2)
+    return packets
 
 
 def _span(pairs, pad: float) -> tuple[float, float]:

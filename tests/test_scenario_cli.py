@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +726,28 @@ class TestCli:
             assert main(argv) == 3
             assert capsys.readouterr().err == f"{path}: not a finite number\n"
         assert not out.exists()
+
+    def test_unframeable_snapshot_time_is_named(self, tmp_path, capsys):
+        # a config with no grid is framed at its snapshot times; at 1e300 the
+        # frames are not finite, and validate fails as every command does
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        del cfg["grids"]
+        cfg["snapshot_times"] = [1e300]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # printed by the CLI, so a stray one shows
+            for argv in (["validate"], ["simulate", "--resolution", "16", "--out", str(out)],
+                         ["marginal", "--resolution", "16", "--out", str(out)],
+                         ["observables", "--out", str(out)]):
+                assert main([*argv, "--config", str(config)]) == 3, argv
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == 1, (argv, lines)
+                assert lines[0].startswith("error: frames at t1=1e+300, t2=1e+300 "), argv
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"AxisSpec\.lo must be finite"):
+            AxisSpec("x1", -math.inf, 0.0, 16)
 
     @pytest.mark.parametrize("command", ["simulate", "marginal", "collapse"])
     @pytest.mark.parametrize("times", ["", ",", "1,,2", "abc", "nan", "inf", "0,-inf"])
