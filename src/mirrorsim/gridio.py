@@ -13,8 +13,16 @@ with sorted keys, indented by one, and a final newline.
 Both shapes are formatted and streamed to disk in blocks of whole rows, about
 ``_BLOCK_VALUES`` values each, so the text of a grid is never held in memory
 whole. Every value is byte-identical to ``format(float(v), ".17g")``: the
-exact binary value rounded half to even to 17 significant digits. A block is
-formatted in numpy, exactly:
+exact binary value rounded half to even to 17 significant digits.
+
+A joint-PDF grid is an exact +0.0 wherever the particle would be past the
+mirror (x1 > x2) and where its tails underflow: 56 % of the values of the 23
+preset snapshot grids. So each run of at least ``_MIN_RUN`` +0.0 values in a
+block is not formatted but cut from one fixed text of the block's shape,
+``0,0,...,0`` row after row, in which every cell is 2 bytes. The cut bytes
+are those that formatting would write: ``.17g`` writes +0.0 as ``0``, and a
+separator depends only on its column. -0.0 (``-0``), NaN and shorter runs
+are formatted. The rest of a block is formatted in numpy, exactly:
 
 - each finite nonzero x is scaled to N = |x| 10**(16 - e), e = floor(log10|x|),
   as a double-double: Dekker's exact two-product of |x| and the high part of
@@ -51,13 +59,25 @@ from .grids import Curve, FieldGrid
 
 SCHEMA_VERSION = "mirrorsim-grid v1"
 
-# Values formatted per chunk, rounded down to whole rows: 16 rows of a
-# 512-column grid, two 2048-row curves. Each of the few dozen numpy steps of
-# a block costs a fixed overhead, so smaller blocks are slower: through the
-# benchmark's `snapshots` workload, 2048 values ran at 3.1 Mpts/s and 4096 at
-# 3.7, while 8192, 16384 and 32768 all ran at 3.8-4.3. Peak RSS stayed at
-# 77.9-79.5 MB at every size; the kernel's grids set it, not this buffer.
-_BLOCK_VALUES = 8192
+# Values formatted per chunk, rounded down to whole rows: 32 rows of a
+# 512-column grid; a 2048-row curve is one block. Each of the few dozen numpy
+# steps of a block costs a fixed overhead, so smaller blocks are slower:
+# through the benchmark's `snapshots` workload (2-5 runs each, 2 vCPUs), 2048
+# values ran at 5.5-5.6 Mpts/s, 4096 at 6.9, 8192 at 7.7-8.2, 16384 at
+# 8.6-9.4 and 32768 at 8.6-9.1, and in process the 23 preset grids formatted
+# faster in blocks of 16384 than of 8192, 32768 or 65536. Peak RSS was 60.5 MB
+# at 2048 and 59.1-59.5 MB from 4096 up; the kernel's grids set it, not this
+# buffer.
+_BLOCK_VALUES = 16384
+# Runs of at least this many +0.0 values are cut from the all-zero text, not
+# formatted. A run costs a few fixed Python steps, so the shortest runs are
+# cheaper to format: on a block of runs of L zeros, each followed by one
+# value, cutting took 1.3-1.5 times as long as formatting at L = 2, 0.65-1.06
+# times at L = 3 and 0.76-0.86 times at L = 4. On the 23 preset snapshot
+# grids every threshold from 3 to 16 formats in the same time, as runs of
+# fewer than 16 hold 1,419 of their 3,350,305 zeros; fig9's x1 marginal,
+# which alternates x and 0, has runs of one.
+_MIN_RUN = 4
 
 
 def _fmt(x: float) -> str:
@@ -193,29 +213,41 @@ def _round17(a):
 
 def _ascii_digits(v, count):
     """ASCII digits of the integers 0 <= v < 10**count < 2**31, most
-    significant first, one row per digit."""
-    powers = 10 ** np.arange(count, -1, -1, dtype=np.int32)[:, None]
-    shifted = v.astype(np.int32) // powers
-    return (shifted[1:] - 10 * shifted[:-1] + ord("0")).astype(np.uint8)
+    significant first, one row per digit. Each row divides by the scalar 10,
+    which numpy does as a multiplication, where a column of powers of ten
+    would make it divide."""
+    digits = np.empty((count, v.size), np.uint8)
+    v = v.astype(np.int32)  # a copy, worked on in place
+    q = np.empty_like(v)
+    for row in digits[::-1]:
+        np.floor_divide(v, 10, out=q)
+        v -= 10 * q
+        row[:] = v
+        v, q = q, v
+    digits += np.uint8(ord("0"))
+    return digits
 
 
-def _cells(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """The text of each nonzero value as ``format(float(v), ".17g")`` writes
-    it, in a template with one row per output column and one column per
-    value, so that every step is a contiguous numpy operation:
+def _cells(v: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, int]:
+    """The text of each value as ``format(float(v), ".17g")`` writes it, then
+    its separator byte ``sep``, in a template with one row per output column
+    and one column per value, so that every step is a contiguous numpy
+    operation:
 
-        sign | 0.000 | 17 digits with a '.' after digit j | e+XXX
+        sign | 0.000 | 17 digits with a '.' after digit j | e+XXX | separator
 
     ``.17g`` writes the exponent x in scientific form when x < -4 or x > 16
     (j = 1), as 0.000ddd when -4 <= x < 0 (no '.' among the digits), and as
     integer part + fraction otherwise (j = x + 1). Trailing zeros of the
-    fraction are dropped, and the '.' with them. Dropped bytes are 0.
+    fraction are dropped, and the '.' with them. Dropped bytes are 0. +-0.0
+    is formatted as 1.0, whose '1' then becomes a '0'.
 
     Also returns how many values the fast path could not certify and sent,
     in one batch, to Python's ``"%.17g"``: NaN, +-inf, and near-ties.
     """
     finite = np.isfinite(v)
-    r, x, ok = _round17(np.where(finite, np.abs(v), 1.0))
+    zero = v == 0
+    r, x, ok = _round17(np.where(finite & ~zero, np.abs(v), 1.0))
     slow = ~(finite & ok)
 
     top = r // 10**8
@@ -231,7 +263,8 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, int]:
     j = np.where(sci, 1, np.where(small, 17, x + 1)).astype(np.int8)
     upto = np.where(small, kept, np.maximum(kept, j))  # digits kept, '.' aside
 
-    cells = np.empty((_SEP, v.size), np.uint8)
+    cells = np.empty((_CELL, v.size), np.uint8)
+    cells[_SEP] = sep
     cells[_SIGN] = np.signbit(v) * np.uint8(ord("-"))
     cells[_PREFIX] = (np.frombuffer(b"0.000", np.uint8)[:, None]
                       * (np.arange(5, dtype=np.int8)[:, None]
@@ -248,38 +281,69 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, int]:
     exponent[2:] = _ascii_digits(ax, 3)
     exponent[2] *= ax >= 100
     cells[_EXP] = exponent * sci
+    cells[_DIGITS.start] -= zero
 
     rest = v[slow].tolist()
     if rest:
         text = np.array(("%.17g\n" * len(rest) % tuple(rest)).split("\n")[:-1],
                         dtype=f"S{_SEP}")
-        cells[:, slow] = text.view(np.uint8).reshape(-1, _SEP).T
+        cells[:_SEP, slow] = text.view(np.uint8).reshape(-1, _SEP).T
     return cells, len(rest)
+
+
+def _zero_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of the runs [a, b) of at least ``_MIN_RUN`` +0.0
+    values; -0.0 has its sign bit set and ends a run."""
+    zero = np.zeros(flat.size + 2, bool)
+    np.equal(flat.view(np.uint64), 0, out=zero[1:-1])
+    bounds = np.flatnonzero(zero[1:] != zero[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    long = ends - starts >= _MIN_RUN
+    return starts[long], ends[long]
 
 
 def _format_block(flat: np.ndarray, ncol: int) -> tuple[str, int]:
     """Rows of ``ncol`` comma-separated cells, each ``format(float(v), ".17g")``,
     and the number of values sent to Python's ``"%.17g"``.
 
-    Each value gets ``_CELL`` bytes, 0 where nothing is written: +-0.0 a sign
-    and a '0', the rest :func:`_cells`, then the separator. Deleting the 0
-    bytes compacts the block.
+    A run [a, b) of at least ``_MIN_RUN`` +0.0 values is the slice [2a, 2b)
+    of the block's all-zero text, in which each cell is '0' and its
+    separator. :func:`_cells` formats every other value with its separator,
+    and deleting the template's 0 bytes compacts them. The separator of the
+    value before each run is a '|' there, and the run's slice starts one byte
+    early to take it, so the compact text splits into the pieces between the
+    runs.
     """
-    out = np.zeros((flat.size, _CELL), np.uint8)
-    out[:, _SIGN] = np.signbit(flat) * np.uint8(ord("-"))
-    out[:, _DIGITS.start] = ord("0")
-    out[:, _SEP] = ord(",")
-    out[ncol - 1::ncol, _SEP] = ord("\n")
-    lanes = np.flatnonzero(flat != 0)  # NaN included
-    cells, slow = _cells(flat[lanes])
-    out[lanes, :_SEP] = cells.T
-    return out.tobytes().translate(None, b"\0").decode("ascii"), slow
+    starts, ends = _zero_runs(flat)
+    pattern = ("0," * (ncol - 1) + "0\n") * (flat.size // ncol)
+    if starts.size and ends[0] - starts[0] == flat.size:
+        return pattern, 0
+    seps = np.frombuffer(bytearray(pattern, "ascii"), np.uint8)[1::2]
+    if starts.size:
+        edges = np.zeros(flat.size + 1, np.int8)
+        edges[starts], edges[ends] = 1, -1  # runs are apart, so no index is both
+        keep = np.cumsum(edges[:-1]) == 0
+        seps[starts[starts > 0] - 1] = ord("|")
+        flat, seps = flat[keep], seps[keep]
+    cells, slow = _cells(flat, seps)
+    text = cells.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not starts.size:
+        return text, slow
+    pieces = text.split("|")
+    if starts[0] == 0:
+        pieces.insert(0, "")
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    parts[1::2] = [pattern[max(2 * a - 1, 0):2 * b]
+                   for a, b in zip(starts.tolist(), ends.tolist())]
+    return "".join(parts), slow
 
 
 def _csv(header: list[str], values: np.ndarray) -> Iterator[str]:
     """The header text, then the comma-separated rows of the 2-D ``values``,
     one block of rows per chunk, each value as :func:`_fmt` writes it."""
     yield "\n".join(header) + "\n"
+    values = np.asarray(values, dtype=np.float64)  # as float() reads each value
     ncol = values.shape[1]
     rows = max(1, _BLOCK_VALUES // ncol)
     for start in range(0, len(values), rows):

@@ -23,6 +23,13 @@ def _reference_rows(values) -> str:
                    for row in np.asarray(values))
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` as a list of lines, the last one empty after a final newline:
+    a failed comparison then names the first line that differs, where
+    pytest would diff two long strings for minutes."""
+    return text.split("\n")
+
+
 def _data(path) -> str:
     return path.read_text().split("# dtype: real\n", 1)[1]
 
@@ -69,15 +76,19 @@ def _mixed(rng, shape) -> np.ndarray:
 
 
 class TestRowFormat:
-    def test_fig2_grid_matches_reference(self, tmp_path):
-        s = PRESETS["fig2"]
-        grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 64)
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_grids_match_reference(self, tmp_path, name):
+        """The first snapshot of each preset at 128**2: the masked half
+        x1 > x2, the tails that underflow to 0, and fig8's SI-scale values."""
+        s = PRESETS[name]
+        grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 128)
                                    for a in s.grid.axes))
-        t = s.snapshot_times[0]
+        t = (s.snapshot_times or (s.collision_time,))[0]
         fg = joint_pdf_grid(s.wavegroup, grid, t, t)
-        assert np.count_nonzero(fg.values == 0) > 0
+        starts, ends = gridio._zero_runs(fg.values.ravel())
+        assert starts.size > 0  # the splice is exercised
         path = gridio.write_field_grid(fg, tmp_path / "g.csv", s.name, "h")
-        assert _data(path) == _reference_rows(fg.values)
+        assert _lines(_data(path)) == _lines(_reference_rows(fg.values))
 
     def test_edge_values_match_reference(self, tmp_path):
         grid_values = np.resize([v for v in EDGE if not v < 0], (17, 16))
@@ -101,6 +112,90 @@ class TestRowFormat:
         rows_per_chunk = max(1, gridio._BLOCK_VALUES // shape[1])
         assert len(chunks) == math.ceil(shape[0] / rows_per_chunk)
         assert all(c.endswith("\n") and c.count("\n") <= rows_per_chunk for c in chunks)
+
+
+class TestZeroRuns:
+    """Runs of at least ``_MIN_RUN`` +0.0 values are copied from a fixed
+    all-zero text, not formatted; the bytes are the same either way."""
+
+    SPECIALS = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                -5e-324, 2.2250738585072009e-308, 1e-310, 0.5, -3.0]
+
+    def _runs_grid(self, rng, ncol, nrow):
+        """+0.0 runs of 0 to 3 ``_MIN_RUN`` values between one to three
+        specials, so that the runs start and end anywhere in a row and a
+        special often sits inside a stretch of zeros; and, a third of the way
+        in, one run two blocks long, which covers a whole block."""
+        n, flat = ncol * nrow, []
+        block = max(1, gridio._BLOCK_VALUES // ncol) * ncol
+        while len(flat) < n:
+            if len(flat) >= n // 3 and block:
+                flat += [0.0] * (2 * block)
+                block = 0
+            flat += [0.0] * int(rng.integers(0, 3 * gridio._MIN_RUN + 1))
+            flat += rng.choice(self.SPECIALS, int(rng.integers(1, 4))).tolist()
+        return np.array(flat[:n]).reshape(nrow, ncol)
+
+    @pytest.mark.parametrize("ncol", [1, 7, 64, 333])
+    def test_random_runs_match_reference(self, rng, ncol):
+        values = self._runs_grid(rng, ncol, 3 * gridio._BLOCK_VALUES // ncol + 5)
+        header, *chunks = gridio._csv(["# h"], values)
+        assert _lines("".join(chunks)) == _lines(_reference_rows(values))
+        rows = max(1, gridio._BLOCK_VALUES // ncol)
+        blocks = [values[i:i + rows].ravel() for i in range(0, len(values), rows)]
+        assert any(np.all(b.view(np.uint64) == 0) for b in blocks)
+        assert sum(gridio._zero_runs(b)[0].size for b in blocks) > 50
+
+    @pytest.mark.parametrize("length", [gridio._MIN_RUN - 1, gridio._MIN_RUN])
+    @pytest.mark.parametrize("ncol", [1, 5, gridio._MIN_RUN])
+    def test_runs_at_the_threshold(self, length, ncol):
+        """Runs at the start, the middle and the end of a block, each next
+        to a -0.0, a NaN or a nonzero value."""
+        z = [0.0] * length
+        flat = z + [1.5] + z + [-0.0] + z + [math.nan] + z + [2.5e-300] + z
+        flat += [7.0] * (-len(flat) % ncol)
+        values = np.array(flat).reshape(-1, ncol)
+        assert _lines(gridio._format_block(values.ravel(), ncol)[0]) == _lines(
+            _reference_rows(values))
+        assert len(gridio._zero_runs(values.ravel())[0]) == (
+            5 if length >= gridio._MIN_RUN else 0)
+
+
+class TestFormattedWork:
+    """Only the values outside the spliced runs reach :func:`gridio._cells`."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        seen = []
+        cells = gridio._cells
+
+        def counting(v, sep):
+            seen.append(np.array(v))
+            return cells(v, sep)
+
+        monkeypatch.setattr(gridio, "_cells", counting)
+        return seen
+
+    def test_all_zero_block_formats_nothing(self, formatted):
+        values = np.zeros((16, 512))
+        assert _lines(gridio._format_block(values.ravel(), 512)[0]) == _lines(
+            _reference_rows(values))
+        assert formatted == []
+
+    def test_one_long_run_formats_only_the_rest(self, formatted, rng):
+        """+-0.0 outside the run, a short run of +0.0 among them, are still
+        formatted, each in its place."""
+        values = rng.random((16, 512)) + 0.5
+        values[3, 100:] = values[4:9] = values[9, :7] = 0.0
+        values[1, 5:4 + gridio._MIN_RUN] = 0.0  # one short of a run
+        values[12, 40] = -0.0
+        flat = values.ravel()
+        assert _lines(gridio._format_block(flat, 512)[0]) == _lines(_reference_rows(values))
+        outside = np.ones(flat.size, bool)
+        outside[3 * 512 + 100:9 * 512 + 7] = False
+        assert len(formatted) == 1
+        assert np.array_equal(formatted[0], flat[outside])
+        assert formatted[0].size == flat.size - (412 + 5 * 512 + 7)
 
 
 class TestCompanions:
