@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import _require_finite
+from .kinematics import _enforce, _known
 
 _AXIS_ROLES = ("x1", "x2")
 
@@ -22,13 +22,20 @@ class AxisSpec:
     n: int
 
     def __post_init__(self):
-        if self.role not in _AXIS_ROLES:
-            raise ValueError(f"axis role must be one of {_AXIS_ROLES}")
-        _require_finite(self, "lo", "hi")
-        if not self.hi > self.lo:
-            raise ValueError("axis range is degenerate")
-        if self.n < 16:
-            raise ValueError("axis needs at least 16 samples")
+        _enforce(self, "role", "lo", "hi", "n")
+
+    @staticmethod
+    def _rules(**given) -> list[tuple[str, str]]:
+        broken, (lo, hi) = _known(given, "lo", "hi")
+        if "role" in given and given["role"] not in _AXIS_ROLES:
+            broken.append(("role", f"must be one of {_AXIS_ROLES}"))
+        if None not in (lo, hi) and not hi > lo:
+            broken.append(("hi", "must exceed lo"))
+        n = given.get("n")
+        if "n" in given and (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                             or n < 16):
+            broken.append(("n", "must be an integer >= 16"))
+        return broken
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
@@ -41,8 +48,14 @@ class GridSpec:
     axes: tuple[AxisSpec, AxisSpec]
 
     def __post_init__(self):
-        if tuple(a.role for a in self.axes) != _AXIS_ROLES:
-            raise ValueError(f"grid axes must be {_AXIS_ROLES}")
+        _enforce(self, axes=tuple(a.role for a in self.axes))
+
+    @staticmethod
+    def _rules(**given) -> list[tuple[str, str]]:
+        """The rules of the axes, given by their roles."""
+        if "axes" in given and tuple(given["axes"]) != _AXIS_ROLES:
+            return [("axes", "must be two axes, x1 then x2")]
+        return []
 
     @property
     def shape(self) -> tuple[int, ...]:

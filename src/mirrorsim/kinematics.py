@@ -28,14 +28,32 @@ class ApproximationWarning(UserWarning):
     """A closed-form approximation was evaluated outside its stated regime."""
 
 
-def _require_finite(obj, *names: str):
-    """ValueError naming the first of the fields ``names`` of ``obj`` that is
-    not a finite number. An inf or a NaN input would otherwise surface later,
-    as a NaN, an all-zero result or an error that blames another input."""
+def _known(given: dict, *names: str, positive: tuple = ()) -> tuple[list, list]:
+    """A (field, message) pair for each of ``names`` in ``given`` that is not a
+    finite number, or not positive if listed in ``positive``, and each one's
+    value, None where it is absent or broken so that no other rule reads it.
+    An inf or a NaN would otherwise surface later, as a NaN, an all-zero
+    result or an error that blames another input."""
+    broken, values = [], []
     for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+        value = given.get(name)
+        if name in given and not math.isfinite(value):
+            broken.append((name, f"must be finite, got {value!r}"))
+            value = None
+        elif name in positive and value is not None and not value > 0:
+            broken.append((name, "must be positive"))
+            value = None
+        values.append(value)
+    return broken, values
+
+
+def _enforce(obj, *names: str, **given):
+    """One ValueError naming every rule that ``obj``'s fields ``names`` and the
+    values ``given`` break. ``type(obj)._rules`` states them: it takes the known
+    fields by keyword and returns a (field, message) pair per rule broken."""
+    given.update((name, getattr(obj, name)) for name in names)
+    if broken := type(obj)._rules(**given):
+        raise ValueError("; ".join(f"{type(obj).__name__}.{f} {m}" for f, m in broken))
 
 
 @dataclass(frozen=True)
@@ -54,13 +72,15 @@ class PhysicalParams:
     kB: float = SI_KB
 
     def __post_init__(self):
-        _require_finite(self, "m", "M", "v", "V", "hbar", "kB")
-        if not (self.m > 0 and self.M > 0):
-            raise ValueError("masses must be positive")
-        if not (self.hbar > 0 and self.kB > 0):
-            raise ValueError("constants must be positive")
-        if not self.v > self.V:
-            raise ValueError("no reflection: particle velocity must exceed mirror velocity")
+        _enforce(self, "m", "M", "v", "V", "hbar", "kB")
+
+    @staticmethod
+    def _rules(**given) -> list[tuple[str, str]]:
+        broken, (_, _, v, V, _, _) = _known(given, "m", "M", "v", "V", "hbar", "kB",
+                                            positive=("m", "M", "hbar", "kB"))
+        if None not in (v, V) and not v > V:
+            broken.append(("v", "must exceed V for reflection"))
+        return broken
 
     @classmethod
     def natural(cls, M: float, v: float, V: float, m: float = 1.0) -> "PhysicalParams":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonic import fringe_period
-from .kinematics import _require_finite
+from .kinematics import _enforce, _known
 from .wavegroup import (WavegroupSpec, _check_range, _closed_trace, _Density, _density_form,
                         _smooth_pdf, _span)
 
@@ -49,9 +49,11 @@ class MeasurementEvent:
     dx1: float = 1e-3
 
     def __post_init__(self):
-        _require_finite(self, "x10", "t10", "dx1")
-        if not self.dx1 > 0:
-            raise ValueError("detector resolution must be positive")
+        _enforce(self, "x10", "t10", "dx1")
+
+    @staticmethod
+    def _rules(**given) -> list[tuple[str, str]]:
+        return _known(given, "x10", "t10", "dx1", positive=("dx1",))[0]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ A scenario bundles one parameter set, one wavegroup, optional measurement
 events, one (x1, x2) snapshot grid and a list of named analyses. Configs are
 plain JSON and list at most one grid; a config that lists none is framed like
 the presets, around both packets at its snapshot times. Times inside a config
-are absolute in the scenario's unit system.
+are absolute in the scenario's unit system. Each class owns its rules and
+defaults. One reader serves :func:`validate_config` and :func:`from_config`:
+it checks JSON types, keys, names and the rules between objects, and asks
+each class's rules about the values it read.
 The command-line layer converts user-facing times, which are offsets from
 the collision time in units of the overlap time scale tau, into absolute
 times before they reach this module.
@@ -25,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grids import _AXIS_ROLES, AxisSpec, Curve, FieldGrid, GridSpec
+from .grids import AxisSpec, Curve, FieldGrid, GridSpec
 from .harmonic import beat_frequency, fringe_period, fringe_spacing
 from .kinematics import (SI_HBAR, PhysicalParams, elastic_final_velocities,
                          thermal_spread)
@@ -54,7 +57,7 @@ class RawEvent:
 
     t10: float
     x10: float | None = None
-    dx1: float = 1e-3
+    dx1: float = MeasurementEvent.dx1  # the detector's default resolution
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def scenario_hash(s: Scenario) -> str:
 
 
 def _finite(val, path: str, out: list[str]):
-    """``val`` as a float, or None once ``out`` says why it is not a finite number.
+    """``val``, or None once ``out`` says why it is not a finite number.
 
     JSON parsing accepts NaN, Infinity and integers beyond the float range."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -122,160 +125,117 @@ def _finite(val, path: str, out: list[str]):
     if not abs(val) <= sys.float_info.max:
         out.append(f"{path}: not a finite number")
         return None
-    return float(val)
+    return val
 
 
-def _check_number(cfg: dict, path: str, key: str, out: list[str],
-                  required: bool = True, allow_none: bool = False):
-    if key not in cfg:
-        if required:
-            out.append(f"{path}.{key}: missing")
+def _read_object(node, path: str, cls, required: tuple, optional: tuple,
+                 out: list[str], raw: tuple = ()) -> dict | None:
+    """The readable keys of config object ``node``; ``out`` names each unknown or
+    missing key, each number that is not finite (``raw`` keys pass as read) and
+    each rule of ``cls`` they break. A null x10, the marginal mode, is left out."""
+    if not isinstance(node, dict):
+        out.append(f"{path}: must be an object")
         return None
-    val = cfg[key]
-    if val is None and allow_none:
-        return None
-    return _finite(val, f"{path}.{key}", out)
+    out.extend(f"{path}.{key}: unknown key" for key in node if key not in required + optional)
+    out.extend(f"{path}.{key}: missing" for key in required if key not in node)
+    got = {key: node[key] if key in raw else _finite(node[key], f"{path}.{key}", out)
+           for key in required + optional
+           if key in node and not (key == "x10" and node[key] is None)}
+    got = {key: val for key, val in got.items() if val is not None or key in raw}
+    out.extend(f"{path}.{field}: {message}" for field, message in cls._rules(**got))
+    return got
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Every invariant violation in a raw config dict, with field paths."""
-    out: list[str] = []
+def _read_config(cfg) -> tuple[list[str], dict]:
+    """Every violation in a raw config, with field paths, and else the keyword
+    arguments of its Scenario, with no grid where the config lists none."""
     if not isinstance(cfg, dict):
-        return ["config: not a JSON object"]
-    if cfg.get("units") not in ("natural", "SI"):
+        return ["config: not a JSON object"], {}
+    out = [f"{key}: unknown key" for key in cfg if key not in (
+        "name", "units", "description", "params", "wavegroup", "events", "snapshot_times",
+        "grids", "analyses")]
+    fields = {key: cfg[key] for key in ("name", "units", "description") if key in cfg}
+    if fields.get("units") not in ("natural", "SI"):
         out.append("units: must be 'natural' or 'SI'")
-    name = cfg.get("name")
+    name = fields.get("name")
     if not isinstance(name, str) or not name:
         out.append("name: must be a non-empty string")
     elif "/" in name or "\\" in name:
         # the name prefixes every output file, so a separator would escape --out
         out.append("name: must not contain '/' or '\\'")
     # scenarios are hashed (events are resolved once per scenario)
-    if not isinstance(cfg.get("description", ""), str):
+    if "description" in fields and not isinstance(fields["description"], str):
         out.append("description: must be a string")
 
-    p = cfg.get("params")
-    m = M = v = V = None
-    if not isinstance(p, dict):
-        out.append("params: missing object")
-    else:
-        m = _check_number(p, "params", "m", out)
-        M = _check_number(p, "params", "M", out)
-        v = _check_number(p, "params", "v", out)
-        V = _check_number(p, "params", "V", out)
-        if m is not None and m <= 0:
-            out.append("params.m: must be positive")
-        if M is not None and M <= 0:
-            out.append("params.M: must be positive")
-        if v is not None and V is not None and not v > V:
-            out.append("params.v: must exceed params.V for reflection")
-
-    w = cfg.get("wavegroup")
-    dk = dK = x1c = x2c = t0 = None
-    if not isinstance(w, dict):
-        out.append("wavegroup: missing object")
-    else:
-        dk = _check_number(w, "wavegroup", "dk", out)
-        dK = _check_number(w, "wavegroup", "dK", out)
-        x1c = _check_number(w, "wavegroup", "x1c", out)
-        x2c = _check_number(w, "wavegroup", "x2c", out)
-        t0 = _check_number(w, "wavegroup", "t0", out, required=False) or 0.0
-        if dk is not None and dk <= 0:
-            out.append("wavegroup.dk: must be positive")
-        if dK is not None and dK <= 0:
-            out.append("wavegroup.dK: must be positive")
-        if None not in (x1c, x2c) and not x1c < x2c:
-            out.append("wavegroup.x1c: must lie left of wavegroup.x2c")
-        if None not in (dk, dK, x1c, x2c) and dk > 0 and dK > 0:
-            if not (x2c - x1c) > 5.0 * (1.0 / dk + 1.0 / dK):
-                out.append("wavegroup: centre separation below five combined widths")
+    params = _read_object(cfg.get("params"), "params", PhysicalParams,
+                          ("m", "M", "v", "V"), (), out)
+    wave = cfg.get("wavegroup")
+    w = _read_object(wave, "wavegroup", WavegroupSpec, ("dk", "dK", "x1c", "x2c"),
+                     ("t0",), out)
+    # a t0 that is not a finite number is unknown; an absent one is the default
+    t0 = None if w is None else w.get("t0", None if "t0" in wave else WavegroupSpec.t0)
 
     def listed(key: str) -> list:
         # a string or number here would be iterated by character or raise
-        val = cfg.get(key, [])
-        if isinstance(val, list):
+        if isinstance(val := cfg.get(key, []), list):
             return val
         out.append(f"{key}: must be a list")
         return []
 
-    events = listed("events")
-    for i, e in enumerate(events):
-        if not isinstance(e, dict):
-            out.append(f"events[{i}]: not an object")
-            continue
-        t10 = _check_number(e, f"events[{i}]", "t10", out)
-        _check_number(e, f"events[{i}]", "x10", out, required=False, allow_none=True)
-        dx1 = _check_number(e, f"events[{i}]", "dx1", out, required=False)
-        if dx1 is not None and dx1 <= 0:
-            out.append(f"events[{i}].dx1: must be positive")
-        if t10 is not None and t0 is not None and t10 < t0:
-            out.append(f"events[{i}].t10: precedes wavegroup.t0")
+    events = [_read_object(e, f"events[{i}]", MeasurementEvent, ("t10",), ("x10", "dx1"), out)
+              for i, e in enumerate(listed("events"))]
+    out.extend(f"events[{i}].t10: precedes wavegroup.t0" for i, e in enumerate(events)
+               if t0 is not None and e and e.get("t10", t0) < t0)
 
-    for i, t in enumerate(listed("snapshot_times")):
+    times = listed("snapshot_times")
+    for i, t in enumerate(times):
         _finite(t, f"snapshot_times[{i}]", out)
 
     grids = listed("grids")
     if len(grids) > 1:
         out.append("grids: at most one (x1, x2) grid")
     for i, g in enumerate(grids):
-        axes = g.get("axes") if isinstance(g, dict) else None
-        if not isinstance(axes, list) or not axes:
-            out.append(f"grids[{i}]: missing axes")
+        path = f"grids[{i}]"
+        if not isinstance(g, dict) or not isinstance(g.get("axes"), list) or not g["axes"]:
+            out.append(f"{path}: missing axes")
             continue
-        if len(axes) != len(_AXIS_ROLES):
-            out.append(f"grids[{i}].axes: must be two axes, x1 then x2")
-        for j, a in enumerate(axes):
-            path = f"grids[{i}].axes[{j}]"
-            if not isinstance(a, dict):
-                out.append(f"{path}: not an object")
-                continue
-            if j < len(_AXIS_ROLES) and a.get("role") != _AXIS_ROLES[j]:
-                out.append(f"{path}.role: must be '{_AXIS_ROLES[j]}'")
-            lo = _check_number(a, path, "lo", out)
-            hi = _check_number(a, path, "hi", out)
-            n = a.get("n")
-            if not isinstance(n, int) or n < 16:
-                out.append(f"{path}.n: must be an integer >= 16")
-            if None not in (lo, hi) and not hi > lo:
-                out.append(f"{path}: degenerate range")
+        out.extend(f"{path}.{key}: unknown key" for key in g if key != "axes")
+        axes = [_read_object(a, f"{path}.axes[{j}]", AxisSpec, ("role", "lo", "hi", "n"), (),
+                             out, raw=("role", "n"))
+                for j, a in enumerate(g["axes"])]
+        if all(a is not None and "role" in a for a in axes):
+            out.extend(f"{path}.{field}: {message}" for field, message
+                       in GridSpec._rules(axes=tuple(a["role"] for a in axes)))
 
-    for i, a in enumerate(listed("analyses")):
+    analyses = listed("analyses")
+    for i, a in enumerate(analyses):
         if not isinstance(a, str) or a not in _ANALYSIS_FNS:
             out.append(f"analyses[{i}]: unknown analysis '{a}'")
         elif a in _EVENT_ANALYSES and not events:
             out.append(f"analyses[{i}]: '{a}' needs an event")
-    return out
+    if out:
+        return out, {}
+
+    system = PhysicalParams.natural if fields["units"] == "natural" else PhysicalParams
+    fields.update(wavegroup=WavegroupSpec(system(**params), **w), snapshot_times=tuple(times),
+                  events=tuple(RawEvent(**e) for e in events), analyses=tuple(analyses))
+    if grids:
+        fields["grid"] = GridSpec(axes=tuple(AxisSpec(**a) for a in axes))
+    return out, fields
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """Every invariant violation in a raw config dict, with field paths."""
+    return _read_config(cfg)[0]
 
 
 def from_config(cfg: dict) -> Scenario:
-    violations = validate_config(cfg)
+    violations, fields = _read_config(cfg)
     if violations:
         raise ScenarioValidationError(violations)
-    if cfg["units"] == "natural":
-        params = PhysicalParams.natural(M=cfg["params"]["M"], v=cfg["params"]["v"],
-                                        V=cfg["params"]["V"], m=cfg["params"]["m"])
-    else:
-        params = PhysicalParams(m=cfg["params"]["m"], M=cfg["params"]["M"],
-                                v=cfg["params"]["v"], V=cfg["params"]["V"])
-    w = cfg["wavegroup"]
-    spec = WavegroupSpec(params, dk=w["dk"], dK=w["dK"], x1c=w["x1c"],
-                         x2c=w["x2c"], t0=w.get("t0", 0.0))
-    events = tuple(RawEvent(t10=e["t10"], x10=e.get("x10"), dx1=e.get("dx1", 1e-3))
-                   for e in cfg.get("events", []))
-    times = tuple(cfg.get("snapshot_times", []))
-    grid = (GridSpec(axes=tuple(AxisSpec(a["role"], a["lo"], a["hi"], a["n"])
-                                for a in cfg["grids"][0]["axes"]))
-            if cfg.get("grids") else _joint_grid(spec, times))
-    return Scenario(
-        name=cfg["name"],
-        units=cfg["units"],
-        wavegroup=spec,
-        grid=grid,
-        events=events,
-        snapshot_times=times,
-        analyses=tuple(cfg.get("analyses", [])),
-        description=cfg.get("description", ""),
-    )
+    if "grid" not in fields:
+        fields["grid"] = _joint_grid(fields["wavegroup"], fields["snapshot_times"])
+    return Scenario(**fields)
 
 
 def load_scenario(path) -> Scenario:

@@ -90,7 +90,7 @@ import numpy as np
 
 from .harmonic import (_TWO_PI, SpacetimePoint, beat_frequency,
                        incident_phase, interference_phase)
-from .kinematics import PhysicalParams, _require_finite, elastic_final_velocities
+from .kinematics import PhysicalParams, _enforce, _known, elastic_final_velocities
 
 
 def _check_range(ok, what: str, **times):
@@ -129,14 +129,18 @@ class WavegroupSpec:
     t0: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "dk", "dK", "x1c", "x2c", "t0")
-        if not (self.dk > 0 and self.dK > 0):
-            raise ValueError("spectral widths must be positive")
-        if not self.x1c < self.x2c:
-            raise ValueError("particle centre must start left of the mirror centre")
-        sep = self.x2c - self.x1c
-        if not sep > 5.0 * (1.0 / self.dk + 1.0 / self.dK):
-            raise ValueError("packet centres closer than five combined widths")
+        _enforce(self, "dk", "dK", "x1c", "x2c", "t0")
+
+    @staticmethod
+    def _rules(**given) -> list[tuple[str, str]]:
+        broken, (dk, dK, x1c, x2c, _) = _known(given, "dk", "dK", "x1c", "x2c", "t0",
+                                               positive=("dk", "dK"))
+        if None not in (x1c, x2c) and not x1c < x2c:
+            broken.append(("x1c", "must lie left of x2c"))
+        if None not in (dk, dK, x1c, x2c) and not x2c - x1c > 5.0 * (1.0 / dk + 1.0 / dK):
+            broken.append(("x2c", "must lie more than five combined widths 1/dk + 1/dK "
+                                  "right of x1c"))
+        return broken
 
     @functools.cached_property
     def _constants(self) -> _Constants:

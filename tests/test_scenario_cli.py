@@ -21,6 +21,14 @@ from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
                                 serialize, to_config, validate_config)
 
 
+def _set_at(cfg: dict, path: str, value) -> None:
+    """Set the config value at a field path such as ``grids[0].axes[1].n``."""
+    *parents, leaf = path.replace("]", "").replace("[", ".").split(".")
+    for key in parents:
+        cfg = cfg[int(key)] if key.isdigit() else cfg[key]
+    cfg[leaf] = value
+
+
 class TestGridTypes:
     def test_axis_invariants(self):
         with pytest.raises(ValueError):
@@ -29,6 +37,23 @@ class TestGridTypes:
             AxisSpec("x1", 1.0, 1.0, 32)
         with pytest.raises(ValueError):
             AxisSpec("q", 0.0, 1.0, 32)
+
+    @pytest.mark.parametrize("n", [16.5, 16.0, True, "32", None])
+    def test_axis_n_must_be_an_integer(self, n):
+        # a float count would reach np.linspace and raise a bare TypeError there
+        with pytest.raises(ValueError, match=r"^AxisSpec\.n must be an integer >= 16$"):
+            AxisSpec("x1", 0.0, 1.0, n)
+        for n in (16, np.int64(16)):
+            assert AxisSpec("x1", 0.0, 1.0, n).values().size == 16
+
+    def test_axis_error_names_every_broken_field(self):
+        with pytest.raises(ValueError) as err:
+            AxisSpec("q", 1.0, math.inf, 8)
+        assert str(err.value) == ("AxisSpec.hi must be finite, got inf; "
+                                  "AxisSpec.role must be one of ('x1', 'x2'); "
+                                  "AxisSpec.n must be an integer >= 16")
+        with pytest.raises(ValueError, match=r"^GridSpec\.axes must be two axes, x1 then x2$"):
+            GridSpec(axes=(AxisSpec("x2", 0, 1, 16), AxisSpec("x1", 0, 1, 16)))
 
     def test_grid_is_x1_then_x2(self):
         x1, x2 = AxisSpec("x1", 0, 1, 16), AxisSpec("x2", 0, 1, 16)
@@ -149,6 +174,29 @@ class TestConfigValidation:
         path.write_text(json.dumps(cfg))
         assert main(["observables", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", ["analysis", "snapshot_time", "params.mass",
+                                      "wavegroup.t1", "events[0].x1", "grids[0].shape",
+                                      "grids[0].axes[1].step"])
+    def test_unknown_key_is_named(self, path):
+        # a typo such as "analysis" would otherwise leave the default analyses to run
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["events"] = [{"t10": cfg["snapshot_times"][0]}]
+        _set_at(cfg, path, ["beat"])
+        assert validate_config(cfg) == [f"{path}: unknown key"]
+        with pytest.raises(ScenarioValidationError):
+            from_config(cfg)
+
+    def test_absent_keys_take_the_class_defaults(self):
+        cfg = json.loads(serialize(PRESETS["fig5"]))
+        for key in ("description", "grids", "events", "snapshot_times", "analyses"):
+            del cfg[key]
+        del cfg["wavegroup"]["t0"]
+        cfg["events"] = [{"t10": 1.0}]
+        s = from_config(cfg)
+        assert (s.description, s.wavegroup.t0) == ("", 0.0)
+        assert s.events == (RawEvent(t10=1.0),)
+        assert s.events[0].dx1 == MeasurementEvent(x10=0.0, t10=1.0).dx1 == 1e-3
 
     def test_load_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -725,6 +773,44 @@ class TestCli:
                       "--out", str(out)]):
             assert main(argv) == 3
             assert capsys.readouterr().err == f"{path}: not a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values,lines", [
+        ({"params.m": 0.0}, ["params.m: must be positive"]),
+        ({"params.M": -1.0}, ["params.M: must be positive"]),
+        ({"params.v": 30.0}, ["params.v: must exceed V for reflection"]),
+        ({"wavegroup.dk": 0.0}, ["wavegroup.dk: must be positive"]),
+        ({"wavegroup.dK": 0.0}, ["wavegroup.dK: must be positive"]),
+        ({"wavegroup.x1c": 0.0}, ["wavegroup.x1c: must lie left of x2c",
+                                  "wavegroup.x2c: must lie more than five combined widths "
+                                  "1/dk + 1/dK right of x1c"]),
+        ({"wavegroup.x1c": -7.0}, ["wavegroup.x2c: must lie more than five combined widths "
+                                   "1/dk + 1/dK right of x1c"]),
+        ({"events[0].dx1": 0.0}, ["events[0].dx1: must be positive"]),
+        ({"grids[0].axes[0].lo": 0.0, "grids[0].axes[0].hi": 0.0},
+         ["grids[0].axes[0].hi: must exceed lo"]),
+        ({"grids[0].axes[1].n": 8}, ["grids[0].axes[1].n: must be an integer >= 16"]),
+        ({"grids[0].axes[1].n": 16.5}, ["grids[0].axes[1].n: must be an integer >= 16"]),
+        ({"grids[0].axes[0].role": "x2"}, ["grids[0].axes: must be two axes, x1 then x2"]),
+        ({"grids[0].axes[0].role": "q"}, ["grids[0].axes[0].role: must be one of ('x1', 'x2')",
+                                          "grids[0].axes: must be two axes, x1 then x2"]),
+    ], ids=["params.m", "params.M", "params.v", "wavegroup.dk", "wavegroup.dK",
+            "wavegroup.x1c-order", "wavegroup.x1c-separation", "events[0].dx1",
+            "axis-lo-equals-hi", "axis-n-8", "axis-n-16.5", "axis-role-x2", "axis-role-q"])
+    def test_validate_and_commands_agree_on_every_rule(self, tmp_path, capsys, values, lines):
+        # each rule lives on its class, and validate and simulate both ask it
+        cfg = json.loads(serialize(PRESETS["fig2"]))
+        cfg["events"] = [{"t10": cfg["snapshot_times"][0]}]
+        for path, value in values.items():
+            _set_at(cfg, path, value)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        for argv in (["validate", "--config", str(config)],
+                     ["simulate", "--config", str(config), "--resolution", "16",
+                      "--out", str(out)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err.splitlines() == lines
         assert not out.exists()
 
     def test_unframeable_snapshot_time_is_named(self, tmp_path, capsys):

@@ -155,6 +155,27 @@ class TestSpecInvariants:
         with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be finite"):
             cls(**{**valid, name: value})
 
+    @pytest.mark.parametrize("build, names", [
+        (lambda p: PhysicalParams.natural(M=-1.0, v=0.0, V=1.0, m=-1.0),
+         {"PhysicalParams.m", "PhysicalParams.M", "PhysicalParams.v"}),
+        (lambda p: PhysicalParams(m=1.0, M=2.0, v=1.0, V=0.0, hbar=0.0, kB=math.inf),
+         {"PhysicalParams.hbar", "PhysicalParams.kB"}),
+        (lambda p: WavegroupSpec(p, dk=-1.0, dK=0.0, x1c=1.0, x2c=0.0, t0=math.nan),
+         {"WavegroupSpec.dk", "WavegroupSpec.dK", "WavegroupSpec.x1c", "WavegroupSpec.t0"}),
+        (lambda p: WavegroupSpec(p, dk=1.0, dK=2.0, x1c=1.0, x2c=0.0),
+         {"WavegroupSpec.x1c", "WavegroupSpec.x2c"}),
+        (lambda p: MeasurementEvent(x10=math.inf, t10=math.nan, dx1=0.0),
+         {"MeasurementEvent.x10", "MeasurementEvent.t10", "MeasurementEvent.dx1"}),
+    ], ids=["params-signs", "params-constants", "wavegroup-widths", "wavegroup-order",
+            "event"])
+    def test_one_error_names_every_broken_field(self, params_fig5, build, names):
+        # a constructor checks every rule it states, not only the first one broken
+        with pytest.raises(ValueError) as err:
+            build(params_fig5)
+        parts = str(err.value).split("; ")
+        assert {part.split(" ", 1)[0] for part in parts} == names
+        assert len(parts) == len(names)
+
     def test_rejects_bad_widths(self, params_fig5):
         with pytest.raises(ValueError):
             WavegroupSpec(params_fig5, dk=0.0, dK=2.0, x1c=-10, x2c=0)
