@@ -6,10 +6,15 @@ scenario's overlap time scale tau: --event t10=... and the --times of
 ``simulate`` and ``marginal`` count from the collision time, the --times of
 ``collapse`` from the detection time t10. Configs store absolute times.
 ``collapse`` samples each mirror time t2 on its own conditional support.
---resolution is >= 16; --times is a comma list of at least one finite number;
---event is a comma list of t10= and x10= pairs, each at most once and finite.
+--resolution is an integer from 16 to 4096, the range of a grid axis;
+--times is a comma list of at least one finite number; --event is a comma
+list of t10= and x10= pairs, each at most once and finite.
 ``validate`` loads a config the way the commands do, so it accepts exactly
 the configs they load and reports the same errors.
+
+A call builds only the parser of the command it runs; ``--help``, no command
+or an unknown one builds every command's. Either way it prints the same
+usage, help and errors.
 
 ``simulate``, ``collapse`` and ``marginal`` compute every output of a scenario
 before they write any of its files, so a scenario that fails at any time
@@ -33,7 +38,7 @@ import warnings
 from pathlib import Path
 
 from . import gridio, scenario as sc
-from .grids import FieldGrid, GridSpec
+from .grids import _N_MAX, _N_MIN, AxisSpec, FieldGrid, GridSpec
 from .observables import marginal_over_mirror, marginal_over_particle
 
 EXIT_OK = 0
@@ -163,10 +168,10 @@ def cmd_validate(args) -> int:
 
 
 def _resolution(text: str) -> int:
-    """--resolution: an integer of at least 16, the floor of a grid axis."""
-    if not text.isdecimal() or int(text) < 16:
+    """--resolution: a sample count that a grid axis accepts."""
+    if not text.isdecimal() or AxisSpec._rules(n=int(text)):
         raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 16, got '{text}'")
+            f"must be an integer of at least {_N_MIN} and at most {_N_MAX}, got '{text}'")
     return int(text)
 
 
@@ -202,7 +207,7 @@ def _event_fields(text: str) -> dict[str, float]:
 
 _OPTIONS = {
     "resolution": dict(type=_resolution, default=None,
-                       help="samples per grid axis or curve, at least 16"),
+                       help=f"samples per grid axis or curve, {_N_MIN} to {_N_MAX}"),
     "times": dict(type=_time_list, default=None,
                   help="comma list of times in units of tau, from the collision "
                        "(collapse: from the detection time t10)"),
@@ -210,41 +215,57 @@ _OPTIONS = {
                   help="event override, e.g. t10=0.5,x10=0 (t10 in tau units)"),
 }
 
-# (command, help, handler, the options it reads beyond --preset/--config/--out)
+# (command, help, the options it reads beyond --preset/--config/--out); each
+# runs the module's cmd_<command>
 _TARGET_COMMANDS = (
-    ("simulate", "joint-PDF snapshots", cmd_simulate, ("resolution", "times")),
-    ("collapse", "conditional mirror PDFs after a detection", cmd_collapse,
+    ("simulate", "joint-PDF snapshots", ("resolution", "times")),
+    ("collapse", "conditional mirror PDFs after a detection",
      ("resolution", "times", "event")),
-    ("marginal", "one-body marginal PDFs", cmd_marginal, ("resolution", "times")),
-    ("observables", "scalar analyses of a scenario", cmd_observables, ()),
-    ("check", "continuity-residual verification", cmd_check, ()),
+    ("marginal", "one-body marginal PDFs", ("resolution", "times")),
+    ("observables", "scalar analyses of a scenario", ()),
+    ("check", "continuity-residual verification", ()),
 )
+_COMMANDS = (*(c for c, _, _ in _TARGET_COMMANDS), "presets", "validate")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it names one, else of every command.
+
+    Each handler is looked up by name as the parser is built, so a replaced
+    ``cmd_<command>`` attribute is the one that runs."""
     ap = argparse.ArgumentParser(
         prog="mirrorsim",
         description="two-body densities for a particle reflecting from a moving mirror")
     sub = ap.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        # a top-level usage line still lists every command; on the full tree
+        # this metavar would also rename the command in its own errors
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        command = None
 
-    for command, help_text, fn, options in _TARGET_COMMANDS:
-        p = sub.add_parser(command, help=help_text)
+    for name, help_text, options in _TARGET_COMMANDS:
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--preset", help="preset name (see 'presets list')")
         group.add_argument("--config", help="path to a scenario JSON file")
         p.add_argument("--out", default="out", help="output directory")
         for option in options:
             p.add_argument(f"--{option}", **_OPTIONS[option])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
 
-    p = sub.add_parser("presets", help="preset utilities")
-    psub = p.add_subparsers(dest="presets_command", required=True)
-    pl = psub.add_parser("list", help="list available presets")
-    pl.set_defaults(fn=cmd_presets_list)
+    if command in (None, "presets"):
+        p = sub.add_parser("presets", help="preset utilities")
+        psub = p.add_subparsers(dest="presets_command", required=True)
+        pl = psub.add_parser("list", help="list available presets")
+        pl.set_defaults(fn=cmd_presets_list)
 
-    p = sub.add_parser("validate", help="validate a scenario config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_validate)
+    if command in (None, "validate"):
+        p = sub.add_parser("validate", help="validate a scenario config file")
+        p.add_argument("--config", required=True)
+        p.set_defaults(fn=cmd_validate)
     return ap
 
 
@@ -271,7 +292,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     argv = _join_value_flags(argv if argv is not None else sys.argv[1:])
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # the scope restores the process's warning state when main returns
         with warnings.catch_warnings():

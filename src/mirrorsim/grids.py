@@ -10,6 +10,9 @@ import numpy as np
 from .kinematics import _enforce, _known
 
 _AXIS_ROLES = ("x1", "x2")
+# samples per axis; the ceiling bounds an n x n grid at 16.8 M samples, so a
+# count too large for memory is a named error before any array is built
+_N_MIN, _N_MAX = 16, 4096
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,11 @@ class AxisSpec:
         if None not in (lo, hi) and not hi > lo:
             broken.append(("hi", "must exceed lo"))
         n = given.get("n")
-        if "n" in given and (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                             or n < 16):
-            broken.append(("n", "must be an integer >= 16"))
+        if "n" in given:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < _N_MIN:
+                broken.append(("n", f"must be an integer >= {_N_MIN}"))
+            elif n > _N_MAX:
+                broken.append(("n", f"must be at most {_N_MAX}"))
         return broken
 
     def values(self) -> np.ndarray:

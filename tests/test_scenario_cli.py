@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorsim import AxisSpec, GridSpec, FieldGrid, joint_pdf, wavegroup
+from mirrorsim import AxisSpec, GridSpec, FieldGrid, cli, joint_pdf, wavegroup
 from mirrorsim.cli import main
 from mirrorsim.measurement import (MeasurementEvent, classify_regime, collapse,
                                    sequential_probability)
@@ -45,6 +45,14 @@ class TestGridTypes:
             AxisSpec("x1", 0.0, 1.0, n)
         for n in (16, np.int64(16)):
             assert AxisSpec("x1", 0.0, 1.0, n).values().size == 16
+
+    def test_axis_n_has_a_ceiling(self):
+        # a count too large for memory is named here, not by np.linspace
+        assert AxisSpec("x1", 0.0, 1.0, 4096).n == 4096
+        for n in (4097, 2**63, 10**400, np.int64(2**62)):
+            assert AxisSpec._rules(n=n) == [("n", "must be at most 4096")]
+            with pytest.raises(ValueError, match=r"^AxisSpec\.n must be at most 4096$"):
+                AxisSpec("x1", 0.0, 1.0, n)
 
     def test_axis_error_names_every_broken_field(self):
         with pytest.raises(ValueError) as err:
@@ -528,6 +536,17 @@ class TestOutputShapes:
         assert "at least 16" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "collapse", "marginal"])
+    @pytest.mark.parametrize("resolution", ["4097", str(2**63), "9" * 400])
+    def test_resolution_above_axis_ceiling_is_a_parse_error(self, tmp_path, capsys,
+                                                           command, resolution):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig5", "--resolution", resolution,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "at least 16 and at most 4096" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCli:
     def test_fringe_marginal_traced_once_per_run(self, monkeypatch, tmp_path):
@@ -791,12 +810,15 @@ class TestCli:
          ["grids[0].axes[0].hi: must exceed lo"]),
         ({"grids[0].axes[1].n": 8}, ["grids[0].axes[1].n: must be an integer >= 16"]),
         ({"grids[0].axes[1].n": 16.5}, ["grids[0].axes[1].n: must be an integer >= 16"]),
+        ({"grids[0].axes[1].n": 10**400}, ["grids[0].axes[1].n: must be at most 4096"]),
+        ({"grids[0].axes[1].n": 2**63}, ["grids[0].axes[1].n: must be at most 4096"]),
         ({"grids[0].axes[0].role": "x2"}, ["grids[0].axes: must be two axes, x1 then x2"]),
         ({"grids[0].axes[0].role": "q"}, ["grids[0].axes[0].role: must be one of ('x1', 'x2')",
                                           "grids[0].axes: must be two axes, x1 then x2"]),
     ], ids=["params.m", "params.M", "params.v", "wavegroup.dk", "wavegroup.dK",
             "wavegroup.x1c-order", "wavegroup.x1c-separation", "events[0].dx1",
-            "axis-lo-equals-hi", "axis-n-8", "axis-n-16.5", "axis-role-x2", "axis-role-q"])
+            "axis-lo-equals-hi", "axis-n-8", "axis-n-16.5", "axis-n-10**400", "axis-n-2**63",
+            "axis-role-x2", "axis-role-q"])
     def test_validate_and_commands_agree_on_every_rule(self, tmp_path, capsys, values, lines):
         # each rule lives on its class, and validate and simulate both ask it
         cfg = json.loads(serialize(PRESETS["fig2"]))
@@ -873,6 +895,57 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+class TestParser:
+    """``main`` builds only the parser of the command it runs; it parses,
+    prints and exits exactly as the parser of every command does."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return (result, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "simulate"], ["bogus"], ["presets"], ["presets", "list"],
+        ["presets", "bogus"], ["validate"], ["validate", "--config", "x.json"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        ["simulate"], ["simulate", "--preset", "fig5", "extra"],
+        ["observables", "--preset", "fig5", "extra"],
+        ["simulate", "--preset", "fig5", "--config", "x.json"],
+        ["simulate", "--preset", "fig5", "--resolution", "8"],
+        ["simulate", "--preset", "fig5", "--resolution", "4097"],
+        ["collapse", "--preset", "fig5", "--event", "t10=0,t10=1"],
+        ["collapse", "--preset", "fig5", "--event", "t10=0.5", "--times", "-1,0"],
+        ["marginal", "--preset", "fig2", "--times", "-1,0,1"],
+        ["observables", "--preset", "fig5"], ["check", "--config", "c.json", "--out", "o"],
+    ], ids=" ".join)
+    def test_one_command_parser_matches_the_full_tree(self, monkeypatch, capsys, argv):
+        seen = []
+        for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+            def record(args):
+                seen.append(args)
+                return 0
+            record.__name__ = name
+            monkeypatch.setattr(cli, name, record)
+
+        def namespace(args):
+            return {**vars(args), "fn": args.fn.__name__}
+
+        def via_main(argv):
+            # a patched cmd_<command> is the one main dispatches to
+            assert main(argv) == 0
+            return namespace(seen.pop())
+
+        def via_full_tree(argv):
+            return namespace(cli.build_parser().parse_args(cli._join_value_flags(argv)))
+
+        assert self._outcome(via_main, argv, capsys) == self._outcome(via_full_tree, argv,
+                                                                      capsys)
+        assert not seen
+
+
 class TestExtremeTimes:
     """Times far past the overlap give finite output or exit 3 naming the time,
     with no traceback and no RuntimeWarning before it. Run in a subprocess: the
@@ -946,14 +1019,30 @@ class TestBenchmarkSelftest:
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_tracer_finds_every_target(self):
-        # the traced benchmark patches its layers by name: a renamed or
-        # deleted target must fail here, not only under --trace
+    @staticmethod
+    def _traced(code, *args):
+        """Run ``code`` with the benchmark's ``tracing`` module importable."""
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(root / "src"), str(root / "benchmark"), env.get("PYTHONPATH")]))
-        code = "import mirrorsim.cli, tracing; tracing.Tracer().install()"
-        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+        proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        return proc.stdout
+
+    def test_tracer_finds_every_target(self):
+        # the traced benchmark patches its layers by name: a renamed or
+        # deleted target must fail here, not only under --trace
+        self._traced("import mirrorsim.cli, tracing; tracing.Tracer().install()")
+
+    def test_tracer_spans_the_cli_handler(self, tmp_path):
+        # the parser dispatches to the module's cmd_check as it is at the
+        # call, so the tracer's patched handler records its span
+        code = ("import sys, mirrorsim.cli, tracing; tracer = tracing.Tracer(); "
+                "tracer.install(); assert mirrorsim.cli.main(sys.argv[1:]) == 0; "
+                "print(*sorted({span[0] for span in tracer.spans}))")
+        spans = self._traced(code, "check", "--preset", "cont",
+                             "--out", str(tmp_path)).splitlines()[-1].split()
+        assert "cli.cmd_check" in spans
+        assert "conservation.continuity_residual" in spans
