@@ -168,11 +168,13 @@ def cmd_validate(args) -> int:
 
 
 def _resolution(text: str) -> int:
-    """--resolution: a sample count that a grid axis accepts."""
-    if not text.isdecimal() or AxisSpec._rules(n=int(text)):
+    """--resolution: a sample count that a grid axis accepts, judged by its
+    significant digits, so that no length past int()'s digit limit reaches it."""
+    digits = "".join(str(int(c)) for c in text).lstrip("0") if text.isdecimal() else ""
+    if len(digits) > len(str(_N_MAX)) or AxisSpec._rules(n=int(digits or "0")):
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least {_N_MIN} and at most {_N_MAX}, got '{text}'")
-    return int(text)
+    return int(digits)
 
 
 def _time_list(text: str) -> list[float]:

@@ -12,8 +12,9 @@ with sorted keys, indented by one, and a final newline.
 
 Both shapes are formatted and streamed to disk in blocks of whole rows, about
 ``_BLOCK_VALUES`` values each, so the text of a grid is never held in memory
-whole. Every value is byte-identical to ``format(float(v), ".17g")``: the
-exact binary value rounded half to even to 17 significant digits.
+whole. It stays bytes from the template to the file; headers, JSON and
+scripts are encoded once. Every value is byte-identical to ``format(float(v),
+".17g")``: the exact binary value rounded half to even to 17 significant digits.
 
 A joint-PDF grid is an exact +0.0 wherever the particle would be past the
 mirror (x1 > x2) and where its tails underflow: 56 % of the values of the 23
@@ -84,13 +85,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]):
-    """Write ``chunks`` to ``path`` through a temp file in the same directory,
-    renamed into place only once every chunk is written."""
+def _atomic_write(path: Path, chunks: Iterable[bytes]):
+    """Write the byte ``chunks`` to ``path`` through a temp file in the same
+    directory, renamed into place only once every chunk is written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -302,9 +303,9 @@ def _zero_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[long], ends[long]
 
 
-def _format_block(flat: np.ndarray, ncol: int) -> tuple[str, int]:
+def _format_block(flat: np.ndarray, ncol: int) -> tuple[bytes, int]:
     """Rows of ``ncol`` comma-separated cells, each ``format(float(v), ".17g")``,
-    and the number of values sent to Python's ``"%.17g"``.
+    as ASCII bytes, and the number of values sent to Python's ``"%.17g"``.
 
     A run [a, b) of at least ``_MIN_RUN`` +0.0 values is the slice [2a, 2b)
     of the block's all-zero text, in which each cell is '0' and its
@@ -315,10 +316,10 @@ def _format_block(flat: np.ndarray, ncol: int) -> tuple[str, int]:
     runs.
     """
     starts, ends = _zero_runs(flat)
-    pattern = ("0," * (ncol - 1) + "0\n") * (flat.size // ncol)
+    pattern = (b"0," * (ncol - 1) + b"0\n") * (flat.size // ncol)
     if starts.size and ends[0] - starts[0] == flat.size:
         return pattern, 0
-    seps = np.frombuffer(bytearray(pattern, "ascii"), np.uint8)[1::2]
+    seps = np.frombuffer(bytearray(pattern), np.uint8)[1::2]
     if starts.size:
         edges = np.zeros(flat.size + 1, np.int8)
         edges[starts], edges[ends] = 1, -1  # runs are apart, so no index is both
@@ -326,23 +327,24 @@ def _format_block(flat: np.ndarray, ncol: int) -> tuple[str, int]:
         seps[starts[starts > 0] - 1] = ord("|")
         flat, seps = flat[keep], seps[keep]
     cells, slow = _cells(flat, seps)
-    text = cells.T.tobytes().translate(None, b"\0").decode("ascii")
+    text = cells.T.tobytes().translate(None, b"\0")
     if not starts.size:
         return text, slow
-    pieces = text.split("|")
+    pieces = text.split(b"|")
     if starts[0] == 0:
-        pieces.insert(0, "")
-    parts = [""] * (2 * len(pieces) - 1)
+        pieces.insert(0, b"")
+    parts = [b""] * (2 * len(pieces) - 1)
     parts[0::2] = pieces
     parts[1::2] = [pattern[max(2 * a - 1, 0):2 * b]
                    for a, b in zip(starts.tolist(), ends.tolist())]
-    return "".join(parts), slow
+    return b"".join(parts), slow
 
 
-def _csv(header: list[str], values: np.ndarray) -> Iterator[str]:
-    """The header text, then the comma-separated rows of the 2-D ``values``,
-    one block of rows per chunk, each value as :func:`_fmt` writes it."""
-    yield "\n".join(header) + "\n"
+def _csv(header: list[str], values: np.ndarray) -> Iterator[bytes]:
+    """The header, then the comma-separated rows of the 2-D ``values``, one
+    block of rows per chunk, each value as :func:`_fmt` writes it, all as
+    bytes."""
+    yield ("\n".join(header) + "\n").encode()
     values = np.asarray(values, dtype=np.float64)  # as float() reads each value
     ncol = values.shape[1]
     rows = max(1, _BLOCK_VALUES // ncol)
@@ -379,7 +381,7 @@ def write_curve(curve: Curve, path, scenario_name: str, config_hash: str) -> Pat
 def write_json(report: dict, path) -> Path:
     """``report`` with sorted keys, indented by one, and a final newline."""
     path = Path(path)
-    _atomic_write(path, [json.dumps(report, sort_keys=True, indent=1) + "\n"])
+    _atomic_write(path, [(json.dumps(report, sort_keys=True, indent=1) + "\n").encode()])
     return path
 
 
@@ -393,4 +395,4 @@ def _gnuplot_script(csv_path: Path, size: str, body: list[str]):
         *body,
         "",
     ])
-    _atomic_write(csv_path.with_suffix(".gp"), [text])
+    _atomic_write(csv_path.with_suffix(".gp"), [text.encode()])

@@ -39,7 +39,7 @@ from .observables import (coherence_transfer_metrics, doppler_beat,
                           marginal_over_particle, pattern_drift_beat,
                           transit_beat_periods, _hull)
 from .conservation import continuity_residual, convergence_order
-from .wavegroup import (WavegroupSpec, _check_range, _density_form, _smooth_pdf, frames,
+from .wavegroup import (WavegroupSpec, _check_range, _density_form, _physical_pdf, frames,
                         joint_pdf)
 
 
@@ -630,11 +630,11 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     """Joint PDF sampled on a (x1, x2) grid with coarse-sampling flagging.
 
     The amplitude lives on x1 <= x2 and the step sets the PDF to an exact 0
-    beyond it, so only the physical points are evaluated, and the rest of
-    the grid stays 0. The real-form density's axis parts are evaluated on
-    the axes and gathered to the physical points, and every step is
-    elementwise (:func:`~.wavegroup._smooth_pdf`), so every value is bitwise
-    that of :func:`~.wavegroup.joint_pdf` on the whole grid.
+    beyond it, so blocks of rows are evaluated from their first row's
+    physical column on (:func:`~.wavegroup._physical_pdf`), and every value
+    is bitwise that of :func:`~.wavegroup.joint_pdf` on the whole grid. A
+    block's corner past the wall may overflow, which is ignored here; only
+    the values kept are checked.
     """
     ax1, ax2 = grid.axes
     x1 = ax1.values()
@@ -644,10 +644,7 @@ def joint_pdf_grid(spec: WavegroupSpec, grid: GridSpec, t1: float,
     step = max(x1[1] - x1[0], x2[1] - x2[0])
     if step > 0.5 * fringe:
         flags.append("coarse-sampling")
-    physical = x1[:, None] <= x2[None, :]
-    values = np.zeros(grid.shape)
-    form = _density_form(spec, t1, t2)
-    values[physical] = _smooth_pdf(form, x1, x2, within=physical)
+    values = _physical_pdf(_density_form(spec, t1, t2), x1, x2)
     _check_range(np.isfinite(values).all(), "joint pdf", t1=t1, t2=t2)
     return FieldGrid(grid=grid, values=values,
                      provenance={"operation": "joint_pdf", "t1": t1, "t2": t2,

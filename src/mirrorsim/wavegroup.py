@@ -45,12 +45,13 @@ the reflected centre's offset, formed in closed form, never as a difference
 of the two centres. All of each factor but the reflected cross term d1 d2
 depends on a single coordinate: on a grid those
 parts are evaluated on the axes, the recoil half phase reduced mod pi
-exactly there, and each point costs gathers, a few real multiply-adds, one
-real exp and one sin. A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`)
-is evaluated only on its physical half x1 <= x2, where the amplitude lives;
-the step sets the rest to an exact 0. Every step is elementwise, so each
-value is bitwise that of the whole-grid evaluation (``within`` of
-:func:`_smooth_pdf`). Amplitudes and currents read the same coefficients
+exactly there, and broadcast, so each point costs a few real multiply-adds,
+one real exp and one sin. A joint-PDF grid (:func:`~.scenario.joint_pdf_grid`)
+is evaluated on its physical half x1 <= x2, where the amplitude lives, in
+blocks of rows, each from its first row's physical column on
+(:func:`_physical_pdf`); the step sets the rest to an exact 0. Every step is
+elementwise, so each value is bitwise that of the whole-grid evaluation
+(:func:`_smooth_pdf`). Amplitudes and currents read the same coefficients
 (:func:`_fields`): |F_in| = a1 a2, and F_ref / F_in is |F_ref| / |F_in| times
 exp(-2 i theta), theta the half phase difference. Over an axis of mirror
 times the coefficients are arrays, one form for a whole series, as
@@ -380,7 +381,11 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
 # ---------------------------------------------------------------------------
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-_BLOCK = 8192  # grid points per gathered block
+# Rows per block of :func:`_physical_pdf`, which evaluates each block's corner
+# too. The 23 preset snapshot grids at 512**2 took 0.100, 0.095, 0.087 and 0.098
+# s in blocks of 8, 16, 32 and 64 rows, against 0.163 s for the gather of the
+# physical points that this replaced (median of 5 processes each, 2 vCPUs).
+_ROWS = 32
 
 
 def _two_sum(a, b):
@@ -430,7 +435,7 @@ class _Density(NamedTuple):
 
     :meth:`_offsets` gives (e_j, d_j), and :meth:`log_axis` adds theta_j, log
     a_j and beta_j, from both squared offsets formed once per axis.
-    :func:`_smooth_pdf` takes a_j from it for the density, and :meth:`logs`
+    :func:`_axis_terms` takes a_j from it for the density, and :meth:`logs`
     combines both axes' logs for the amplitudes (:func:`_fields`), the beat
     (:func:`~.observables.doppler_beat`) and a trace's cross term
     (:meth:`cross`). Traces and conditional profiles read each branch's peak
@@ -520,7 +525,7 @@ class _Density(NamedTuple):
 
     def density(self, ax1, ax2):
         """|F_in - F_ref|^2 = (|F_in| - |F_ref|)^2 + 4 |F_in| |F_ref| sin^2(dphi / 2)
-        from two axis tuples (a_j, beta_j, theta_j, d_j) of :func:`_smooth_pdf`,
+        from two axis tuples (a_j, beta_j, theta_j, d_j) of :func:`_axis_terms`,
         elementwise."""
         (a1, b1, th1, d1), (a2, b2, th2, d2) = ax1, ax2
         dd = d1 * d2
@@ -587,29 +592,36 @@ def _density_form(spec: WavegroupSpec, t1, t2, detune: float = 1.0,
                     theta0=0.5 * remainder(const, _TWO_PI), weight=abs(reflected_weight))
 
 
-def _smooth_pdf(form: _Density, x1, x2, within=None):
-    """|F_in - F_ref|^2, the smooth PDF, at broadcastable (x1, x2) from its
-    coefficients at one pair of times: the one evaluator behind
-    :func:`joint_pdf`, :func:`~.scenario.joint_pdf_grid` and
-    :meth:`~.measurement.ConditionalMirrorState.pdf`.
-
-    ``within``, a boolean mask over the grid x1[:, None], x2[None, :] of two
-    1-D axes, evaluates only the grid's true points, in row-major order: the
-    axis terms are gathered, in blocks whose temporaries stay in cache, and
-    every step is elementwise, so each value is bitwise that of the whole
-    grid at the same point.
-    """
-    # a lone coordinate, such as a detection's x10, runs on Python floats
-    ax1, ax2 = ((np.exp(log_a), beta, theta, d) for log_a, beta, theta, _, d in (
+def _axis_terms(form: _Density, x1, x2):
+    """The axis tuples (a_j, beta_j, theta_j, d_j) of :meth:`_Density.density` at
+    x1 and x2; a lone coordinate, such as a detection's x10, as a Python float."""
+    return [(np.exp(log_a), beta, theta, d) for log_a, beta, theta, _, d in (
         form.log_axis(j, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
-        for j, x in enumerate((x1, x2))))
-    if within is None:
-        return form.density(ax1, ax2)
-    flat = np.flatnonzero(within)
-    out = np.empty(flat.size)
-    for k in range(0, flat.size, _BLOCK):
-        i, j = np.divmod(flat[k:k + _BLOCK], within.shape[1])
-        out[k:k + _BLOCK] = form.density([a.take(i) for a in ax1], [a.take(j) for a in ax2])
+        for j, x in enumerate((x1, x2)))]
+
+
+def _smooth_pdf(form: _Density, x1, x2):
+    """|F_in - F_ref|^2, the smooth PDF, at broadcastable (x1, x2) from its
+    coefficients at one pair of times, elementwise: the evaluator behind
+    :func:`joint_pdf` and :meth:`~.measurement.ConditionalMirrorState.pdf`."""
+    return form.density(*_axis_terms(form, x1, x2))
+
+
+def _physical_pdf(form: _Density, x1, x2):
+    """The stepped PDF on the grid of the increasing axes x1, x2, bitwise
+    :func:`_smooth_pdf` there with the step applied. Row i is physical from
+    column searchsorted(x2, x1[i]) on, so each block of ``_ROWS`` rows is
+    evaluated from its first row's column on, from the axis terms broadcast,
+    and its corner x1 > x2 is left at +0.0, as are the rows past x2's end.
+    The corner lies past the wall, where the smooth form may overflow; the
+    caller ignores that (:func:`~.scenario.joint_pdf_grid`)."""
+    (ax1, ax2), first = _axis_terms(form, x1, x2), np.searchsorted(x2, x1)
+    out = np.zeros((len(x1), len(x2)))
+    for r0 in range(0, np.searchsorted(first, len(x2)), _ROWS):
+        rows, cols = slice(r0, r0 + _ROWS), slice(first[r0], None)
+        np.copyto(out[rows, cols], form.density([a[rows, None] for a in ax1],
+                                                [a[None, cols] for a in ax2]),
+                  where=x1[rows, None] <= x2[None, cols])
     return out
 
 

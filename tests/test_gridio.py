@@ -45,7 +45,7 @@ def _formatted(values) -> tuple[list[str], int]:
     """Each value as the block formatter writes it, one per row, and how many
     went to Python's ``%.17g``."""
     text, slow = gridio._format_block(np.asarray(values, dtype=float), 1)
-    return text.split("\n")[:-1], slow
+    return text.decode().split("\n")[:-1], slow
 
 
 def _expected(values) -> list[str]:
@@ -107,11 +107,11 @@ class TestRowFormat:
     def test_shapes_match_reference_in_bounded_chunks(self, rng, shape):
         values = _mixed(rng, shape)
         header, *chunks = gridio._csv(["# h"], values)
-        assert header == "# h\n"
-        assert "".join(chunks) == _reference_rows(values)
+        assert header == b"# h\n"
+        assert b"".join(chunks).decode() == _reference_rows(values)
         rows_per_chunk = max(1, gridio._BLOCK_VALUES // shape[1])
         assert len(chunks) == math.ceil(shape[0] / rows_per_chunk)
-        assert all(c.endswith("\n") and c.count("\n") <= rows_per_chunk for c in chunks)
+        assert all(c.endswith(b"\n") and c.count(b"\n") <= rows_per_chunk for c in chunks)
 
 
 class TestZeroRuns:
@@ -140,7 +140,7 @@ class TestZeroRuns:
     def test_random_runs_match_reference(self, rng, ncol):
         values = self._runs_grid(rng, ncol, 3 * gridio._BLOCK_VALUES // ncol + 5)
         header, *chunks = gridio._csv(["# h"], values)
-        assert _lines("".join(chunks)) == _lines(_reference_rows(values))
+        assert _lines(b"".join(chunks).decode()) == _lines(_reference_rows(values))
         rows = max(1, gridio._BLOCK_VALUES // ncol)
         blocks = [values[i:i + rows].ravel() for i in range(0, len(values), rows)]
         assert any(np.all(b.view(np.uint64) == 0) for b in blocks)
@@ -155,7 +155,7 @@ class TestZeroRuns:
         flat = z + [1.5] + z + [-0.0] + z + [math.nan] + z + [2.5e-300] + z
         flat += [7.0] * (-len(flat) % ncol)
         values = np.array(flat).reshape(-1, ncol)
-        assert _lines(gridio._format_block(values.ravel(), ncol)[0]) == _lines(
+        assert _lines(gridio._format_block(values.ravel(), ncol)[0].decode()) == _lines(
             _reference_rows(values))
         assert len(gridio._zero_runs(values.ravel())[0]) == (
             5 if length >= gridio._MIN_RUN else 0)
@@ -178,7 +178,7 @@ class TestFormattedWork:
 
     def test_all_zero_block_formats_nothing(self, formatted):
         values = np.zeros((16, 512))
-        assert _lines(gridio._format_block(values.ravel(), 512)[0]) == _lines(
+        assert _lines(gridio._format_block(values.ravel(), 512)[0].decode()) == _lines(
             _reference_rows(values))
         assert formatted == []
 
@@ -190,7 +190,8 @@ class TestFormattedWork:
         values[1, 5:4 + gridio._MIN_RUN] = 0.0  # one short of a run
         values[12, 40] = -0.0
         flat = values.ravel()
-        assert _lines(gridio._format_block(flat, 512)[0]) == _lines(_reference_rows(values))
+        assert _lines(gridio._format_block(flat, 512)[0].decode()) == _lines(
+            _reference_rows(values))
         outside = np.ones(flat.size, bool)
         outside[3 * 512 + 100:9 * 512 + 7] = False
         assert len(formatted) == 1
@@ -338,13 +339,13 @@ class TestValueFormat:
 class TestAtomicWrite:
     @staticmethod
     def _failing_chunks():
-        yield "x" * 100_000  # past the write buffer, so it reaches the temp file
-        yield "y\n"
+        yield b"x" * 100_000  # past the write buffer, so it reaches the temp file
+        yield b"y\n"
         raise RuntimeError("formatter failed")
 
     def test_failed_stream_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "a.csv"
-        gridio._atomic_write(path, ["earlier\n", "content\n"])
+        gridio._atomic_write(path, [b"earlier\n", b"content\n"])
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="formatter failed"):
             gridio._atomic_write(path, self._failing_chunks())

@@ -246,8 +246,8 @@ class TestJointGrid:
 
 
 class TestPhysicalHalfGrid:
-    """``joint_pdf_grid`` evaluates only x1 <= x2, and every value is bitwise
-    the stepped smooth form on the whole grid."""
+    """``joint_pdf_grid`` evaluates x1 <= x2 in blocks of rows, and every value
+    is bitwise the stepped smooth form on the whole grid."""
 
     @staticmethod
     def _full(spec, grid, t1, t2):
@@ -299,6 +299,25 @@ class TestPhysicalHalfGrid:
         values = self._assert_bitwise(spec_fig5, grid, t_c, t_c)
         assert not np.any(values.view(np.uint64))  # +0.0 everywhere
 
+    @pytest.mark.parametrize("x1_span, x2_span, live, points", [
+        ((-3.0, 3.0), (-3.0, 3.0), 37, 1871),      # unequal axes, the wall across
+        ((1.0, 4.0), (-3.0, 0.5), 0, 0),           # x1 wholly past x2: +0.0 everywhere
+        ((-4.0, -1.0), (-0.5, 3.0), 37, 37 * 101),  # x1 wholly before x2: all physical
+        ((-1.0, 5.0), (-3.0, 3.0), 25, 847),       # x1 starts inside x2, passes its end
+    ], ids=["unequal", "x1-past-x2", "x1-before-x2", "x1-starts-inside"])
+    def test_row_blocks(self, spec_fig5, x1_span, x2_span, live, points):
+        """37 x 101 grids: 37 rows, and the 25 rows of the last case with a
+        physical point, end in the middle of a block of ``_ROWS``."""
+        x_c, t_c = spec_fig5.collision_point, spec_fig5.collision_time
+        grid = GridSpec(axes=(AxisSpec("x1", x_c + x1_span[0], x_c + x1_span[1], 37),
+                              AxisSpec("x2", x_c + x2_span[0], x_c + x2_span[1], 101)))
+        values = self._assert_bitwise(spec_fig5, grid, t_c, t_c + spec_fig5.tau)
+        x1, x2 = (a.values() for a in grid.axes)
+        physical = x1[:, None] <= x2[None, :]
+        assert np.count_nonzero(physical.any(axis=1)) == live
+        assert np.count_nonzero(physical) == points
+        assert np.array_equal(values > 0.0, physical)  # no physical value underflows here
+
     def test_reflected_branch_only_on_the_physical_half(self, monkeypatch):
         s = PRESETS["fig5"]
         grid = GridSpec(axes=tuple(AxisSpec(a.role, a.lo, a.hi, 96) for a in s.grid.axes))
@@ -315,7 +334,9 @@ class TestPhysicalHalfGrid:
         x1, x2 = (a.values() for a in grid.axes)
         physical = np.count_nonzero(x1[:, None] <= x2[None, :])
         assert 0 < physical < x1.size * x2.size
-        assert sum(points) == physical
+        # beyond the physical points a block evaluates only its corner: at most
+        # _ROWS - 1 rows by the columns its rows' starts span, which sum to len(x2)
+        assert physical <= sum(points) <= physical + (wavegroup._ROWS - 1) * x2.size
 
 
 def _full_trace(spec, outer, t1, t2, axis):
@@ -537,15 +558,27 @@ class TestOutputShapes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "collapse", "marginal"])
-    @pytest.mark.parametrize("resolution", ["4097", str(2**63), "9" * 400])
+    @pytest.mark.parametrize("resolution", [
+        "4097", str(2**63), "9" * 400,
+        pytest.param("9" * 5000, id="5000-nines"),  # past int()'s 4,300-digit limit
+    ])
     def test_resolution_above_axis_ceiling_is_a_parse_error(self, tmp_path, capsys,
                                                            command, resolution):
         with pytest.raises(SystemExit) as exc:
             main([command, "--preset", "fig5", "--resolution", resolution,
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert "at least 16 and at most 4096" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at least 16 and at most 4096" in err
+        assert "_resolution" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_resolution_is_read_by_its_significant_digits(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "fig2", "--times", "0", "--resolution",
+                     "0" * 5000 + "64", "--out", str(out)]) == 0
+        rows = _data_rows(out / "fig2_joint_0.csv")
+        assert [len(row.split(",")) for row in rows] == [64] * 64
 
 
 class TestCli:

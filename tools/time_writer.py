@@ -1,9 +1,10 @@
-"""Time the CSV writer of two source trees against each other, interleaved.
+"""Time the CSV writer and the grid kernel of two source trees against each
+other, interleaved.
 
     python3 tools/time_writer.py OLD_TREE NEW_TREE [--repeats N]
 
-Each tree is a checkout whose package lies in ``src/``. The inputs are
-computed once, with the new tree:
+Each tree is a checkout whose package lies in ``src/``. The formatters'
+inputs are computed once, with the new tree:
 
 - grids: every snapshot of every preset at 512 points per axis, the 23
   joint-PDF grids of one ``snapshots`` benchmark round;
@@ -12,12 +13,15 @@ computed once, with the new tree:
 
 Each tree formats them with its own ``gridio._csv`` in a worker process of
 its own, which imports the tree once and times one pass over an input set
-each time it is asked, consuming the text without writing it. One repeat
-asks both workers for each set, in alternating order. The script prints,
-per input set and tree, the median and the minimum over the repeats, and
-new/old for each. Both trees format the same inputs on the same host at
-nearly the same time, so the ratio is free of most of the run-to-run spread
-of the benchmark. The default of 15 repeats takes about 25 s on 2 vCPUs.
+each time it is asked, consuming the text without writing it. The third
+set, kernel, has no input: each worker computes the same 23 grids with its
+own tree's ``scenario.joint_pdf_grid``, so the kernel layer gets a time per
+pass. One repeat asks both workers for each set, in alternating order. The
+script prints, per set and tree, the median and the minimum over the
+repeats, and new/old for each. Both trees run the same inputs on the same
+host at nearly the same time, so the ratio is free of most of the
+run-to-run spread of the benchmark. The default of 15 repeats takes about
+20 s on 2 vCPUs.
 
 The trees run in separate processes because in one they would share the
 C allocator, and the arrays of one tree's formatter would change what the
@@ -41,7 +45,18 @@ import numpy as np
 RESOLUTION = 512
 CURVE_POINTS = 2048
 CURVE_PASSES = 25  # the two curves take about 2 ms, so each time covers 25 passes
-KINDS = ("grids", "curves")
+KINDS = ("grids", "curves", "kernel")
+
+
+def _snapshots(sc):
+    """(spec, grid, t) of every snapshot of every preset at ``RESOLUTION``
+    points per axis, from the ``scenario`` module ``sc``."""
+    for name in sorted(sc.PRESETS):
+        s = sc.PRESETS[name]
+        grid = sc.GridSpec(axes=tuple(dataclasses.replace(a, n=RESOLUTION)
+                                      for a in s.grid.axes))
+        for t in s.snapshot_times or (s.collision_time,):
+            yield s.wavegroup, grid, t
 
 
 def _inputs(tree: Path) -> dict[str, list[np.ndarray]]:
@@ -51,13 +66,7 @@ def _inputs(tree: Path) -> dict[str, list[np.ndarray]]:
     from mirrorsim import observables as ob
     from mirrorsim import scenario as sc
 
-    grids = []
-    for name in sorted(sc.PRESETS):
-        s = sc.PRESETS[name]
-        grid = sc.GridSpec(axes=tuple(dataclasses.replace(a, n=RESOLUTION)
-                                      for a in s.grid.axes))
-        for t in s.snapshot_times or (s.collision_time,):
-            grids.append(sc.joint_pdf_grid(s.wavegroup, grid, t, t).values)
+    grids = [sc.joint_pdf_grid(spec, grid, t, t).values for spec, grid, t in _snapshots(sc)]
     s = sc.PRESETS["fig9"]
     t = s.collision_time
     curves = []
@@ -68,20 +77,28 @@ def _inputs(tree: Path) -> dict[str, list[np.ndarray]]:
 
 
 def _worker(tree: Path, inputs: Path) -> int:
-    """Import ``tree``'s writer, then for each input set named on stdin,
-    format it once and print the seconds taken."""
+    """Import ``tree``'s writer and kernel, then for each set named on stdin,
+    format its inputs once, or compute the grids once for ``kernel``, and
+    print the seconds taken."""
     sys.path.insert(0, str(tree / "src"))
     from mirrorsim import gridio
+    from mirrorsim import scenario as sc
 
     with np.load(inputs) as data:
         sets = {kind: [data[k] for k in data.files if k.startswith(kind)]
-                for kind in KINDS}
+                for kind in ("grids", "curves")}
     sets["curves"] *= CURVE_PASSES
+    snapshots = list(_snapshots(sc))
     for line in sys.stdin:
+        kind = line.strip()
         start = time.perf_counter()
-        for values in sets[line.strip()]:
-            for _ in gridio._csv(["# h"], values):
-                pass
+        if kind == "kernel":
+            for spec, grid, t in snapshots:
+                sc.joint_pdf_grid(spec, grid, t, t)
+        else:
+            for values in sets[kind]:
+                for _ in gridio._csv(["# h"], values):
+                    pass
         print(time.perf_counter() - start, flush=True)
     return 0
 
@@ -112,7 +129,7 @@ def main(argv: list[str]) -> int:
             return float(workers[side].stdout.readline())
 
         try:
-            for kind in KINDS:  # the formatters' tables, built once each
+            for kind in KINDS:  # the formatters' tables and the specs' constants, built once each
                 for side in workers:
                     timed(side, kind)
             times = {(kind, side): [] for kind in KINDS for side in workers}
@@ -127,8 +144,9 @@ def main(argv: list[str]) -> int:
                 worker.wait()
     for kind in KINDS:
         passes = CURVE_PASSES if kind == "curves" else 1
-        values = passes * sum(a.size for a in inputs[kind])
-        print(f"{kind}: {len(inputs[kind])} arrays x {passes}, {values} values, "
+        arrays = inputs["grids" if kind == "kernel" else kind]  # the kernel computes the grids
+        values = passes * sum(a.size for a in arrays)
+        print(f"{kind}: {len(arrays)} arrays x {passes}, {values} values, "
               f"{args.repeats} repeats")
         med = {side: float(np.median(times[kind, side])) for side in workers}
         low = {side: min(times[kind, side]) for side in workers}
