@@ -167,13 +167,25 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+_QUOTE_MAX = 40  # characters of a rejected argument that its message quotes
+
+
+def _quoted(text: str) -> str:
+    """A rejected argument as its error message quotes it: whole up to
+    ``_QUOTE_MAX`` characters, else its start and its length, so that a long
+    argument still gives a short line."""
+    if len(text) <= _QUOTE_MAX:
+        return f"'{text}'"
+    return f"'{text[:_QUOTE_MAX]}...' ({len(text):,} characters)"
+
+
 def _resolution(text: str) -> int:
     """--resolution: a sample count that a grid axis accepts, judged by its
     significant digits, so that no length past int()'s digit limit reaches it."""
     digits = "".join(str(int(c)) for c in text).lstrip("0") if text.isdecimal() else ""
     if len(digits) > len(str(_N_MAX)) or AxisSpec._rules(n=int(digits or "0")):
         raise argparse.ArgumentTypeError(
-            f"must be an integer of at least {_N_MIN} and at most {_N_MAX}, got '{text}'")
+            f"must be an integer of at least {_N_MIN} and at most {_N_MAX}, got {_quoted(text)}")
     return int(digits)
 
 
@@ -185,7 +197,7 @@ def _time_list(text: str) -> list[float]:
         times = []
     if not times or not all(math.isfinite(t) for t in times):
         raise argparse.ArgumentTypeError(
-            f"must be a comma list of finite numbers, got '{text}'")
+            f"must be a comma list of finite numbers, got {_quoted(text)}")
     return times
 
 
@@ -202,7 +214,7 @@ def _event_fields(text: str) -> dict[str, float]:
         if not (new_key and math.isfinite(value)):
             raise argparse.ArgumentTypeError(
                 "must be key=value pairs of t10 and x10, each at most once "
-                f"and finite, got '{text}'")
+                f"and finite, got {_quoted(text)}")
         fields[key] = value
     return fields
 

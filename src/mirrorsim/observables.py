@@ -2,7 +2,10 @@
 
 Everything here consumes the closed-form fields; beats are extracted by
 least-squares sinusoid fitting (scenario time axes are short and
-non-power-of-two, where bare FFT bins would leak).
+non-power-of-two, where bare FFT bins would leak). Coherence transfer
+samples nothing: its widths are the exact second moments of both marginals,
+each term of the PDF, interference included, integrated over the physical
+half plane in closed form (:func:`~.wavegroup._half_plane_moments`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import WavegroupSpec, _closed_trace, _density_form, _span, frames, joint_pdf
+from .wavegroup import (WavegroupSpec, _closed_trace, _density_form, _half_plane_moments, _span,
+                        frames, joint_pdf)
 
 
 class InsufficientSpanWarning(UserWarning):
@@ -335,24 +339,13 @@ def _width_ratio(out: float, incoming: float, body: str) -> float:
     return out / incoming
 
 
-def _curve_std(curve: Curve) -> float:
-    w = curve.y / curve.y.sum()
-    mean = float(w @ curve.x)
-    return math.sqrt(float(w @ (curve.x - mean) ** 2))
-
-
 def _measured_widths(spec: WavegroupSpec, t: float):
-    """Standard deviations of the two synchronous marginals at t, each sampled
-    on the hull of the packets whose centre lies on the physical side
-    x1 <= x2, or of both when both do: a packet centred behind the wall is
-    virtual, and its stretch of the hull holds only zeros. The hull reaches
-    10 sigma past each centre; at 8 sigma the tails cut off would take 8e-14
-    of a Gaussian's variance."""
-    packets = frames(spec, t, t)
-    packets = [(c, cov) for c, cov in packets if c[0] <= c[1]] or packets
-    x1, x2 = (np.linspace(*_hull(packets, axis, pad=10.0), 4097) for axis in (0, 1))
-    return (_curve_std(marginal_over_mirror(spec, x1, t, t)),
-            _curve_std(marginal_over_particle(spec, x2, t, t)))
+    """Standard deviations of the two synchronous marginals at t, the
+    particle's and the mirror's: exact moments of the whole PDF, both
+    intensities and the interference term, over the physical half plane
+    (:func:`~.wavegroup._half_plane_moments`)."""
+    _, _, variances = _half_plane_moments(spec, t, t)
+    return math.sqrt(variances[0]), math.sqrt(variances[1])
 
 
 def _waist_from_pair(sig_a: float, sig_b: float, t_a: float, t_b: float,
@@ -377,11 +370,15 @@ def coherence_transfer_metrics(spec: WavegroupSpec, pre_t: float,
                                post_t: float) -> CoherenceTransferReport:
     """Marginal widths of the substates before and after reflection.
 
-    Incoming widths are standard deviations of the synchronous marginals at
-    pre_t, which should sit in the incident era near the reference time
-    (the packet waists). Outgoing widths sample the marginals at post_t and
-    slightly later and invert the free-spreading variance law, undoing the
-    dispersion accumulated on the way out. Emits
+    Every width is a standard deviation of a synchronous marginal, from the
+    exact mass, mean and variance of the whole PDF (both intensities and the
+    interference term) over the physical half plane x1 <= x2
+    (:func:`_measured_widths`), so no trace is sampled and no packet cut by
+    the wall is under-resolved. Incoming widths are those at pre_t, which
+    should sit in the incident era near the reference time (the packet
+    waists). Outgoing widths take the marginals at post_t and tau / 2 later
+    and invert the free-spreading variance law, undoing the dispersion
+    accumulated on the way out. Emits
     IncompleteSeparationWarning when the incident packet has not fully left
     the physical domain at post_t.
     """

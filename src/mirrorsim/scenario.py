@@ -485,8 +485,11 @@ def analysis_split_velocities(scenario: Scenario) -> dict:
     event = resolve_event(scenario, scenario.events[0])
     state = collapse(spec, event)
     samples = event.t10 + spec.tau * np.linspace(1.5, 5.0, 8)
-    expected = {"expected_slow": scenario.params.V,
-                "expected_fast": elastic_final_velocities(scenario.params)[1]}
+    p = scenario.params
+    # the recoil 2 m (v - V) / (m + M) directly: on fig8 it lies below half an
+    # ulp of V, so the two expected velocities round to one number
+    expected = {"expected_slow": p.V, "expected_fast": elastic_final_velocities(p)[1],
+                "expected_difference": 2.0 * p.m * (p.v - p.V) / (p.m + p.M)}
     try:
         slow, fast = split_centroid_velocities(state, samples)
     except UnresolvedSplittingError as err:

@@ -66,7 +66,11 @@ change the sum. Both functions are numpy kernels (:mod:`._faddeeva`), loaded
 on the first trace; the package needs nothing beyond numpy. Marginals and
 conditional probabilities all come from it, its exponents read off the
 density: each branch's peak along the traced axis (:meth:`_Density.peaks`)
-and the cross term's exponent and slope (:meth:`_Density.cross`).
+and the cross term's exponent and slope (:meth:`_Density.cross`). The
+mass, means and variances of both marginals over the physical half plane
+are closed forms in the same way (:func:`_half_plane_moments`): each term
+integrated as a Gaussian along the wall, then over the half line s = x2 -
+x1 >= 0 through the same erfc and two recurrences.
 
 Phi is the (possibly astronomically large) carrier phase at the central
 wavevectors, the plane-wave pair's :func:`~.harmonic.incident_phase`. Only
@@ -374,6 +378,77 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     y = np.maximum(y, 0.0)
     _check_range(np.isfinite(y).all(), "trace", t1=t1, t2=t2)
     return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _half_plane_moments(spec: WavegroupSpec, t1: float, t2: float):
+    """(mass, means, variances) of the smooth PDF over the physical half plane
+    x1 <= x2 at (t1, t2), means and variances per axis (x1, x2), in closed form.
+
+    Each term of |F_in|^2 + |F_ref|^2 - 2 Re(F_in F_ref*) is exp(L + b^T u -
+    u^T K u / 2), u the offset from the term's own point: each intensity term
+    about its branch's centre, real with b = 0 and K = 2 mr; the cross term
+    about the centre of its modulus |F_in F_ref|, (mr_in + mr_ref)^-1 mr_ref
+    delta from the incident centre, with L, b and K complex and read off the
+    density there (:meth:`_Density.logs`), the recoil kicks of b1 + b2 summed
+    before theta's chirp. With r = u1 and s = u2 - u1 >= s0, s0 the term's
+    point's x1 - x2, r is Gaussian over the whole line, precision P = K11 +
+    2 K12 + K22 and mean (B - Q s) / P, B = b1 + b2, Q = K12 + K22. What is
+    left, g(s) = exp(log_c + beta s - alpha s^2), alpha = det K / (2 P), has
+    the half-line moments J0 (:func:`_half_line`), J1 = (beta J0 + g(s0)) /
+    (2 alpha) and J2 = (J0 + beta J1 + s0 g(s0)) / (2 alpha), from d/ds g =
+    (beta - 2 alpha s) g, and each term's moments in u are theirs with
+    E[r^2 | s] = E[r | s]^2 + 1 / P. The terms' moments are summed about the
+    mean from their points' offsets, so no variance is a difference of two
+    second moments taken about a distant point.
+    """
+    _check_range(math.isfinite(t1) and math.isfinite(t2), "half-plane moments", t1=t1, t2=t2)
+    density = _density_form(spec, t1, t2)
+    f_in, f_ref = density.f_in, density.f_ref
+    (i11, _, i22), (r11, r12, r22) = f_in.mr, f_ref.mr
+    # the cross term's point: the precision-weighted mean of the two centres
+    (dl1, dl2), a11, a22 = density.delta, i11 + r11, i22 + r22
+    h1, h2, det = r11 * dl1 + r12 * dl2, r12 * dl1 + r22 * dl2, a11 * a22 - r12 * r12
+    log_in, log_ref, theta, e, d = density.logs(
+        density.centre(0) + (a22 * h1 - r12 * h2) / det,
+        density.centre(1) + (a11 * h2 - r12 * h1) / det)
+    chirp = density._replace(kick=(0.0, 0.0))  # theta's slope less the recoil kick
+    ch1, ch2 = (chirp._slope(j, e, d) for j in (0, 1))
+    lin1, lin2 = -i11 * e[0] - (r11 * d[0] + r12 * d[1]), -i22 * e[1] - (r12 * d[0] + r22 * d[1])
+    # per term, incident, reflected and cross: its point's offset from the
+    # incident centre, L, b2, B = b1 + b2 and K, and its sign in the PDF
+    o1, o2 = np.array([0.0, dl1, e[0]]), np.array([0.0, dl2, e[1]])
+    L = np.array([2.0 * f_in.log0, 2.0 * f_ref.log0, complex(log_in + log_ref, 2.0 * theta)])
+    b2 = np.array([0.0, 0.0, complex(lin2, 2.0 * (density.kick[1] + ch2))])
+    B = np.array([0.0, 0.0, complex(lin1 + lin2, 2.0 * ((density.kick[0] + density.kick[1])
+                                                        + (ch1 + ch2)))])
+    k11 = np.array([2.0 * i11, 2.0 * r11, complex(a11, f_in.mi[0] - f_ref.mi[0])])
+    k12 = np.array([0.0, 2.0 * r12, complex(r12, -f_ref.mi[1])])
+    k22 = np.array([2.0 * i22, 2.0 * r22, complex(a22, f_in.mi[2] - f_ref.mi[2])])
+    sign = np.array([1.0, 1.0, -2.0])
+    s0 = (density.centre(0) - density.centre(1)) + (o1 - o2)
+    P = k11 + 2.0 * k12 + k22
+    q = (k12 + k22) / P
+    r0, drift = B / P, (-q, (k11 + k12) / P)  # E[u_j | s] = r0 + drift_j s
+    alpha, beta = (k11 * k22 - k12 * k12) / (2.0 * P), b2 - B * q
+    log_c = L + B * B / (2.0 * P) + 0.5 * np.log(2.0 * math.pi / P)
+    J0 = _half_line(log_c, alpha, s0, beta)
+    g = np.exp(log_c + beta * s0 - alpha * s0 * s0)
+    J1 = (beta * J0 + g) / (2.0 * alpha)
+    J2 = (J0 + beta * J1 + s0 * g) / (2.0 * alpha)
+    mass = (sign * J0).real
+    total = mass.sum()
+    means, variances = [], []
+    for j, o in enumerate((o1, o2)):
+        first = (sign * (r0 * J0 + drift[j] * J1)).real
+        second = (sign * (r0 * r0 * J0 + 2.0 * r0 * drift[j] * J1 + drift[j] ** 2 * J2
+                          + J0 / P)).real
+        mu = (mass * o + first).sum() / total
+        means.append(density.centre(j) + mu)
+        variances.append((second + 2.0 * first * (o - mu) + mass * (o - mu) ** 2).sum() / total)
+    _check_range(total > 0.0 and np.isfinite(variances).all(), "half-plane moments",
+                 t1=t1, t2=t2)
+    return float(total), np.array(means), np.array(variances)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from mirrorsim.observables import marginal_over_mirror, marginal_over_particle
 from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
                                 ScenarioValidationError, conditional_pdf_curves,
                                 from_config, joint_pdf_grid, load_scenario,
-                                resolve_event, resolve_preset, scenario_hash,
-                                serialize, to_config, validate_config)
+                                resolve_event, resolve_preset, run_analysis,
+                                scenario_hash, serialize, to_config, validate_config)
 
 
 def _set_at(cfg: dict, path: str, value) -> None:
@@ -226,6 +226,20 @@ class TestResolveEvent:
         s = PRESETS["fig5"]
         first = resolve_event(s, s.events[0])
         assert resolve_event(s, s.events[0]) is first
+
+
+class TestSplitVelocities:
+    def test_expected_difference_on_fig5(self):
+        # 2 m (v - V) / (m + M) = 2 * 20 / 4
+        assert run_analysis(PRESETS["fig5"], "split-velocities")["expected_difference"] == 10.0
+
+    def test_expected_difference_below_an_ulp_of_V(self):
+        # fig8's recoil lies below half an ulp of V = 0.01: the two expected
+        # velocities are one number, and only the difference holds the recoil
+        p = PRESETS["fig8"].params
+        rep = run_analysis(PRESETS["fig8"], "split-velocities")
+        assert rep["expected_fast"] == rep["expected_slow"] == p.V
+        assert rep["expected_difference"] == pytest.approx(5.6e-19, rel=1e-12, abs=0.0)
 
 
 class TestJointGrid:
@@ -571,6 +585,9 @@ class TestOutputShapes:
         err = capsys.readouterr().err
         assert "at least 16 and at most 4096" in err
         assert "_resolution" not in err
+        # a long count is quoted by its start and its length, so no line runs long
+        assert all(len(line) < 200 for line in err.splitlines())
+        assert (f"got '{resolution}'" in err) == (len(resolution) <= 40)
         assert not (tmp_path / "o").exists()
 
     def test_resolution_is_read_by_its_significant_digits(self, tmp_path):
