@@ -2,12 +2,10 @@
 for a quantum particle reflecting elastically from a moving mirror."""
 
 from .kinematics import (PhysicalParams, elastic_final_velocities, thermal_spread,
-                         coherence_length, SI_H, SI_HBAR, SI_KB)
+                         SI_H, SI_HBAR, SI_KB)
 from .harmonic import (SpacetimePoint, incident_amplitude, reflected_amplitude,
-                       eigenstate_amplitude, interference_pdf, fringe_spacing,
-                       fringe_period, beat_frequency)
-from .wavegroup import (WavegroupSpec, spectral_amplitude, amplitude_closed,
-                        amplitude_parts, amplitude_quadrature, joint_pdf, currents)
+                       interference_pdf, fringe_spacing, fringe_period, beat_frequency)
+from .wavegroup import WavegroupSpec, amplitude_parts, joint_pdf, currents
 from .measurement import (MeasurementEvent, ConditionalMirrorState, collapse,
                           sequential_probability, classify_regime,
                           split_centroid_velocities, UnresolvedSplittingError)

@@ -77,12 +77,6 @@ def reflected_amplitude(p: PhysicalParams, pt: SpacetimePoint):
     return incident_amplitude(p, pt) * _unit_phase(delta)
 
 
-def eigenstate_amplitude(p: PhysicalParams, pt: SpacetimePoint):
-    """(incident - reflected) on the physical domain x1 <= x2, zero beyond it."""
-    amp = incident_amplitude(p, pt) - reflected_amplitude(p, pt)
-    return np.where(np.asarray(pt.x1) <= np.asarray(pt.x2), amp, 0.0 + 0.0j)
-
-
 def interference_pdf(p: PhysicalParams, pt: SpacetimePoint):
     """Closed-form |incident - reflected|^2 = 4 sin^2(Delta / 2) on x1 <= x2.
 

@@ -131,9 +131,3 @@ def thermal_spread(M: float, T: float, *, kB: float = SI_KB, h: float = SI_H) ->
     l_c = h / math.sqrt(2.0 * M * kB * T)
     return dV, l_c
 
-
-def coherence_length(lam: float, V: float, dV: float) -> float:
-    """Longitudinal coherence length lam * V / dV of a moving wavegroup."""
-    if not dV > 0:
-        raise ValueError("velocity spread must be positive")
-    return lam * V / dV

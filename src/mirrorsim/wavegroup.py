@@ -25,8 +25,9 @@ turns a form into a position or a log-modulus, in each branch's exact
 offsets from its centre. Densities, traces, conditional profiles and
 regimes, both packets' frames (:func:`frames`), and the complex
 amplitudes, currents and their gradients (relative to (k0, K0)) all read
-it. A Gauss-Hermite quadrature of the same integrals, written
-independently, serves as the oracle.
+it. The oracles that check it, a Gauss-Hermite quadrature of the same
+integrals and a 50-digit closed form, are written independently in the
+tests (``tests/test_oracle.py``).
 
 What no time changes is built once per spec and kept with it
 (:func:`_build_constants`): per branch Q = E R^{-1} E^T and its inverse P,
@@ -93,9 +94,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import (_TWO_PI, SpacetimePoint, beat_frequency,
-                       incident_phase, interference_phase)
-from .kinematics import PhysicalParams, _enforce, _known, elastic_final_velocities
+from .harmonic import _TWO_PI, SpacetimePoint, beat_frequency, incident_phase
+from .kinematics import PhysicalParams, _enforce, _known
 
 
 def _check_range(ok, what: str, **times):
@@ -159,11 +159,6 @@ class WavegroupSpec:
         return beat_frequency(self.params)
 
     @property
-    def norm_const(self) -> float:
-        """Spectral normalisation 1/sqrt(pi dk dK); unit norm with the 1/2pi transform."""
-        return 1.0 / math.sqrt(math.pi * self.dk * self.dK)
-
-    @property
     def collision_time(self) -> float:
         return self.t0 + (self.x2c - self.x1c) / (self.params.v - self.params.V)
 
@@ -176,16 +171,6 @@ class WavegroupSpec:
         """Overlap time scale: incident and reflected centroids separate by
         twice the particle packet width 2/dk in this time."""
         return 4.0 / (self.dk * (self.params.v - self.params.V))
-
-
-def spectral_amplitude(spec: WavegroupSpec, k, K):
-    """Normalised Gaussian spectral weight with packet-centring phases."""
-    k = np.asarray(k, dtype=float)
-    K = np.asarray(K, dtype=float)
-    env = np.exp(-((k - spec.params.k) ** 2) / (2.0 * spec.dk**2)
-                 - ((K - spec.params.K) ** 2) / (2.0 * spec.dK**2))
-    phase = np.exp(-1j * np.remainder(k * spec.x1c + K * spec.x2c, _TWO_PI))
-    return spec.norm_const * env * phase
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +365,7 @@ def _closed_trace(spec: WavegroupSpec, outer, t1: float, t2: float, axis: int,
     return y
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _half_plane_moments(spec: WavegroupSpec, t1: float, t2: float):
     """(mass, means, variances) of the smooth PDF over the physical half plane
     x1 <= x2 at (t1, t2), means and variances per axis (x1, x2), in closed form.
@@ -446,8 +431,9 @@ def _half_plane_moments(spec: WavegroupSpec, t1: float, t2: float):
         mu = (mass * o + first).sum() / total
         means.append(density.centre(j) + mu)
         variances.append((second + 2.0 * first * (o - mu) + mass * (o - mu) ** 2).sum() / total)
-    _check_range(total > 0.0 and np.isfinite(variances).all(), "half-plane moments",
-                 t1=t1, t2=t2)
+    # rounding can cancel a variance to <= 0, which is no width either
+    _check_range(total > 0.0 and all(0.0 < v < math.inf for v in variances),
+                 "half-plane moments", t1=t1, t2=t2)
     return float(total), np.array(means), np.array(variances)
 
 
@@ -749,14 +735,6 @@ def amplitude_parts(spec: WavegroupSpec, pt: SpacetimePoint):
     return common * f.F_in, common * f.F_ref
 
 
-def amplitude_closed(spec: WavegroupSpec, pt: SpacetimePoint):
-    """Full wavegroup amplitude (incident - reflected) * theta(x2 - x1)."""
-    f = _fields(spec, pt.x1, pt.t1, pt.x2, pt.t2)
-    phase = _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2)
-    amp = np.exp(1j * phase) * (f.F_in - f.F_ref)
-    return np.where(np.less_equal(pt.x1, pt.x2), amp, 0.0 + 0.0j)
-
-
 def joint_pdf(spec: WavegroupSpec, x1, t1, x2, t2, *, detune: float = 1.0,
               reflected_weight: float = 1.0, apply_step: bool = True):
     """|Psi|^2 on the physical domain, stable at any carrier-phase magnitude,
@@ -821,117 +799,3 @@ def _span(pairs, pad: float) -> tuple[float, float]:
         lo = min(lo, c - pad * s)
         hi = max(hi, c + pad * s)
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracle
-# ---------------------------------------------------------------------------
-
-# largest count whose numpy hermgauss weights are finite and sum to sqrt(pi);
-# from 371 their normalisation overflows (all-zero weights at 371, NaN from
-# 372), and every node sum would silently be 0 or NaN
-_MAX_NODES = 370
-
-
-@functools.cache
-def _hermgauss(nodes: int):
-    """Gauss-Hermite nodes and weights, computed once per count, read-only."""
-    s, w = np.polynomial.hermite.hermgauss(nodes)
-    s.flags.writeable = w.flags.writeable = False
-    return s, w
-
-
-def _saddle_node_sum(phase, s, w):
-    """Gauss-Hermite sum of exp(-|u|^2 + i*phase(u1, u2)) over R^2.
-
-    ``phase`` is the branch's spectral phase, a real quadratic polynomial
-    of the node variables that also accepts complex arguments. Its saddle
-    u* is found by exact quadratic interpolation of the exponent on a unit
-    stencil, and the nodes are translated to u* (real grid + complex
-    offset). The integrand is entire and its Gaussian part keeps decaying
-    on the shifted contour, so by Cauchy's theorem the translation changes
-    only how fast the sum converges, never its value; what remains to
-    resolve is the chirp Im(H)/2 about the saddle.
-    """
-    def expo(u1, u2):
-        return -u1**2 - u2**2 + 1j * phase(u1, u2)
-
-    e0 = expo(0.0, 0.0)
-    ep1, em1 = expo(1.0, 0.0), expo(-1.0, 0.0)
-    ep2, em2 = expo(0.0, 1.0), expo(0.0, -1.0)
-    g1, g2 = 0.5 * (ep1 - em1), 0.5 * (ep2 - em2)
-    h11, h22 = ep1 + em1 - 2.0 * e0, ep2 + em2 - 2.0 * e0
-    h12 = expo(1.0, 1.0) - ep1 - ep2 + e0
-    det_h = h11 * h22 - h12 * h12  # u* = -H^{-1} g by the adjugate
-    u1, u2 = (h12 * g2 - h22 * g1) / det_h, (h12 * g1 - h11 * g2) / det_h
-
-    t1, t2 = s[:, None], s[None, :]
-    z = expo(u1 + t1, u2 + t2) + t1**2 + t2**2
-    return np.sum(w * np.exp(z.real) * np.exp(1j * np.remainder(z.imag, _TWO_PI)))
-
-
-def amplitude_quadrature(spec: WavegroupSpec, pt: SpacetimePoint, nodes: int = 64,
-                         part: str = "both"):
-    """Tensor-product Gauss-Hermite evaluation of the same spectral integrals.
-
-    Each branch is summed on its own, with the nodes centred on the complex
-    saddle of that branch's own integrand (see :func:`_saddle_node_sum`).
-    Centring removes the displacement oscillation exp(i*beta*s), beta ~
-    sqrt(2)*dk*|x - centre|, that aliases spectrally centred nodes once
-    beta exceeds about sqrt(2*nodes), i.e. at points far from one branch.
-    The sums therefore converge whenever the residual chirp
-    hbar dk^2 |t - t0| / m (and the mirror analogue, mixed through the
-    collision matrix for the reflected branch) stays well below the node
-    count, wherever the point lies. ``nodes`` must lie in [32, 370]; above
-    370 numpy's Gauss-Hermite weights overflow. ``part`` selects
-    "incident", "reflected" or "both" (with the step function applied).
-    """
-    if nodes < 32:
-        raise ValueError("need at least 32 quadrature nodes per axis")
-    if nodes > _MAX_NODES:
-        raise ValueError(f"at most {_MAX_NODES} quadrature nodes per axis have "
-                         "finite Gauss-Hermite weights")
-    p = spec.params
-    m, M, hb = p.m, p.M, p.hbar
-    (a11, a12), (a21, a22) = p.collision_matrix
-    s, w = _hermgauss(nodes)
-    sk = math.sqrt(2.0) * spec.dk
-    sK = math.sqrt(2.0) * spec.dK
-    w2 = (w[:, None] * w[None, :]) * (2.0 * spec.dk * spec.dK)
-
-    tau1, tau2 = pt.t1 - spec.t0, pt.t2 - spec.t0
-    vr0, Vr0 = elastic_final_velocities(p)
-    pref = spec.norm_const / _TWO_PI
-    phase0 = _carrier_phase(spec, pt.x1, pt.t1, pt.x2, pt.t2)
-    dphase = interference_phase(p, pt.x1, tau1, pt.x2, tau2)
-
-    def ph_in(u1, u2):
-        kap, Kap = sk * u1, sK * u2
-        return (kap * (pt.x1 - spec.x1c - p.v * tau1)
-                + Kap * (pt.x2 - spec.x2c - p.V * tau2)
-                - hb * tau1 / (2 * m) * kap**2
-                - hb * tau2 / (2 * M) * Kap**2)
-
-    def ph_ref(u1, u2):
-        kap, Kap = sk * u1, sK * u2
-        dk_ = a11 * kap + a12 * Kap
-        dK_ = a21 * kap + a22 * Kap
-        return (dk_ * (pt.x1 - vr0 * tau1) + dK_ * (pt.x2 - Vr0 * tau2)
-                - kap * spec.x1c - Kap * spec.x2c
-                - hb * tau1 / (2 * m) * dk_**2
-                - hb * tau2 / (2 * M) * dK_**2)
-
-    i_in = i_ref = 0.0 + 0.0j
-    if part in ("incident", "both"):
-        i_in = pref * np.exp(1j * phase0) * _saddle_node_sum(ph_in, s, w2)
-    if part in ("reflected", "both"):
-        i_ref = (pref * np.exp(1j * (phase0 + np.remainder(dphase, _TWO_PI)))
-                 * _saddle_node_sum(ph_ref, s, w2))
-
-    if part == "incident":
-        return i_in
-    if part == "reflected":
-        return i_ref
-    if pt.x1 > pt.x2:
-        return 0.0 + 0.0j
-    return i_in - i_ref

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mirrorsim import (PhysicalParams, SpacetimePoint, beat_frequency,
-                       eigenstate_amplitude, fringe_period, fringe_spacing,
-                       incident_amplitude, interference_pdf, reflected_amplitude)
+                       fringe_period, fringe_spacing, incident_amplitude,
+                       interference_pdf, reflected_amplitude)
 from mirrorsim.kinematics import ApproximationWarning
 from mirrorsim.scenario import PRESETS
 from conftest import random_valid_params, reflected_pair
@@ -98,21 +98,26 @@ class TestAmplitudes:
             assert abs(mom_out - mom_in) <= 1e-12 * max(1.0, abs(mom_in))
 
 
+def eigenstate(p, pt):
+    """The eigenstate incident - reflected, on the physical side x1 <= x2."""
+    return incident_amplitude(p, pt) - reflected_amplitude(p, pt)
+
+
 class TestEigenstate:
     def test_dead_zone(self, rng):
         p = bounded_params(rng)
         pt = SpacetimePoint(1.0, 0.1, 0.5, 0.2)  # x1 > x2
-        assert eigenstate_amplitude(p, pt) == 0.0
+        assert interference_pdf(p, pt) == 0.0
 
     def test_boundary_zero(self, rng):
         p = bounded_params(rng)
-        assert abs(eigenstate_amplitude(p, SpacetimePoint(0.7, 0.3, 0.7, 0.3))) < 1e-12
+        assert abs(eigenstate(p, SpacetimePoint(0.7, 0.3, 0.7, 0.3))) < 1e-12
 
     def test_matches_closed_form_pdf(self, rng):
         for _ in range(1000):
             p = bounded_params(rng)
             pt = random_point(rng, ordered=True)
-            lhs = abs(eigenstate_amplitude(p, pt)) ** 2
+            lhs = abs(eigenstate(p, pt)) ** 2
             rhs = interference_pdf(p, pt)
             assert abs(lhs - rhs) <= 4.0 * 1e-12  # PDF full scale is 4
 
@@ -125,7 +130,7 @@ class TestEigenstate:
             x1, x2 = np.sort(rng.uniform(-1e-6, 1e-6, (2, 20)), axis=0)
             t1, t2 = rng.uniform(0.0, 1e-4, (2, 20))
             pt = SpacetimePoint(x1, t1, x2, t2)
-            lhs = np.abs(eigenstate_amplitude(p, pt)) ** 2
+            lhs = np.abs(eigenstate(p, pt)) ** 2
             assert np.abs(lhs - interference_pdf(p, pt)).max() <= 4.0 * 1e-12
 
 

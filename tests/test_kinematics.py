@@ -3,8 +3,7 @@ import math
 import pytest
 
 from mirrorsim import (PhysicalParams, WavegroupSpec, beat_frequency,
-                       coherence_length, elastic_final_velocities, fringe_period,
-                       thermal_spread)
+                       elastic_final_velocities, fringe_period, thermal_spread)
 from mirrorsim.wavegroup import _density_form, frames
 from conftest import random_valid_params, reflected_pair
 
@@ -122,21 +121,3 @@ class TestThermal:
         with pytest.raises(ValueError):
             thermal_spread(0.0, 1.0)
 
-
-class TestCoherenceLength:
-    def test_direct_ratio(self):
-        assert coherence_length(1e-9, 10.0, 1.0) == pytest.approx(1e-8, rel=1e-15)
-
-    def test_spread_limit(self):
-        assert coherence_length(1e-9, 10.0, 1e30) < 1e-37
-
-    def test_slow_neutron_anchor(self):
-        # 2 A neutron with V/dV = 395 reproduces the 790 A figure
-        lam = 2.0e-10
-        v_neutron = 6.62607015e-34 / (1.675e-27 * lam)
-        l_c = coherence_length(lam, v_neutron, v_neutron / 395.0)
-        assert l_c == pytest.approx(790e-10, rel=1e-12)
-
-    def test_rejects_bad_spread(self):
-        with pytest.raises(ValueError):
-            coherence_length(1e-9, 10.0, 0.0)

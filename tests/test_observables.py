@@ -21,6 +21,8 @@ from mirrorsim.scenario import (PRESETS, analysis_beat, analysis_marginal_visibi
                                 from_config, resolve_event)
 from mirrorsim.wavegroup import frames, joint_pdf
 
+from conftest import sweep_spec
+
 
 class TestExtractFringes:
     def test_synthetic_sine_squared(self):
@@ -403,6 +405,13 @@ class TestCoherenceTransfer:
         assert exact == pytest.approx(_sampled_widths(s.wavegroup, t, 262145),
                                       rel=2e-15, abs=0.0)
         assert exact[0] / _sampled_widths(s.wavegroup, t, 4097)[0] - 1.0 > 1e-10
+
+    def test_a_negative_variance_is_a_named_error(self):
+        # r183: the moments at post_t + tau / 2 hold a negative variance, which
+        # is named, not passed to math.sqrt
+        s = sweep_spec("r183")
+        with pytest.raises(ValueError, match="^half-plane moments at "):
+            coherence_transfer_metrics(s, pre_t=s.t0, post_t=s.collision_time + 2.0 * s.tau)
 
     def test_widths_trace_nothing(self, presets, monkeypatch):
         def traced(*args, **kwargs):

@@ -1,13 +1,20 @@
-"""The joint PDF and the branch amplitudes against a 50-digit oracle built
-from the physical inputs.
+"""The joint PDF and the branch amplitudes against two oracles built from
+the physical inputs.
 
-The oracle evaluates both branches' spectral integrals in closed form with
-mpmath, from (m, M, v, V, hbar, dk, dK, x1c, x2c, t0) alone: every derived
-quantity, the carrier wavevectors included, is formed at 50 digits, never
-taken from the kernel's floats. PDF errors are fractions of the PDF's peak,
-amplitude errors relative to the ratio F_ref / F_in.
+The 50-digit oracle evaluates both branches' spectral integrals in closed
+form with mpmath, from (m, M, v, V, hbar, dk, dK, x1c, x2c, t0) alone: every
+derived quantity, the carrier wavevectors included, is formed at 50 digits,
+never taken from the kernel's floats. PDF errors are fractions of the PDF's
+peak, amplitude errors relative to the ratio F_ref / F_in.
+
+The quadrature oracle (:func:`amplitude_quadrature`) sums the same spectral
+integrals by Gauss-Hermite nodes, in floating point; criterion 05 and the
+quadrature tests of ``test_wavegroup`` compare the closed form with it. It
+reads nothing private of the package: its carrier phase is the plane-wave
+pair's public incident phase about the packet centres.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -15,14 +22,142 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from mirrorsim import SpacetimePoint, amplitude_parts
+from mirrorsim import SpacetimePoint, amplitude_parts, elastic_final_velocities
 from mirrorsim.grids import AxisSpec, GridSpec
+from mirrorsim.harmonic import incident_phase, interference_phase
 from mirrorsim.measurement import collapse
-from mirrorsim.observables import _hull, marginal_over_particle
+from mirrorsim.observables import marginal_over_particle
 from mirrorsim.scenario import PRESETS, RawEvent, joint_pdf_grid, resolve_event
 from mirrorsim.wavegroup import frames
 
 DIGITS = 50
+TWO_PI = 2.0 * math.pi
+# largest count whose numpy hermgauss weights are finite and sum to sqrt(pi);
+# from 371 their normalisation overflows (all-zero weights at 371, NaN from
+# 372), and every node sum would silently be 0 or NaN
+MAX_NODES = 370
+
+
+def stepped_amplitude(spec, pt):
+    """The closed form's amplitude (incident - reflected) * theta(x2 - x1)."""
+    f_in, f_ref = amplitude_parts(spec, pt)
+    return np.where(np.less_equal(pt.x1, pt.x2), f_in - f_ref, 0.0 + 0.0j)
+
+
+def spectral_amplitude(spec, k, K):
+    """Normalised Gaussian spectral weight, 1 / sqrt(pi dk dK) at its peak,
+    with packet-centring phases."""
+    k = np.asarray(k, dtype=float)
+    K = np.asarray(K, dtype=float)
+    env = np.exp(-((k - spec.params.k) ** 2) / (2.0 * spec.dk**2)
+                 - ((K - spec.params.K) ** 2) / (2.0 * spec.dK**2))
+    phase = np.exp(-1j * np.remainder(k * spec.x1c + K * spec.x2c, TWO_PI))
+    return 1.0 / math.sqrt(math.pi * spec.dk * spec.dK) * env * phase
+
+
+@functools.cache
+def _hermgauss(nodes: int):
+    """Gauss-Hermite nodes and weights, computed once per count, read-only."""
+    s, w = np.polynomial.hermite.hermgauss(nodes)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def _saddle_node_sum(phase, s, w):
+    """Gauss-Hermite sum of exp(-|u|^2 + i*phase(u1, u2)) over R^2.
+
+    ``phase`` is the branch's spectral phase, a real quadratic polynomial
+    of the node variables that also accepts complex arguments. Its saddle
+    u* is found by exact quadratic interpolation of the exponent on a unit
+    stencil, and the nodes are translated to u* (real grid + complex
+    offset). The integrand is entire and its Gaussian part keeps decaying
+    on the shifted contour, so by Cauchy's theorem the translation changes
+    only how fast the sum converges, never its value; what remains to
+    resolve is the chirp Im(H)/2 about the saddle.
+    """
+    def expo(u1, u2):
+        return -u1**2 - u2**2 + 1j * phase(u1, u2)
+
+    e0 = expo(0.0, 0.0)
+    ep1, em1 = expo(1.0, 0.0), expo(-1.0, 0.0)
+    ep2, em2 = expo(0.0, 1.0), expo(0.0, -1.0)
+    g1, g2 = 0.5 * (ep1 - em1), 0.5 * (ep2 - em2)
+    h11, h22 = ep1 + em1 - 2.0 * e0, ep2 + em2 - 2.0 * e0
+    h12 = expo(1.0, 1.0) - ep1 - ep2 + e0
+    det_h = h11 * h22 - h12 * h12  # u* = -H^{-1} g by the adjugate
+    u1, u2 = (h12 * g2 - h22 * g1) / det_h, (h12 * g1 - h11 * g2) / det_h
+
+    t1, t2 = s[:, None], s[None, :]
+    z = expo(u1 + t1, u2 + t2) + t1**2 + t2**2
+    return np.sum(w * np.exp(z.real) * np.exp(1j * np.remainder(z.imag, TWO_PI)))
+
+
+def amplitude_quadrature(spec, pt, nodes: int = 64, part: str = "both"):
+    """Tensor-product Gauss-Hermite evaluation of the same spectral integrals.
+
+    Each branch is summed on its own, with the nodes centred on the complex
+    saddle of that branch's own integrand (see :func:`_saddle_node_sum`).
+    Centring removes the displacement oscillation exp(i*beta*s), beta ~
+    sqrt(2)*dk*|x - centre|, that aliases spectrally centred nodes once
+    beta exceeds about sqrt(2*nodes), i.e. at points far from one branch.
+    The sums therefore converge whenever the residual chirp
+    hbar dk^2 |t - t0| / m (and the mirror analogue, mixed through the
+    collision matrix for the reflected branch) stays well below the node
+    count, wherever the point lies. ``nodes`` must lie in [32, 370]; above
+    370 numpy's Gauss-Hermite weights overflow. ``part`` selects
+    "incident", "reflected" or "both" (with the step function applied).
+    """
+    if nodes < 32:
+        raise ValueError("need at least 32 quadrature nodes per axis")
+    if nodes > MAX_NODES:
+        raise ValueError(f"at most {MAX_NODES} quadrature nodes per axis have "
+                         "finite Gauss-Hermite weights")
+    p = spec.params
+    m, M, hb = p.m, p.M, p.hbar
+    (a11, a12), (a21, a22) = p.collision_matrix
+    s, w = _hermgauss(nodes)
+    sk = math.sqrt(2.0) * spec.dk
+    sK = math.sqrt(2.0) * spec.dK
+    w2 = (w[:, None] * w[None, :]) * (2.0 * spec.dk * spec.dK)
+
+    tau1, tau2 = pt.t1 - spec.t0, pt.t2 - spec.t0
+    vr0, Vr0 = elastic_final_velocities(p)
+    pref = 1.0 / math.sqrt(math.pi * spec.dk * spec.dK) / TWO_PI
+    # the common carrier phase: the incident phase about the packet centres
+    phase0 = np.remainder(incident_phase(p, pt.x1 - spec.x1c, tau1, pt.x2 - spec.x2c, tau2),
+                          TWO_PI)
+    dphase = interference_phase(p, pt.x1, tau1, pt.x2, tau2)
+
+    def ph_in(u1, u2):
+        kap, Kap = sk * u1, sK * u2
+        return (kap * (pt.x1 - spec.x1c - p.v * tau1)
+                + Kap * (pt.x2 - spec.x2c - p.V * tau2)
+                - hb * tau1 / (2 * m) * kap**2
+                - hb * tau2 / (2 * M) * Kap**2)
+
+    def ph_ref(u1, u2):
+        kap, Kap = sk * u1, sK * u2
+        dk_ = a11 * kap + a12 * Kap
+        dK_ = a21 * kap + a22 * Kap
+        return (dk_ * (pt.x1 - vr0 * tau1) + dK_ * (pt.x2 - Vr0 * tau2)
+                - kap * spec.x1c - Kap * spec.x2c
+                - hb * tau1 / (2 * m) * dk_**2
+                - hb * tau2 / (2 * M) * dK_**2)
+
+    i_in = i_ref = 0.0 + 0.0j
+    if part in ("incident", "both"):
+        i_in = pref * np.exp(1j * phase0) * _saddle_node_sum(ph_in, s, w2)
+    if part in ("reflected", "both"):
+        i_ref = (pref * np.exp(1j * (phase0 + np.remainder(dphase, TWO_PI)))
+                 * _saddle_node_sum(ph_ref, s, w2))
+
+    if part == "incident":
+        return i_in
+    if part == "reflected":
+        return i_ref
+    if pt.x1 > pt.x2:
+        return 0.0 + 0.0j
+    return i_in - i_ref
 
 
 class Oracle:
@@ -142,9 +277,7 @@ def test_branch_ratio(name, bound):
 
 
 def test_oracle_matches_the_quadrature():
-    # the oracle against the independent Gauss-Hermite oracle at the overlap
-    from mirrorsim import amplitude_quadrature
-
+    # the two oracles against each other at the overlap
     s = PRESETS["fig5"]
     t = s.collision_time
     oracle = Oracle(s.wavegroup, t, t)
@@ -175,6 +308,12 @@ def test_conditional_slice_far_past_the_detection(name, offset):
     assert _slice_error(name, offset) < 1e-9
 
 
+def _x1_start(spec, t1, t2):
+    """Eight widths below both packets along x1, where the oracle's traces
+    over x1 <= x2 start."""
+    return min(c[0] - 8.0 * math.sqrt(cov[0, 0]) for c, cov in frames(spec, t1, t2))
+
+
 def test_si_particle_marginal():
     # fig8's particle marginal at t1 = t_c + tau/2, t2 = t_c, at the x2 of
     # its 2048-point axis where the complex-form trace was furthest off
@@ -187,7 +326,7 @@ def test_si_particle_marginal():
     x2_axis = next(a for a in s.grid.axes if a.role == "x2")
     peak = marginal_over_particle(spec, np.linspace(x2_axis.lo, x2_axis.hi, 2048), t1, t2).y.max()
     oracle = Oracle(spec, t1, t2)
-    x1 = np.linspace(_hull(frames(spec, t1, t2), axis=0)[0], x2, 16001)
+    x1 = np.linspace(_x1_start(spec, t1, t2), x2, 16001)
     pdf = np.array([oracle.pdf(x, x2) for x in x1])
     exact, coarse = simpson(pdf, x=x1), simpson(pdf[::2], x=x1[::2])
     assert abs(exact - coarse) < 1e-11 * peak
@@ -208,7 +347,7 @@ def test_si_mirror_marginal():
     curve = marginal_over_particle(spec, x2_axis, t, t).y
     peak = curve.max()
     oracle = Oracle(spec, t, t)
-    lo = _hull(frames(spec, t, t), axis=0)[0]
+    lo = _x1_start(spec, t, t)
     for i in (106, 149, 157):
         x1 = np.linspace(lo, x2_axis[i], 2001)
         pdf = np.array([oracle.pdf(x, x2_axis[i]) for x in x1])

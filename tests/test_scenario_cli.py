@@ -20,6 +20,8 @@ from mirrorsim.scenario import (PRESETS, PRESET_GROUPS, RawEvent,
                                 resolve_event, resolve_preset, run_analysis,
                                 scenario_hash, serialize, to_config, validate_config)
 
+from conftest import SWEEP_SI, sweep_config
+
 
 def _set_at(cfg: dict, path: str, value) -> None:
     """Set the config value at a field path such as ``grids[0].axes[1].n``."""
@@ -814,6 +816,21 @@ class TestCli:
         assert "ZeroDivisionError" not in err
         assert "warning: ApproximationWarning: fringe spacing approximation" in err
         assert ".py:" not in err
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SI))
+    def test_coherence_transfer_names_a_moments_failure(self, tmp_path, capsys, name):
+        # the SI sweep draws on which rounding breaks the exact half-plane
+        # moments: the analysis fails by name, in one stderr line, with no
+        # bare math domain error and no RuntimeWarning
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**sweep_config(name), "analyses": ["coherence-transfer"]}))
+        out = tmp_path / "o"
+        assert main(["observables", "--config", str(path), "--out", str(out)]) == 4
+        rep = json.loads((out / f"{name}_observables.json").read_text())["analyses"]
+        assert rep["coherence-transfer"]["error"].startswith("ValueError: half-plane moments at ")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "analysis coherence-transfer failed: ValueError: half-plane moments at ")
 
     def test_unknown_preset(self):
         assert main(["simulate", "--preset", "nope"]) == 3

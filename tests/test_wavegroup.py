@@ -1,21 +1,23 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mirrorsim import (MeasurementEvent, PhysicalParams, SpacetimePoint,
-                       WavegroupSpec, amplitude_closed, amplitude_parts,
-                       amplitude_quadrature, collapse, currents, joint_pdf,
-                       marginal_over_mirror, marginal_over_particle,
-                       spectral_amplitude)
+                       WavegroupSpec, amplitude_parts, collapse, currents, joint_pdf,
+                       marginal_over_mirror, marginal_over_particle)
 from mirrorsim.harmonic import beat_frequency, interference_phase
 from mirrorsim.scenario import PRESETS, _beat_window, resolve_event
-from mirrorsim.wavegroup import (_MAX_NODES, _carrier_phase, _Density, _density_form, _fields,
-                                 _Form, _form, _half_plane_moments, _k_rel_dd, _over_pi,
-                                 _two_prod, frames)
+from mirrorsim.wavegroup import (_carrier_phase, _Density, _density_form, _fields, _Form,
+                                 _form, _half_plane_moments, _k_rel_dd, _over_pi, _two_prod,
+                                 frames)
+
+from conftest import sweep_spec
+from test_oracle import MAX_NODES, amplitude_quadrature, spectral_amplitude, stepped_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,6 +69,11 @@ def branch_at_centre(spec, branch, t):
     return complex(f.F_ref * np.exp(-1j * interference_phase(spec.params, x1, tau, x2, tau)))
 
 
+def _norm_const(spec):
+    """Spectral normalisation 1/sqrt(pi dk dK); unit norm with the 1/2pi transform."""
+    return 1.0 / math.sqrt(math.pi * spec.dk * spec.dK)
+
+
 class TestGaussianIntegral:
     """Each branch's closed form is its spectral Gaussian integral: at t0,
     where A is real, it peaks at N 2 pi / sqrt(det R) with no phase of its
@@ -99,7 +106,7 @@ class TestGaussianIntegral:
             x = centre + np.sqrt(np.diag(cov)) * rng.uniform(-2.0, 2.0, 2)
             pt = SpacetimePoint(float(x[0]), float(t1), float(x[1]), float(t2))
             closed = amplitude_parts(s, pt)[branch]
-            brute = s.norm_const / TWO_PI * trapezoid_gaussian_2d(*spectral_form(s, branch, pt))
+            brute = _norm_const(s) / TWO_PI * trapezoid_gaussian_2d(*spectral_form(s, branch, pt))
             assert abs(closed - brute) / abs(closed) < 1e-8
 
     def test_branch_continuity(self):
@@ -117,14 +124,14 @@ class TestGaussianIntegral:
 class TestSpectralAmplitude:
     def test_peak_modulus_is_norm_const(self, spec_fig5):
         val = spectral_amplitude(spec_fig5, spec_fig5.params.k, spec_fig5.params.K)
-        assert abs(val) == pytest.approx(spec_fig5.norm_const, rel=1e-14)
+        assert abs(val) == pytest.approx(_norm_const(spec_fig5), rel=1e-14)
 
     def test_width_falloff(self, spec_fig5):
         s = spec_fig5
         k0, K0 = s.params.k, s.params.K
         for k, K in ((k0 + s.dk, K0), (k0 - s.dk, K0),
                      (k0, K0 + s.dK), (k0, K0 - s.dK)):
-            ratio = abs(spectral_amplitude(s, k, K)) / s.norm_const
+            ratio = abs(spectral_amplitude(s, k, K)) / _norm_const(s)
             assert ratio == pytest.approx(math.exp(-0.5), rel=1e-13)
 
     def test_unit_spectral_norm(self, spec_fig5):
@@ -204,11 +211,11 @@ class TestClosedForm:
         for _ in range(50):
             x = rng.uniform(-12, 25)
             t = rng.uniform(0.0, 1.0)
-            amp = amplitude_closed(spec_fig5, SpacetimePoint(x, t, x, t))
+            amp = stepped_amplitude(spec_fig5, SpacetimePoint(x, t, x, t))
             assert abs(amp) < 1e-10 * peak
 
     def test_dead_zone(self, spec_fig5):
-        assert amplitude_closed(spec_fig5, SpacetimePoint(1.0, 0.1, 0.0, 0.1)) == 0.0
+        assert joint_pdf(spec_fig5, 1.0, 0.1, 0.0, 0.1) == 0.0
 
     def test_incident_peak_amplitude(self, spec_fig5):
         s = spec_fig5
@@ -275,11 +282,11 @@ class TestQuadratureOracle:
             amplitude_quadrature(spec_fig5, SpacetimePoint(0, 0, 0, 0), nodes=16)
 
     def test_rejects_nodes_without_finite_weights(self, spec_fig5):
-        _, w = np.polynomial.hermite.hermgauss(_MAX_NODES)
+        _, w = np.polynomial.hermite.hermgauss(MAX_NODES)
         assert np.sum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         with pytest.raises(ValueError):
             amplitude_quadrature(spec_fig5, SpacetimePoint(0, 0, 0, 0),
-                                 nodes=_MAX_NODES + 1)
+                                 nodes=MAX_NODES + 1)
 
     @pytest.mark.parametrize("name, t, branch", [
         ("fig2", 0.885, 1),  # late: incident branch ~1e-33
@@ -335,7 +342,7 @@ class TestQuadratureOracle:
             x1 = centre[0] + rng.uniform(-2, 2) * math.sqrt(cov[0, 0])
             x2 = centre[1] + rng.uniform(-2, 2) * math.sqrt(cov[1, 1])
             pt = SpacetimePoint(x1, t, x2, t)
-            closed = amplitude_closed(s, pt)
+            closed = stepped_amplitude(s, pt)
             quad = amplitude_quadrature(s, pt, nodes=128)
             if pt.x1 > pt.x2:
                 assert closed == 0.0 and quad == 0.0
@@ -368,7 +375,7 @@ class TestQuadratureOracle:
             integrand = amp * (np.exp(1j * (phi_in % TWO_PI))
                                - np.exp(1j * (phi_ref % TWO_PI))) / TWO_PI
             brute = np.trapezoid(np.trapezoid(integrand, K[0], axis=1), k[:, 0], axis=0)
-            closed = amplitude_closed(s, pt)
+            closed = stepped_amplitude(s, pt)
             assert abs(closed - brute) < 1e-7 * abs(closed)
 
 
@@ -556,6 +563,23 @@ class TestHalfPlaneMoments:
             assert mass == pytest.approx(m, rel=2e-15, abs=0.0)
             assert abs(mean[axis] - mu) <= 1e-14 * math.sqrt(v)
             assert var[axis] == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_a_negative_variance_is_a_named_error(self):
+        # r183 at t_c + 2.5 tau: rounding leaves the variances (-1.2e4, 3.3e6),
+        # whose square root would be a bare math domain error
+        s = sweep_spec("r183")
+        t = s.collision_time + 2.5 * s.tau
+        with pytest.raises(ValueError, match=r"^half-plane moments at t1=\S+, t2=\S+ is beyond"):
+            _half_plane_moments(s, t, t)
+
+    def test_a_zero_curvature_is_a_named_error_alone(self):
+        # r197 at t0: the half-line integral divides by a curvature that has
+        # rounded to 0; the error comes with no RuntimeWarning before it
+        s = sweep_spec("r197")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^half-plane moments at t1=0, t2=0 is beyond"):
+                _half_plane_moments(s, s.t0, s.t0)
 
 
 class TestFormsOverTimes:
