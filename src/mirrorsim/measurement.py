@@ -16,6 +16,12 @@ for in a one-entry memo, so a support and a PDF at one t2 build each branch
 once; the memo lives and dies with the state. A detection's regime compares
 both branches' log-moduli from its density at t10 (:func:`classify_regime`).
 
+A curve sampled from the state without a count takes one from a single
+rule (:meth:`ConditionalMirrorState._sampled`): 16 samples per fringe period
+or narrowest kept branch sigma, whichever is smaller, over its physical
+support, and between 257 and 8,193 points. The split velocities and the
+pattern-drift beat sample so; a caller that names a count gets it exactly.
+
 The detection resolution dx1 enters only as a multiplicative factor; all
 shape information comes from the slice itself.
 """
@@ -34,6 +40,14 @@ from .wavegroup import (WavegroupSpec, _check_range, _closed_trace, _Density, _d
                         _smooth_pdf, _span)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where math.exp overflows
+# The sampling rule of a conditional curve (:meth:`ConditionalMirrorState._sampled`
+# without n): _PER_SCALE samples per fringe period or narrowest kept branch
+# sigma, whichever is smaller, over the physical support, and never fewer than
+# _N_FLOOR or more than _N_CEIL points. fig5's split velocities at 16 samples
+# per fringe lie within 1.4e-6 of those at 32 to 256; fixed counts of 8,193
+# and 16,385 points read v_slow 5.4e-4 above and 6.1e-4 below them, as the
+# running mean's whole-sample window then misses a fringe by up to 0.7 %.
+_PER_SCALE, _N_FLOOR, _N_CEIL = 16, 257, 8193
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -140,9 +154,21 @@ class ConditionalMirrorState:
                              "probability 0")
         return max(lo, ev.x10), hi
 
-    def _sampled(self, t2: float, n: int, pad: float = 10.0):
-        """(x2, pdf) at n points of the physical support at t2 (``_wall_support``)."""
-        x2 = np.linspace(*self._wall_support(t2, pad), n)
+    def _sampled(self, t2: float, n: int | None = None, pad: float = 10.0, profiles=None):
+        """(x2, pdf) at n points of the physical support at t2 (``_wall_support``)
+        of the branch profiles there, or of ``profiles`` read there.
+
+        An explicit n is used as given. Without it the count follows the
+        sampling rule (:func:`_rule_count`): the support over the smaller of
+        the fringe period and the narrowest kept branch sigma, so a curve is
+        sampled at the scale it must resolve and no finer.
+        """
+        kept = self._kept_profiles(t2, profiles)
+        lo, hi = self._wall_support(t2, pad, kept)
+        if n is None:
+            scale = min(fringe_period(self.spec.params), min(s for _, s, _ in kept))
+            n = _rule_count(hi - lo, scale)
+        x2 = np.linspace(lo, hi, n)
         return x2, self.pdf(x2, t2)
 
     def _trace(self, t2: float, start=None) -> np.ndarray:
@@ -161,6 +187,15 @@ class ConditionalMirrorState:
         quantity whose t2-invariance the conservation checks assert.
         """
         return float(self._trace(t2, -math.inf)[0])
+
+
+def _rule_count(width: float, scale: float) -> int:
+    """ceil(_PER_SCALE * width / scale) + 1 points, held between _N_FLOOR and
+    _N_CEIL; a width that needs more than _N_CEIL points gets _N_CEIL."""
+    need = _PER_SCALE * width / scale
+    if not need <= _N_CEIL - 1:  # also where the ratio overflowed or is not a number
+        return _N_CEIL
+    return max(math.ceil(need) + 1, _N_FLOOR)
 
 
 def collapse(spec: WavegroupSpec, event: MeasurementEvent) -> ConditionalMirrorState:
@@ -283,9 +318,10 @@ def split_centroid_velocities(state: ConditionalMirrorState,
                               t2_samples) -> tuple[float, float]:
     """Velocities of the two conditional mirror modes from linear mode tracking.
 
-    The PDF at each sample time is low-pass filtered over one fringe period,
-    its two dominant modes are located, and straight lines are fitted to the
-    tracks. A time counts only when each of the two modes lies within one
+    The PDF at each sample time, sampled by the rule of
+    :meth:`ConditionalMirrorState._sampled`, is low-pass filtered over one
+    fringe period, its two dominant modes are located, and straight lines
+    are fitted to the tracks. A time counts only when each of the two modes lies within one
     sigma of the centre of a different branch
     (:meth:`ConditionalMirrorState.branch_profiles`): modes that are not the
     two substates have no substate velocity. Raises
@@ -296,10 +332,10 @@ def split_centroid_velocities(state: ConditionalMirrorState,
     slow_track, fast_track, times = [], [], []
     two_modes = 0
     for t2 in np.atleast_1d(np.asarray(t2_samples, dtype=float)):
-        x2, pdf = state._sampled(t2, 8193)
+        profiles = state.branch_profiles(t2)
+        x2, pdf = state._sampled(t2, profiles=profiles)
         dx = x2[1] - x2[0]
         window = max(1, int(round(fringe / dx)))
-        profiles = state.branch_profiles(t2)
         sigma_min = min(s for _, s, _ in profiles)
         modes = _smoothed_modes(x2, pdf, window, min_sep=max(2 * fringe, sigma_min))
         if len(modes) < 2:

@@ -19,8 +19,14 @@ import numpy as np
 from .grids import Curve
 from .kinematics import PhysicalParams
 from .measurement import ConditionalMirrorState, _extrema
-from .wavegroup import (WavegroupSpec, _closed_trace, _density_form, _half_plane_moments, _span,
-                        frames, joint_pdf)
+from .wavegroup import (WavegroupSpec, _closed_trace, _density_form, _half_plane_moments,
+                        _lost_precision, _span, frames, joint_pdf)
+
+# How far the equal-time mass on the physical half plane may lie from 1 before
+# :func:`_measured_widths` names lost precision. fig5, fig6-m1, fig6-m20, fig8
+# and fig9 at t0, t_c + 2 tau and t_c + 2.5 tau read at most 5.8e-15 (fig8 at
+# t_c + 2 tau); r183 of the SI sweep reads 0.434 at t_c + 2 tau.
+_MASS_DRIFT = 1e-10
 
 
 class InsufficientSpanWarning(UserWarning):
@@ -295,6 +301,9 @@ def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
     during the transit. The pattern still sweeps fixed space at the beat
     rate; its drift velocity comes from the conditional centroid track and
     the fringe wavevector from the measured particle-side fringe spacing.
+    Each centroid is a sum over the conditional PDF sampled by the rule of
+    :meth:`~.measurement.ConditionalMirrorState._sampled`: no fringe lies
+    inside such a packet, so 16 samples per branch sigma.
     """
     if not fringe_spacing_measured > 0.0:
         raise ValueError("pattern-drift beat needs a measured fringe spacing; got "
@@ -302,7 +311,7 @@ def pattern_drift_beat(state: ConditionalMirrorState, t2_axis,
     t2 = np.asarray(t2_axis, dtype=float)
     centroids = []
     for t in t2:
-        x2, pdf = state._sampled(float(t), 2001)
+        x2, pdf = state._sampled(float(t))
         centroids.append(float((pdf @ x2) / pdf.sum()))
     v_pattern = float(np.polyfit(t2, centroids, 1)[0])
     return math.pi * abs(v_pattern) / fringe_spacing_measured
@@ -343,8 +352,17 @@ def _measured_widths(spec: WavegroupSpec, t: float):
     """Standard deviations of the two synchronous marginals at t, the
     particle's and the mirror's: exact moments of the whole PDF, both
     intensities and the interference term, over the physical half plane
-    (:func:`~.wavegroup._half_plane_moments`)."""
-    _, _, variances = _half_plane_moments(spec, t, t)
+    (:func:`~.wavegroup._half_plane_moments`).
+
+    At equal times the mass there is 1, less a leak below 7.7e-13 that
+    :class:`~.wavegroup.WavegroupSpec` bounds, whatever the masses; a mass
+    more than _MASS_DRIFT from 1 means the moments lost their precision,
+    and its widths are not read."""
+    mass, _, variances = _half_plane_moments(spec, t, t)
+    if not abs(mass - 1.0) <= _MASS_DRIFT:
+        raise _lost_precision("half-plane moments", f"the mass on the physical half plane is "
+                              f"{mass:.12g}, {abs(mass - 1.0):.2g} from 1, over {_MASS_DRIFT:g}",
+                              t1=t, t2=t)
     return math.sqrt(variances[0]), math.sqrt(variances[1])
 
 

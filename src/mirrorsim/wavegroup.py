@@ -98,15 +98,28 @@ from .harmonic import _TWO_PI, SpacetimePoint, beat_frequency, incident_phase
 from .kinematics import PhysicalParams, _enforce, _known
 
 
+def _at_times(what: str, times: dict) -> str:
+    """``what`` at the named times; an axis of times is named by its span."""
+    return f"{what} at " + ", ".join(f"{k}={v:.6g}" if np.ndim(v) == 0
+                                     else f"{k}={np.min(v):.6g}..{np.max(v):.6g}"
+                                     for k, v in times.items())
+
+
 def _check_range(ok, what: str, **times):
     """ValueError naming the times unless ``ok``: at extreme times the closed
     form's chirps and exponents leave the floating-point range. The callers
     that check their results evaluate without overflow warnings, so the
     error prints alone."""
-    if not ok:  # an axis of times is named by its span
-        at = ", ".join(f"{k}={v:.6g}" if np.ndim(v) == 0
-                       else f"{k}={np.min(v):.6g}..{np.max(v):.6g}" for k, v in times.items())
-        raise ValueError(f"{what} at {at} is beyond the closed form's floating-point range")
+    if not ok:
+        raise ValueError(f"{_at_times(what, times)} is beyond the closed form's "
+                         "floating-point range")
+
+
+def _lost_precision(what: str, cause: str, **times) -> ValueError:
+    """The ValueError for a finite result that rounding has cancelled to what
+    it cannot be, ``cause`` saying which: nothing left the range, the closed
+    form lost its precision (ROADMAP item 1's ill-conditioned curvature)."""
+    return ValueError(f"{_at_times(what, times)} lost precision: {cause}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +444,12 @@ def _half_plane_moments(spec: WavegroupSpec, t1: float, t2: float):
         mu = (mass * o + first).sum() / total
         means.append(density.centre(j) + mu)
         variances.append((second + 2.0 * first * (o - mu) + mass * (o - mu) ** 2).sum() / total)
-    # rounding can cancel a variance to <= 0, which is no width either
-    _check_range(total > 0.0 and all(0.0 < v < math.inf for v in variances),
+    _check_range(math.isfinite(total) and all(math.isfinite(v) for v in variances),
                  "half-plane moments", t1=t1, t2=t2)
+    if not (total > 0.0 and min(variances) > 0.0):  # no mass or no width
+        raise _lost_precision("half-plane moments", f"rounding left the mass {total:.6g} "
+                              f"and the variances {variances[0]:.6g}, {variances[1]:.6g}",
+                              t1=t1, t2=t2)
     return float(total), np.array(means), np.array(variances)
 
 

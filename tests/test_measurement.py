@@ -9,9 +9,11 @@ from mirrorsim import (MeasurementEvent, PhysicalParams, UnresolvedSplittingErro
                        elastic_final_velocities, joint_pdf,
                        sequential_probability, split_centroid_velocities,
                        thermal_spread)
-from mirrorsim.measurement import _running_mean, _smoothed_modes
+from mirrorsim import measurement
+from mirrorsim.measurement import (ConditionalMirrorState, _rule_count, _running_mean,
+                                   _smoothed_modes)
 from mirrorsim.observables import marginal_over_mirror
-from mirrorsim.scenario import PRESETS, resolve_event
+from mirrorsim.scenario import PRESETS, _beat_window, resolve_event, run_analysis
 
 
 import functools
@@ -241,6 +243,80 @@ class TestSplitVelocities:
         samples = ev.t10 + s.tau * np.linspace(0.5, 2.0, 4)
         with pytest.raises(UnresolvedSplittingError):
             split_centroid_velocities(state, samples)
+
+
+class TestSamplingRule:
+    """A conditional curve sampled without a count takes ceil(16 (hi - lo) /
+    scale) + 1 points over its physical support [lo, hi], scale the smaller
+    of the fringe period and the narrowest kept branch sigma, held between
+    257 and 8,193 points; an explicit count is used as given."""
+
+    @staticmethod
+    def _counts(monkeypatch, name, analysis):
+        counts = []
+        pdf = ConditionalMirrorState.pdf
+
+        def counted(self, x2, t2, apply_step=True):
+            counts.append(np.size(x2))
+            return pdf(self, x2, t2, apply_step)
+
+        monkeypatch.setattr(ConditionalMirrorState, "pdf", counted)
+        run_analysis(PRESETS[name], analysis)
+        return counts
+
+    def test_split_velocities_sample_each_fringe_16_times(self, monkeypatch):
+        # fig5's eight times hold 64 to 121 fringes; 8,193 points each before
+        assert self._counts(monkeypatch, "fig5", "split-velocities") == [
+            1024, 1150, 1277, 1407, 1539, 1672, 1807, 1942]
+
+    def test_pattern_drift_samples_each_sigma_16_times(self, monkeypatch):
+        # fig9's 23 times: no fringe inside the two branches' 20 sigma
+        # support, so their narrower sigma sets the count; 2,001 before
+        assert self._counts(monkeypatch, "fig9", "beat") == [322] * 23
+
+    @pytest.mark.parametrize("width,scale,n", [
+        (20.0, 1.0, 321), (20.0 + 1e-9, 1.0, 322), (1.0, 1.0, 257), (16.0, 1.0, 257),
+        (16.0 + 1e-9, 1.0, 258), (512.0, 1.0, 8193), (512.0 + 1e-9, 1.0, 8193),
+        (1e300, 1e-300, 8193), (math.inf, 1.0, 8193), (math.nan, 1.0, 8193)])
+    def test_count(self, width, scale, n):
+        assert _rule_count(width, scale) == n
+
+    def test_floor_and_ceiling(self):
+        # fig9 one sigma either side needs 32 points and gets the floor; cont's
+        # support holds thousands of fringes and gets the ceiling
+        s, state = _preset_state("fig9")
+        assert len(state._sampled(state.event.t10, pad=1.0)[0]) == 257
+        s, state = _preset_state("cont")
+        assert len(state._sampled(state.event.t10)[0]) == 8193
+
+    @pytest.mark.parametrize("n", [17, 300, 10000])
+    def test_an_explicit_count_is_exact(self, n):
+        s, state = _preset_state("cont")
+        x2, pdf = state._sampled(state.event.t10, n)
+        assert len(x2) == len(pdf) == n
+
+    def test_split_velocities_agree_with_twice_the_density(self, monkeypatch):
+        # 16 and 32 samples per fringe: worst measured 5.7e-7 (v_slow), of a
+        # recoil of 10. Fixed counts did not converge: 8,193 and 16,385 points
+        # read v_slow - 30 = +8.2e-6 and -1.1e-3, the mean's window not one
+        # fringe long
+        s, state = _preset_state("fig5")
+        samples = state.event.t10 + s.tau * np.linspace(1.5, 5.0, 8)
+        rule = split_centroid_velocities(state, samples)
+        monkeypatch.setattr(measurement, "_PER_SCALE", 32)
+        finer = split_centroid_velocities(state, samples)
+        assert rule == pytest.approx(finer, rel=0.0, abs=6e-7)
+
+    @pytest.mark.parametrize("name,bound", [("fig9", 2e-11), ("fig8", 1e-10)])
+    def test_pattern_drift_centroids_agree_with_2001_points(self, name, bound):
+        # each of the 23 pattern-drift times, in units of the narrower branch
+        # sigma: worst measured 1.5e-11 on fig9 and 9.1e-11 on fig8
+        s, state = _preset_state(name)
+        for t in _beat_window(s, state.event)[::40]:
+            t = float(t)
+            (x, y), (x_ref, y_ref) = state._sampled(t), state._sampled(t, 2001)
+            sigma = min(w for _, w, _ in state.branch_profiles(t))
+            assert abs((y @ x) / y.sum() - (y_ref @ x_ref) / y_ref.sum()) <= bound * sigma
 
 
 class TestSequentialProbability:

@@ -408,10 +408,30 @@ class TestCoherenceTransfer:
 
     def test_a_negative_variance_is_a_named_error(self):
         # r183: the moments at post_t + tau / 2 hold a negative variance, which
-        # is named, not passed to math.sqrt
+        # is named, not passed to math.sqrt; the mass at post_t is named first
         s = sweep_spec("r183")
         with pytest.raises(ValueError, match="^half-plane moments at "):
             coherence_transfer_metrics(s, pre_t=s.t0, post_t=s.collision_time + 2.0 * s.tau)
+
+    def test_a_lost_mass_is_named_before_any_width(self):
+        # r183 at t_c + 2 tau: the variances (5.9e4, 3.2e6) are positive and
+        # finite, for packets about 1e-7 wide, but the mass reads 0.566
+        s = sweep_spec("r183")
+        t = s.collision_time + 2.0 * s.tau
+        with pytest.raises(ValueError, match=r"^half-plane moments at t1=\S+, t2=\S+ lost "
+                           r"precision: the mass on the physical half plane is 0\.566"):
+            _measured_widths(s, t)
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6-m1", "fig6-m20", "fig8", "fig9"])
+    def test_preset_masses_are_one_to_rounding(self, presets, name):
+        # at t0, t_c + 2 tau and t_c + 2.5 tau: worst measured 5.8e-15 (fig8
+        # at t_c + 2 tau), far inside the 1e-10 that _measured_widths allows
+        s = presets[name]
+        spec = s.wavegroup
+        for t in (spec.t0, s.collision_time + 2.0 * s.tau, s.collision_time + 2.5 * s.tau):
+            mass, _, _ = wavegroup._half_plane_moments(spec, t, t)
+            assert abs(mass - 1.0) <= 6e-15
+            assert all(w > 0.0 for w in _measured_widths(spec, t))
 
     def test_widths_trace_nothing(self, presets, monkeypatch):
         def traced(*args, **kwargs):

@@ -8,9 +8,10 @@ each tree the script runs ``simulate --resolution 512``, ``marginal``,
 in a fresh working directory per tree with the same relative ``--out``, so
 stdout compares as is. It compares exit codes, stdout and stderr of every run
 and every file written. For each file that differs it prints the header
-lines that changed and the largest change: over the column's peak for a
-CSV, relative for a JSON number. It exits 0 only when everything is
-byte-identical, and 1 otherwise.
+lines that changed and the largest change over the column's peak for a
+CSV, and for a JSON file every number that moved, by its path, with its old
+and new value and the change relative to the larger. It exits 0 only when
+everything is byte-identical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def _csv_change(old: Path, new: Path) -> list[str]:
 
 
 def _json_changes(a, b, path="$"):
-    """(path, relative change) of each number, and (path, None) where the
-    structure or a non-number differs."""
+    """(path, (old, new)) of each number that moved, and (path, None) where
+    the structure or a non-number differs."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             if key in a and key in b:
@@ -96,18 +97,20 @@ def _json_changes(a, b, path="$"):
             yield from _json_changes(x, y, f"{path}[{i}]")
     elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
         if a != b:
-            yield path, abs(b - a) / max(abs(a), abs(b))
+            yield path, (a, b)
     elif a != b:
         yield path, None
 
 
 def _json_change(old: Path, new: Path) -> list[str]:
-    changes = list(_json_changes(*(json.loads(p.read_text()) for p in (old, new))))
-    out = [f"  {path}: differs" for path, rel in changes if rel is None]
-    numbers = [(rel, path) for path, rel in changes if rel is not None]
-    if numbers:
-        rel, path = max(numbers)
-        out.append(f"  {len(numbers)} numbers moved, largest {rel:.2g} relative at {path}")
+    out = []
+    for path, moved in _json_changes(*(json.loads(p.read_text()) for p in (old, new))):
+        if moved is None:
+            out.append(f"  {path}: differs")
+        else:
+            a, b = moved
+            out.append(f"  {path}: {a!r} -> {b!r} ({abs(b - a) / max(abs(a), abs(b)):.2g} "
+                       "relative)")
     return out
 
 
